@@ -73,9 +73,9 @@ impl Watchpoint {
         if !kind_ok {
             return false;
         }
-        let base = self.addr.raw();
-        let a = access.addr.raw();
-        a >= base && a < base + u64::from(self.len)
+        // Wrapping distance from the base: exact for every base, the
+        // top aligned block (whose `base + len` overflows) included.
+        access.addr.raw().wrapping_sub(self.addr.raw()) < u64::from(self.len)
     }
 }
 
@@ -262,6 +262,22 @@ mod tests {
             assert!(w.matches(&Access::load(64u64)));
             assert!(w.matches(&Access::store(64 + u64::from(len) - 1)));
             assert!(!w.matches(&Access::load(64 + u64::from(len))));
+        }
+    }
+
+    #[test]
+    fn top_aligned_block_traps() {
+        // `base + len` overflows for the last block of the address
+        // space; the match must still cover it, for every width.
+        for len in [1u8, 2, 4, 8] {
+            let mut drf = DebugRegisterFile::default();
+            let slot = drf.arm(info(u64::MAX, len, 7)).unwrap();
+            let w = drf.armed(slot).unwrap().watchpoint;
+            assert_eq!(w.addr.raw(), !(u64::from(len) - 1));
+            assert!(w.matches(&Access::load(u64::MAX)), "len={len}");
+            assert_eq!(drf.matching(&Access::store(u64::MAX)), Some(slot));
+            assert!(!w.matches(&Access::load(0u64)), "len={len}");
+            assert!(!w.matches(&Access::load(w.addr.raw() - 1)), "len={len}");
         }
     }
 

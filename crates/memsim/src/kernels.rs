@@ -5,26 +5,24 @@
 //! choreography (overflow gaps, trap replay, counter bulk-advance); the
 //! per-access needle testing is delegated to a [`ScanKernel`] resolved
 //! once per run from [`MachineConfig::scan_kernel`]
-//! (crate::MachineConfig::scan_kernel). Three kinds exist workspace-wide
-//! (the same [`KernelKind`] taxonomy as the decode side in
+//! (crate::MachineConfig::scan_kernel). The scan side has two kernels
+//! (named with the same [`KernelKind`] taxonomy as the decode side in
 //! `rdx_trace::kernels`):
 //!
 //! * **scalar** — [`NeedleSet::scan`], the original unrolled per-access
-//!   loop, kept verbatim. It is the oracle: every other kernel must
+//!   loop, kept verbatim. It is the oracle: the AVX2 kernel must
 //!   produce the identical [`ScanOutcome`] on every input, which the
 //!   equivalence proptests in `tests/scan_kernels.rs` enforce.
-//! * **swar** — blockwise scanning: accesses are tested eight at a time
-//!   with the early-exit branch hoisted out of the per-access loop to a
-//!   per-block hit mask, so the needle compares become straight-line
-//!   branch-free code LLVM can keep in registers and autovectorize. A
-//!   hit block is re-walked scalar-wise for the exact offset and store
-//!   prefix (rare: at most one hit per quiet segment).
 //! * **simd** — AVX2 on x86_64 (runtime-detected): four 64-bit address
 //!   lanes per compare, the unsigned range test done with the
 //!   sign-flip + signed-greater-than trick. This is the only `unsafe`
 //!   code in the workspace, confined to this module and guarded by
-//!   `is_x86_feature_detected!`. Other architectures mark the row
-//!   unavailable and resolve to SWAR.
+//!   `is_x86_feature_detected!`. Other hosts mark the row unavailable
+//!   and resolve to scalar.
+//!
+//! There is no SWAR scan kernel: a blockwise one measured 0.7× scalar
+//! (EXPERIMENTS.md P3), so the `swar` kind routes to scalar here. The
+//! decode side keeps its SWAR kernel, where it wins.
 //!
 //! The capability/cost table idiom ([`scan_kernels`], `auto` picking
 //! the cheapest available row) mirrors `rdx_trace::kernels`: adding an
@@ -34,11 +32,12 @@
 
 #[cfg(target_arch = "x86_64")]
 use crate::scan::MAX_NEEDLES;
-use crate::scan::{count_stores, NeedleSet, ScanOutcome};
+use crate::scan::{NeedleSet, ScanOutcome};
 use rdx_trace::Access;
 pub use rdx_trace::{KernelChoice, KernelEntry, KernelKind};
 
-/// Accesses tested per block in the SWAR kernel: one hit-mask byte.
+/// Accesses tested per block in the AVX2 kernel: two 4-lane compares.
+#[cfg(target_arch = "x86_64")]
 const LANES: usize = 8;
 
 /// One interchangeable inner loop of the needle scanner.
@@ -69,170 +68,11 @@ impl ScanKernel for ScalarScan {
     }
 }
 
-/// The portable blockwise kernel (safe Rust, SIMD-within-a-register in
-/// spirit: branch-free per-block hit masks instead of per-access early
-/// exits).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SwarScan;
-
-impl ScanKernel for SwarScan {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Swar
-    }
-
-    fn scan(&self, set: &NeedleSet, run: &[Access]) -> ScanOutcome {
-        let n = set.len();
-        if n == 0 {
-            return ScanOutcome {
-                first_match: None,
-                stores_before: count_stores(run),
-            };
-        }
-        // Every armable watchpoint is a power-of-two span on a
-        // naturally aligned base (x86 debug-register rules), which
-        // turns the range test into a masked XOR equality — a shape
-        // baseline SSE autovectorizes, unlike u64 unsigned compares.
-        // Arbitrary sets (reachable via `NeedleSet::from_ranges`) take
-        // the generic compare path.
-        let aligned = (0..n)
-            .all(|j| set.span[j].is_power_of_two() && set.base[j].is_multiple_of(set.span[j]));
-        // Same monomorphization ladder as the scalar oracle: the needle
-        // loop fully unrolls for the common register counts.
-        match (aligned, n) {
-            (true, 1) => swar_aligned::<1>(set, run),
-            (true, 2) => swar_aligned::<2>(set, run),
-            (true, 3) => swar_aligned::<3>(set, run),
-            (true, 4) => swar_aligned::<4>(set, run),
-            (false, 1) => swar_scan::<1>(set, run),
-            (false, 2) => swar_scan::<2>(set, run),
-            (false, 3) => swar_scan::<3>(set, run),
-            (false, 4) => swar_scan::<4>(set, run),
-            _ => swar_any(set, run, n),
-        }
-    }
-}
-
-/// Blockwise scan for aligned power-of-two needles: the in-range test
-/// is `(addr ^ base) & !(span − 1) == 0` (same address prefix), which
-/// is exactly `addr ∈ [base, base + span)` for a span-aligned base.
-fn swar_aligned<const N: usize>(set: &NeedleSet, run: &[Access]) -> ScanOutcome {
-    let mut base = [0u64; N];
-    let mut mask = [0u64; N];
-    let mut pass = [0u64; N];
-    for j in 0..N {
-        base[j] = set.base[j];
-        mask[j] = !(set.span[j] - 1);
-        pass[j] = u64::from(!set.store_only[j]);
-    }
-    let mut stores: u64 = 0;
-    let mut pos: usize = 0;
-    while let Some(block) = run.get(pos..pos + LANES) {
-        let mut addrs = [0u64; LANES];
-        let mut st = [0u64; LANES];
-        for k in 0..LANES {
-            addrs[k] = block[k].addr.raw();
-            st[k] = u64::from(block[k].kind.is_store());
-        }
-        let mut hit = [0u64; LANES];
-        for j in 0..N {
-            for k in 0..LANES {
-                hit[k] |= u64::from((addrs[k] ^ base[j]) & mask[j] == 0) & (st[k] | pass[j]);
-            }
-        }
-        let mut any = 0u64;
-        let mut block_stores = 0u64;
-        for k in 0..LANES {
-            any |= hit[k];
-            block_stores += st[k];
-        }
-        if any != 0 {
-            // The oracle pins the exact offset and prefix; should a
-            // lane ever over-match, falling through only costs time
-            // (the scan contract tolerates spurious block hits).
-            let sub = set.scan_any(block, N);
-            if let Some(off) = sub.first_match {
-                return ScanOutcome {
-                    first_match: Some(pos + off),
-                    stores_before: stores + sub.stores_before,
-                };
-            }
-        }
-        stores += block_stores;
-        pos += LANES;
-    }
-    let tail = set.scan_any(&run[pos..], N);
-    ScanOutcome {
-        first_match: tail.first_match.map(|i| pos + i),
-        stores_before: stores + tail.stores_before,
-    }
-}
-
-/// Monomorphized blockwise scan for small fixed needle counts.
-fn swar_scan<const N: usize>(set: &NeedleSet, run: &[Access]) -> ScanOutcome {
-    swar_any(set, run, N)
-}
-
-/// Blockwise scan body: eight accesses per iteration in
-/// structure-of-arrays form, hit decisions accumulated into per-lane
-/// masks so the block body is branch-free straight-line u64 arithmetic
-/// (the needle loop is outermost over the lane arrays — the shape LLVM
-/// autovectorizes).
-#[inline(always)]
-fn swar_any(set: &NeedleSet, run: &[Access], n: usize) -> ScanOutcome {
-    let mut stores: u64 = 0;
-    let mut pos: usize = 0;
-    while let Some(block) = run.get(pos..pos + LANES) {
-        let mut addrs = [0u64; LANES];
-        let mut st = [0u64; LANES];
-        for k in 0..LANES {
-            addrs[k] = block[k].addr.raw();
-            st[k] = u64::from(block[k].kind.is_store());
-        }
-        let mut hit = [0u64; LANES];
-        for j in 0..n {
-            // Identical predicate to the oracle: in-range iff
-            // addr ∈ [base, base + span), store gating per needle.
-            let (base, span) = (set.base[j], set.span[j]);
-            let pass = u64::from(!set.store_only[j]);
-            for k in 0..LANES {
-                hit[k] |= u64::from(addrs[k].wrapping_sub(base) < span) & (st[k] | pass);
-            }
-        }
-        let mut any = 0u64;
-        let mut block_stores = 0u64;
-        for k in 0..LANES {
-            any |= hit[k];
-            block_stores += st[k];
-        }
-        if any != 0 {
-            // Rare (at most once per quiet segment): re-walk the hit
-            // block with the oracle for the exact offset and prefix. An
-            // over-matching lane falls through at the cost of a block
-            // re-walk — never a wrong outcome.
-            let sub = set.scan_any(block, n);
-            if let Some(off) = sub.first_match {
-                return ScanOutcome {
-                    first_match: Some(pos + off),
-                    stores_before: stores + sub.stores_before,
-                };
-            }
-        }
-        stores += block_stores;
-        pos += LANES;
-    }
-    // Tail (< 8 accesses): the scalar walk, offsets rebased.
-    let tail = set.scan_any(&run[pos..], n);
-    ScanOutcome {
-        first_match: tail.first_match.map(|i| pos + i),
-        stores_before: stores + tail.stores_before,
-    }
-}
-
 /// The x86_64 AVX2 kernel: four address lanes per compare.
 ///
 /// Only constructed when `is_x86_feature_detected!("avx2")` holds (and
 /// [`ScanKernel::scan`] re-checks, so a mis-forced kind degrades to the
-/// portable kernel instead of executing illegal instructions).
+/// scalar oracle instead of executing illegal instructions).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SimdScan;
 
@@ -247,7 +87,7 @@ impl ScanKernel for SimdScan {
             // SAFETY: AVX2 support was just verified on this CPU.
             return unsafe { avx2::scan(set, run) };
         }
-        SwarScan.scan(set, run)
+        ScalarScan.scan(set, run)
     }
 }
 
@@ -460,13 +300,9 @@ mod avx2 {
 /// The scan-side capability/cost table for this host.
 ///
 /// The `simd` row is available only on x86_64 CPUs with AVX2; elsewhere
-/// `resolve` degrades it to the portable SWAR kernel.
+/// `resolve` degrades every choice to scalar.
 #[must_use]
-pub fn scan_kernels() -> [KernelEntry; 3] {
-    #[cfg(target_arch = "x86_64")]
-    let simd_available = std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let simd_available = false;
+pub fn scan_kernels() -> [KernelEntry; 2] {
     [
         KernelEntry {
             kind: KernelKind::Scalar,
@@ -474,16 +310,20 @@ pub fn scan_kernels() -> [KernelEntry; 3] {
             cost: 100,
         },
         KernelEntry {
-            kind: KernelKind::Swar,
-            available: true,
-            cost: 45,
-        },
-        KernelEntry {
             kind: KernelKind::Simd,
-            available: simd_available,
+            available: avx2_detected(),
             cost: 30,
         },
     ]
+}
+
+/// Whether this host can run the AVX2 scan kernel.
+fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let detected = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let detected = false;
+    detected
 }
 
 /// Resolves a scan kernel choice against [`scan_kernels`].
@@ -493,23 +333,22 @@ pub fn resolve_scan(choice: KernelChoice) -> KernelKind {
 }
 
 /// Runs the scan kernel of `kind` (static dispatch — the machine
-/// resolved the kind once per run).
+/// resolved the kind once per run). `Swar` has no scan kernel and runs
+/// the scalar oracle.
 #[inline]
 pub fn run_scan(kind: KernelKind, set: &NeedleSet, run: &[Access]) -> ScanOutcome {
     match kind {
-        KernelKind::Scalar => ScalarScan.scan(set, run),
-        KernelKind::Swar => SwarScan.scan(set, run),
+        KernelKind::Scalar | KernelKind::Swar => ScalarScan.scan(set, run),
         KernelKind::Simd => SimdScan.scan(set, run),
     }
 }
 
 /// The scan kernel instance for `kind`, for benches and tests that
-/// drive kernels directly.
+/// drive kernels directly (`Swar` maps to the scalar oracle).
 #[must_use]
 pub fn scan_kernel(kind: KernelKind) -> &'static dyn ScanKernel {
     match kind {
-        KernelKind::Scalar => &ScalarScan,
-        KernelKind::Swar => &SwarScan,
+        KernelKind::Scalar | KernelKind::Swar => &ScalarScan,
         KernelKind::Simd => &SimdScan,
     }
 }
@@ -527,12 +366,17 @@ mod tests {
 
     #[test]
     fn resolve_auto_prefers_fastest_available() {
-        let auto = resolve_scan(KernelChoice::Auto);
-        // Whatever the host: auto never picks scalar (SWAR is always
-        // available and cheaper) and forced choices stick when present.
-        assert_ne!(auto, KernelKind::Scalar);
+        // Auto takes AVX2 exactly where it is detected, scalar anywhere
+        // else; a forced `swar` has no scan row and resolves like auto.
+        let want = if avx2_detected() {
+            KernelKind::Simd
+        } else {
+            KernelKind::Scalar
+        };
+        assert_eq!(resolve_scan(KernelChoice::Auto), want);
         assert_eq!(resolve_scan(KernelChoice::Scalar), KernelKind::Scalar);
-        assert_eq!(resolve_scan(KernelChoice::Swar), KernelKind::Swar);
+        assert_eq!(resolve_scan(KernelChoice::Swar), want);
+        assert_eq!(resolve_scan(KernelChoice::Simd), want);
     }
 
     #[test]
@@ -549,7 +393,7 @@ mod tests {
         let want = set.scan(&run);
         assert_eq!(want.first_match, Some(10));
         assert_eq!(want.stores_before, 3);
-        for kind in [KernelKind::Scalar, KernelKind::Swar, KernelKind::Simd] {
+        for kind in [KernelKind::Scalar, KernelKind::Simd] {
             let got = run_scan(kind, &set, &run);
             assert_eq!(got, want, "kind={kind:?}");
         }
@@ -561,7 +405,7 @@ mod tests {
         let run = run_of(&[(0x40, false), (0x44, false), (0x40, true)]);
         let want = set.scan(&run);
         assert_eq!(want.first_match, Some(2));
-        for kind in [KernelKind::Scalar, KernelKind::Swar, KernelKind::Simd] {
+        for kind in [KernelKind::Scalar, KernelKind::Simd] {
             assert_eq!(run_scan(kind, &set, &run), want, "kind={kind:?}");
         }
     }
@@ -574,7 +418,7 @@ mod tests {
             let run = run_of(&accesses);
             let want = set.scan(&run);
             assert_eq!(want.first_match, None);
-            for kind in [KernelKind::Scalar, KernelKind::Swar, KernelKind::Simd] {
+            for kind in [KernelKind::Scalar, KernelKind::Simd] {
                 assert_eq!(run_scan(kind, &set, &run), want, "len={len} kind={kind:?}");
             }
         }

@@ -15,8 +15,9 @@
 //! disarm-before-delivery and handler interleavings are inherited from
 //! the one existing implementation rather than duplicated here. A needle
 //! that over-matches could therefore only cost time, never correctness —
-//! but the predicate below is exactly [`Watchpoint::matches`] for every
-//! armable range (`base` is `len`-aligned, so `base + len` cannot wrap).
+//! but the predicate below — `addr.wrapping_sub(base) < span` — is
+//! exactly [`Watchpoint::matches`], the top aligned block (whose
+//! `base + len` wraps to zero) included.
 
 use crate::debug::DebugRegisterFile;
 #[cfg(test)]

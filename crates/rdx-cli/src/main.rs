@@ -12,8 +12,7 @@
 //!           [--merge] [--out file.rdxp]
 //!           [--pipelined|--no-pipelined] [--decode-buffer N]
 //!           [--decode-ahead N] [--kernel auto|scalar|swar|simd]
-//! rdx merge <file.rdxp ...> [--out file.rdxp] [--jobs N]
-//!           [--kernel auto|scalar|swar|simd] [--csv] [--mrc]
+//! rdx merge <file.rdxp ...> [--out file.rdxp] [--csv] [--mrc]
 //! rdx trace <file> [--decode-buffer N] [--kernel auto|scalar|swar|simd]
 //!           [--metrics]
 //! rdx serve --listen <addr|socket-path> [--max-conns N]
@@ -38,10 +37,10 @@
 //!
 //! Profiles are a merge monoid: `profile --save` writes a profile in
 //! the versioned RDXP wire format, `merge` folds RDXP files from disk
-//! into one fleet profile (parallel tree reduction over `--jobs`
-//! threads; bit-identical for every job count and `--kernel`), and
-//! `suite --merge` appends the whole registry's fleet profile — `--out`
-//! writes it as RDXP for a later `rdx merge`. Incompatible inputs
+//! into one fleet profile (in command-line order, bit-identical to
+//! chained pairwise merges), and `suite --merge` appends the whole
+//! registry's fleet profile — `--out` writes it as RDXP for a later
+//! `rdx merge`. Incompatible inputs
 //! (version, binning, granularity, or cost-model mismatches) are typed
 //! errors naming both sides, never panics.
 //!
@@ -49,9 +48,11 @@
 //! needle scanner and the trace layer's bulk varint decoder — to one
 //! implementation family (`auto`, the default, picks the cheapest
 //! available per the capability tables; a forced kind that is
-//! unavailable on this host degrades per the table, e.g. `simd` decode
-//! runs the SWAR kernel). Every kernel is bit-identical in output;
-//! `rdx trace` prints the resolved kernel it decoded with.
+//! unavailable on this host degrades per the table: `simd` decode runs
+//! the SWAR kernel, `swar` scan — which has no kernel — runs like
+//! `auto`, and a host without AVX2 scans with the scalar kernel).
+//! Every kernel is bit-identical in output; `rdx trace` prints the
+//! resolved kernel it decoded with.
 //!
 //! `serve` runs the long-lived framed profiling daemon from
 //! `rdx-server`; `client` streams a workload or trace file to such a
@@ -118,8 +119,7 @@ fn usage() -> ExitCode {
          [--merge] [--out file.rdxp]\n            [--pipelined|--no-pipelined]\n            \
          [--decode-buffer N] [--decode-ahead N] \
          [--kernel auto|scalar|swar|simd]\n  \
-         rdx merge <file.rdxp ...> [--out file.rdxp] [--jobs N]\n            \
-         [--kernel auto|scalar|swar|simd] [--csv] [--mrc]\n  \
+         rdx merge <file.rdxp ...> [--out file.rdxp] [--csv] [--mrc]\n  \
          rdx trace <file> [--decode-buffer N] [--kernel auto|scalar|swar|simd] [--metrics]\n  \
          rdx serve --listen <addr|socket-path> [--max-conns N] [--max-session-bytes N]\n  \
          rdx client <addr|socket-path> <workload|file.rdxt> [--accesses N] [--elements N]\n             \
@@ -411,7 +411,7 @@ const SUITE_FLAGS: &[&str] = &[
     "--no-pipelined",
 ];
 
-const MERGE_FLAGS: &[&str] = &["--out", "--jobs", "--kernel", "--csv", "--mrc"];
+const MERGE_FLAGS: &[&str] = &["--out", "--csv", "--mrc"];
 
 const TRACE_FLAGS: &[&str] = &["--decode-buffer", "--kernel", "--metrics"];
 
@@ -860,26 +860,22 @@ fn save_profile(path: &str, profile: &RdxProfile) -> ExitCode {
 }
 
 /// Merges a batch of profiles into one fleet profile and prints it
-/// (used by both `rdx merge` and `rdx suite --merge`). The reduction is
-/// a deterministic tree over `--jobs` threads — the output is
-/// bit-identical for every job count and kernel choice.
+/// (used by both `rdx merge` and `rdx suite --merge`). The profiles are
+/// folded in order, so the output depends only on the inputs.
 fn emit_fleet(profiles: Vec<RdxProfile>, sources: usize, opts: &Opts) -> ExitCode {
-    let jobs = opts.jobs();
-    let merged =
-        match rdx_core::merge_batch_with(profiles, jobs, opts.kernel.unwrap_or(KernelChoice::Auto))
-        {
-            Ok(Some(p)) => p,
-            Ok(None) => {
-                eprintln!("error: nothing to merge");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("error: profiles are not mergeable: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let merged = match rdx_core::merge_batch(profiles, 1) {
+        Ok(Some(p)) => p,
+        Ok(None) => {
+            eprintln!("error: nothing to merge");
+            return ExitCode::FAILURE;
+        }
+        Err(e) => {
+            eprintln!("error: profiles are not mergeable: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     if !opts.csv {
-        println!("\nfleet profile   : {sources} profiles merged ({jobs} jobs)");
+        println!("\nfleet profile   : {sources} profiles merged");
         println!("accesses        : {}", merged.accesses);
         println!("samples/traps   : {} / {}", merged.samples, merged.traps);
         println!("est. blocks     : {:.0}", merged.m_estimate);
@@ -2178,6 +2174,8 @@ mod tests {
 
     #[test]
     fn sim_cmd_runs_a_small_sweep() {
+        // The sweep decodes and profiles, so it holds the metrics lock.
+        let _guard = metrics_guard();
         // A tiny schedule count keeps this fast; the full sweep runs in
         // rdx-sim's own tests and the CI sim leg.
         let code = sim_cmd(&to_args(&["--seed", "1", "--schedules", "2"]));
@@ -2278,18 +2276,27 @@ mod tests {
         assert!(opts.merge);
         assert_eq!(opts.out.as_deref(), Some("fleet.rdxp"));
 
-        // merge takes only aggregation flags; profiling knobs are rejected.
+        // merge takes only output flags; profiling knobs are rejected.
         for args in [&["--period", "512"][..], &["--save", "x"][..]] {
             let err = Opts::parse(&to_args(args), MERGE_FLAGS).unwrap_err();
             assert!(err.contains("unknown flag"), "{args:?}: {err}");
         }
-        let opts = Opts::parse(
-            &to_args(&["--out", "f", "--jobs", "2", "--kernel", "swar"]),
-            MERGE_FLAGS,
-        )
-        .unwrap();
+        let opts = Opts::parse(&to_args(&["--out", "f", "--csv", "--mrc"]), MERGE_FLAGS).unwrap();
         assert_eq!(opts.out.as_deref(), Some("f"));
-        assert_eq!(opts.kernel, Some(KernelChoice::Swar));
+        assert!(opts.csv && opts.mrc);
+    }
+
+    #[test]
+    fn merge_rejects_kernel_and_jobs() {
+        // merge folds in order on one thread: it takes neither knob.
+        let err = Opts::parse(&to_args(&["--kernel", "simd"]), MERGE_FLAGS).unwrap_err();
+        assert!(err.contains("unknown flag '--kernel'"), "{err}");
+        let err = Opts::parse(&to_args(&["--jobs", "2"]), MERGE_FLAGS).unwrap_err();
+        assert!(err.contains("unknown flag '--jobs'"), "{err}");
+        // suite --merge still takes --jobs for its profiling pass.
+        let opts = Opts::parse(&to_args(&["--merge", "--jobs", "2"]), SUITE_FLAGS).unwrap();
+        assert!(opts.merge);
+        assert_eq!(opts.jobs(), 2);
     }
 
     #[test]
@@ -2315,9 +2322,7 @@ mod tests {
             ]));
             assert_eq!(code, ExitCode::SUCCESS);
         }
-        let code = merge_cmd(&to_args(&[
-            &shard_a, &shard_b, "--csv", "--jobs", "2", "--out", &fleet,
-        ]));
+        let code = merge_cmd(&to_args(&[&shard_a, &shard_b, "--csv", "--out", &fleet]));
         assert_eq!(code, ExitCode::SUCCESS);
 
         // The written fleet profile is exactly merge_batch of the parts.

@@ -46,12 +46,7 @@
 //! assert!((60.0..160.0).contains(&mean), "mean {mean}");
 //! ```
 
-// The AVX2 merge kernel needs core::arch intrinsics, so this crate can
-// only *deny* unsafe code, not forbid it: `kernels.rs` re-allows it for
-// exactly that module, and the unsafe-confinement lint pins every
-// `unsafe` token in the workspace to the allowlisted kernel files.
-// rdx-lint-allow: forbid-unsafe — arch intrinsics confined to kernels.rs
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
@@ -59,7 +54,6 @@ pub mod budget;
 mod config;
 pub mod convert;
 pub mod ingest;
-pub mod kernels;
 pub mod km;
 pub mod limits;
 mod merge;
@@ -75,11 +69,8 @@ pub use convert::WeightedFootprint;
 pub use ingest::{
     load_rdxt, profile_rdxt_batch, IngestError, IngestOptions, RdxtInput, RdxtReport, RdxtStream,
 };
-pub use kernels::{
-    merge_kernel, merge_kernels, resolve_merge, KernelChoice, KernelEntry, KernelKind, MergeKernel,
-};
 pub use limits::LimitError;
-pub use merge::{merge_batch, merge_batch_with, merge_histogram_batch, MergeError};
+pub use merge::{merge_batch, merge_histogram_batch, MergeError};
 pub use profiler::RdxProfiler;
 pub use report::RdxProfile;
 pub use runner::RdxRunner;

@@ -1,5 +1,4 @@
-//! Fleet aggregation: the profile monoid and its parallel tree
-//! reduction.
+//! Fleet aggregation: the profile monoid and its in-order fold.
 //!
 //! [`RdxProfile`] forms a commutative monoid under merge: histograms
 //! add bucket-wise, counters (samples, traps, evictions, censoring
@@ -10,35 +9,21 @@
 //! footprint conversion are provably exact, so this is the safe level
 //! to aggregate at; `time_overhead` is a *ratio*, not a sum, and is
 //! recomputed from the merged event counts at the end of every
-//! reduction (the same [`CostLedger`] formula the runner uses, so
-//! merging with the identity is bit-invisible).
+//! batch (the same [`CostLedger`] formula the runner uses, so merging
+//! with the identity is bit-invisible).
 //!
-//! **Determinism.** `f64` addition is not associative, so the reduction
-//! shape must not depend on the job count. [`merge_batch`] always uses
-//! the same fixed shape: consecutive groups of [`LEAF`] profiles are
-//! accumulated by one multi-source kernel call each (this is where the
-//! SIMD wide-add pays off — the destination block stays in registers
-//! across all sources), then the group results are combined by a
-//! pairwise binary tree `((G0⊕G1)⊕(G2⊕G3))⊕…` on the caller's thread.
-//! Only the *leaf* work is parallel (claimed from a shared cursor, the
-//! PR-1 batch-pool idiom), and each leaf's result is a pure function of
-//! its own group — so the merged profile is bit-identical at every job
-//! count and under every kernel (the kernels share a per-bucket
-//! source-order add contract; see [`crate::kernels`]).
+//! **Determinism.** `f64` addition is not associative, so the batch
+//! merges fold their inputs strictly in input order, one
+//! [`Histogram::merge`] per input: bucket `j` of the result is
+//! `((h0[j] + h1[j]) + h2[j]) + …`, bit-identical to a chained pairwise
+//! merge. A merge costs O(buckets) per input (about 64 log2 buckets),
+//! so the fold runs on the caller's thread.
 
-use crate::batch::dispatch;
-use crate::kernels::{resolve_merge, run_merge, KernelChoice, KernelKind};
 use crate::report::RdxProfile;
 use memsim::cost::CostLedger;
-use parking_lot::Mutex;
-use rdx_histogram::{BinningMismatch, Histogram, RdHistogram, RtHistogram};
+use rdx_histogram::{BinningMismatch, Histogram};
 use rdx_trace::Granularity;
 use std::fmt;
-
-/// Profiles accumulated per reduction leaf by one multi-source kernel
-/// call. Part of the deterministic reduction shape: changing it changes
-/// merged bits, so it is a constant, never a tunable.
-const LEAF: usize = 8;
 
 /// Typed failure of a profile merge: the inputs are not aggregatable.
 ///
@@ -105,146 +90,22 @@ fn check_compatible(a: &RdxProfile, b: &RdxProfile) -> Result<(), MergeError> {
     Ok(())
 }
 
-/// Adds every source row into `dst` with the resolved kernel,
-/// preserving exact pairwise-merge semantics for ragged widths.
-///
-/// Sources shorter than a bucket index contribute nothing there (just
-/// like chained [`Histogram::merge`] calls), so rows are *not* padded:
-/// the bucket range is cut at each distinct source width and the kernel
-/// runs once per segment over the sources that reach it, in source
-/// order — the common equal-width case is a single full-width call.
-fn accumulate_rows(kind: KernelKind, dst: &mut Vec<f64>, rows: &[&[f64]]) {
-    let max = rows.iter().map(|r| r.len()).max().unwrap_or(0);
-    if dst.len() < max {
-        dst.resize(max, 0.0);
-    }
-    let mut bounds: Vec<usize> = rows.iter().map(|r| r.len()).filter(|&l| l > 0).collect();
-    bounds.sort_unstable();
-    bounds.dedup();
-    let mut segment: Vec<&[f64]> = Vec::with_capacity(rows.len());
-    let mut lo = 0usize;
-    for &hi in &bounds {
-        segment.clear();
-        segment.extend(rows.iter().filter(|r| r.len() >= hi).map(|r| &r[lo..hi]));
-        run_merge(kind, &mut dst[lo..hi], &segment);
-        lo = hi;
-    }
-}
-
-/// Merges `srcs` into `dst` (histogram level): buckets via the kernel,
-/// infinite weight and observations folded in source order.
-fn accumulate_hist(kind: KernelKind, dst: Histogram, srcs: &[&Histogram]) -> Histogram {
-    let (binning, mut buckets, mut infinite, mut observations) = dst.into_parts();
-    let rows: Vec<&[f64]> = srcs.iter().map(|h| h.weights()).collect();
-    accumulate_rows(kind, &mut buckets, &rows);
-    for h in srcs {
-        infinite += h.infinite_weight();
-        observations = observations.saturating_add(h.observations());
-    }
-    Histogram::from_parts(binning, buckets, infinite, observations)
-}
-
-/// Merges every profile of `srcs` into `dst` (already validated as
-/// compatible). `time_overhead` is left stale here; the reduction
-/// recomputes it once at the end.
-fn merge_group(dst: &mut RdxProfile, srcs: &[RdxProfile], kind: KernelKind) {
-    let rd_binning = dst.rd.as_histogram().binning();
-    let rt_binning = dst.rt.as_histogram().binning();
-    let rd = std::mem::replace(&mut dst.rd, RdHistogram::new(rd_binning)).into_histogram();
-    let rt = std::mem::replace(&mut dst.rt, RtHistogram::new(rt_binning)).into_histogram();
-    let rd_rows: Vec<&Histogram> = srcs.iter().map(|p| p.rd.as_histogram()).collect();
-    let rt_rows: Vec<&Histogram> = srcs.iter().map(|p| p.rt.as_histogram()).collect();
-    dst.rd = RdHistogram::from(accumulate_hist(kind, rd, &rd_rows));
-    dst.rt = RtHistogram::from(accumulate_hist(kind, rt, &rt_rows));
-    for p in srcs {
-        dst.accesses = dst.accesses.saturating_add(p.accesses);
-        dst.samples = dst.samples.saturating_add(p.samples);
-        dst.traps = dst.traps.saturating_add(p.traps);
-        dst.evictions = dst.evictions.saturating_add(p.evictions);
-        dst.end_censored = dst.end_censored.saturating_add(p.end_censored);
-        dst.dropped_samples = dst.dropped_samples.saturating_add(p.dropped_samples);
-        dst.duplicate_samples = dst.duplicate_samples.saturating_add(p.duplicate_samples);
-        dst.profiler_bytes = dst.profiler_bytes.saturating_add(p.profiler_bytes);
-        dst.m_estimate += p.m_estimate;
-    }
-}
-
-/// Reduces `items` with the fixed leaf-group + pairwise-tree shape.
-///
-/// `reduce(first, rest)` must fold `rest` into `first` and return it;
-/// the shape (and therefore every intermediate operand sequence)
-/// depends only on `items.len()`, never on `jobs`.
-fn tree_reduce<T, R>(items: Vec<T>, jobs: usize, reduce: R) -> Option<T>
-where
-    T: Send,
-    R: Fn(T, &[T]) -> T + Sync,
-{
-    let mut groups: Vec<Vec<T>> = Vec::with_capacity(items.len().div_ceil(LEAF));
-    let mut it = items.into_iter();
-    loop {
-        let chunk: Vec<T> = it.by_ref().take(LEAF).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        groups.push(chunk);
-    }
-    let jobs = jobs.clamp(1, groups.len().max(1));
-    let mut level: Vec<T> = if jobs == 1 || groups.len() == 1 {
-        groups
-            .into_iter()
-            .filter_map(|g| reduce_group(g, &reduce))
-            .collect()
-    } else {
-        // The PR-1 dispatch idiom: a shared claim cursor hands each
-        // leaf to exactly one worker; results land in per-leaf slots,
-        // so leaf order (and thus the tree's operand order) is
-        // preserved no matter how workers interleave.
-        let slots: Vec<Mutex<Option<Vec<T>>>> =
-            groups.into_iter().map(|g| Mutex::new(Some(g))).collect();
-        let out: Vec<Mutex<Option<T>>> = (0..slots.len()).map(|_| Mutex::new(None)).collect();
-        let claims = dispatch::Claims::new(slots.len());
-        let scope_result = crossbeam::scope(|scope| {
-            for _ in 0..jobs {
-                let (slots, out, claims, reduce) = (&slots, &out, &claims, &reduce);
-                scope.spawn(move |_| {
-                    while let Some(i) = claims.next() {
-                        if let Some(group) = slots[i].lock().take() {
-                            if let Some(merged) = reduce_group(group, reduce) {
-                                *out[i].lock() = Some(merged);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-        if let Err(payload) = scope_result {
-            std::panic::resume_unwind(payload);
-        }
-        out.into_iter().filter_map(Mutex::into_inner).collect()
-    };
-    // Fixed pairwise binary tree ((G0⊕G1)⊕(G2⊕G3))⊕…, sequential on
-    // the caller's thread: log₂(leaves) levels of cheap pair merges.
-    while level.len() > 1 {
-        let mut next: Vec<T> = Vec::with_capacity(level.len().div_ceil(2));
-        let mut pairs = level.into_iter();
-        while let Some(a) = pairs.next() {
-            match pairs.next() {
-                Some(b) => next.push(reduce(a, &[b])),
-                None => next.push(a),
-            }
-        }
-        level = next;
-    }
-    level.pop()
-}
-
-fn reduce_group<T>(mut group: Vec<T>, reduce: &impl Fn(T, &[T]) -> T) -> Option<T> {
-    if group.is_empty() {
-        return None;
-    }
-    let rest = group.split_off(1);
-    let first = group.pop()?;
-    Some(reduce(first, &rest))
+/// Merges `src` into `dst` (already validated as compatible).
+/// `time_overhead` is left stale here; [`finalize`] recomputes it once
+/// at the end of the batch.
+fn merge_into(dst: &mut RdxProfile, src: &RdxProfile) -> Result<(), MergeError> {
+    dst.rd.merge(&src.rd).map_err(MergeError::RdBinning)?;
+    dst.rt.merge(&src.rt).map_err(MergeError::RtBinning)?;
+    dst.accesses = dst.accesses.saturating_add(src.accesses);
+    dst.samples = dst.samples.saturating_add(src.samples);
+    dst.traps = dst.traps.saturating_add(src.traps);
+    dst.evictions = dst.evictions.saturating_add(src.evictions);
+    dst.end_censored = dst.end_censored.saturating_add(src.end_censored);
+    dst.dropped_samples = dst.dropped_samples.saturating_add(src.dropped_samples);
+    dst.duplicate_samples = dst.duplicate_samples.saturating_add(src.duplicate_samples);
+    dst.profiler_bytes = dst.profiler_bytes.saturating_add(src.profiler_bytes);
+    dst.m_estimate += src.m_estimate;
+    Ok(())
 }
 
 /// Recomputes the ratio metadata that does not add under merge: the
@@ -262,55 +123,40 @@ fn finalize(mut p: RdxProfile) -> RdxProfile {
     p
 }
 
-/// Merges a batch of profiles into one fleet profile with the
-/// auto-resolved kernel. See [`merge_batch_with`].
+/// Merges a batch of profiles into one fleet profile by folding them
+/// in input order (see the module docs).
 ///
-/// # Errors
-///
-/// Returns a [`MergeError`] if any profile is incompatible with the
-/// first (binning, granularity, or cost model).
-pub fn merge_batch(
-    profiles: Vec<RdxProfile>,
-    jobs: usize,
-) -> Result<Option<RdxProfile>, MergeError> {
-    merge_batch_with(profiles, jobs, KernelChoice::Auto)
-}
-
-/// Merges a batch of profiles into one fleet profile.
-///
-/// Returns `Ok(None)` for an empty batch. The reduction shape is fixed
-/// (see the module docs), so the result is bit-identical for every
-/// `jobs` value and every kernel choice; `jobs` only controls how many
-/// worker threads reduce the leaf groups.
+/// Returns `Ok(None)` for an empty batch. `jobs` is ignored: the fold
+/// is sequential, so the result depends only on the profiles and their
+/// order.
 ///
 /// # Errors
 ///
 /// Returns a [`MergeError`] if any profile is incompatible with the
 /// first (binning, granularity, or cost model). Compatibility is
 /// validated up front — on error no work has been done.
-pub fn merge_batch_with(
+pub fn merge_batch(
     profiles: Vec<RdxProfile>,
-    jobs: usize,
-    choice: KernelChoice,
+    _jobs: usize,
 ) -> Result<Option<RdxProfile>, MergeError> {
-    let Some(first) = profiles.first() else {
+    let mut profiles = profiles.into_iter();
+    let Some(mut merged) = profiles.next() else {
         return Ok(None);
     };
-    for p in &profiles[1..] {
-        check_compatible(first, p)?;
+    let rest = profiles.as_slice();
+    for p in rest {
+        check_compatible(&merged, p)?;
     }
-    let kind = resolve_merge(choice);
     rdx_metrics::counter("rdx.merge.batches").add(1);
-    rdx_metrics::counter("rdx.merge.profiles").add(profiles.len() as u64);
-    let merged = tree_reduce(profiles, jobs, |mut dst, srcs| {
-        merge_group(&mut dst, srcs, kind);
-        dst
-    });
-    Ok(merged.map(finalize))
+    rdx_metrics::counter("rdx.merge.profiles").add(rest.len() as u64 + 1);
+    for p in rest {
+        merge_into(&mut merged, p)?;
+    }
+    Ok(Some(finalize(merged)))
 }
 
-/// Merges a batch of raw histograms into one, using the same fixed
-/// reduction shape (and kernel dispatch) as [`merge_batch_with`].
+/// Merges a batch of raw histograms into one by folding them in input
+/// order with [`Histogram::merge`], exactly like [`merge_batch`].
 ///
 /// This is the reuse-time aggregation primitive: per-shard RT
 /// histograms merged here and *then* converted to reuse distance are
@@ -323,35 +169,25 @@ pub fn merge_batch_with(
 /// the first's.
 pub fn merge_histogram_batch(
     histograms: Vec<Histogram>,
-    jobs: usize,
-    choice: KernelChoice,
 ) -> Result<Option<Histogram>, BinningMismatch> {
-    let Some(first) = histograms.first() else {
+    let mut histograms = histograms.into_iter();
+    let Some(mut merged) = histograms.next() else {
         return Ok(None);
     };
-    let binning = first.binning();
-    for h in &histograms[1..] {
-        if h.binning() != binning {
-            return Err(BinningMismatch {
-                left: binning,
-                right: h.binning(),
-            });
-        }
+    let count = histograms.len() as u64 + 1;
+    for h in histograms {
+        merged.merge(&h)?;
     }
-    let kind = resolve_merge(choice);
     rdx_metrics::counter("rdx.merge.batches").add(1);
-    rdx_metrics::counter("rdx.merge.profiles").add(histograms.len() as u64);
-    Ok(tree_reduce(histograms, jobs, |dst, srcs| {
-        let rows: Vec<&Histogram> = srcs.iter().collect();
-        accumulate_hist(kind, dst, &rows)
-    }))
+    rdx_metrics::counter("rdx.merge.profiles").add(count);
+    Ok(Some(merged))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use memsim::cost::CostModel;
-    use rdx_histogram::{Binning, ReuseDistance, ReuseTime};
+    use rdx_histogram::{Binning, RdHistogram, ReuseDistance, ReuseTime, RtHistogram};
 
     fn profile(seed: u64) -> RdxProfile {
         let mut rd = RdHistogram::new(Binning::log2());
@@ -383,59 +219,50 @@ mod tests {
         }
     }
 
-    fn bits(p: &RdxProfile) -> Vec<u64> {
-        let mut out = vec![
-            p.accesses,
-            p.samples,
-            p.traps,
-            p.evictions,
-            p.end_censored,
-            p.dropped_samples,
-            p.duplicate_samples,
-            p.m_estimate.to_bits(),
-            p.time_overhead.to_bits(),
-            p.profiler_bytes,
-        ];
-        for h in [p.rd.as_histogram(), p.rt.as_histogram()] {
-            out.extend(h.weights().iter().map(|w| w.to_bits()));
-            out.push(h.infinite_weight().to_bits());
-            out.push(h.observations());
-        }
+    fn bits(h: &Histogram) -> Vec<u64> {
+        let mut out: Vec<u64> = h.weights().iter().map(|w| w.to_bits()).collect();
+        out.push(h.infinite_weight().to_bits());
+        out.push(h.observations());
         out
     }
 
     #[test]
     fn empty_batch_merges_to_none() {
         assert!(merge_batch(Vec::new(), 4).unwrap().is_none());
-        assert!(merge_histogram_batch(Vec::new(), 4, KernelChoice::Auto)
-            .unwrap()
-            .is_none());
+        assert!(merge_histogram_batch(Vec::new()).unwrap().is_none());
     }
 
     #[test]
-    fn bit_identical_at_every_job_count_and_kernel() {
-        let batch: Vec<RdxProfile> = (0..37).map(profile).collect();
-        let want = merge_batch_with(batch.clone(), 1, KernelChoice::Scalar)
-            .unwrap()
-            .unwrap();
-        for jobs in [1usize, 2, 3, 5, 8, 64] {
-            for choice in [
-                KernelChoice::Auto,
-                KernelChoice::Scalar,
-                KernelChoice::Swar,
-                KernelChoice::Simd,
-            ] {
-                let got = merge_batch_with(batch.clone(), jobs, choice)
-                    .unwrap()
-                    .unwrap();
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "jobs={jobs} kernel={}",
-                    choice.name()
-                );
-            }
+    fn batch_merges_equal_chained_pairwise_merge() {
+        // Non-integer weights (so f64 add order shows in the bits) and
+        // ragged touched widths: both batch merges must equal a chained
+        // pairwise Histogram::merge fold bit for bit.
+        let batch: Vec<RdxProfile> = (0..37u64)
+            .map(|seed| {
+                let mut p = profile(seed);
+                let w = 0.1 * seed as f64 + 1.0 / 3.0;
+                p.rd.record(ReuseDistance::finite(1 << (seed % 23)), w);
+                p.rt.record(ReuseTime::finite(1 << (seed % 29)), w / 7.0);
+                p.m_estimate += w;
+                p
+            })
+            .collect();
+        let mut want = batch[0].clone();
+        for p in &batch[1..] {
+            want.rd.merge(&p.rd).unwrap();
+            want.rt.merge(&p.rt).unwrap();
+            want.m_estimate += p.m_estimate;
         }
+        let got = merge_batch(batch.clone(), 3).unwrap().unwrap();
+        assert_eq!(bits(got.rd.as_histogram()), bits(want.rd.as_histogram()));
+        assert_eq!(bits(got.rt.as_histogram()), bits(want.rt.as_histogram()));
+        assert_eq!(got.m_estimate.to_bits(), want.m_estimate.to_bits());
+        assert_eq!(got.accesses, batch.iter().map(|p| p.accesses).sum::<u64>());
+        assert_eq!(got.traps, batch.iter().map(|p| p.traps).sum::<u64>());
+
+        let rd_rows: Vec<Histogram> = batch.iter().map(|p| p.rd.as_histogram().clone()).collect();
+        let got = merge_histogram_batch(rd_rows).unwrap().unwrap();
+        assert_eq!(bits(&got), bits(want.rd.as_histogram()));
     }
 
     #[test]
@@ -486,32 +313,5 @@ mod tests {
             merged.time_overhead.to_bits(),
             ledger.time_overhead(&merged.cost).to_bits()
         );
-    }
-
-    #[test]
-    fn ragged_widths_match_chained_pairwise_merge() {
-        // Histograms of very different touched widths: the segmented
-        // kernel path must equal chained Histogram::merge exactly.
-        let mut hists = Vec::new();
-        for k in 0..11u64 {
-            let mut h = Histogram::new(Binning::log2());
-            for v in 0..(1u64 << k) {
-                h.record(v, 1.0);
-            }
-            if k % 2 == 0 {
-                h.record_infinite(k as f64);
-            }
-            hists.push(h);
-        }
-        let mut want = Histogram::new(Binning::log2());
-        for h in &hists {
-            want.merge(h).unwrap();
-        }
-        for choice in [KernelChoice::Scalar, KernelChoice::Swar, KernelChoice::Simd] {
-            let got = merge_histogram_batch(hists.clone(), 3, choice)
-                .unwrap()
-                .unwrap();
-            assert_eq!(got, want, "kernel={}", choice.name());
-        }
     }
 }

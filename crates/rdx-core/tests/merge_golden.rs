@@ -4,24 +4,22 @@
 //!
 //! * **Shard partials.** `ShardedExact::rt_partials` yields each
 //!   shard's exactly-shardable reuse-time histogram and cold count.
-//!   Merging those partials through `merge_histogram_batch` — at every
-//!   job count and kernel — must reproduce the whole-trace reuse-time
+//!   Merging those partials through `merge_histogram_batch` must
+//!   reproduce the whole-trace reuse-time
 //!   histogram bucket for bucket, and the cold counts must compose into
 //!   the merged cold (infinite) weight. This pins the cold-correction
 //!   composition rule: cold weight is additive under merge.
 //! * **Registry digest.** The `metrics_determinism.rs` golden digest
 //!   (`0x17ea_4869_2cad_4966`) must survive a trip through the RDXP
-//!   wire format and `merge_batch` with the identity profile at several
-//!   job counts: aggregation machinery may never perturb a profile.
+//!   wire format and `merge_batch` with the identity profile:
+//!   aggregation machinery may never perturb a profile.
 
-use rdx_core::{decode_profile, encode_profile, merge_batch, merge_histogram_batch, KernelChoice};
+use rdx_core::{decode_profile, encode_profile, merge_batch, merge_histogram_batch};
 use rdx_core::{RdxConfig, RdxRunner};
 use rdx_groundtruth::{ExactProfile, ShardedExact};
 use rdx_histogram::{Binning, Histogram};
 use rdx_trace::Granularity;
 use rdx_workloads::{suite, Params};
-
-const JOB_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 /// Same FNV-1a digest as `metrics_determinism.rs`, so the constant
 /// below is directly comparable across the two tests.
@@ -69,21 +67,17 @@ fn shard_partials_merge_to_the_whole_trace_histogram() {
                 .into_iter()
                 .map(|(rt, _)| rt.into_histogram())
                 .collect();
-            for jobs in JOB_COUNTS {
-                for choice in [KernelChoice::Auto, KernelChoice::Scalar, KernelChoice::Swar] {
-                    let merged = merge_histogram_batch(hists.clone(), jobs, choice)
-                        .expect("shards share one binning")
-                        .expect("at least one shard");
-                    assert_eq!(
-                        merged, whole_rt,
-                        "{w}: {shards} shards merged at jobs={jobs} ({choice:?}) \
-                         deviates from the whole-trace reuse-time histogram"
-                    );
-                    // Cold correction composes additively: every shard's
-                    // first touches land in the merged cold bucket.
-                    assert_eq!(merged.infinite_weight(), total_cold as f64, "{w}");
-                }
-            }
+            let merged = merge_histogram_batch(hists)
+                .expect("shards share one binning")
+                .expect("at least one shard");
+            assert_eq!(
+                merged, whole_rt,
+                "{w}: {shards} shards merged deviate from the whole-trace \
+                 reuse-time histogram"
+            );
+            // Cold correction composes additively: every shard's first
+            // touches land in the merged cold bucket.
+            assert_eq!(merged.infinite_weight(), total_cold as f64, "{w}");
         }
     }
 }
@@ -96,27 +90,25 @@ fn registry_digest_survives_wire_and_merge_with_identity() {
         .iter()
         .map(|w| RdxRunner::new(config).profile(w.stream(&params)))
         .collect();
-    for jobs in JOB_COUNTS {
-        let mut digest = Digest::new();
-        for p in &profiles {
-            let decoded = decode_profile(&encode_profile(p)).expect("own encoding decodes");
-            let merged = merge_batch(vec![decoded, p.empty_like()], jobs)
-                .expect("identical binnings are compatible")
-                .expect("non-empty batch");
-            digest.push_histogram(merged.rd.as_histogram());
-            digest.push_histogram(merged.rt.as_histogram());
-            digest.push(merged.samples);
-            digest.push(merged.traps);
-            digest.push(merged.evictions);
-            digest.push(merged.m_estimate.to_bits());
-        }
-        assert_eq!(
-            digest.0, GOLDEN,
-            "digest {:#018x} at jobs={jobs} deviates from the recorded registry \
-             baseline — wire round-trip or identity merge perturbed a profile",
-            digest.0
-        );
+    let mut digest = Digest::new();
+    for p in &profiles {
+        let decoded = decode_profile(&encode_profile(p)).expect("own encoding decodes");
+        let merged = merge_batch(vec![decoded, p.empty_like()], 1)
+            .expect("identical binnings are compatible")
+            .expect("non-empty batch");
+        digest.push_histogram(merged.rd.as_histogram());
+        digest.push_histogram(merged.rt.as_histogram());
+        digest.push(merged.samples);
+        digest.push(merged.traps);
+        digest.push(merged.evictions);
+        digest.push(merged.m_estimate.to_bits());
     }
+    assert_eq!(
+        digest.0, GOLDEN,
+        "digest {:#018x} deviates from the recorded registry baseline — wire \
+         round-trip or identity merge perturbed a profile",
+        digest.0
+    );
 }
 
 #[test]

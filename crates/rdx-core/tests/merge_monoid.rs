@@ -21,7 +21,6 @@ use rdx_core::{
 };
 use rdx_histogram::{Binning, Histogram, RdHistogram, RtHistogram};
 use rdx_trace::Granularity;
-use rdx_trace::KernelChoice;
 
 fn arb_histogram() -> impl Strategy<Value = Histogram> {
     (
@@ -76,7 +75,7 @@ fn arb_profile() -> impl Strategy<Value = RdxProfile> {
 }
 
 fn merge2_hist(a: &Histogram, b: &Histogram) -> Histogram {
-    merge_histogram_batch(vec![a.clone(), b.clone()], 1, KernelChoice::Auto)
+    merge_histogram_batch(vec![a.clone(), b.clone()])
         .expect("same binning")
         .expect("non-empty batch")
 }
@@ -174,7 +173,7 @@ proptest! {
     #[test]
     fn binning_mismatch_across_shards_is_a_typed_error(a in arb_histogram(), width in 1u64..1_000) {
         let odd = Histogram::new(Binning::linear(width));
-        let err = merge_histogram_batch(vec![a, odd], 1, KernelChoice::Auto).unwrap_err();
+        let err = merge_histogram_batch(vec![a, odd]).unwrap_err();
         // The typed error carries both sides' parameters.
         let msg = err.to_string();
         prop_assert!(msg.contains("log2(subs=1)"), "{}", msg);

@@ -243,7 +243,7 @@ impl Histogram {
             *dst += src;
         }
         self.infinite += other.infinite;
-        self.observations += other.observations;
+        self.observations = self.observations.saturating_add(other.observations);
         Ok(())
     }
 

@@ -83,7 +83,6 @@ impl LintConfig {
                 ("memsim", "debug.rs"),
                 ("rdx-core", "profiler.rs"),
                 ("rdx-core", "runner.rs"),
-                ("rdx-core", "kernels.rs"),
                 ("rdx-core", "merge.rs"),
                 ("rdx-core", "wire.rs"),
                 ("rdx-trace", "io.rs"),
@@ -101,10 +100,7 @@ impl LintConfig {
             .iter()
             .map(|&(c, f)| (c.to_string(), f.to_string()))
             .collect(),
-            unsafe_allowed_files: [("memsim", "kernels.rs"), ("rdx-core", "kernels.rs")]
-                .iter()
-                .map(|&(c, f)| (c.to_string(), f.to_string()))
-                .collect(),
+            unsafe_allowed_files: vec![("memsim".to_string(), "kernels.rs".to_string())],
             layers: [
                 ("rdx-metrics", 0),
                 ("rdx-histogram", 1),
