@@ -73,6 +73,8 @@ mod scan;
 pub use cost::{CostLedger, CostModel};
 pub use debug::{ArmError, ArmInfo, DebugRegisterFile, Slot, WatchKind, Watchpoint};
 pub use kernels::{KernelChoice, KernelEntry, KernelKind, ScanKernel};
-pub use machine::{Hardware, Machine, MachineConfig, Profiler, RunReport, Sample, Trap};
+pub use machine::{
+    Hardware, Machine, MachineConfig, MachineRun, Profiler, RunReport, Sample, Trap,
+};
 pub use pmu::{CounterSnapshot, Pmu, PmuEvent, SamplingConfig};
 pub use scan::{NeedleSet, ScanOutcome};

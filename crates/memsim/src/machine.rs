@@ -241,6 +241,16 @@ impl Machine {
         &self.config
     }
 
+    /// Starts a push-style run: the returned [`MachineRun`] holds the
+    /// PMU, debug registers, ledger and access index, and the caller
+    /// feeds it slices of accesses as they arrive. Sampling configs
+    /// eligible for the fast path (see [`run`](Machine::run)) replay
+    /// every slice through it; the rest step per access.
+    #[must_use]
+    pub fn start(&self) -> MachineRun {
+        MachineRun::new(&self.config, fast_path_eligible(&self.config))
+    }
+
     /// Runs the stream to completion, delivering events to `profiler`.
     ///
     /// Event order on each access: counters advance first; then an armed
@@ -249,6 +259,11 @@ impl Machine {
     /// on this access, a [`Sample`] is delivered. A watchpoint armed inside
     /// a handler is first eligible to fire on the *next* access — hardware
     /// cannot retroactively trap the access that is already retiring.
+    ///
+    /// The run is a loop of [`MachineRun::feed`] calls plus one
+    /// [`MachineRun::finish`]: chunk-capable streams feed their chunks
+    /// as they come, other streams are batched through a fixed stack
+    /// buffer.
     ///
     /// # Fast path
     ///
@@ -263,95 +278,154 @@ impl Machine {
     /// itself) take the ordinary step, so samples, traps, evictions, RNG
     /// consumption and cost accounting are bit-identical to the slow
     /// loop. Everything else — non-chunked streams, skidding or
-    /// event-filtered sampling, stream tails — falls back per access.
+    /// event-filtered sampling — steps per access.
     pub fn run(&self, mut stream: impl AccessStream, profiler: &mut impl Profiler) -> RunReport {
-        let mut pmu = Pmu::new(self.config.sampling, self.config.seed);
-        let mut drf = DebugRegisterFile::new(self.config.registers);
-        let mut ledger = CostLedger::default();
-        let mut index: u64 = 0;
+        let fast = fast_path_eligible(&self.config) && stream.chunk_capable();
+        let mut run = MachineRun::new(&self.config, fast);
+        if fast {
+            while let Some(chunk) = stream.next_chunk() {
+                let n = chunk.len();
+                run.feed(chunk, profiler);
+                stream.consume_chunk(n);
+            }
+        }
+        // Non-chunked streams (and whatever a chunk-capable stream
+        // still yields per access once its chunks run out).
+        let mut batch = [Access::load(0); SLOW_BATCH];
+        loop {
+            let mut n = 0;
+            while n < SLOW_BATCH {
+                let Some(access) = stream.next_access() else {
+                    break;
+                };
+                batch[n] = access;
+                n += 1;
+            }
+            run.feed(&batch[..n], profiler);
+            if n < SLOW_BATCH {
+                break;
+            }
+        }
+        run.finish(profiler)
+    }
+}
 
-        let eligible =
-            self.config.sampling.max_skid == 0 && self.config.sampling.event == PmuEvent::Accesses;
-        let mut try_chunks = eligible && stream.chunk_capable();
-        // One kernel per run: resolved against the host capability
-        // table here, never re-dispatched inside the loop.
-        let kernel = kernels::resolve_scan(self.config.scan_kernel);
-        if try_chunks {
+/// Accesses [`Machine::run`] pulls from a non-chunked stream per
+/// [`MachineRun::feed`] call.
+const SLOW_BATCH: usize = 512;
+
+/// True when the sampling mode admits the chunk fast path: precise
+/// (skid-free) sampling over all accesses.
+fn fast_path_eligible(config: &MachineConfig) -> bool {
+    config.sampling.max_skid == 0 && config.sampling.event == PmuEvent::Accesses
+}
+
+/// A machine run in progress: the PMU, the debug-register file, the
+/// cost ledger and the access index, carried between
+/// [`feed`](MachineRun::feed) calls.
+///
+/// The state is plain data, so a run can be cloned mid-stream; cloning
+/// it together with the profiler and finishing the clone yields exactly
+/// what finishing the original at that point would (a live snapshot),
+/// while the original keeps consuming accesses.
+#[derive(Debug, Clone)]
+pub struct MachineRun {
+    pmu: Pmu,
+    drf: DebugRegisterFile,
+    ledger: CostLedger,
+    index: u64,
+    cost: CostModel,
+    /// Scan kernel, resolved once per run against the host capability
+    /// table and never re-dispatched inside the loop.
+    kernel: KernelKind,
+    /// Replay slices through the chunk fast path (else step per access).
+    fast: bool,
+}
+
+impl MachineRun {
+    fn new(config: &MachineConfig, fast: bool) -> Self {
+        let kernel = kernels::resolve_scan(config.scan_kernel);
+        if fast {
             rdx_metrics::counter("rdx.machine.scan.kernel").incr();
         }
-        // Engagement counters, accumulated locally and flushed once so
-        // the (feature-gated) metrics atomics stay off the hot path.
-        let mut fp_chunks: u64 = 0;
-        let mut fp_scanned: u64 = 0;
-        let mut fp_fallbacks: u64 = 0;
-
-        loop {
-            if try_chunks {
-                let consumed = match stream.next_chunk() {
-                    Some(chunk) => {
-                        fp_chunks += 1;
-                        fp_scanned += chunk.len() as u64;
-                        run_chunk(
-                            chunk,
-                            kernel,
-                            &mut pmu,
-                            &mut drf,
-                            &mut ledger,
-                            profiler,
-                            &mut index,
-                        );
-                        chunk.len()
-                    }
-                    None => 0,
-                };
-                if consumed > 0 {
-                    stream.consume_chunk(consumed);
-                    continue;
-                }
-                // No chunk: the stream is exhausted (or lied about its
-                // capability); drain whatever is left per access.
-                try_chunks = false;
-            }
-            let Some(access) = stream.next_access() else {
-                break;
-            };
-            fp_fallbacks += 1;
-            step_access(access, &mut pmu, &mut drf, &mut ledger, profiler, index);
-            index += 1;
+        MachineRun {
+            pmu: Pmu::new(config.sampling, config.seed),
+            drf: DebugRegisterFile::new(config.registers),
+            ledger: CostLedger::default(),
+            index: 0,
+            cost: config.cost,
+            kernel,
+            fast,
         }
+    }
 
-        if fp_chunks > 0 || fp_scanned > 0 {
-            rdx_metrics::counter("rdx.machine.fastpath.chunks").add(fp_chunks);
-            rdx_metrics::counter("rdx.machine.fastpath.scanned_accesses").add(fp_scanned);
+    /// Executes `accesses` as the next stretch of the run, delivering
+    /// events to `profiler`. Splitting a stream into slices anywhere
+    /// changes nothing: the PMU countdown and armed registers carry
+    /// over, so any sequence of feeds equals one feed of the
+    /// concatenation.
+    pub fn feed(&mut self, accesses: &[Access], profiler: &mut impl Profiler) {
+        if accesses.is_empty() {
+            return;
+        }
+        let n = accesses.len() as u64;
+        if self.fast {
+            run_chunk(
+                accesses,
+                self.kernel,
+                &mut self.pmu,
+                &mut self.drf,
+                &mut self.ledger,
+                profiler,
+                &mut self.index,
+            );
+            // Engagement counters, flushed once per feed so the
+            // (feature-gated) metrics atomics stay off the hot path and
+            // a snapshot's cloned finish never counts them again.
+            rdx_metrics::counter("rdx.machine.fastpath.chunks").incr();
+            rdx_metrics::counter("rdx.machine.fastpath.scanned_accesses").add(n);
             // Per-kernel totals, named literally per match arm so the
             // counter-manifest lint sees every name.
-            match kernel {
+            match self.kernel {
                 KernelKind::Scalar | KernelKind::Swar => {
-                    rdx_metrics::counter("rdx.machine.scan.scalar_accesses").add(fp_scanned);
+                    rdx_metrics::counter("rdx.machine.scan.scalar_accesses").add(n);
                 }
                 KernelKind::Simd => {
-                    rdx_metrics::counter("rdx.machine.scan.simd_accesses").add(fp_scanned);
+                    rdx_metrics::counter("rdx.machine.scan.simd_accesses").add(n);
                 }
             }
+        } else {
+            for &access in accesses {
+                step_access(
+                    access,
+                    &mut self.pmu,
+                    &mut self.drf,
+                    &mut self.ledger,
+                    profiler,
+                    self.index,
+                );
+                self.index += 1;
+            }
+            rdx_metrics::counter("rdx.machine.fastpath.fallbacks").add(n);
         }
-        if fp_fallbacks > 0 {
-            rdx_metrics::counter("rdx.machine.fastpath.fallbacks").add(fp_fallbacks);
-        }
+    }
 
-        let counters = pmu.counters();
+    /// Ends the run: delivers [`Profiler::on_finish`] with the
+    /// watchpoints still armed and reports the totals.
+    pub fn finish(mut self, profiler: &mut impl Profiler) -> RunReport {
+        let counters = self.pmu.counters();
         let mut hw = Hardware {
-            drf: &mut drf,
-            ledger: &mut ledger,
+            drf: &mut self.drf,
+            ledger: &mut self.ledger,
             counters,
-            index: index.saturating_sub(1),
+            index: self.index.saturating_sub(1),
         };
         profiler.on_finish(&mut hw);
-
         RunReport {
-            accesses: index,
+            accesses: self.index,
             counters,
-            ledger,
-            cost: self.config.cost,
+            ledger: self.ledger,
+            cost: self.cost,
         }
     }
 }
@@ -635,6 +709,55 @@ mod tests {
         let report = Machine::new(MachineConfig::default()).run(trace.stream(), &mut p);
         assert!(p.0);
         assert_eq!(report.accesses, 0);
+    }
+
+    #[test]
+    fn split_feeds_equal_one_run() {
+        let trace = Trace::from_addresses("f", (0..20_000u64).map(|i| (i * 37) % 997 * 8));
+        let cfg = MachineConfig::default()
+            .with_sampling_period(300)
+            .with_seed(4);
+        let mut whole = Recorder::default();
+        let want = Machine::new(cfg).run(trace.stream(), &mut whole);
+        for split in [1usize, 7, 299, 300, 4096] {
+            let mut rec = Recorder::default();
+            let mut run = Machine::new(cfg).start();
+            for part in trace.accesses().chunks(split) {
+                run.feed(part, &mut rec);
+            }
+            assert_eq!(run.finish(&mut rec), want, "split {split}");
+            assert_eq!(rec.samples, whole.samples, "split {split}");
+            assert_eq!(rec.traps, whole.traps, "split {split}");
+            assert_eq!(rec.finish_armed, whole.finish_armed);
+        }
+    }
+
+    #[test]
+    fn finishing_a_clone_equals_a_run_of_the_prefix() {
+        let trace = Trace::from_addresses("c", (0..10_000u64).map(|i| (i % 211) * 8));
+        let cfg = MachineConfig::default().with_sampling_period(97);
+        let (head, tail) = trace.accesses().split_at(6_001);
+        let mut rec = Recorder::default();
+        let mut run = Machine::new(cfg).start();
+        run.feed(head, &mut rec);
+        let mut snap_rec = Recorder {
+            samples: rec.samples.clone(),
+            traps: rec.traps.clone(),
+            finish_armed: 0,
+        };
+        let snap = run.clone().finish(&mut snap_rec);
+        let prefix = Trace::from_addresses("p", head.iter().map(|a| a.addr.raw()));
+        let mut want_rec = Recorder::default();
+        assert_eq!(snap, Machine::new(cfg).run(prefix.stream(), &mut want_rec));
+        assert_eq!(snap_rec.finish_armed, want_rec.finish_armed);
+        // The original run is unaffected by the snapshot.
+        run.feed(tail, &mut rec);
+        let mut full_rec = Recorder::default();
+        assert_eq!(
+            run.finish(&mut rec),
+            Machine::new(cfg).run(trace.stream(), &mut full_rec)
+        );
+        assert_eq!(rec.traps, full_rec.traps);
     }
 
     #[test]

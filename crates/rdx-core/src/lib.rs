@@ -73,6 +73,6 @@ pub use limits::LimitError;
 pub use merge::{merge_batch, merge_histogram_batch, MergeError};
 pub use profiler::RdxProfiler;
 pub use report::RdxProfile;
-pub use runner::RdxRunner;
+pub use runner::{LiveProfile, RdxRunner};
 pub use windows::WindowedProfile;
 pub use wire::{decode_profile, encode_profile, WireError, RDXP_VERSION};

@@ -18,7 +18,10 @@ pub(crate) struct CompletedPair {
 /// SIGTRAP handlers on real hardware: it owns no histogram logic, only the
 /// raw observations; [`crate::RdxRunner`] post-processes them into a
 /// [`crate::RdxProfile`].
-#[derive(Debug)]
+///
+/// Cloning is how a live profile answers snapshots: the clone is
+/// finished and post-processed while the original keeps running.
+#[derive(Debug, Clone)]
 pub struct RdxProfiler {
     watch_width: u8,
     replacement: ReplacementPolicy,

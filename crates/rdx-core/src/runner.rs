@@ -1,13 +1,18 @@
 //! The end-to-end driver: machine run → censoring correction → conversion.
+//!
+//! [`RdxRunner::profile`] runs a whole stream; a [`LiveProfile`] runs
+//! the same pipeline pushed one slice at a time and answers snapshots
+//! of the prefix so far. Both end in the one post-pass that turns the
+//! profiler's raw observations into an [`RdxProfile`].
 
 use crate::config::{CensoringCorrection, ConversionMethod, RdxConfig};
 use crate::convert::WeightedFootprint;
 use crate::km::{KaplanMeier, Observation};
 use crate::profiler::RdxProfiler;
 use crate::report::RdxProfile;
-use memsim::Machine;
+use memsim::{Machine, MachineRun, RunReport};
 use rdx_histogram::{RdHistogram, ReuseDistance, ReuseTime, RtHistogram};
-use rdx_trace::AccessStream;
+use rdx_trace::{Access, AccessStream};
 
 /// Runs the RDX profiler over access streams.
 ///
@@ -35,14 +40,31 @@ impl RdxRunner {
     /// histogram and overhead accounting.
     pub fn profile(&self, stream: impl AccessStream) -> RdxProfile {
         let _profile_span = rdx_metrics::span("rdx.profile");
-        rdx_metrics::counter("rdx.runner.profiles").incr();
-        let cfg = &self.config;
-        let mut profiler = RdxProfiler::new(cfg);
+        let mut profiler = RdxProfiler::new(&self.config);
         let machine_span = rdx_metrics::span("machine");
-        let report = Machine::new(cfg.machine).run(stream, &mut profiler);
+        let report = Machine::new(self.config.machine).run(stream, &mut profiler);
         drop(machine_span);
+        count_profile(&report);
+        self.post_pass(&profiler, &report)
+    }
+
+    /// Starts a live profile: an empty machine run and profiler that
+    /// accept accesses as they arrive (see [`LiveProfile`]).
+    #[must_use]
+    pub fn start(&self) -> LiveProfile {
+        LiveProfile {
+            runner: self.clone(),
+            run: Machine::new(self.config.machine).start(),
+            profiler: RdxProfiler::new(&self.config),
+        }
+    }
+
+    /// The post-pass every profile ends in, over a finished machine run:
+    /// Kaplan–Meier censoring correction, scaling to the run, footprint
+    /// conversion and the histogram build.
+    fn post_pass(&self, profiler: &RdxProfiler, report: &RunReport) -> RdxProfile {
+        let cfg = &self.config;
         let n = report.counters.loads + report.counters.stores;
-        rdx_metrics::counter("rdx.runner.accesses").add(n);
 
         // --- Censoring correction -------------------------------------
         // Two intertwined processes act on each armed watchpoint:
@@ -203,6 +225,51 @@ impl RdxRunner {
             profiler_bytes,
             cost: cfg.machine.cost,
         }
+    }
+}
+
+/// Counts one finished profile (snapshots are not counted).
+fn count_profile(report: &RunReport) {
+    rdx_metrics::counter("rdx.runner.profiles").incr();
+    rdx_metrics::counter("rdx.runner.accesses").add(report.counters.loads + report.counters.stores);
+}
+
+/// A profile under construction ([`RdxRunner::start`]): the machine run
+/// and the profiler state, fed one slice of accesses at a time.
+///
+/// This is the push-style face of [`RdxRunner::profile`] for inputs
+/// that arrive incrementally (a server session). A
+/// [`snapshot`](LiveProfile::snapshot) finishes a clone of the state —
+/// O(pairs observed), not O(accesses fed) — and equals
+/// `RdxRunner::profile` of the accesses fed so far.
+#[derive(Debug, Clone)]
+pub struct LiveProfile {
+    runner: RdxRunner,
+    run: MachineRun,
+    profiler: RdxProfiler,
+}
+
+impl LiveProfile {
+    /// Runs the next stretch of the access stream.
+    pub fn feed(&mut self, accesses: &[Access]) {
+        self.run.feed(accesses, &mut self.profiler);
+    }
+
+    /// The profile of the accesses fed so far; the live state is left
+    /// untouched and keeps accepting accesses.
+    #[must_use]
+    pub fn snapshot(&self) -> RdxProfile {
+        let mut profiler = self.profiler.clone();
+        let report = self.run.clone().finish(&mut profiler);
+        self.runner.post_pass(&profiler, &report)
+    }
+
+    /// The final profile.
+    #[must_use]
+    pub fn finish(mut self) -> RdxProfile {
+        let report = self.run.finish(&mut self.profiler);
+        count_profile(&report);
+        self.runner.post_pass(&self.profiler, &report)
     }
 }
 

@@ -87,6 +87,7 @@ impl LintConfig {
                 ("rdx-core", "wire.rs"),
                 ("rdx-trace", "io.rs"),
                 ("rdx-trace", "kernels.rs"),
+                ("rdx-trace", "decoder.rs"),
                 ("rdx-trace", "stream.rs"),
                 ("rdx-trace", "chunk.rs"),
                 ("rdx-trace", "pipeline.rs"),

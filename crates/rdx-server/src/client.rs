@@ -18,8 +18,8 @@ use std::io::{self, BufReader, BufWriter, Write};
 use std::time::Duration;
 
 /// How long a reply may take before the client gives up. Generous —
-/// profiling a large buffered trace takes real time — but finite, so a
-/// wedged server can't hang tests or CI forever.
+/// a reply waits behind every chunk queued before it — but finite, so
+/// a wedged server can't hang tests or CI forever.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(120);
 
 /// Everything that can go wrong talking to a server.
@@ -74,18 +74,18 @@ impl From<FrameError> for ClientError {
 /// A `Flush` acknowledgement: what the server has ingested so far.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlushAck {
-    /// Trace bytes the server has buffered for the session.
+    /// Trace bytes the server has received for the session.
     pub received_bytes: u64,
-    /// Complete RDXT records scanned so far.
+    /// Declared RDXT records decoded so far.
     pub records: u64,
 }
 
 /// A `SnapshotMetrics` reply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsReply {
-    /// Trace bytes the server has buffered for the session.
+    /// Trace bytes the server has received for the session.
     pub received_bytes: u64,
-    /// Complete RDXT records scanned so far.
+    /// Declared RDXT records decoded so far.
     pub records: u64,
     /// The server process's `rdx_metrics` registry as JSON.
     pub registry_json: String,

@@ -48,6 +48,11 @@ const T_ERROR: u8 = 0xEE;
 ///
 /// Mirrors the CLI's profiling flags; the server validates them with
 /// the same [`rdx_core::limits`] checks the CLI uses at parse time.
+///
+/// A session decodes each chunk on arrival, so the server ignores
+/// `pipelined` and `decode_ahead`: they stay on the wire (and in
+/// [`ingest`](SessionOptions::ingest), for clients that profile the
+/// same bytes locally) until the decode-ahead reader is removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionOptions {
     /// Mean PMU sampling period in accesses (≥ 1).
@@ -56,11 +61,15 @@ pub struct SessionOptions {
     pub registers: u32,
     /// Machine RNG seed.
     pub seed: u64,
-    /// Decode on a dedicated thread (decode-ahead) when profiling.
+    /// Local decode-ahead for [`ingest`](SessionOptions::ingest);
+    /// ignored by the server.
     pub pipelined: bool,
-    /// Accesses per decoded chunk (≥ 1).
+    /// Accesses per decode batch (≥ 1): the server decodes a chunk
+    /// into the live profile at most this many accesses (and at most
+    /// 2^20) at a time.
     pub chunk_capacity: u64,
-    /// Decode-ahead ring depth (≥ 2).
+    /// Local decode-ahead ring depth (≥ 2 when `pipelined`); ignored
+    /// by the server.
     pub decode_ahead: u64,
 }
 
@@ -129,7 +138,7 @@ pub enum ErrorCode {
     InvalidOptions = 4,
     /// The session's trace byte stream is malformed (RDXT-level).
     MalformedTrace = 5,
-    /// The session exceeded its buffered-bytes budget.
+    /// The session exceeded its streamed-bytes budget.
     Overflow = 6,
     /// The request cannot be answered yet (e.g. snapshot before a
     /// complete trace header has arrived).
@@ -569,9 +578,9 @@ pub enum ServerMessage {
     Flushed {
         /// The session.
         session: u32,
-        /// Trace bytes buffered so far.
+        /// Trace bytes received so far.
         received_bytes: u64,
-        /// Complete records scanned so far.
+        /// Declared records decoded so far.
         records: u64,
     },
     /// A live profile over the bytes received so far.
@@ -585,9 +594,9 @@ pub enum ServerMessage {
     Metrics {
         /// The session.
         session: u32,
-        /// Trace bytes buffered so far.
+        /// Trace bytes received so far.
         received_bytes: u64,
-        /// Complete records scanned so far.
+        /// Declared records decoded so far.
         records: u64,
         /// `rdx_metrics::snapshot().to_json()` of the server process.
         registry_json: String,

@@ -42,7 +42,9 @@ use crate::session::{SessionCmd, SessionWorker};
 /// ones.
 #[derive(Debug, Clone)]
 pub struct ServerOptions {
-    /// Per-session cap on buffered trace bytes (default 256 MiB).
+    /// Per-session cap on streamed trace bytes (default 256 MiB). The
+    /// session decodes bytes as they arrive and does not keep them; the
+    /// cap bounds how much one session may send.
     pub max_session_bytes: usize,
     /// Command-queue depth per session (chunks in flight before the
     /// connection reader blocks).
@@ -67,7 +69,7 @@ impl Default for ServerOptions {
 }
 
 impl ServerOptions {
-    /// Sets the per-session buffered-bytes cap.
+    /// Sets the per-session streamed-bytes cap.
     #[must_use]
     pub fn with_max_session_bytes(mut self, bytes: usize) -> Self {
         self.max_session_bytes = bytes;
@@ -346,12 +348,12 @@ fn serve_connection(
                 send_error(out, 0, ErrorCode::Protocol, "duplicate Hello");
                 break;
             }
-            ClientMessage::OpenSession { name, opts: sopts } => {
+            ClientMessage::OpenSession { opts: sopts, .. } => {
                 if let Err(e) = sopts.validate() {
                     send_error(out, 0, ErrorCode::InvalidOptions, &e.to_string());
                     continue;
                 }
-                match open_session(&mut next_id, &name, sopts, out, opts) {
+                match open_session(&mut next_id, sopts, out, opts) {
                     Some((id, handle)) => {
                         sessions.insert(id, handle);
                         rdx_metrics::counter("rdx.server.sessions_opened").incr();
@@ -416,7 +418,6 @@ fn next_message(r: &mut BufReader<AnyStream>) -> Result<Option<ClientMessage>, F
 /// Spawns a session worker; `None` if the thread can't start.
 fn open_session(
     next_id: &mut u32,
-    name: &str,
     sopts: SessionOptions,
     out: &SyncSender<Bytes>,
     server: &ServerOptions,
@@ -426,7 +427,6 @@ fn open_session(
     let (tx, rx) = sync_channel::<SessionCmd>(server.session_queue);
     let worker = SessionWorker {
         id,
-        name: name.to_string(),
         opts: sopts,
         out: out.clone(),
         max_bytes: server.max_session_bytes,

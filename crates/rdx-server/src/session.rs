@@ -1,15 +1,24 @@
 //! Per-session worker: owns one RDXT byte stream and answers profile
 //! questions about it.
 //!
-//! A session accumulates the exact bytes the client sent (bounded by
-//! the server's per-session budget) and validates them eagerly — the
-//! header through [`TraceReader::new`] as soon as enough bytes arrive,
-//! the record stream incrementally through [`RecordScanner`] — so a
-//! malformed stream is reported at the offending chunk, not at close.
-//! Snapshot and close answers re-profile the accumulated bytes through
-//! the exact same `RdxtInput` → `profile_rdxt` machinery the local
-//! file-backed path uses, which is what makes server-side profiles
-//! bit-identical to local ones.
+//! A session decodes each chunk on arrival and feeds the accesses
+//! straight into a live profiler — the machine run and the RDX profiler
+//! state of [`LiveProfile`] — so it never holds the trace. Decoding goes
+//! through [`RdxtDecoder`], which parses the header with the same rules
+//! as the file reader, decodes records with the same bulk kernels in
+//! batches of at most `chunk_capacity` accesses, and carries only a
+//! record split by a chunk boundary. A malformed stream is reported at
+//! the chunk that contains the corruption, not at close. Session memory
+//! is the profiler state (armed registers plus the pairs collected so
+//! far) and one decode batch, whatever the stream's length.
+//!
+//! A snapshot clones that state, finishes the clone and runs the same
+//! post-pass as a local profile: O(pairs), not O(bytes received). The
+//! machine and profiler never read the declared trace length, and the
+//! machine's fast path is independent of how the accesses were sliced,
+//! so a snapshot after any byte prefix equals `profile_rdxt` of that
+//! prefix bit for bit, and the close answer equals the local
+//! file-backed profile of the whole stream.
 //!
 //! The state machine itself ([`SessionState::handle`]) is a pure
 //! command-in/frames-out step function with no threads or clocks in
@@ -23,14 +32,14 @@
 
 use crate::protocol::{ErrorCode, ProfileSnapshot, ServerMessage, SessionOptions};
 use bytes::Bytes;
-use rdx_core::{RdxRunner, RdxtInput};
-use rdx_trace::io::RecordScanner;
-use rdx_trace::{TraceError, TraceReader};
+use rdx_core::{LiveProfile, RdxRunner};
+use rdx_trace::{Access, RdxtDecoder, TraceError};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
-/// Fixed-width part of the RDXT header: magic, version, name length,
-/// record count. The full header is this plus the name bytes.
-const HEADER_FIXED: usize = 4 + 4 + 4 + 8;
+/// Largest decode batch in accesses (16 MiB of them), whatever
+/// `chunk_capacity` the client asked for: one 16 MiB frame of 1-byte
+/// records must not allocate a quarter-gigabyte batch.
+const MAX_BATCH: usize = 1 << 20;
 
 /// Commands the connection reader forwards to a session worker.
 #[derive(Debug)]
@@ -55,7 +64,6 @@ pub enum SessionCmd {
 /// One session's identity and reply plumbing.
 pub(crate) struct SessionWorker {
     pub(crate) id: u32,
-    pub(crate) name: String,
     pub(crate) opts: SessionOptions,
     /// Encoded reply frames, towards the connection's writer thread.
     pub(crate) out: SyncSender<Bytes>,
@@ -63,30 +71,26 @@ pub(crate) struct SessionWorker {
     pub(crate) max_bytes: usize,
 }
 
-/// Incremental validation state of the byte stream.
-enum Scan {
-    /// Header not yet complete.
-    AwaitingHeader,
-    /// Header parsed (records start at `header_end`); scanning records.
-    Records {
-        header_end: usize,
-        scanner: RecordScanner,
-    },
-}
-
 /// The session's mutable state, advanced one command per
 /// [`handle`](SessionState::handle) call.
 struct SessionState {
-    buf: Vec<u8>,
-    scan: Scan,
+    decoder: RdxtDecoder,
+    /// The profile so far; taken by `Close`.
+    live: Option<LiveProfile>,
+    /// Reused decode batch (at most `chunk_capacity` accesses).
+    batch: Vec<Access>,
+    /// Trace bytes received, for the budget and the acks.
+    received: u64,
     failure: Option<ErrorCode>,
 }
 
 impl SessionState {
-    fn new() -> Self {
+    fn new(opts: &SessionOptions) -> Self {
         SessionState {
-            buf: Vec::new(),
-            scan: Scan::AwaitingHeader,
+            decoder: RdxtDecoder::new(),
+            live: Some(RdxRunner::new(opts.config()).start()),
+            batch: Vec::new(),
+            received: 0,
             failure: None,
         }
     }
@@ -102,7 +106,8 @@ impl SessionState {
                 }
                 if let Err(code) = self.ingest(w, &bytes) {
                     self.failure = Some(code);
-                    self.buf = Vec::new();
+                    self.live = None;
+                    self.batch = Vec::new();
                 }
                 true
             }
@@ -112,8 +117,8 @@ impl SessionState {
                 } else {
                     w.send(&ServerMessage::Flushed {
                         session: w.id,
-                        received_bytes: self.buf.len() as u64,
-                        records: records_so_far(&self.scan),
+                        received_bytes: self.received,
+                        records: self.decoder.decoded(),
                     });
                 }
                 true
@@ -122,8 +127,8 @@ impl SessionState {
                 if let Some(code) = self.failure {
                     w.send_failed(code);
                 } else {
-                    match self.profile(w) {
-                        Some((profile, _clean)) => {
+                    match self.snapshot() {
+                        Some(profile) => {
                             rdx_metrics::counter("rdx.server.snapshots").incr();
                             w.send(&ServerMessage::Histogram {
                                 session: w.id,
@@ -142,10 +147,7 @@ impl SessionState {
                 let result = if let Some(code) = self.failure {
                     Err(code)
                 } else {
-                    match self.profile(w) {
-                        Some((profile, _clean)) => Ok(profile),
-                        None => Err(ErrorCode::NotReady),
-                    }
+                    self.snapshot().ok_or(ErrorCode::NotReady)
                 };
                 // A send error means the connection thread stopped
                 // waiting (it aborted the aggregate); nothing to do.
@@ -158,21 +160,21 @@ impl SessionState {
                 } else {
                     w.send(&ServerMessage::Metrics {
                         session: w.id,
-                        received_bytes: self.buf.len() as u64,
-                        records: records_so_far(&self.scan),
+                        received_bytes: self.received,
+                        records: self.decoder.decoded(),
                         registry_json: rdx_metrics::snapshot().to_json(),
                     });
                 }
                 true
             }
             SessionCmd::Close => {
-                let (clean, profile) = if self.failure.is_some() {
-                    (false, ProfileSnapshot::default())
-                } else {
-                    match self.profile(w) {
-                        Some((profile, clean)) => (clean, profile),
-                        None => (false, ProfileSnapshot::default()),
-                    }
+                let live = self.live.take().filter(|_| self.decoder.header_complete());
+                let (clean, profile) = match live {
+                    Some(live) if self.failure.is_none() => (
+                        self.decoder.finish().is_ok(),
+                        ProfileSnapshot::from_profile(&live.finish()),
+                    ),
+                    _ => (false, ProfileSnapshot::default()),
                 };
                 w.send(&ServerMessage::SessionClosed {
                     session: w.id,
@@ -184,79 +186,53 @@ impl SessionState {
         }
     }
 
-    /// Appends a chunk, keeping header/record validation current.
-    /// Returns the failure class on budget overflow or corruption (the
-    /// error frame is sent here, with the trace-level detail).
+    /// Decodes a chunk into the live profile, one bounded batch at a
+    /// time. Returns the failure class on budget overflow or corruption
+    /// (the error frame is sent here, with the trace-level detail).
     fn ingest(&mut self, w: &SessionWorker, bytes: &[u8]) -> Result<(), ErrorCode> {
-        let buf = &mut self.buf;
-        if buf.len().saturating_add(bytes.len()) > w.max_bytes {
+        let total = self.received.saturating_add(bytes.len() as u64);
+        if total > w.max_bytes as u64 {
             w.send_error(
                 ErrorCode::Overflow,
-                &format!("session exceeds {} buffered bytes", w.max_bytes),
+                &format!("session exceeds {} streamed bytes", w.max_bytes),
             );
             return Err(ErrorCode::Overflow);
         }
         rdx_metrics::counter("rdx.server.chunk_bytes").add(bytes.len() as u64);
-        let scanned_to = buf.len();
-        buf.extend_from_slice(bytes);
-        if let Scan::AwaitingHeader = self.scan {
-            if buf.len() < HEADER_FIXED {
-                return Ok(()); // not even a fixed header yet
-            }
-            match TraceReader::new(Bytes::from(buf.clone())) {
-                Ok(reader) => {
-                    let header_end = HEADER_FIXED + reader.name().len();
-                    let mut scanner = RecordScanner::new();
-                    if let Err(e) = scanner.scan(&buf[header_end..]) {
-                        w.send_trace_error(&e);
-                        return Err(ErrorCode::MalformedTrace);
-                    }
-                    self.scan = Scan::Records {
-                        header_end,
-                        scanner,
-                    };
-                }
-                // A short name field just needs more bytes.
-                Err(TraceError::Truncated) => {}
-                Err(e) => {
+        self.received = total;
+        let capacity =
+            usize::try_from(w.opts.chunk_capacity).map_or(MAX_BATCH, |c| c.min(MAX_BATCH));
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let used = self
+                .decoder
+                .decode(rest, &mut self.batch, capacity)
+                .map_err(|e| {
                     w.send_trace_error(&e);
-                    return Err(ErrorCode::MalformedTrace);
-                }
+                    ErrorCode::MalformedTrace
+                })?;
+            if let Some(live) = &mut self.live {
+                live.feed(&self.batch);
             }
-            return Ok(());
-        }
-        if let Scan::Records {
-            header_end,
-            scanner,
-        } = &mut self.scan
-        {
-            let from = scanned_to.max(*header_end);
-            if let Err(e) = scanner.scan(&buf[from..]) {
-                w.send_trace_error(&e);
-                return Err(ErrorCode::MalformedTrace);
-            }
+            rest = &rest[used..];
         }
         Ok(())
     }
 
-    /// Profiles the accumulated bytes through the local file-backed
-    /// machinery. `None` until a complete header has arrived. The bool
-    /// is the clean-decode verdict (all declared records, no trailing
-    /// data, no corruption).
-    fn profile(&self, w: &SessionWorker) -> Option<(ProfileSnapshot, bool)> {
-        if let Scan::AwaitingHeader = self.scan {
-            return None;
-        }
-        let input = RdxtInput::from_bytes(w.name.clone(), Bytes::from(self.buf.clone())).ok()?;
-        let runner = RdxRunner::new(w.opts.config());
-        let (profile, verdict) = runner.profile_rdxt(input, &w.opts.ingest());
-        Some((ProfileSnapshot::from_profile(&profile), verdict.is_ok()))
+    /// The profile of the records received so far; `None` until a
+    /// complete header has arrived.
+    fn snapshot(&self) -> Option<ProfileSnapshot> {
+        let live = self
+            .live
+            .as_ref()
+            .filter(|_| self.decoder.header_complete())?;
+        Some(ProfileSnapshot::from_profile(&live.snapshot()))
     }
 }
 
 impl SessionWorker {
     pub(crate) fn run(self, rx: &Receiver<SessionCmd>) {
-        let mut state = SessionState::new();
+        let mut state = SessionState::new(&self.opts);
         while let Ok(cmd) = rx.recv() {
             if !state.handle(&self, cmd) {
                 break;
@@ -294,13 +270,6 @@ impl SessionWorker {
     }
 }
 
-fn records_so_far(scan: &Scan) -> u64 {
-    match scan {
-        Scan::AwaitingHeader => 0,
-        Scan::Records { scanner, .. } => scanner.records(),
-    }
-}
-
 /// What one [`SessionStepper::step`] produced.
 #[derive(Debug)]
 pub enum SessionEvent {
@@ -329,23 +298,23 @@ pub struct SessionStepper {
 impl SessionStepper {
     /// A stepper for one session. `opts` should already be validated
     /// (see [`SessionOptions::validate`]); `max_bytes` is the session's
-    /// buffered-bytes budget.
+    /// streamed-bytes budget.
     #[must_use]
-    pub fn new(id: u32, name: impl Into<String>, opts: SessionOptions, max_bytes: usize) -> Self {
+    pub fn new(id: u32, opts: SessionOptions, max_bytes: usize) -> Self {
         // One command emits at most one reply frame and every step
         // drains the queue, so capacity 4 makes sends non-blocking:
         // a single-threaded stepper can never deadlock on its own
         // output.
         let (out, rx) = sync_channel::<Bytes>(4);
+        let state = SessionState::new(&opts);
         SessionStepper {
             worker: SessionWorker {
                 id,
-                name: name.into(),
                 opts,
                 out,
                 max_bytes,
             },
-            state: SessionState::new(),
+            state,
             rx,
             closed: false,
         }
@@ -382,16 +351,16 @@ impl SessionStepper {
         self.closed
     }
 
-    /// Bytes buffered so far (zero after a failure cleared the buffer).
+    /// Trace bytes received so far.
     #[must_use]
     pub fn received_bytes(&self) -> u64 {
-        self.state.buf.len() as u64
+        self.state.received
     }
 
-    /// Complete records validated so far.
+    /// Declared records decoded so far.
     #[must_use]
     pub fn records(&self) -> u64 {
-        records_so_far(&self.state.scan)
+        self.state.decoder.decoded()
     }
 
     /// The sticky failure class, if the session has failed.

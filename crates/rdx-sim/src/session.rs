@@ -11,8 +11,10 @@
 //! Invariants across all schedules:
 //!
 //! * clean streams: no error reply ever, every `Flushed` echoes the
-//!   byte count so far, and `Close` reports `clean = true` with the
-//!   full declared record count validated;
+//!   byte count so far, every histogram snapshot equals `profile_rdxt`
+//!   of the same byte prefix (or is `NotReady` while the header is
+//!   short), and `Close` reports `clean = true` with the full declared
+//!   record count decoded;
 //! * corrupt streams: the first error reply is `MalformedTrace`,
 //!   arrives with the chunk containing the corruption, and every later
 //!   command's reply carries the same sticky failure class;
@@ -24,8 +26,11 @@ use crate::fault;
 use crate::sched::{pick_shared, SharedPicker};
 use crate::{shared, SeededPicker, SplitMix64, Violation};
 use bytes::Bytes;
+use rdx_core::{RdxRunner, RdxtInput};
 use rdx_server::protocol::ServerMessage;
-use rdx_server::{ErrorCode, SessionCmd, SessionEvent, SessionOptions, SessionStepper};
+use rdx_server::{
+    ErrorCode, Fnv64, ProfileSnapshot, SessionCmd, SessionEvent, SessionOptions, SessionStepper,
+};
 use rdx_trace::{io, Trace};
 
 /// Per-session byte budget for sim sessions — far above any scenario's
@@ -66,6 +71,43 @@ fn error_replies(events: &[SessionEvent]) -> Vec<ErrorCode> {
         .collect()
 }
 
+/// FNV-1a of a snapshot in the registry golden word order.
+fn digest(s: &ProfileSnapshot) -> u64 {
+    let mut d = Fnv64::new();
+    s.fold_into(&mut d);
+    d.value()
+}
+
+/// Checks a `SnapshotHistogram` reply against `profile_rdxt` of the
+/// byte prefix the session had received.
+fn check_snapshot(
+    events: &[SessionEvent],
+    opts: &SessionOptions,
+    prefix: Bytes,
+) -> Result<(), String> {
+    let want = RdxtInput::from_bytes("prefix", prefix).ok().map(|input| {
+        let runner = RdxRunner::new(opts.config());
+        ProfileSnapshot::from_profile(&runner.profile_rdxt(input, &opts.ingest()).0)
+    });
+    match (events.first(), want) {
+        (Some(SessionEvent::Reply(ServerMessage::Histogram { profile, .. })), Some(want))
+            if digest(profile) == digest(&want) && profile.accesses == want.accesses =>
+        {
+            Ok(())
+        }
+        (
+            Some(SessionEvent::Reply(ServerMessage::Error {
+                code: ErrorCode::NotReady,
+                ..
+            })),
+            None,
+        ) => Ok(()),
+        (got, want) => Err(format!(
+            "snapshot answered {got:?}, profile_rdxt of the prefix is {want:?}"
+        )),
+    }
+}
+
 /// Clean-stream invariant under one seeded schedule.
 ///
 /// # Errors
@@ -75,7 +117,12 @@ pub fn run_clean_seeded(seed: u64) -> Result<(), Violation> {
     let mut rng = SplitMix64::new(seed ^ 0x5e55_0000_0000_0003);
     let (bytes, declared) = session_trace(&mut rng);
     let picker = shared(SeededPicker::new(seed));
-    let mut stepper = SessionStepper::new(1, "sim", SessionOptions::default(), MAX_BYTES);
+    // A short period so snapshots of these small traces hold pairs.
+    let opts = SessionOptions {
+        period: 16,
+        ..SessionOptions::default()
+    };
+    let mut stepper = SessionStepper::new(1, opts, MAX_BYTES);
     let fail = |invariant, detail| Err(Violation::seeded(invariant, seed, detail));
 
     let mut sent = 0u64;
@@ -87,6 +134,18 @@ pub fn run_clean_seeded(seed: u64) -> Result<(), Violation> {
                 "session-clean-no-errors",
                 format!("error reply on a clean stream after {sent} bytes"),
             );
+        }
+        // The schedule decides whether a snapshot lands here; it must
+        // profile exactly the bytes sent so far.
+        if pick_shared(&picker, 4) == 0 {
+            let prefix = bytes.slice(..usize::try_from(sent).unwrap_or(usize::MAX));
+            let events = stepper.step(SessionCmd::SnapshotHistogram);
+            if let Err(detail) = check_snapshot(&events, &opts, prefix) {
+                return fail(
+                    "session-snapshot-prefix",
+                    format!("after {sent} bytes: {detail}"),
+                );
+            }
         }
         // The schedule decides whether a Flush lands here; its ack
         // must echo exactly the bytes sent so far.
@@ -145,7 +204,7 @@ pub fn run_corrupt_seeded(seed: u64) -> Result<(), Violation> {
     let (clean_bytes, _) = session_trace(&mut rng);
     let bytes = fault::overlong_varint(&clean_bytes);
     let picker = shared(SeededPicker::new(seed));
-    let mut stepper = SessionStepper::new(1, "sim", SessionOptions::default(), MAX_BYTES);
+    let mut stepper = SessionStepper::new(1, SessionOptions::default(), MAX_BYTES);
     let fail = |invariant, detail| Err(Violation::seeded(invariant, seed, detail));
 
     let mut first_error: Option<ErrorCode> = None;
@@ -205,7 +264,7 @@ pub fn run_disorder_seeded(seed: u64) -> Result<(), Violation> {
     let mut rng = SplitMix64::new(seed ^ 0xd150_0000_0000_0005);
     let (bytes, _) = session_trace(&mut rng);
     let picker = shared(SeededPicker::new(seed));
-    let mut stepper = SessionStepper::new(1, "sim", SessionOptions::default(), MAX_BYTES);
+    let mut stepper = SessionStepper::new(1, SessionOptions::default(), MAX_BYTES);
     let fail = |invariant, detail| Err(Violation::seeded(invariant, seed, detail));
 
     // A histogram snapshot before any bytes: NotReady, not a crash and

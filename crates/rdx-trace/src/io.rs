@@ -23,7 +23,8 @@
 //! garbage through both layers to keep that guarantee honest.
 
 use crate::chunk::{Chunk, DEFAULT_CHUNK_CAPACITY};
-use crate::event::{Access, AccessKind, Address};
+use crate::decoder::RdxtDecoder;
+use crate::event::Access;
 use crate::kernels::{self, KernelChoice, KernelKind};
 use crate::stream::AccessStream;
 use crate::trace::Trace;
@@ -132,14 +133,16 @@ impl From<std::io::Error> for TraceError {
     }
 }
 
-/// A fresh instance of a parked record-decode error. `TraceError` is
-/// not `Clone` (it can wrap `std::io::Error`), but the errors the
-/// record decoders park are always the dataless kinds, which a fused
-/// reader must keep re-reporting without losing the
-/// truncated-vs-malformed distinction.
-fn dup_decode_error(e: &TraceError) -> TraceError {
+/// A fresh instance of a parked decode error. `TraceError` is not
+/// `Clone` (it can wrap `std::io::Error`), but the errors the decoders
+/// park are always the format kinds, which a fused decoder must keep
+/// re-reporting without losing the truncated-vs-malformed distinction.
+pub(crate) fn dup_decode_error(e: &TraceError) -> TraceError {
     match e {
         TraceError::Malformed => TraceError::Malformed,
+        TraceError::BadMagic => TraceError::BadMagic,
+        TraceError::BadVersion(v) => TraceError::BadVersion(*v),
+        TraceError::BadName => TraceError::BadName,
         _ => TraceError::Truncated,
     }
 }
@@ -244,32 +247,101 @@ pub fn to_bytes(trace: &Trace) -> Bytes {
     buf.freeze()
 }
 
+/// Counts one bulk decode pass of `n` records over `bytes` bytes.
+pub(crate) fn count_decoded(kernel: KernelKind, bytes: usize, n: usize) {
+    if n == 0 {
+        return;
+    }
+    rdx_metrics::counter("rdx.trace.decode.bytes").add(bytes as u64);
+    rdx_metrics::counter("rdx.trace.decode.events").add(n as u64);
+    rdx_metrics::counter("rdx.trace.decode.accesses").add(n as u64);
+    rdx_metrics::counter("rdx.trace.decode.chunks").incr();
+    match kernel {
+        KernelKind::Scalar => {
+            rdx_metrics::counter("rdx.trace.decode.scalar_accesses").add(n as u64);
+        }
+        KernelKind::Swar | KernelKind::Simd => {
+            rdx_metrics::counter("rdx.trace.decode.swar_accesses").add(n as u64);
+        }
+    }
+}
+
+/// A parsed `RDXT` header.
+#[derive(Debug)]
+pub(crate) struct Header {
+    /// The embedded trace name.
+    pub(crate) name: String,
+    /// The record count the header declares.
+    pub(crate) declared: u64,
+    /// Header length in bytes: the records start here.
+    pub(crate) len: usize,
+}
+
+/// Longest possible header: fixed fields plus a [`MAX_NAME_LEN`] name.
+pub(crate) const MAX_HEADER_LEN: usize = 4 + 4 + 4 + MAX_NAME_LEN + 8;
+
+/// The header rules of the format, shared by every decoder: parses the
+/// header at the start of `bytes` (which may run on into the records).
+///
+/// # Errors
+///
+/// [`TraceError::BadMagic`] when the first four bytes are missing or
+/// wrong, [`TraceError::BadVersion`], [`TraceError::Malformed`] for a
+/// name longer than [`MAX_NAME_LEN`], [`TraceError::BadName`] for a
+/// non-UTF-8 name, and [`TraceError::Truncated`] when `bytes` ends
+/// inside the header — the only verdict more bytes can change.
+pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, TraceError> {
+    if bytes.get(..4) != Some(&MAGIC[..]) {
+        return Err(TraceError::BadMagic);
+    }
+    let field = |at: usize, len: usize| bytes.get(at..at + len).ok_or(TraceError::Truncated);
+    let u32_at = |at: usize| -> Result<u32, TraceError> {
+        let mut le = [0u8; 4];
+        le.copy_from_slice(field(at, 4)?);
+        Ok(u32::from_le_bytes(le))
+    };
+    let version = u32_at(4)?;
+    if version != VERSION {
+        return Err(TraceError::BadVersion(version));
+    }
+    let name_len = u32_at(8)? as usize;
+    if name_len > MAX_NAME_LEN {
+        return Err(TraceError::Malformed);
+    }
+    let name = std::str::from_utf8(field(12, name_len)?)
+        .map_err(|_| TraceError::BadName)?
+        .to_owned();
+    let mut count = [0u8; 8];
+    count.copy_from_slice(field(12 + name_len, 8)?);
+    Ok(Header {
+        name,
+        declared: u64::from_le_bytes(count),
+        len: 12 + name_len + 8,
+    })
+}
+
 /// Incremental decoder of the `RDXT` format that yields accesses as an
 /// [`AccessStream`], so a trace file can feed the profiler without ever
 /// being materialized as a [`Trace`].
 ///
 /// Construction ([`TraceReader::new`]) validates the header eagerly.
-/// Records decode lazily: [`try_next`](TraceReader::try_next) surfaces
-/// malformed input as a typed [`TraceError`], and the infallible
-/// [`AccessStream`] view ends the stream on error while parking the
-/// error in [`error`](TraceReader::error) for the driver to inspect
-/// afterwards — corrupt input is a recoverable condition, not a panic.
+/// Records decode lazily through one [`RdxtDecoder`] fed the whole
+/// buffer, the same record loop a streaming session runs:
+/// [`try_next`](TraceReader::try_next) surfaces malformed input as a
+/// typed [`TraceError`], and the infallible [`AccessStream`] view ends
+/// the stream on error while parking the error in
+/// [`error`](TraceReader::error) for the caller to inspect afterwards —
+/// corrupt input is a recoverable condition, not a panic.
 #[derive(Debug)]
 pub struct TraceReader {
+    /// Record bytes the decoder has not consumed yet.
     buf: Bytes,
     name: String,
-    declared: u64,
-    decoded: u64,
-    prev: u64,
-    error: Option<TraceError>,
+    decoder: RdxtDecoder,
     /// Bulk-decoded accesses not yet handed out through the chunk API.
     pending: Chunk,
     pos: usize,
     chunk_capacity: usize,
-    /// The decode kernel [`decode_chunk`](TraceReader::decode_chunk)
-    /// dispatches to, resolved once at construction (overridable via
-    /// [`with_kernel`](TraceReader::with_kernel)).
-    kernel: KernelKind,
 }
 
 impl TraceReader {
@@ -281,46 +353,15 @@ impl TraceReader {
     /// fields are missing or malformed.
     pub fn new(bytes: impl Into<Bytes>) -> Result<TraceReader, TraceError> {
         let mut buf: Bytes = bytes.into();
-        let total_len = buf.remaining();
-        if buf.remaining() < 4 || &buf.copy_to_bytes(4)[..] != MAGIC {
-            return Err(TraceError::BadMagic);
-        }
-        if buf.remaining() < 4 {
-            return Err(TraceError::Truncated);
-        }
-        let version = buf.get_u32_le();
-        if version != VERSION {
-            return Err(TraceError::BadVersion(version));
-        }
-        if buf.remaining() < 4 {
-            return Err(TraceError::Truncated);
-        }
-        let name_len = buf.get_u32_le() as usize;
-        if name_len > MAX_NAME_LEN {
-            return Err(TraceError::Malformed);
-        }
-        if buf.remaining() < name_len {
-            return Err(TraceError::Truncated);
-        }
-        let name = String::from_utf8(buf.copy_to_bytes(name_len).to_vec())
-            .map_err(|_| TraceError::BadName)?;
-        if buf.remaining() < 8 {
-            return Err(TraceError::Truncated);
-        }
-        let declared = buf.get_u64_le();
-        rdx_metrics::counter("rdx.trace.decode.bytes").add((total_len - buf.remaining()) as u64);
-        rdx_metrics::counter("rdx.trace.decode.kernel").incr();
+        let header = parse_header(&buf)?;
+        buf.advance(header.len);
         Ok(TraceReader {
             buf,
-            name,
-            declared,
-            decoded: 0,
-            prev: 0,
-            error: None,
+            decoder: RdxtDecoder::after_header(&header),
+            name: header.name,
             pending: Chunk::default(),
             pos: 0,
             chunk_capacity: DEFAULT_CHUNK_CAPACITY,
-            kernel: kernels::resolve_decode(KernelChoice::Auto),
         })
     }
 
@@ -330,14 +371,14 @@ impl TraceReader {
     /// output; the choice only affects speed.
     #[must_use]
     pub fn with_kernel(mut self, choice: KernelChoice) -> Self {
-        self.kernel = kernels::resolve_decode(choice);
+        self.decoder.kernel = kernels::resolve_decode(choice);
         self
     }
 
     /// The decode kernel this reader resolved to.
     #[must_use]
     pub fn kernel(&self) -> KernelKind {
-        self.kernel
+        self.decoder.kernel
     }
 
     /// Sets the number of accesses the reader bulk-decodes per refill of
@@ -370,7 +411,7 @@ impl TraceReader {
     /// The record count declared in the header.
     #[must_use]
     pub fn declared_len(&self) -> u64 {
-        self.declared
+        self.decoder.declared()
     }
 
     /// Records decoded from the wire so far. When the chunk API is in
@@ -378,7 +419,7 @@ impl TraceReader {
     /// one internal chunk buffer.
     #[must_use]
     pub fn decoded(&self) -> u64 {
-        self.decoded
+        self.decoder.decoded()
     }
 
     /// The decode error the [`AccessStream`] view ran into, if any.
@@ -388,7 +429,7 @@ impl TraceReader {
     /// corrupt input.
     #[must_use]
     pub fn error(&self) -> Option<&TraceError> {
-        self.error.as_ref()
+        self.decoder.error()
     }
 
     /// Decodes the next access, `Ok(None)` at a clean end of trace.
@@ -398,57 +439,35 @@ impl TraceReader {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Truncated`] when the input ends or a
-    /// varint is malformed before the declared record count is reached.
+    /// [`TraceError::Truncated`] when the input ends before the declared
+    /// record count is reached, [`TraceError::Malformed`] at an overlong
+    /// record.
     pub fn try_next(&mut self) -> Result<Option<Access>, TraceError> {
         // Serve accesses already bulk-decoded into the chunk buffer
         // first (mixed chunk/scalar consumption must preserve order);
         // after an error the buffer holds the decoded prefix, which is
-        // still delivered before the parked error surfaces.
-        if self.pos < self.pending.len() {
-            if let Some(a) = self.pending.accesses.get(self.pos).copied() {
+        // still delivered before the parked error surfaces. Refills
+        // decode one record, so `decoded` never runs ahead here.
+        if self.buffered() == 0 {
+            self.refill(1);
+        }
+        match self.pending.accesses.get(self.pos) {
+            Some(&a) => {
                 self.pos += 1;
-                return Ok(Some(a));
+                Ok(Some(a))
             }
+            None => self
+                .decoder
+                .error()
+                .map_or(Ok(None), |e| Err(dup_decode_error(e))),
         }
-        if self.error.is_some() {
-            return Err(self.parked());
-        }
-        if self.decoded >= self.declared {
-            return Ok(None);
-        }
-        let before = self.buf.remaining();
-        let raw = match get_varint(&mut self.buf) {
-            Ok(raw) => raw,
-            Err(e) => {
-                self.error = Some(dup_decode_error(&e));
-                return Err(e);
-            }
-        };
-        let kind = if raw & 1 == 1 {
-            AccessKind::Store
-        } else {
-            AccessKind::Load
-        };
-        let delta = unzigzag((raw >> 1) as u64);
-        let addr = self.prev.wrapping_add(delta as u64);
-        self.prev = addr;
-        self.decoded += 1;
-        rdx_metrics::counter("rdx.trace.decode.bytes").add((before - self.buf.remaining()) as u64);
-        rdx_metrics::counter("rdx.trace.decode.events").incr();
-        Ok(Some(Access {
-            addr: Address::new(addr),
-            kind,
-        }))
     }
 
-    /// Bulk-decodes up to `max` accesses into `out` in one tight pass.
+    /// Bulk-decodes up to `max` (≥ 1) accesses into `out` in one tight
+    /// pass.
     ///
     /// `out` is cleared and reused: `out.base_index` is set to the
-    /// stream index of the first decoded access, and the per-record
-    /// bounds/tag checks of [`try_next`](TraceReader::try_next) are
-    /// amortized over the whole chunk by decoding straight from the
-    /// backing slice with one cursor advance at the end.
+    /// stream index of the first decoded access.
     ///
     /// Returns the number of accesses decoded; `Ok(0)` means a clean
     /// end of trace. The reader stays fused exactly like `try_next`:
@@ -456,74 +475,31 @@ impl TraceReader {
     ///
     /// # Errors
     ///
-    /// [`TraceError::Truncated`] when the input ends or a varint is
-    /// malformed before the declared record count is reached. The
-    /// successfully decoded prefix (possibly empty) is left in `out` —
-    /// error recovery is at chunk granularity: the prefix is valid,
-    /// everything after the error is not.
+    /// [`TraceError::Truncated`] when the input ends before the declared
+    /// record count is reached, [`TraceError::Malformed`] at an overlong
+    /// record. The successfully decoded prefix (possibly empty) is left
+    /// in `out` — error recovery is at chunk granularity: the prefix is
+    /// valid, everything after the error is not.
     pub fn decode_chunk(&mut self, out: &mut Chunk, max: usize) -> Result<usize, TraceError> {
-        out.base_index = self.decoded;
-        out.accesses.clear();
-        if self.error.is_some() {
-            return Err(self.parked());
-        }
-        let remaining = self.declared - self.decoded;
-        let target = usize::try_from(remaining).map_or(max, |r| r.min(max));
-        if target == 0 {
-            return Ok(0);
-        }
-        // Every record is at least one byte, so the bytes left bound the
-        // record count: a corrupt header declaring 2^60 records cannot
-        // drive this reservation past the input size (or `max`).
-        out.accesses.reserve(target.min(self.buf.remaining()));
-        let bytes = self.buf.chunk();
-        let mut prev = self.prev;
-        // The per-record byte crunching is a kernel (see `kernels`):
-        // scalar is the oracle, SWAR the default; all are bit-identical.
-        let run = kernels::run_decode(self.kernel, bytes, target, &mut prev, &mut out.accesses);
-        let committed = run.committed;
-        let failure = run.failure;
+        out.base_index = self.decoder.decoded();
+        let used = self.decoder.decode(&self.buf, &mut out.accesses, max)?;
+        self.buf.advance(used);
         let n = out.accesses.len();
-        self.prev = prev;
-        self.decoded += n as u64;
-        self.buf.advance(committed);
-        if n > 0 {
-            rdx_metrics::counter("rdx.trace.decode.bytes").add(committed as u64);
-            rdx_metrics::counter("rdx.trace.decode.events").add(n as u64);
-            rdx_metrics::counter("rdx.trace.decode.accesses").add(n as u64);
-            rdx_metrics::counter("rdx.trace.decode.chunks").incr();
-            match self.kernel {
-                KernelKind::Scalar => {
-                    rdx_metrics::counter("rdx.trace.decode.scalar_accesses").add(n as u64);
-                }
-                KernelKind::Swar | KernelKind::Simd => {
-                    rdx_metrics::counter("rdx.trace.decode.swar_accesses").add(n as u64);
-                }
-            }
-        }
-        if let Some(e) = failure {
-            self.error = Some(dup_decode_error(&e));
-            return Err(e);
+        if n < max {
+            // The decoder stopped short of `max`, so it consumed the
+            // whole input: a declared record still missing never comes.
+            self.decoder.end_input()?;
         }
         Ok(n)
     }
 
-    /// A fresh instance of the reader's parked error (fused readers
-    /// keep re-reporting it on every further decode call).
-    fn parked(&self) -> TraceError {
-        match &self.error {
-            Some(e) => dup_decode_error(e),
-            None => TraceError::Truncated,
-        }
-    }
-
-    /// Refills the internal chunk buffer via
+    /// Refills the internal chunk buffer with up to `max` accesses via
     /// [`decode_chunk`](TraceReader::decode_chunk). A failed bulk decode
-    /// parks the error exactly like `try_next`; the successfully decoded
-    /// prefix is still served.
-    fn refill(&mut self) {
+    /// stays parked in the decoder; the successfully decoded prefix is
+    /// still served.
+    fn refill(&mut self, max: usize) {
         let mut pending = std::mem::take(&mut self.pending);
-        let _ = self.decode_chunk(&mut pending, self.chunk_capacity);
+        let _ = self.decode_chunk(&mut pending, max);
         self.pending = pending;
         self.pos = 0;
     }
@@ -540,33 +516,29 @@ impl TraceReader {
     ///
     /// [`TraceError::Truncated`] if records are missing,
     /// [`TraceError::TrailingData`] if bytes remain.
-    pub fn finish(self) -> Result<(), TraceError> {
-        if let Some(e) = self.error {
-            return Err(e);
+    pub fn finish(mut self) -> Result<(), TraceError> {
+        if !self.buf.is_empty() && self.decoder.decoded() == self.decoder.declared() {
+            // Every declared record is out: what the decoder has not
+            // seen yet is trailing data, which it counts, not decodes.
+            let _ = self.decoder.decode(&self.buf, &mut Vec::new(), 1);
         }
-        if self.decoded < self.declared {
-            return Err(TraceError::Truncated);
-        }
-        if self.buf.has_remaining() {
-            return Err(TraceError::TrailingData(self.buf.remaining()));
-        }
-        Ok(())
+        self.decoder.finish()
     }
 }
 
 impl AccessStream for TraceReader {
     fn next_access(&mut self) -> Option<Access> {
-        // Decode errors end the stream; the error is parked in
-        // `self.error` for the driver to inspect afterwards.
+        // Decode errors end the stream; the error is parked in the
+        // decoder for the caller to inspect afterwards.
         self.try_next().unwrap_or_default()
     }
 
     fn remaining_hint(&self) -> Option<u64> {
         let buffered = self.buffered() as u64;
-        if self.error.is_some() {
+        if self.error().is_some() {
             return Some(buffered);
         }
-        Some(buffered + (self.declared - self.decoded))
+        Some(buffered + (self.declared_len() - self.decoded()))
     }
 
     fn chunk_capable(&self) -> bool {
@@ -575,7 +547,7 @@ impl AccessStream for TraceReader {
 
     fn next_chunk(&mut self) -> Option<&[Access]> {
         if self.buffered() == 0 {
-            self.refill();
+            self.refill(self.chunk_capacity);
             if self.buffered() == 0 {
                 return None;
             }
@@ -599,8 +571,9 @@ impl AccessStream for TraceReader {
 pub fn from_bytes(bytes: impl Into<Bytes>) -> Result<Trace, TraceError> {
     let mut reader = TraceReader::new(bytes)?;
     let mut trace = Trace::new(reader.name().to_owned());
-    while let Some(a) = reader.try_next()? {
-        trace.push(a);
+    let mut chunk = Chunk::default();
+    while reader.decode_chunk(&mut chunk, DEFAULT_CHUNK_CAPACITY)? > 0 {
+        trace.extend(chunk.accesses.iter().copied());
     }
     reader.finish()?;
     Ok(trace)
@@ -625,72 +598,6 @@ pub fn read_trace<R: Read>(mut reader: R) -> Result<Trace, TraceError> {
     let mut data = Vec::new();
     reader.read_to_end(&mut data)?;
     from_bytes(data)
-}
-
-/// Incremental validator of a varint record stream that arrives in
-/// arbitrary byte fragments (a long-lived ingestion session receiving
-/// framed chunks cannot hold complete records per fragment).
-///
-/// The scanner applies the exact canonical-form rule of the decoders —
-/// a continuation byte whose significant bits overflow the 128-bit
-/// payload is [`TraceError::Malformed`] — without materializing values,
-/// so corrupt input is rejected the moment it arrives instead of at the
-/// first full decode. A fragment may end mid-record
-/// ([`mid_record`](RecordScanner::mid_record)); the partial state
-/// carries over to the next [`scan`](RecordScanner::scan) call.
-#[derive(Debug, Default)]
-pub struct RecordScanner {
-    shift: u32,
-    records: u64,
-    malformed: bool,
-}
-
-impl RecordScanner {
-    /// A scanner positioned at a record boundary.
-    #[must_use]
-    pub fn new() -> RecordScanner {
-        RecordScanner::default()
-    }
-
-    /// Scans one more fragment of the record stream.
-    ///
-    /// The scanner is fused: after a malformed byte every further call
-    /// keeps failing.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Malformed`] at the first overlong encoding.
-    pub fn scan(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
-        if self.malformed {
-            return Err(TraceError::Malformed);
-        }
-        for &byte in bytes {
-            let sig = u128::from(byte & 0x7f);
-            if varint_bits_overflow(sig, self.shift) {
-                self.malformed = true;
-                return Err(TraceError::Malformed);
-            }
-            if byte & 0x80 == 0 {
-                self.shift = 0;
-                self.records += 1;
-            } else {
-                self.shift += 7;
-            }
-        }
-        Ok(())
-    }
-
-    /// Complete records scanned so far.
-    #[must_use]
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-
-    /// True when the last scanned fragment ended inside a record.
-    #[must_use]
-    pub fn mid_record(&self) -> bool {
-        self.shift != 0
-    }
 }
 
 #[cfg(test)]
@@ -896,34 +803,6 @@ mod tests {
         let bad_len = (MAX_NAME_LEN as u32 + 1).to_le_bytes();
         raw[8..12].copy_from_slice(&bad_len);
         assert!(matches!(TraceReader::new(raw), Err(TraceError::Malformed)));
-    }
-
-    #[test]
-    fn record_scanner_counts_and_detects_overlong() {
-        let t = Trace::from_addresses("s", (0..50u64).map(|i| i * 64));
-        let raw = to_bytes(&t);
-        let name_len = u32::from_le_bytes([raw[8], raw[9], raw[10], raw[11]]) as usize;
-        let records = &raw[12 + name_len + 8..];
-        // Arbitrary fragmentation: every split point agrees.
-        for split in 0..records.len() {
-            let mut scanner = RecordScanner::new();
-            scanner.scan(&records[..split]).unwrap();
-            scanner.scan(&records[split..]).unwrap();
-            assert_eq!(scanner.records(), 50);
-            assert!(!scanner.mid_record());
-        }
-        // A fragment ending mid-record is visible, then resolves.
-        let mut scanner = RecordScanner::new();
-        scanner.scan(&[0x81]).unwrap();
-        assert!(scanner.mid_record());
-        assert_eq!(scanner.records(), 0);
-        scanner.scan(&[0x01]).unwrap();
-        assert!(!scanner.mid_record());
-        assert_eq!(scanner.records(), 1);
-        // Overlong input trips the scanner, which then stays fused.
-        let mut scanner = RecordScanner::new();
-        assert!(scanner.scan(&overlong_varint(0x7f)).is_err());
-        assert!(scanner.scan(&[0x01]).is_err());
     }
 
     #[test]
@@ -1330,9 +1209,9 @@ mod proptests {
 
         /// Every overlong encoding — one whose continuation bytes carry
         /// significant bits past the 128-bit payload — is rejected as
-        /// `Malformed` by the scalar decoder, the bulk decoder, and the
-        /// incremental scanner alike. (The pre-fix decoders silently
-        /// shifted the excess bits out and returned a wrong value.)
+        /// `Malformed` by the scalar decoder and the bulk decoder alike.
+        /// (The pre-fix decoders silently shifted the excess bits out
+        /// and returned a wrong value.)
         #[test]
         fn overlong_encodings_rejected_by_scalar_and_bulk(
             body in prop::collection::vec(any::<u8>(), 18..19),
@@ -1350,12 +1229,6 @@ mod proptests {
                 get_varint(&mut buf),
                 Err(TraceError::Malformed)
             ));
-            // incremental scanner
-            let mut scanner = RecordScanner::new();
-            prop_assert!(matches!(
-                scanner.scan(&overlong),
-                Err(TraceError::Malformed)
-            ));
             // bulk: splice the record into a valid header
             let t = Trace::from_addresses("o", [1u64]);
             let raw = to_bytes(&t).to_vec();
@@ -1370,43 +1243,6 @@ mod proptests {
                 reader.decode_chunk(&mut chunk, 16),
                 Err(TraceError::Malformed)
             ));
-        }
-
-        /// The incremental `RecordScanner` agrees with the scalar
-        /// decoder on arbitrary byte streams at arbitrary split points:
-        /// same malformed-vs-clean verdict, same complete-record count.
-        #[test]
-        fn record_scanner_matches_scalar_decoder(
-            data in prop::collection::vec(any::<u8>(), 0..256),
-            split in 0usize..256,
-        ) {
-            // Scalar oracle: decode varints until the bytes run out.
-            let mut buf = Bytes::from(data.clone());
-            let mut want_records = 0u64;
-            let mut want_malformed = false;
-            loop {
-                if !buf.has_remaining() {
-                    break;
-                }
-                match get_varint(&mut buf) {
-                    Ok(_) => want_records += 1,
-                    Err(TraceError::Truncated) => break, // partial tail
-                    Err(TraceError::Malformed) => {
-                        want_malformed = true;
-                        break;
-                    }
-                    Err(e) => prop_assert!(false, "unexpected error {e}"),
-                }
-            }
-            let split = split.min(data.len());
-            let mut scanner = RecordScanner::new();
-            let got = scanner
-                .scan(&data[..split])
-                .and_then(|()| scanner.scan(&data[split..]));
-            prop_assert_eq!(got.is_err(), want_malformed);
-            if !want_malformed {
-                prop_assert_eq!(scanner.records(), want_records);
-            }
         }
 
         /// Kernel equivalence at the trait boundary: the SWAR kernel

@@ -25,6 +25,9 @@
 //!   bounded chunk per call, and [`PipelinedReader`] runs that decoder
 //!   on a dedicated thread (decode-ahead over a ring of recycled
 //!   buffers), so file-backed profiling feeds the machine fast path.
+//!   [`RdxtDecoder`] decodes the same format from byte chunks as they
+//!   arrive (a server session), carrying only a split record between
+//!   chunks; a `TraceReader` is that decoder fed its whole buffer.
 //! * [`frame`] — a length-prefixed frame codec with typed
 //!   [`FrameError`]s and [`PayloadWriter`] / [`PayloadReader`] field
 //!   encoding, the wire layer of the `rdx serve` protocol.
@@ -45,6 +48,7 @@
 #![warn(missing_docs)]
 
 mod chunk;
+mod decoder;
 mod event;
 pub mod frame;
 pub mod io;
@@ -56,9 +60,10 @@ mod trace;
 
 pub use bytes::Bytes;
 pub use chunk::{Chunk, Chunked, Chunker, DEFAULT_CHUNK_CAPACITY};
+pub use decoder::RdxtDecoder;
 pub use event::{Access, AccessKind, Address, Granularity};
 pub use frame::{FrameError, PayloadReader, PayloadWriter, MAX_FRAME_LEN};
-pub use io::{RecordScanner, TraceError, TraceReader, MAX_NAME_LEN};
+pub use io::{TraceError, TraceReader, MAX_NAME_LEN};
 pub use kernels::{DecodeKernel, KernelChoice, KernelEntry, KernelKind};
 pub use pipeline::{
     DecodeMsg, DecodeTurn, DecoderTask, PipelineOptions, PipelinedReader, VirtualLink,
