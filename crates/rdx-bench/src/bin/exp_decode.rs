@@ -1,19 +1,19 @@
-//! Ingestion contrast: per-access varint decode vs bulk chunk decode vs
-//! pipelined decode-ahead, measured two ways.
+//! Ingestion contrast: per-access varint decode vs bulk decode,
+//! measured two ways.
 //!
 //! **Decode-only.** Every registry workload is serialized to RDXT bytes
-//! once; the whole set is then drained three ways without profiling —
-//! the scalar `try_next` loop, `decode_chunk` into a reusable buffer,
-//! and a `PipelinedReader` consumed through the chunk API — giving the
-//! raw decoder throughput each ingestion path can feed the machine.
+//! once; the whole set is then drained two ways without profiling —
+//! the scalar `try_next` loop and `decode_chunk` into a reusable
+//! buffer — giving the raw decoder throughput each can feed the
+//! machine.
 //!
 //! **End-to-end.** Each serialized workload is profiled at the paper's
-//! 64 Ki operating point three ways: the pre-chunk-decoder baseline
+//! 64 Ki operating point two ways: the pre-chunk-decoder baseline
 //! (`Opaque`-wrapped reader, so the machine single-steps and the reader
 //! decodes one varint per access — exactly what `rdx profile <file>` did
-//! before bulk ingestion), the bulk chunk decoder, and the pipelined
-//! decode-ahead reader. All three profiles are asserted bit-identical;
-//! the speedups are the whole point of the ingestion pipeline.
+//! before bulk ingestion) and `profile_rdxt`, the block-by-block
+//! ingestion loop every RDXT path runs. Both profiles are asserted
+//! bit-identical; the speedup is the whole point of bulk ingestion.
 //!
 //! **Decode kernels.** The bulk drain is additionally timed with the
 //! varint decode kernel pinned to the scalar oracle and to whatever
@@ -42,8 +42,8 @@ use rdx_bench::{
 };
 use rdx_core::{IngestOptions, RdxProfile, RdxRunner, RdxtInput};
 use rdx_trace::{
-    io, kernels::resolve_decode, AccessStream, Bytes, Chunk, KernelChoice, Opaque, PipelineOptions,
-    PipelinedReader, Trace, TraceReader, DEFAULT_CHUNK_CAPACITY,
+    io, kernels::resolve_decode, AccessStream, Bytes, Chunk, KernelChoice, Opaque, Trace,
+    TraceReader, DEFAULT_CHUNK_CAPACITY,
 };
 use rdx_workloads::suite;
 use std::fmt::Write as _;
@@ -52,16 +52,11 @@ struct Row {
     name: &'static str,
     baseline_aps: f64,
     bulk_aps: f64,
-    pipelined_aps: f64,
 }
 
 impl Row {
     fn bulk_speedup(&self) -> f64 {
         self.bulk_aps / self.baseline_aps
-    }
-
-    fn pipelined_speedup(&self) -> f64 {
-        self.pipelined_aps / self.baseline_aps
     }
 }
 
@@ -234,7 +229,7 @@ fn main() {
         std::process::exit(check_mode(args.tol, &params, reps));
     }
     println!(
-        "Ingestion: per-access decode vs bulk chunks vs pipelined decode-ahead \
+        "Ingestion: per-access decode vs bulk decode \
          ({} accesses/workload, period {period}, best of {reps})\n",
         params.accesses
     );
@@ -268,30 +263,10 @@ fn main() {
         }
         n
     });
-    let (pipe_s, pipe_n) = time_min(reps, || {
-        let mut n = 0u64;
-        for (name, _, raw) in &blobs {
-            let r = TraceReader::new(raw.clone()).expect("valid trace bytes");
-            let mut p = PipelinedReader::with_options(r, PipelineOptions::default());
-            while let Some(c) = p.next_chunk() {
-                let len = c.len();
-                n += len as u64;
-                p.consume_chunk(len);
-            }
-            p.finish()
-                .unwrap_or_else(|e| panic!("{name}: clean trace failed to decode: {e}"));
-        }
-        n
-    });
     assert_eq!(scalar_n, total, "scalar drain lost records");
     assert_eq!(bulk_n, total, "bulk drain lost records");
-    assert_eq!(pipe_n, total, "pipelined drain lost records");
     let kernel_bench = decode_kernel_bench(&blobs, total, reps);
-    let (scalar_aps, bulk_only_aps, pipe_only_aps) = (
-        total as f64 / scalar_s,
-        total as f64 / bulk_s,
-        total as f64 / pipe_s,
-    );
+    let (scalar_aps, bulk_only_aps) = (total as f64 / scalar_s, total as f64 / bulk_s);
     println!("decode-only ({total} accesses over the serialized suite):");
     print_table(
         &["path", "acc/s", "speedup"],
@@ -305,11 +280,6 @@ fn main() {
                 "bulk chunks".into(),
                 format!("{bulk_only_aps:.3e}"),
                 format!("{:.2}x", bulk_only_aps / scalar_aps),
-            ],
-            vec![
-                "pipelined".into(),
-                format!("{pipe_only_aps:.3e}"),
-                format!("{:.2}x", pipe_only_aps / scalar_aps),
             ],
         ],
     );
@@ -325,37 +295,21 @@ fn main() {
         });
         let (bulk_s, bulk) = time_min(reps, || {
             let input = RdxtInput::from_bytes(*name, raw.clone()).expect("valid trace bytes");
-            let (p, verdict) =
-                runner.profile_rdxt(input, &IngestOptions::default().with_pipelined(false));
-            assert!(verdict.is_ok(), "{name}: clean decode expected");
-            p
-        });
-        let (pipe_s, pipelined) = time_min(reps, || {
-            let input = RdxtInput::from_bytes(*name, raw.clone()).expect("valid trace bytes");
             let (p, verdict) = runner.profile_rdxt(input, &IngestOptions::default());
             assert!(verdict.is_ok(), "{name}: clean decode expected");
             p
         });
         assert_identical(name, "bulk vs baseline", &bulk, &baseline);
-        assert_identical(name, "pipelined vs baseline", &pipelined, &baseline);
         rows.push(Row {
             name,
             baseline_aps: n / base_s,
             bulk_aps: n / bulk_s,
-            pipelined_aps: n / pipe_s,
         });
     }
 
     println!("\nend-to-end file-backed profiling (period {period}):");
     print_table(
-        &[
-            "workload",
-            "baseline acc/s",
-            "bulk acc/s",
-            "pipelined acc/s",
-            "bulk speedup",
-            "pipelined speedup",
-        ],
+        &["workload", "baseline acc/s", "bulk acc/s", "bulk speedup"],
         &rows
             .iter()
             .map(|r| {
@@ -363,9 +317,7 @@ fn main() {
                     r.name.to_string(),
                     format!("{:.3e}", r.baseline_aps),
                     format!("{:.3e}", r.bulk_aps),
-                    format!("{:.3e}", r.pipelined_aps),
                     format!("{:.2}x", r.bulk_speedup()),
-                    format!("{:.2}x", r.pipelined_speedup()),
                 ]
             })
             .collect::<Vec<_>>(),
@@ -373,12 +325,11 @@ fn main() {
     print_kernel_bench(&kernel_bench, total);
 
     let bulk_speedups: Vec<f64> = rows.iter().map(Row::bulk_speedup).collect();
-    let pipe_speedups: Vec<f64> = rows.iter().map(Row::pipelined_speedup).collect();
-    let (geo_bulk, geo_pipe) = (geo_mean(&bulk_speedups), geo_mean(&pipe_speedups));
-    let max_pipe = pipe_speedups.iter().fold(0.0f64, |a, &b| a.max(b));
+    let geo_bulk = geo_mean(&bulk_speedups);
+    let max_bulk = bulk_speedups.iter().fold(0.0f64, |a, &b| a.max(b));
     println!(
-        "\ngeo-mean end-to-end speedup: bulk {geo_bulk:.2}x, pipelined {geo_pipe:.2}x \
-         (max {max_pipe:.2}x; profiles verified bit-identical)"
+        "\ngeo-mean end-to-end speedup: bulk {geo_bulk:.2}x \
+         (max {max_bulk:.2}x; profiles verified bit-identical)"
     );
 
     // A hand-tuned check_tolerance in the recorded file survives
@@ -390,8 +341,8 @@ fn main() {
             &kernel_bench,
             total,
             period,
-            (scalar_aps, bulk_only_aps, pipe_only_aps),
-            (geo_bulk, geo_pipe, max_pipe),
+            (scalar_aps, bulk_only_aps),
+            (geo_bulk, max_bulk),
         ),
         &["check_tolerance"],
     )
@@ -406,8 +357,8 @@ fn render_section(
     kernel_bench: &KernelBench,
     total: u64,
     period: u64,
-    (scalar_aps, bulk_aps, pipe_aps): (f64, f64, f64),
-    (geo_bulk, geo_pipe, max_pipe): (f64, f64, f64),
+    (scalar_aps, bulk_aps): (f64, f64),
+    (geo_bulk, max_bulk): (f64, f64),
 ) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
@@ -432,32 +383,22 @@ fn render_section(
     let _ = writeln!(s, "    \"decode_only\": {{");
     let _ = writeln!(s, "      \"scalar_accesses_per_sec\": {scalar_aps:.1},");
     let _ = writeln!(s, "      \"bulk_accesses_per_sec\": {bulk_aps:.1},");
-    let _ = writeln!(s, "      \"pipelined_accesses_per_sec\": {pipe_aps:.1},");
-    let _ = writeln!(s, "      \"bulk_speedup\": {:.3},", bulk_aps / scalar_aps);
-    let _ = writeln!(
-        s,
-        "      \"pipelined_speedup\": {:.3}",
-        pipe_aps / scalar_aps
-    );
+    let _ = writeln!(s, "      \"bulk_speedup\": {:.3}", bulk_aps / scalar_aps);
     let _ = writeln!(s, "    }},");
     let _ = writeln!(s, "    \"end_to_end\": {{");
     let _ = writeln!(s, "      \"geo_mean_bulk_speedup\": {geo_bulk:.3},");
-    let _ = writeln!(s, "      \"geo_mean_pipelined_speedup\": {geo_pipe:.3},");
-    let _ = writeln!(s, "      \"max_pipelined_speedup\": {max_pipe:.3},");
+    let _ = writeln!(s, "      \"max_bulk_speedup\": {max_bulk:.3},");
     let _ = writeln!(s, "      \"workloads\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         let _ = writeln!(
             s,
             "        {{\"name\": \"{}\", \"baseline_accesses_per_sec\": {:.1}, \
-             \"bulk_accesses_per_sec\": {:.1}, \"pipelined_accesses_per_sec\": {:.1}, \
-             \"bulk_speedup\": {:.3}, \"pipelined_speedup\": {:.3}}}{comma}",
+             \"bulk_accesses_per_sec\": {:.1}, \"bulk_speedup\": {:.3}}}{comma}",
             r.name,
             r.baseline_aps,
             r.bulk_aps,
-            r.pipelined_aps,
-            r.bulk_speedup(),
-            r.pipelined_speedup()
+            r.bulk_speedup()
         );
     }
     let _ = writeln!(s, "      ]");

@@ -5,13 +5,11 @@
 //! rdx profile <workload|file.rdxt> [--accesses N] [--elements N]
 //!             [--period N] [--seed N] [--registers N] [--jobs N]
 //!             [--exact] [--mrc] [--csv] [--metrics] [--save file.rdxp]
-//!             [--pipelined|--no-pipelined] [--decode-buffer N]
-//!             [--decode-ahead N] [--kernel auto|scalar|swar|simd]
+//!             [--decode-buffer N] [--kernel auto|scalar|swar|simd]
 //! rdx suite [file.rdxt ...] [--accesses N] [--elements N] [--period N]
 //!           [--seed N] [--jobs N] [--csv] [--metrics]
 //!           [--merge] [--out file.rdxp]
-//!           [--pipelined|--no-pipelined] [--decode-buffer N]
-//!           [--decode-ahead N] [--kernel auto|scalar|swar|simd]
+//!           [--decode-buffer N] [--kernel auto|scalar|swar|simd]
 //! rdx merge <file.rdxp ...> [--out file.rdxp] [--csv] [--mrc]
 //! rdx trace <file> [--decode-buffer N] [--kernel auto|scalar|swar|simd]
 //!           [--metrics]
@@ -20,8 +18,7 @@
 //! rdx client <addr|socket-path> <workload|file.rdxt> [--accesses N]
 //!            [--elements N] [--period N] [--seed N] [--registers N]
 //!            [--chunk-bytes N] [--aggregate N] [--crosscheck] [--metrics]
-//!            [--pipelined|--no-pipelined] [--decode-buffer N]
-//!            [--decode-ahead N]
+//!            [--decode-buffer N]
 //! rdx sim [--seed N] [--schedules N] [--faults LIST]
 //! rdx static <kernel> [--accesses N] [--elements N] [--seed N]
 //!            [--exact] [--mrc] [--csv] [--metrics]
@@ -30,10 +27,9 @@
 //! `profile` accepts either a registry workload name or a path to a
 //! serialized RDXT trace; `suite` profiles the whole registry, or — when
 //! leading file arguments are given — each trace file in parallel. File
-//! inputs are decoded ahead on a dedicated thread by default
-//! (`--no-pipelined` decodes in bulk on the profiling thread;
-//! `--decode-buffer`/`--decode-ahead` size the chunk and the buffer
-//! ring).
+//! inputs stream through the same decode-and-profile loop as a server
+//! session, read in fixed 64 KiB blocks, so no command holds a whole
+//! trace file; `--decode-buffer` sizes the decode batch.
 //!
 //! Profiles are a merge monoid: `profile --save` writes a profile in
 //! the versioned RDXP wire format, `merge` folds RDXP files from disk
@@ -70,12 +66,11 @@
 //! --exact` measures ground truth with `N` shards.
 //!
 //! `sim` runs the deterministic simulation suite from `rdx-sim`: the
-//! concurrent paths (pipelined decode-ahead, batch dispatch, server
-//! sessions) driven step by step under seeded schedules with fault
-//! injection. A violation prints the seed that replays it and exits
-//! nonzero. `--faults` takes `all`, `none`, or a comma-separated subset
-//! of `truncate`, `overlong`, `worker-death`, `batch-panic`,
-//! `session-disorder`.
+//! concurrent paths (batch dispatch, server sessions) driven step by
+//! step under seeded schedules and chunkings with fault injection. A
+//! violation prints the seed that replays it and exits nonzero.
+//! `--faults` takes `all`, `none`, or a comma-separated subset of
+//! `truncate`, `overlong`, `batch-panic`, `session-disorder`.
 //!
 //! `static` estimates an affine kernel's reuse profile symbolically
 //! (`rdx-static`) without generating or executing a single access:
@@ -88,22 +83,20 @@
 //! `--metrics` appends a JSON observability report (from `rdx-metrics`)
 //! that crosschecks the registry counters against the profile fields;
 //! a mismatch is a failure. `rdx trace <file>` validates a serialized
-//! trace with the bulk chunk decoder, reporting decode throughput and
-//! chunk statistics — and decode errors instead of crashing on corrupt
-//! input.
+//! trace by streaming it through the incremental decoder in the same
+//! blocks, reporting decode throughput and batch statistics — and
+//! decode errors instead of crashing on corrupt input.
 
 #![forbid(unsafe_code)]
 
 use rdx_core::{
     load_rdxt, profile_batch, profile_rdxt_batch, BatchTask, IngestOptions, RdxConfig, RdxProfile,
-    RdxRunner, RdxtInput,
+    RdxRunner, RdxtInput, BLOCK_LEN,
 };
 use rdx_groundtruth::{ExactProfile, ShardedExact};
 use rdx_histogram::accuracy::histogram_intersection;
 use rdx_histogram::{Binning, Histogram};
-use rdx_trace::{
-    AccessKind, Chunk, Granularity, KernelChoice, TraceReader, DEFAULT_CHUNK_CAPACITY,
-};
+use rdx_trace::{AccessKind, Granularity, KernelChoice, RdxtDecoder, DEFAULT_CHUNK_CAPACITY};
 use rdx_workloads::{by_name, suite, Params, WorkloadSpec};
 use std::process::ExitCode;
 
@@ -112,20 +105,17 @@ fn usage() -> ExitCode {
         "usage:\n  rdx list\n  rdx profile <workload|file.rdxt> [--accesses N] \
          [--elements N] [--period N]\n              [--seed N] [--registers N] [--jobs N] \
          [--exact] [--mrc] [--csv] [--metrics]\n              [--save file.rdxp] \
-         [--pipelined|--no-pipelined]\n              \
-         [--decode-buffer N] [--decode-ahead N]\n              \
-         [--kernel auto|scalar|swar|simd]\n  rdx suite [file.rdxt ...] [--accesses N] \
+         [--decode-buffer N] [--kernel auto|scalar|swar|simd]\n  \
+         rdx suite [file.rdxt ...] [--accesses N] \
          [--elements N] [--period N] [--seed N]\n            [--jobs N] [--csv] [--metrics] \
-         [--merge] [--out file.rdxp]\n            [--pipelined|--no-pipelined]\n            \
-         [--decode-buffer N] [--decode-ahead N] \
-         [--kernel auto|scalar|swar|simd]\n  \
+         [--merge] [--out file.rdxp]\n            \
+         [--decode-buffer N] [--kernel auto|scalar|swar|simd]\n  \
          rdx merge <file.rdxp ...> [--out file.rdxp] [--csv] [--mrc]\n  \
          rdx trace <file> [--decode-buffer N] [--kernel auto|scalar|swar|simd] [--metrics]\n  \
          rdx serve --listen <addr|socket-path> [--max-conns N] [--max-session-bytes N]\n  \
          rdx client <addr|socket-path> <workload|file.rdxt> [--accesses N] [--elements N]\n             \
          [--period N] [--seed N] [--registers N] [--chunk-bytes N]\n             \
-         [--aggregate N] [--crosscheck] [--metrics] [--pipelined|--no-pipelined]\n             \
-         [--decode-buffer N] [--decode-ahead N]\n  \
+         [--aggregate N] [--crosscheck] [--metrics] [--decode-buffer N]\n  \
          rdx sim [--seed N] [--schedules N] [--faults LIST]\n  \
          rdx static <kernel> [--accesses N] [--elements N] [--seed N]\n             \
          [--exact] [--mrc] [--csv] [--metrics]"
@@ -165,7 +155,6 @@ struct Opts {
     registers: Option<u64>,
     jobs: Option<u64>,
     decode_buffer: Option<u64>,
-    decode_ahead: Option<u64>,
     chunk_bytes: Option<u64>,
     aggregate: Option<u64>,
     kernel: Option<KernelChoice>,
@@ -175,8 +164,6 @@ struct Opts {
     mrc: bool,
     csv: bool,
     metrics: bool,
-    pipelined: bool,
-    no_pipelined: bool,
     crosscheck: bool,
     merge: bool,
 }
@@ -194,14 +181,11 @@ impl Opts {
                 return Err(format!("unknown flag '{flag}'"));
             }
             match flag {
-                "--exact" | "--mrc" | "--csv" | "--metrics" | "--pipelined" | "--no-pipelined"
-                | "--crosscheck" | "--merge" => {
+                "--exact" | "--mrc" | "--csv" | "--metrics" | "--crosscheck" | "--merge" => {
                     let slot = match flag {
                         "--exact" => &mut opts.exact,
                         "--mrc" => &mut opts.mrc,
                         "--metrics" => &mut opts.metrics,
-                        "--pipelined" => &mut opts.pipelined,
-                        "--no-pipelined" => &mut opts.no_pipelined,
                         "--crosscheck" => &mut opts.crosscheck,
                         "--merge" => &mut opts.merge,
                         _ => &mut opts.csv,
@@ -241,7 +225,6 @@ impl Opts {
                         "--registers" => &mut opts.registers,
                         "--jobs" => &mut opts.jobs,
                         "--decode-buffer" => &mut opts.decode_buffer,
-                        "--decode-ahead" => &mut opts.decode_ahead,
                         "--chunk-bytes" => &mut opts.chunk_bytes,
                         "--aggregate" => &mut opts.aggregate,
                         _ => unreachable!("allowed flags are handled above"),
@@ -258,9 +241,6 @@ impl Opts {
                 }
             }
         }
-        if opts.pipelined && opts.no_pipelined {
-            return Err("'--pipelined' conflicts with '--no-pipelined'".to_string());
-        }
         opts.validate()?;
         Ok(opts)
     }
@@ -271,8 +251,8 @@ impl Opts {
     /// server applies the same checks to options arriving over the wire.
     fn validate(&self) -> Result<(), String> {
         use rdx_core::limits::{
-            check_accesses, check_decode_ahead, check_decode_buffer, check_elements, check_jobs,
-            check_period, check_registers,
+            check_accesses, check_decode_buffer, check_elements, check_jobs, check_period,
+            check_registers,
         };
         let err = |e: rdx_core::LimitError| format!("--{e}");
         if let Some(v) = self.accesses {
@@ -292,9 +272,6 @@ impl Opts {
         }
         if let Some(v) = self.decode_buffer {
             check_decode_buffer(usize::try_from(v).unwrap_or(usize::MAX)).map_err(err)?;
-        }
-        if let Some(v) = self.decode_ahead {
-            check_decode_ahead(usize::try_from(v).unwrap_or(usize::MAX)).map_err(err)?;
         }
         if self.chunk_bytes == Some(0) {
             return Err("--chunk-bytes must be at least 1 (got 0)".to_string());
@@ -342,36 +319,17 @@ impl Opts {
         }
     }
 
-    /// How file inputs should be decoded (pipelined decode-ahead unless
-    /// `--no-pipelined`; `--decode-buffer`/`--decode-ahead` size it).
+    /// How file inputs should be decoded (`--decode-buffer` sizes the
+    /// decode batch, `--kernel` picks the decode kernel).
     fn ingest(&self) -> IngestOptions {
-        let mut o = IngestOptions::default().with_pipelined(!self.no_pipelined);
+        let mut o = IngestOptions::default();
         if let Some(v) = self.decode_buffer {
             o = o.with_chunk_capacity(usize::try_from(v).unwrap_or(usize::MAX).max(1));
-        }
-        if let Some(v) = self.decode_ahead {
-            o = o.with_decode_ahead(usize::try_from(v).unwrap_or(usize::MAX));
         }
         if let Some(k) = self.kernel {
             o = o.with_decode_kernel(k);
         }
         o
-    }
-
-    /// The first decode-tuning flag present, if any — these only apply
-    /// to trace-file inputs.
-    fn decode_flag(&self) -> Option<&'static str> {
-        if self.pipelined {
-            Some("--pipelined")
-        } else if self.no_pipelined {
-            Some("--no-pipelined")
-        } else if self.decode_buffer.is_some() {
-            Some("--decode-buffer")
-        } else if self.decode_ahead.is_some() {
-            Some("--decode-ahead")
-        } else {
-            None
-        }
     }
 }
 
@@ -383,15 +341,12 @@ const PROFILE_FLAGS: &[&str] = &[
     "--registers",
     "--jobs",
     "--decode-buffer",
-    "--decode-ahead",
     "--kernel",
     "--exact",
     "--mrc",
     "--csv",
     "--metrics",
     "--save",
-    "--pipelined",
-    "--no-pipelined",
 ];
 
 const SUITE_FLAGS: &[&str] = &[
@@ -401,14 +356,11 @@ const SUITE_FLAGS: &[&str] = &[
     "--period",
     "--jobs",
     "--decode-buffer",
-    "--decode-ahead",
     "--kernel",
     "--csv",
     "--metrics",
     "--merge",
     "--out",
-    "--pipelined",
-    "--no-pipelined",
 ];
 
 const MERGE_FLAGS: &[&str] = &["--out", "--csv", "--mrc"];
@@ -434,11 +386,8 @@ const CLIENT_FLAGS: &[&str] = &[
     "--chunk-bytes",
     "--aggregate",
     "--decode-buffer",
-    "--decode-ahead",
     "--crosscheck",
     "--metrics",
-    "--pipelined",
-    "--no-pipelined",
 ];
 
 fn profile(args: &[String]) -> ExitCode {
@@ -466,9 +415,9 @@ fn profile(args: &[String]) -> ExitCode {
 }
 
 fn profile_workload(workload: &WorkloadSpec, opts: &Opts) -> ExitCode {
-    if let Some(flag) = opts.decode_flag() {
+    if opts.decode_buffer.is_some() {
         eprintln!(
-            "error: {flag} applies to trace-file inputs; '{}' is a generated workload",
+            "error: --decode-buffer applies to trace-file inputs; '{}' is a generated workload",
             workload.name
         );
         return ExitCode::FAILURE;
@@ -536,9 +485,9 @@ fn profile_workload(workload: &WorkloadSpec, opts: &Opts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Profiles one serialized RDXT trace file. Decoding is pipelined ahead
-/// of the profiler by default; the profile covers the decodable prefix,
-/// and a short or trailing-data decode is a failure after reporting.
+/// Profiles one serialized RDXT trace file, streamed block by block;
+/// the profile covers the decodable prefix, and a short or
+/// trailing-data decode is a failure after reporting.
 fn profile_file(path: &str, opts: &Opts) -> ExitCode {
     for (flag, given) in [
         ("--accesses", opts.accesses.is_some()),
@@ -573,12 +522,8 @@ fn profile_file(path: &str, opts: &Opts) -> ExitCode {
         println!("est. blocks     : {:.0}", profile.m_estimate);
         println!("time overhead   : {:.2}%", profile.time_overhead * 100.0);
         println!(
-            "ingestion       : {} (chunk capacity {})",
-            if ingest.pipelined {
-                "pipelined decode-ahead"
-            } else {
-                "bulk decode"
-            },
+            "ingestion       : {} KiB blocks (decode batch {})",
+            BLOCK_LEN >> 10,
             ingest.chunk_capacity
         );
         println!("\nreuse-distance histogram (weights normalized):");
@@ -641,8 +586,10 @@ fn suite_cmd(args: &[String]) -> ExitCode {
     if !files.is_empty() {
         return suite_files(files, &opts);
     }
-    if let Some(flag) = opts.decode_flag() {
-        eprintln!("error: {flag} applies to trace-file inputs; pass RDXT files to `rdx suite`");
+    if opts.decode_buffer.is_some() {
+        eprintln!(
+            "error: --decode-buffer applies to trace-file inputs; pass RDXT files to `rdx suite`"
+        );
         return ExitCode::FAILURE;
     }
     let params = opts.params();
@@ -753,15 +700,10 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
         println!("trace,declared,accesses,samples,traps,est_blocks,time_overhead,mean_rd,clean");
     } else {
         println!(
-            "suite: {} trace files, period {}, {} jobs, {} decode\n",
+            "suite: {} trace files, period {}, {} jobs\n",
             reports.len(),
             config.machine.sampling.period,
-            jobs,
-            if ingest.pipelined {
-                "pipelined"
-            } else {
-                "bulk"
-            }
+            jobs
         );
         println!(
             "{:16} {:>10} {:>10} {:>8} {:>8} {:>11} {:>9} {:>10}",
@@ -1030,10 +972,10 @@ fn emit_metrics_report(rows: &[(String, RdxProfile)]) -> ExitCode {
     }
 }
 
-/// Validates a serialized trace file with the bulk chunk decoder,
-/// reporting decode throughput and chunk statistics. Corrupt or
-/// truncated input is reported as a decode error with the position
-/// reached — never a panic.
+/// Validates a serialized trace file by streaming it in read blocks
+/// through the incremental decoder, reporting decode throughput and
+/// batch statistics. Corrupt or truncated input is reported as a
+/// decode error with the position reached — never a panic.
 fn trace_cmd(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         return usage();
@@ -1051,76 +993,59 @@ fn trace_cmd(args: &[String]) -> ExitCode {
     if opts.metrics {
         rdx_metrics::reset();
     }
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
+    let input = match load_rdxt(path) {
+        Ok(i) => i,
         Err(e) => {
-            eprintln!("error: cannot read '{path}': {e}");
+            eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
     };
-    let total_bytes = bytes.len();
-    let mut reader = match TraceReader::new(bytes) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: '{path}' is not an RDX trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(k) = opts.kernel {
-        reader = reader.with_kernel(k);
-    }
-    let kernel = reader.kernel();
-    let declared = reader.declared_len();
+    let (name, declared) = (input.label.clone(), input.declared);
+    let mut decoder = RdxtDecoder::new().with_kernel(opts.kernel.unwrap_or(KernelChoice::Auto));
     let capacity = opts
         .decode_buffer
         .map_or(DEFAULT_CHUNK_CAPACITY, |v| {
             usize::try_from(v).unwrap_or(usize::MAX)
         })
         .max(1);
-    let mut chunk = Chunk::default();
-    let (mut stores, mut chunks, mut accesses) = (0u64, 0u64, 0u64);
+    let mut batch = Vec::new();
+    let (mut total_bytes, mut stores, mut chunks, mut accesses) = (0u64, 0u64, 0u64, 0u64);
     let (mut min_fill, mut max_fill) = (usize::MAX, 0usize);
     // Observational readout only: the elapsed time prints as a decode
     // rate and never feeds back into any measurement.
     // rdx-lint-allow: wall-clock — reports decode throughput to the user; not on a measurement path
     let start = std::time::Instant::now();
-    let failure = loop {
-        let result = reader.decode_chunk(&mut chunk, capacity);
-        if !chunk.is_empty() {
-            chunks += 1;
-            accesses += chunk.len() as u64;
-            min_fill = min_fill.min(chunk.len());
-            max_fill = max_fill.max(chunk.len());
-            stores += chunk
-                .accesses
-                .iter()
-                .filter(|a| matches!(a.kind, AccessKind::Store))
-                .count() as u64;
+    let read = input.read_blocks(|block| {
+        total_bytes += block.len() as u64;
+        let mut rest = block;
+        while !rest.is_empty() {
+            let used = decoder.decode(rest, &mut batch, capacity);
+            if !batch.is_empty() {
+                chunks += 1;
+                accesses += batch.len() as u64;
+                min_fill = min_fill.min(batch.len());
+                max_fill = max_fill.max(batch.len());
+                stores += batch
+                    .iter()
+                    .filter(|a| matches!(a.kind, AccessKind::Store))
+                    .count() as u64;
+            }
+            rest = &rest[used?..];
         }
-        match result {
-            Ok(0) => break None,
-            Ok(_) => {}
-            Err(e) => break Some(e),
-        }
-    };
+        Ok(())
+    });
     let elapsed = start.elapsed();
-    if let Some(e) = failure {
+    if let Err(e) = read.and_then(|()| decoder.finish()) {
         eprintln!(
             "error: '{path}' is corrupt after {} of {declared} declared accesses: {e}",
-            reader.decoded(),
+            decoder.decoded(),
         );
-        return ExitCode::FAILURE;
-    }
-    let name = reader.name().to_string();
-    let decoded = reader.decoded();
-    if let Err(e) = reader.finish() {
-        eprintln!("error: '{path}': {e}");
         return ExitCode::FAILURE;
     }
     let loads = accesses - stores;
     println!("trace           : {name}");
     println!("file size       : {total_bytes} B");
-    println!("decode kernel   : {}", kernel.name());
+    println!("decode kernel   : {}", decoder.kernel().name());
     println!("accesses        : {accesses} ({loads} loads, {stores} stores)");
     if chunks > 0 {
         println!("chunks          : {chunks} (capacity {capacity}, fill {min_fill}..={max_fill})");
@@ -1134,7 +1059,7 @@ fn trace_cmd(args: &[String]) -> ExitCode {
         );
     }
     if opts.metrics {
-        return emit_trace_metrics(decoded);
+        return emit_trace_metrics(decoder.decoded());
     }
     ExitCode::SUCCESS
 }
@@ -1145,8 +1070,6 @@ const DECODE_COUNTERS: &[&str] = &[
     "rdx.trace.decode.bytes",
     "rdx.trace.decode.chunks",
     "rdx.trace.decode.events",
-    "rdx.trace.decode.recycled_buffers",
-    "rdx.trace.decode.stalls",
 ];
 
 /// Prints the `rdx trace --metrics` JSON report: the decode counters
@@ -1332,12 +1255,8 @@ fn client_cmd(args: &[String]) -> ExitCode {
     if let Some(v) = opts.registers {
         sopts.registers = u32::try_from(v).unwrap_or(u32::MAX);
     }
-    sopts.pipelined = !opts.no_pipelined;
     if let Some(v) = opts.decode_buffer {
         sopts.chunk_capacity = v;
-    }
-    if let Some(v) = opts.decode_ahead {
-        sopts.decode_ahead = v;
     }
     let chunk_bytes = usize::try_from(opts.chunk_bytes.unwrap_or(64 << 10)).unwrap_or(usize::MAX);
 
@@ -1554,9 +1473,8 @@ impl SimArgs {
 }
 
 /// Runs the deterministic simulation suite: seeded schedules and fault
-/// injection over the pipelined reader, batch dispatch, and server
-/// sessions, plus the golden-digest reproduction through the virtual
-/// pipeline. A violation prints its replay seed and exits FAILURE.
+/// injection over batch dispatch and server sessions, plus the
+/// golden-digest reproduction through seeded session chunkings. A violation prints its replay seed and exits FAILURE.
 fn sim_cmd(args: &[String]) -> ExitCode {
     let parsed = match SimArgs::parse(args) {
         Ok(p) => p,
@@ -1818,6 +1736,21 @@ mod tests {
     fn rejects_unknown_flag() {
         let err = Opts::parse(&to_args(&["--bogus", "3"]), PROFILE_FLAGS).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
+        // The decode-ahead reader and its knobs are gone: every command
+        // that took them now rejects them.
+        for flags in [PROFILE_FLAGS, SUITE_FLAGS, CLIENT_FLAGS] {
+            for args in [
+                &["--pipelined"][..],
+                &["--no-pipelined"][..],
+                &["--decode-ahead", "2"][..],
+            ] {
+                let err = Opts::parse(&to_args(args), flags).unwrap_err();
+                assert!(
+                    err.contains(&format!("unknown flag '{}'", args[0])),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -1868,29 +1801,17 @@ mod tests {
 
     #[test]
     fn decode_flags_parse_and_conflict() {
-        for flags in [PROFILE_FLAGS, SUITE_FLAGS] {
-            let opts = Opts::parse(
-                &to_args(&[
-                    "--no-pipelined",
-                    "--decode-buffer",
-                    "4096",
-                    "--decode-ahead",
-                    "3",
-                ]),
-                flags,
-            )
-            .unwrap();
-            assert!(opts.no_pipelined);
+        for flags in [PROFILE_FLAGS, SUITE_FLAGS, CLIENT_FLAGS] {
+            let opts = Opts::parse(&to_args(&["--decode-buffer", "4096"]), flags).unwrap();
             assert_eq!(opts.decode_buffer, Some(4096));
-            assert_eq!(opts.decode_ahead, Some(3));
-            let ingest = opts.ingest();
-            assert!(!ingest.pipelined);
-            assert_eq!(ingest.chunk_capacity, 4096);
-            assert_eq!(ingest.decode_ahead, 3);
+            assert_eq!(opts.ingest().chunk_capacity, 4096);
         }
-        let err =
-            Opts::parse(&to_args(&["--pipelined", "--no-pipelined"]), PROFILE_FLAGS).unwrap_err();
-        assert!(err.contains("conflicts"), "{err}");
+        let err = Opts::parse(
+            &to_args(&["--decode-buffer", "1", "--decode-buffer", "2"]),
+            PROFILE_FLAGS,
+        )
+        .unwrap_err();
+        assert!(err.contains("duplicate flag '--decode-buffer'"), "{err}");
     }
 
     #[test]
@@ -2001,7 +1922,7 @@ mod tests {
         let arg = path.display().to_string();
         for extra in [
             &["--period", "512", "--csv"][..],
-            &["--no-pipelined", "--csv"][..],
+            &["--decode-buffer", "777", "--kernel", "scalar", "--csv"][..],
         ] {
             let mut args = vec![arg.clone()];
             args.extend(extra.iter().map(|s| (*s).to_string()));
@@ -2022,7 +1943,13 @@ mod tests {
 
     #[test]
     fn profile_rejects_decode_flags_for_workloads() {
-        let code = profile(&to_args(&["zipf", "--pipelined", "--accesses", "1000"]));
+        let code = profile(&to_args(&[
+            "zipf",
+            "--decode-buffer",
+            "64",
+            "--accesses",
+            "1000",
+        ]));
         assert_eq!(code, ExitCode::FAILURE);
     }
 
@@ -2077,14 +2004,6 @@ mod tests {
                 &["--decode-buffer", "0"][..],
                 "--decode-buffer must be at least 1 (got 0)",
             ),
-            (
-                &["--decode-ahead", "1"][..],
-                "--decode-ahead must be at least 2 (got 1)",
-            ),
-            (
-                &["--decode-ahead", "0"][..],
-                "--decode-ahead must be at least 2 (got 0)",
-            ),
         ] {
             let err = Opts::parse(&to_args(args), PROFILE_FLAGS).unwrap_err();
             assert_eq!(err, needle);
@@ -2093,7 +2012,7 @@ mod tests {
         assert_eq!(err, "--chunk-bytes must be at least 1 (got 0)");
         // In-range values still parse.
         let opts = Opts::parse(
-            &to_args(&["--period", "1", "--registers", "4", "--decode-ahead", "2"]),
+            &to_args(&["--period", "1", "--registers", "4", "--decode-buffer", "1"]),
             PROFILE_FLAGS,
         )
         .unwrap();
@@ -2157,12 +2076,17 @@ mod tests {
         assert_eq!(a.schedules, 8);
         assert_eq!(a.faults, rdx_sim::FaultSet::all());
 
-        let a = SimArgs::parse(&to_args(&["--faults", "truncate,worker-death"])).unwrap();
-        assert!(a.faults.truncate && a.faults.worker_death);
-        assert!(!a.faults.overlong && !a.faults.batch_panic && !a.faults.session_disorder);
+        let a = SimArgs::parse(&to_args(&["--faults", "truncate,batch-panic"])).unwrap();
+        assert!(a.faults.truncate && a.faults.batch_panic);
+        assert!(!a.faults.overlong && !a.faults.session_disorder);
 
         for (args, needle) in [
             (&["--faults", "bogus"][..], "unknown fault class"),
+            // The decoder thread whose death this fault simulated is gone.
+            (
+                &["--faults", "worker-death"][..],
+                "unknown fault class `worker-death`",
+            ),
             (&["--schedules", "0"][..], "--schedules must be at least 1"),
             (&["--seed", "1", "--seed", "2"][..], "duplicate flag"),
             (&["--period", "512"][..], "unknown flag"),
@@ -2191,7 +2115,7 @@ mod tests {
             &["--registers", "2"][..],
             &["--jobs", "4"][..],
             &["--kernel", "swar"][..],
-            &["--pipelined"][..],
+            &["--decode-buffer", "16"][..],
         ] {
             let err = Opts::parse(&to_args(args), STATIC_FLAGS).unwrap_err();
             assert!(err.contains("unknown flag"), "{args:?}: {err}");

@@ -20,8 +20,8 @@
 use crate::config::RdxConfig;
 use crate::report::RdxProfile;
 use crate::runner::RdxRunner;
+use dispatch::TaskPanic;
 use rdx_trace::{AccessStream, Chunked};
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The steppable core of the batch dispatch loop: claim task indices
@@ -117,12 +117,7 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// One task's outcome as it crosses the collector channel.
-type TaskResult = Result<RdxProfile, Box<dyn Any + Send + 'static>>;
-
 fn run_task<S: AccessStream, F: FnOnce() -> S>(config: RdxConfig, make_stream: F) -> RdxProfile {
-    let _task_span = rdx_metrics::span("task");
-    rdx_metrics::counter("rdx.batch.tasks").incr();
     // Batch throughput is the point of this module, so hand the machine
     // chunks: generator streams get buffered into bounded slices for the
     // bulk-scan fast path, materialized traces pass through zero-copy.
@@ -149,6 +144,28 @@ where
     S: AccessStream,
     F: FnOnce() -> S + Send,
 {
+    run_batch(
+        tasks
+            .into_iter()
+            .map(|t| move || run_task(t.config, t.make_stream))
+            .collect(),
+        jobs,
+    )
+}
+
+/// The pool behind [`profile_batch`]: runs each closure once on at
+/// most `jobs` threads and returns the results in task order, with the
+/// same clamping and panic contract.
+pub(crate) fn run_batch<T, F>(tasks: Vec<F>, jobs: usize) -> Vec<T>
+where
+    T: Send,
+    F: FnOnce() -> T + Send,
+{
+    let run = |task: F| {
+        let _task_span = rdx_metrics::span("task");
+        rdx_metrics::counter("rdx.batch.tasks").incr();
+        task()
+    };
     let task_count = tasks.len();
     if task_count == 0 {
         return Vec::new();
@@ -156,15 +173,12 @@ where
     let jobs = jobs.clamp(1, task_count);
     let _batch_span = rdx_metrics::span("rdx.batch");
     if jobs == 1 {
-        return tasks
-            .into_iter()
-            .map(|t| run_task(t.config, t.make_stream))
-            .collect();
+        return tasks.into_iter().map(run).collect();
     }
 
     // Each slot is taken exactly once: the atomic cursor hands every
     // index to exactly one worker, so the per-slot lock is uncontended.
-    let slots: Vec<parking_lot::Mutex<Option<BatchTask<F>>>> = tasks
+    let slots: Vec<parking_lot::Mutex<Option<F>>> = tasks
         .into_iter()
         .map(|t| parking_lot::Mutex::new(Some(t)))
         .collect();
@@ -173,9 +187,9 @@ where
     // concurrently on the caller's thread, so a full queue stalls a
     // worker briefly but can never deadlock — and backpressure
     // discipline holds here like everywhere else in the workspace.
-    let (tx, rx) = crossbeam::channel::bounded::<(usize, TaskResult)>(jobs);
+    let (tx, rx) = crossbeam::channel::bounded::<(usize, Result<T, TaskPanic>)>(jobs);
 
-    let results: Vec<Option<TaskResult>> = crossbeam::scope(|scope| {
+    let results: Vec<Option<Result<T, TaskPanic>>> = crossbeam::scope(|scope| {
         for _ in 0..jobs {
             let tx = tx.clone();
             let slots = &slots;
@@ -185,8 +199,7 @@ where
                 while let Some(i) = claims.next() {
                     rdx_metrics::record_value("rdx.batch.queue_depth", (claims.total() - i) as u64);
                     let task = slots[i].lock().take().expect("task taken exactly once");
-                    let result =
-                        catch_unwind(AssertUnwindSafe(|| run_task(task.config, task.make_stream)));
+                    let result = catch_unwind(AssertUnwindSafe(|| run(task)));
                     let failed = result.is_err();
                     tx.send((i, result)).expect("result collector alive");
                     if failed {
@@ -199,7 +212,8 @@ where
             });
         }
         drop(tx);
-        let mut results: Vec<Option<TaskResult>> = (0..task_count).map(|_| None).collect();
+        let mut results: Vec<Option<Result<T, TaskPanic>>> =
+            (0..task_count).map(|_| None).collect();
         for (i, result) in rx {
             results[i] = Some(result);
         }
@@ -210,17 +224,16 @@ where
     // Re-raising the lowest-indexed panic must happen outside the
     // scope (the scope catches closure unwinds to match crossbeam's
     // contract, which would swallow the payload).
-    dispatch::collect_in_order(task_count, results.into_iter().enumerate().map(to_pair))
-}
-
-/// Unwraps one collected slot for [`dispatch::collect_in_order`]; the
-/// `None` case is the same protocol violation its docs describe.
-fn to_pair(
-    (i, slot): (usize, Option<TaskResult>),
-) -> (usize, Result<RdxProfile, dispatch::TaskPanic>) {
-    (
-        i,
-        slot.expect("every task before the first panic was claimed"),
+    dispatch::collect_in_order(
+        task_count,
+        results.into_iter().enumerate().map(|(i, slot)| {
+            // A missing slot is the protocol violation
+            // `collect_in_order` documents.
+            (
+                i,
+                slot.expect("every task before the first panic was claimed"),
+            )
+        }),
     )
 }
 

@@ -1,44 +1,50 @@
-//! File-backed trace ingestion: RDXT inputs into the profiling engine.
+//! RDXT ingestion: trace bytes into the profiling engine.
 //!
-//! The profiler consumes [`AccessStream`]s; RDXT files on disk reach it
-//! through this module. Two execution shapes, both chunk-capable so
-//! `Machine::run`'s bulk-scan fast path applies either way:
+//! There is one ingestion loop, [`RdxtIngest`]. It owns an incremental
+//! [`RdxtDecoder`], a [`LiveProfile`] and one bounded decode batch;
+//! every [`push`](RdxtIngest::push) decodes the next piece of the byte
+//! stream into the batch and feeds it to the live profile. A file
+//! reaches the loop in fixed [`BLOCK_LEN`] blocks
+//! ([`RdxRunner::profile_rdxt`]), a server session as its chunks
+//! arrive, so neither path holds the trace: memory is the profiler
+//! state, one batch and one read block.
 //!
-//! * **bulk** — a plain [`TraceReader`], whose chunk API bulk-decodes a
-//!   bounded chunk of varints per refill on the consumer's thread;
-//! * **pipelined** (the default) — a [`PipelinedReader`] that runs the
-//!   same bulk decoder on a dedicated thread, so decoding the next chunk
-//!   overlaps with profiling the current one.
-//!
-//! Headers are validated when an input is loaded ([`load_rdxt`]), so
-//! stream construction on a batch worker cannot fail; record-level
-//! corruption surfaces as the stream's parked [`TraceError`] after the
-//! run, per the trace layer's chunk-granularity recovery contract.
+//! Headers are validated when an input is loaded ([`load_rdxt`] reads
+//! one block, which always covers the largest header), so profiling on
+//! a batch worker cannot fail to start; record-level corruption
+//! surfaces as the verdict next to a profile of the decodable prefix.
 
-use crate::batch::{profile_batch, BatchTask};
+use crate::batch::run_batch;
 use crate::config::RdxConfig;
 use crate::report::RdxProfile;
-use crate::runner::RdxRunner;
+use crate::runner::{LiveProfile, RdxRunner};
 use rdx_trace::{
-    Access, AccessStream, KernelChoice, PipelineOptions, PipelinedReader, TraceError, TraceReader,
-    DEFAULT_CHUNK_CAPACITY,
+    io, Access, KernelChoice, KernelKind, RdxtDecoder, TraceError, DEFAULT_CHUNK_CAPACITY,
+    MAX_HEADER_LEN,
 };
 use std::fmt;
+use std::fs::File;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
-/// How file-backed profiling decodes its input.
+/// Bytes per read block of a file input.
+pub const BLOCK_LEN: usize = 64 << 10;
+
+// The first block must hold any valid header.
+const _: () = assert!(BLOCK_LEN >= MAX_HEADER_LEN);
+
+/// Largest decode batch in accesses (16 MiB of them), whatever
+/// `chunk_capacity` asks for: one 16 MiB server frame of 1-byte
+/// records must not allocate a quarter-gigabyte batch.
+const MAX_BATCH: usize = 1 << 20;
+
+/// How RDXT input is decoded.
 #[derive(Debug, Clone, Copy)]
 pub struct IngestOptions {
-    /// Run the decoder on a dedicated thread ([`PipelinedReader`]);
-    /// when `false`, decode on the consumer's thread in bulk chunks.
-    pub pipelined: bool,
-    /// Accesses per decoded chunk (default
-    /// [`DEFAULT_CHUNK_CAPACITY`]).
+    /// Accesses per decode batch (default [`DEFAULT_CHUNK_CAPACITY`],
+    /// capped at 2^20).
     pub chunk_capacity: usize,
-    /// Decode-ahead depth of the pipelined reader's buffer ring
-    /// (ignored without `pipelined`; default 2 = double buffering).
-    pub decode_ahead: usize,
-    /// Which decode kernel the reader uses (default: auto, the
+    /// Which decode kernel the decoder uses (default: auto, the
     /// cheapest available in the trace layer's capability table).
     pub decode_kernel: KernelChoice,
 }
@@ -46,33 +52,25 @@ pub struct IngestOptions {
 impl Default for IngestOptions {
     fn default() -> Self {
         IngestOptions {
-            pipelined: true,
             chunk_capacity: DEFAULT_CHUNK_CAPACITY,
-            decode_ahead: 2,
             decode_kernel: KernelChoice::Auto,
         }
     }
 }
 
 impl IngestOptions {
-    /// Sets whether decoding runs on a dedicated thread.
+    /// Does nothing: there is one ingestion path. Kept only because
+    /// the benchmark's ledger (`perfbench/src/ledger.rs`) still calls it.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_pipelined(mut self, pipelined: bool) -> Self {
-        self.pipelined = pipelined;
+    pub fn with_pipelined(self, _pipelined: bool) -> Self {
         self
     }
 
-    /// Sets the accesses decoded per chunk.
+    /// Sets the accesses decoded per batch.
     #[must_use]
     pub fn with_chunk_capacity(mut self, capacity: usize) -> Self {
         self.chunk_capacity = capacity;
-        self
-    }
-
-    /// Sets the pipelined reader's decode-ahead depth.
-    #[must_use]
-    pub fn with_decode_ahead(mut self, depth: usize) -> Self {
-        self.decode_ahead = depth;
         self
     }
 
@@ -81,6 +79,82 @@ impl IngestOptions {
     pub fn with_decode_kernel(mut self, kernel: KernelChoice) -> Self {
         self.decode_kernel = kernel;
         self
+    }
+}
+
+/// The ingestion loop: RDXT bytes in, a live profile out.
+///
+/// Bytes may be pushed in pieces of any size, split anywhere; a
+/// [`snapshot`](RdxtIngest::snapshot) after any prefix equals
+/// [`RdxRunner::profile`] of the records that prefix holds.
+#[derive(Debug)]
+pub struct RdxtIngest {
+    decoder: RdxtDecoder,
+    live: LiveProfile,
+    /// Reused decode batch (at most `capacity` accesses).
+    batch: Vec<Access>,
+    capacity: usize,
+}
+
+impl RdxtIngest {
+    /// An empty loop profiling under `runner`'s configuration.
+    #[must_use]
+    pub fn new(runner: &RdxRunner, opts: &IngestOptions) -> RdxtIngest {
+        RdxtIngest {
+            decoder: RdxtDecoder::new().with_kernel(opts.decode_kernel),
+            live: runner.start(),
+            batch: Vec::new(),
+            capacity: opts.chunk_capacity.clamp(1, MAX_BATCH),
+        }
+    }
+
+    /// Decodes the next piece of the stream into the live profile, one
+    /// bounded batch at a time.
+    ///
+    /// # Errors
+    ///
+    /// The decoder's error (see [`RdxtDecoder::decode`]). The records
+    /// before a malformed one are profiled; the loop is fused after.
+    pub fn push(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let used = self.decoder.decode(rest, &mut self.batch, self.capacity);
+            self.live.feed(&self.batch);
+            rest = &rest[used?..];
+        }
+        Ok(())
+    }
+
+    /// True once the whole header has arrived.
+    #[must_use]
+    pub fn header_complete(&self) -> bool {
+        self.decoder.header_complete()
+    }
+
+    /// Declared records decoded so far.
+    #[must_use]
+    pub fn decoded(&self) -> u64 {
+        self.decoder.decoded()
+    }
+
+    /// The decode kernel in use.
+    #[must_use]
+    pub fn kernel(&self) -> KernelKind {
+        self.decoder.kernel()
+    }
+
+    /// The profile of the records pushed so far; `None` until a
+    /// complete header has arrived.
+    #[must_use]
+    pub fn snapshot(&self) -> Option<RdxProfile> {
+        self.header_complete().then(|| self.live.snapshot())
+    }
+
+    /// The final profile and the decode verdict over everything pushed
+    /// (see [`RdxtDecoder::finish`]).
+    pub fn finish(self) -> (RdxProfile, Result<(), TraceError>) {
+        let verdict = self.decoder.finish();
+        (self.live.finish(), verdict)
     }
 }
 
@@ -125,7 +199,8 @@ impl std::error::Error for IngestError {
     }
 }
 
-/// A loaded, header-validated RDXT input, ready to stream.
+/// A header-validated RDXT input, ready to stream: the first block read
+/// (or a whole in-memory buffer) plus the rest of its file.
 #[derive(Debug)]
 pub struct RdxtInput {
     /// Display label: the trace's embedded name, or the file stem when
@@ -133,51 +208,75 @@ pub struct RdxtInput {
     pub label: String,
     /// Record count declared by the header.
     pub declared: u64,
-    reader: TraceReader,
+    head: bytes::Bytes,
+    rest: Option<File>,
 }
 
 impl RdxtInput {
-    /// Wraps an already-loaded RDXT byte buffer, validating the header.
+    /// Wraps an in-memory RDXT byte buffer, validating the header.
     ///
     /// `fallback_label` is used when the embedded trace name is empty.
     ///
     /// # Errors
     ///
-    /// [`TraceError`] if the header is malformed.
+    /// [`TraceError`] if the header is malformed or incomplete.
     pub fn from_bytes(
         fallback_label: impl Into<String>,
         bytes: impl Into<bytes::Bytes>,
     ) -> Result<RdxtInput, TraceError> {
-        let reader = TraceReader::new(bytes.into())?;
-        let label = if reader.name().is_empty() {
-            fallback_label.into()
+        RdxtInput::new(fallback_label.into(), bytes.into(), None)
+    }
+
+    fn new(
+        fallback_label: String,
+        head: bytes::Bytes,
+        rest: Option<File>,
+    ) -> Result<RdxtInput, TraceError> {
+        let header = io::parse_header(&head)?;
+        let label = if header.name.is_empty() {
+            fallback_label
         } else {
-            reader.name().to_owned()
+            header.name
         };
         Ok(RdxtInput {
             label,
-            declared: reader.declared_len(),
-            reader,
+            declared: header.declared,
+            head,
+            rest,
         })
     }
 
-    /// Turns the input into a profiler-ready stream.
-    #[must_use]
-    pub fn into_stream(self, opts: &IngestOptions) -> RdxtStream {
-        let capacity = opts.chunk_capacity.max(1);
-        let reader = self.reader.with_kernel(opts.decode_kernel);
-        if opts.pipelined {
-            let popts = PipelineOptions::default()
-                .with_chunk_capacity(capacity)
-                .with_depth(opts.decode_ahead);
-            RdxtStream::Pipelined(PipelinedReader::with_options(reader, popts))
-        } else {
-            RdxtStream::Bulk(reader.with_chunk_capacity(capacity))
+    /// Hands the input to `sink` in blocks of at most [`BLOCK_LEN`]
+    /// bytes, in order, stopping at the first error.
+    ///
+    /// # Errors
+    ///
+    /// The first error of `sink`, or [`TraceError::Io`] when reading
+    /// the file fails.
+    pub fn read_blocks(
+        self,
+        mut sink: impl FnMut(&[u8]) -> Result<(), TraceError>,
+    ) -> Result<(), TraceError> {
+        for block in self.head.chunks(BLOCK_LEN) {
+            sink(block)?;
+        }
+        let Some(mut file) = self.rest else {
+            return Ok(());
+        };
+        let mut block = vec![0; BLOCK_LEN];
+        loop {
+            match file.read(&mut block) {
+                Ok(0) => return Ok(()),
+                Ok(n) => sink(&block[..n])?,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
         }
     }
 }
 
-/// Loads and header-validates an RDXT file.
+/// Opens an RDXT file and validates its header from the first block;
+/// the rest of the file is read when the input is profiled.
 ///
 /// # Errors
 ///
@@ -185,96 +284,24 @@ impl RdxtInput {
 /// trace.
 pub fn load_rdxt(path: impl AsRef<Path>) -> Result<RdxtInput, IngestError> {
     let path = path.as_ref();
-    let bytes = std::fs::read(path).map_err(|source| IngestError::Io {
+    let io_error = |source| IngestError::Io {
         path: path.to_path_buf(),
         source,
-    })?;
+    };
+    let mut file = File::open(path).map_err(io_error)?;
+    let mut head = Vec::with_capacity(BLOCK_LEN);
+    (&mut file)
+        .take(BLOCK_LEN as u64)
+        .read_to_end(&mut head)
+        .map_err(io_error)?;
     let stem = path
         .file_stem()
         .map(|s| s.to_string_lossy().into_owned())
         .unwrap_or_default();
-    RdxtInput::from_bytes(stem, bytes).map_err(|source| IngestError::Trace {
+    RdxtInput::new(stem, head.into(), Some(file)).map_err(|source| IngestError::Trace {
         path: path.to_path_buf(),
         source,
     })
-}
-
-/// A file-backed access stream: bulk-decoding reader or its pipelined
-/// (decode-ahead thread) variant. Both are chunk-capable.
-#[derive(Debug)]
-pub enum RdxtStream {
-    /// Decode on the consumer's thread, one bulk chunk per refill.
-    Bulk(TraceReader),
-    /// Decode ahead on a dedicated thread.
-    Pipelined(PipelinedReader),
-}
-
-impl RdxtStream {
-    /// The trace's embedded name.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        match self {
-            RdxtStream::Bulk(r) => r.name(),
-            RdxtStream::Pipelined(r) => r.name(),
-        }
-    }
-
-    /// The record count declared in the trace header.
-    #[must_use]
-    pub fn declared_len(&self) -> u64 {
-        match self {
-            RdxtStream::Bulk(r) => r.declared_len(),
-            RdxtStream::Pipelined(r) => r.declared_len(),
-        }
-    }
-
-    /// Verifies the input decoded cleanly and exactly (all declared
-    /// records, no trailing bytes). For the pipelined variant this
-    /// drains the decoder first.
-    ///
-    /// # Errors
-    ///
-    /// The [`TraceError`] the decode ended with, if any.
-    pub fn finish(self) -> Result<(), TraceError> {
-        match self {
-            RdxtStream::Bulk(r) => r.finish(),
-            RdxtStream::Pipelined(r) => r.finish(),
-        }
-    }
-}
-
-impl AccessStream for RdxtStream {
-    fn next_access(&mut self) -> Option<Access> {
-        match self {
-            RdxtStream::Bulk(r) => r.next_access(),
-            RdxtStream::Pipelined(r) => r.next_access(),
-        }
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        match self {
-            RdxtStream::Bulk(r) => r.remaining_hint(),
-            RdxtStream::Pipelined(r) => r.remaining_hint(),
-        }
-    }
-
-    fn chunk_capable(&self) -> bool {
-        true
-    }
-
-    fn next_chunk(&mut self) -> Option<&[Access]> {
-        match self {
-            RdxtStream::Bulk(r) => r.next_chunk(),
-            RdxtStream::Pipelined(r) => r.next_chunk(),
-        }
-    }
-
-    fn consume_chunk(&mut self, n: usize) {
-        match self {
-            RdxtStream::Bulk(r) => r.consume_chunk(n),
-            RdxtStream::Pipelined(r) => r.consume_chunk(n),
-        }
-    }
 }
 
 /// One file's profile out of [`profile_rdxt_batch`].
@@ -298,22 +325,25 @@ impl RdxtReport {
 }
 
 impl RdxRunner {
-    /// Profiles one RDXT input end to end and reports both the profile
-    /// and the decode verdict (clean / truncated / trailing data).
+    /// Profiles one RDXT input end to end, block by block through
+    /// [`RdxtIngest`], and reports both the profile (of the decodable
+    /// prefix) and the decode verdict (clean / truncated / malformed /
+    /// trailing data / read error).
     pub fn profile_rdxt(
         &self,
         input: RdxtInput,
         opts: &IngestOptions,
     ) -> (RdxProfile, Result<(), TraceError>) {
-        let mut stream = input.into_stream(opts);
-        let profile = self.profile(&mut stream);
-        (profile, stream.finish())
+        let mut ingest = RdxtIngest::new(self, opts);
+        let read = input.read_blocks(|block| ingest.push(block));
+        let (profile, verdict) = ingest.finish();
+        (profile, read.and(verdict))
     }
 }
 
 /// Profiles a set of RDXT inputs in parallel on at most `jobs` threads
-/// (via [`profile_batch`]: results in input order, worker panics
-/// re-raised in task order).
+/// of the batch pool (results in input order, worker panics re-raised
+/// in task order; see [`crate::profile_batch`]).
 ///
 /// Decode errors do not panic a task: each profile covers the decodable
 /// prefix of its input, and [`RdxtReport::truncated`] flags inputs that
@@ -325,28 +355,23 @@ pub fn profile_rdxt_batch(
     opts: &IngestOptions,
     jobs: usize,
 ) -> Vec<RdxtReport> {
-    let mut labels = Vec::with_capacity(inputs.len());
-    let opts = *opts;
-    let tasks: Vec<BatchTask<_>> = inputs
+    let runner = RdxRunner::new(config);
+    let runner = &runner;
+    let tasks: Vec<_> = inputs
         .into_iter()
         .map(|input| {
-            labels.push((input.label.clone(), input.declared));
-            BatchTask {
-                config,
-                make_stream: move || input.into_stream(&opts),
+            move || {
+                let (label, declared) = (input.label.clone(), input.declared);
+                let (profile, _verdict) = runner.profile_rdxt(input, opts);
+                RdxtReport {
+                    label,
+                    declared,
+                    profile,
+                }
             }
         })
         .collect();
-    let profiles = profile_batch(tasks, jobs);
-    labels
-        .into_iter()
-        .zip(profiles)
-        .map(|((label, declared), profile)| RdxtReport {
-            label,
-            declared,
-            profile,
-        })
-        .collect()
+    run_batch(tasks, jobs)
 }
 
 #[cfg(test)]
@@ -362,49 +387,73 @@ mod tests {
         io::to_bytes(&t).to_vec()
     }
 
-    fn both_opts() -> [IngestOptions; 2] {
+    fn temp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rdx-ingest-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        dir
+    }
+
+    /// The same bytes as an in-memory input and as a file input.
+    fn both_inputs(label: &str, raw: &[u8], dir: &Path) -> [RdxtInput; 2] {
+        let path = dir.join(format!("{label}.rdxt"));
+        std::fs::write(&path, raw).expect("write");
         [
-            IngestOptions::default().with_chunk_capacity(1024),
-            IngestOptions::default()
-                .with_pipelined(false)
-                .with_chunk_capacity(1024),
+            RdxtInput::from_bytes(label, raw.to_vec()).expect("valid header"),
+            load_rdxt(&path).expect("valid header"),
         ]
     }
 
     #[test]
     fn file_profile_matches_in_memory_both_paths() {
-        let t = Trace::from_addresses("m", (0..60_000u64).map(|i| (i % 511) * 64));
+        // Larger than a few read blocks, so records straddle them.
+        let t = Trace::from_addresses("m", (0..200_000u64).map(|i| (i % 511) * 64));
         let raw = io::to_bytes(&t);
+        assert!(raw.len() > 3 * BLOCK_LEN);
         let runner = RdxRunner::new(RdxConfig::default().with_period(512).with_seed(3));
         let want = runner.profile(t.stream());
-        for opts in both_opts() {
-            let input = RdxtInput::from_bytes("m", raw.clone()).expect("valid");
+        let dir = temp_dir("both");
+        let opts = IngestOptions::default().with_chunk_capacity(1024);
+        for (k, input) in both_inputs("m", &raw, &dir).into_iter().enumerate() {
             let (profile, verdict) = runner.profile_rdxt(input, &opts);
-            assert!(verdict.is_ok(), "pipelined={}", opts.pipelined);
-            assert_eq!(profile.rd, want.rd, "pipelined={}", opts.pipelined);
+            assert!(verdict.is_ok(), "input {k}");
+            assert_eq!(profile.rd, want.rd, "input {k}");
             assert_eq!(profile.rt, want.rt);
             assert_eq!(profile.samples, want.samples);
             assert_eq!(profile.traps, want.traps);
             assert_eq!(profile.accesses, want.accesses);
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn truncated_file_profiles_prefix_and_reports() {
         let mut raw = sample_bytes("cut", 30_000);
         raw.truncate(raw.len() - 11);
-        for opts in both_opts() {
-            let input = RdxtInput::from_bytes("cut", raw.clone()).expect("header intact");
+        let dir = temp_dir("cut");
+        for input in both_inputs("cut", &raw, &dir) {
             let declared = input.declared;
             let runner = RdxRunner::new(RdxConfig::default().with_period(256));
-            let (profile, verdict) = runner.profile_rdxt(input, &opts);
+            let (profile, verdict) = runner.profile_rdxt(input, &IngestOptions::default());
             assert!(profile.accesses < declared);
-            assert!(
-                matches!(verdict, Err(TraceError::Truncated)),
-                "pipelined={}",
-                opts.pipelined
-            );
+            assert!(matches!(verdict, Err(TraceError::Truncated)), "{verdict:?}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn push_in_any_pieces_snapshots_the_prefix() {
+        let raw = sample_bytes("live", 5_000);
+        let runner = RdxRunner::new(RdxConfig::default().with_period(64));
+        let mut ingest = RdxtIngest::new(&runner, &IngestOptions::default().with_chunk_capacity(7));
+        assert!(ingest.snapshot().is_none(), "no header yet");
+        for piece in raw.chunks(333) {
+            ingest.push(piece).expect("clean bytes");
+        }
+        let snap = ingest.snapshot().expect("header arrived");
+        let (profile, verdict) = ingest.finish();
+        assert!(verdict.is_ok());
+        assert_eq!(snap.rd, profile.rd);
+        assert_eq!(profile.accesses, 5_000);
     }
 
     #[test]
@@ -462,8 +511,7 @@ mod tests {
     fn load_rdxt_reports_missing_file_and_bad_header() {
         let err = load_rdxt("/nonexistent/definitely-missing.rdxt").unwrap_err();
         assert!(matches!(err, IngestError::Io { .. }), "{err}");
-        let dir = std::env::temp_dir().join("rdx-ingest-test");
-        std::fs::create_dir_all(&dir).expect("temp dir");
+        let dir = temp_dir("load");
         let bad = dir.join("not-a-trace.rdxt");
         std::fs::write(&bad, b"definitely not RDXT").expect("write");
         let err = load_rdxt(&bad).unwrap_err();

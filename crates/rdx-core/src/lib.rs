@@ -67,7 +67,8 @@ pub use batch::{default_jobs, profile_batch, BatchTask};
 pub use config::{CensoringCorrection, ConversionMethod, RdxConfig, ReplacementPolicy};
 pub use convert::WeightedFootprint;
 pub use ingest::{
-    load_rdxt, profile_rdxt_batch, IngestError, IngestOptions, RdxtInput, RdxtReport, RdxtStream,
+    load_rdxt, profile_rdxt_batch, IngestError, IngestOptions, RdxtIngest, RdxtInput, RdxtReport,
+    BLOCK_LEN,
 };
 pub use limits::LimitError;
 pub use merge::{merge_batch, merge_histogram_batch, MergeError};

@@ -12,11 +12,6 @@ use std::fmt;
 /// The simulated machine models the x86 debug-register file: 4 slots.
 pub const MAX_REGISTERS: usize = 4;
 
-/// The decode-ahead ring needs one buffer in flight plus one being
-/// refilled; smaller depths would deadlock and are clamped internally,
-/// so reject them at the boundary instead.
-pub const MIN_DECODE_AHEAD: usize = 2;
-
 /// A parameter outside its valid range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LimitError {
@@ -138,22 +133,6 @@ pub fn check_elements(elements: u64) -> Result<u64, LimitError> {
     Ok(elements)
 }
 
-/// Validates a decode-ahead ring depth.
-///
-/// # Errors
-///
-/// [`LimitError`] if `depth` is below [`MIN_DECODE_AHEAD`].
-pub fn check_decode_ahead(depth: usize) -> Result<usize, LimitError> {
-    if depth < MIN_DECODE_AHEAD {
-        return Err(LimitError {
-            param: "decode-ahead",
-            requirement: "at least 2",
-            got: depth as u64,
-        });
-    }
-    Ok(depth)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,10 +154,6 @@ mod tests {
         assert!(check_decode_buffer(0).is_err());
         assert_eq!(check_decode_buffer(1), Ok(1));
 
-        assert!(check_decode_ahead(0).is_err());
-        assert!(check_decode_ahead(1).is_err());
-        assert_eq!(check_decode_ahead(2), Ok(2));
-
         assert!(check_accesses(0).is_err());
         assert_eq!(check_accesses(1), Ok(1));
         assert!(check_elements(0).is_err());
@@ -192,9 +167,9 @@ mod tests {
         let e = check_period(0).unwrap_err();
         assert!(e.to_string().contains("period"));
         assert!(e.to_string().contains("at least 1"));
-        let e = check_decode_ahead(1).unwrap_err();
-        assert_eq!(e.param, "decode-ahead");
-        assert_eq!(e.got, 1);
+        let e = check_decode_buffer(0).unwrap_err();
+        assert_eq!(e.param, "decode-buffer");
+        assert_eq!(e.got, 0);
         let e = check_accesses(0).unwrap_err();
         assert_eq!(e.to_string(), "accesses must be at least 1 (got 0)");
         let e = check_elements(0).unwrap_err();

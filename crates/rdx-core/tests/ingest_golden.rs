@@ -1,14 +1,28 @@
-//! File-backed ingestion must be invisible in the output: profiling an
-//! RDXT-serialized workload through the bulk-decoding reader or the
-//! pipelined (decode-ahead thread) reader reproduces the exact registry
-//! golden digest that `metrics_determinism.rs` recorded from in-memory
-//! generator streams and `fastpath_equivalence.rs` reproduced through
-//! the chunk fast path. Same constant, third execution shape.
+//! RDXT ingestion must be invisible in the output: profiling an
+//! RDXT-serialized workload through `profile_rdxt` — from an in-memory
+//! buffer or a file read block by block, under any decode kernel and
+//! batch size — reproduces the exact registry golden digest that
+//! `metrics_determinism.rs` recorded from in-memory generator streams
+//! and `fastpath_equivalence.rs` reproduced through the chunk fast
+//! path. Same constant, third execution shape.
 
-use rdx_core::{IngestOptions, RdxConfig, RdxRunner, RdxtInput};
+use rdx_core::{
+    load_rdxt, profile_rdxt_batch, IngestOptions, RdxConfig, RdxProfile, RdxRunner, RdxtIngest,
+    RdxtInput,
+};
 use rdx_histogram::Histogram;
-use rdx_trace::{io, Trace};
+use rdx_trace::{io, kernels, KernelChoice, KernelKind, Trace};
 use rdx_workloads::{suite, Params};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Serializes the tests of this binary: the decode-kernel test reads
+/// the process-global metrics registry and must see only its own
+/// decoding.
+static METRICS_LOCK: Mutex<()> = Mutex::new(());
+
+fn metrics_guard() -> MutexGuard<'static, ()> {
+    METRICS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// FNV-1a over u64 words — the same digest as `metrics_determinism.rs`
 /// and `fastpath_equivalence.rs`, so all three tests pin one baseline.
@@ -40,19 +54,27 @@ impl Digest {
 /// `fastpath_equivalence.rs`.
 const GOLDEN: u64 = 0x17ea_4869_2cad_4966;
 
-fn registry_digest_through_files(opts: &IngestOptions) -> u64 {
+fn config() -> RdxConfig {
+    RdxConfig::default().with_period(512).with_seed(7)
+}
+
+/// The registry suite serialized to RDXT bytes, in suite order.
+fn registry_bytes() -> Vec<(&'static str, rdx_trace::Bytes)> {
     let params = Params::default().with_accesses(60_000).with_elements(800);
-    let config = RdxConfig::default().with_period(512).with_seed(7);
-    let runner = RdxRunner::new(config);
+    suite()
+        .iter()
+        .map(|w| {
+            (
+                w.name,
+                io::to_bytes(&Trace::from_stream(w.name, w.stream(&params))),
+            )
+        })
+        .collect()
+}
+
+fn digest_profiles<'a>(profiles: impl IntoIterator<Item = &'a RdxProfile>) -> u64 {
     let mut digest = Digest::new();
-    for w in suite() {
-        // Serialize the workload to RDXT bytes and profile it back
-        // through the file-backed ingestion path.
-        let trace = Trace::from_stream(w.name, w.stream(&params));
-        let raw = io::to_bytes(&trace);
-        let input = RdxtInput::from_bytes(w.name, raw).expect("valid RDXT bytes");
-        let (p, verdict) = runner.profile_rdxt(input, opts);
-        assert!(verdict.is_ok(), "{}: clean decode expected", w.name);
+    for p in profiles {
         digest.push_histogram(p.rd.as_histogram());
         digest.push_histogram(p.rt.as_histogram());
         digest.push(p.samples);
@@ -63,70 +85,113 @@ fn registry_digest_through_files(opts: &IngestOptions) -> u64 {
     digest.0
 }
 
-#[test]
-fn pipelined_ingestion_reproduces_registry_golden_digest() {
-    let got = registry_digest_through_files(&IngestOptions::default());
-    assert_eq!(
-        got, GOLDEN,
-        "pipelined file-backed registry digest {got:#018x} deviates from \
-         the in-memory baseline — decode-ahead must be bit-identical",
-    );
+fn registry_digest_through_bytes(opts: &IngestOptions) -> u64 {
+    let runner = RdxRunner::new(config());
+    let profiles: Vec<RdxProfile> = registry_bytes()
+        .into_iter()
+        .map(|(name, raw)| {
+            let input = RdxtInput::from_bytes(name, raw).expect("valid RDXT bytes");
+            let (p, verdict) = runner.profile_rdxt(input, opts);
+            assert!(verdict.is_ok(), "{name}: clean decode expected");
+            p
+        })
+        .collect();
+    digest_profiles(&profiles)
 }
 
 #[test]
 fn bulk_ingestion_reproduces_registry_golden_digest() {
-    let got = registry_digest_through_files(&IngestOptions::default().with_pipelined(false));
+    let _guard = metrics_guard();
+    let got = registry_digest_through_bytes(&IngestOptions::default());
     assert_eq!(
         got, GOLDEN,
-        "bulk file-backed registry digest {got:#018x} deviates from the \
+        "file-backed registry digest {got:#018x} deviates from the \
          in-memory baseline — the bulk decoder must be bit-identical",
     );
 }
 
 #[test]
-fn odd_chunk_capacities_and_depths_reproduce_the_digest() {
-    // Chunk borders must never matter: a tiny odd capacity forces PMU
-    // overflow gaps and armed-watchpoint lifetimes to straddle chunks.
-    for opts in [
-        IngestOptions::default()
-            .with_chunk_capacity(777)
-            .with_decode_ahead(4),
-        IngestOptions::default()
-            .with_pipelined(false)
-            .with_chunk_capacity(777),
-    ] {
-        let got = registry_digest_through_files(&opts);
-        assert_eq!(got, GOLDEN, "capacity 777, pipelined={}", opts.pipelined);
+fn odd_chunk_capacities_reproduce_the_digest() {
+    let _guard = metrics_guard();
+    // Batch borders must never matter: a tiny odd capacity forces PMU
+    // overflow gaps and armed-watchpoint lifetimes to straddle batches,
+    // and a huge one is capped.
+    for capacity in [777, usize::MAX] {
+        let got =
+            registry_digest_through_bytes(&IngestOptions::default().with_chunk_capacity(capacity));
+        assert_eq!(got, GOLDEN, "capacity {capacity}");
     }
 }
 
 #[test]
 fn every_decode_kernel_reproduces_the_digest() {
+    let _guard = metrics_guard();
     // Kernel dispatch must be invisible: forcing each decode kernel
     // (simd degrades to SWAR by table rule — still a distinct path)
-    // through both ingestion shapes lands on the same bits.
-    use rdx_trace::KernelChoice;
+    // lands on the same bits.
     for kernel in [
         KernelChoice::Auto,
         KernelChoice::Scalar,
         KernelChoice::Swar,
         KernelChoice::Simd,
     ] {
-        for opts in [
-            IngestOptions::default().with_decode_kernel(kernel),
-            IngestOptions::default()
-                .with_pipelined(false)
-                .with_decode_kernel(kernel),
-        ] {
-            let got = registry_digest_through_files(&opts);
-            assert_eq!(
-                got,
-                GOLDEN,
-                "decode kernel '{}' (pipelined={}) digest {got:#018x} \
-                 deviates — every kernel must be bit-identical",
+        let opts = IngestOptions::default()
+            .with_decode_kernel(kernel)
+            .with_chunk_capacity(777);
+        let want = kernels::resolve_decode(kernel);
+        let runner = RdxRunner::new(config());
+        assert_eq!(
+            RdxtIngest::new(&runner, &opts).kernel(),
+            want,
+            "the ingestion loop must decode with the forced kernel",
+        );
+        rdx_metrics::reset();
+        let got = registry_digest_through_bytes(&opts);
+        assert_eq!(
+            got,
+            GOLDEN,
+            "decode kernel '{}' digest {got:#018x} deviates — every kernel \
+             must be bit-identical",
+            kernel.name(),
+        );
+        if rdx_metrics::enabled() {
+            // The per-kernel decode counters say which kernel decoded.
+            let snap = rdx_metrics::snapshot();
+            let count = |name| snap.counter(name).unwrap_or(0);
+            let scalar = count("rdx.trace.decode.scalar_accesses");
+            let swar = count("rdx.trace.decode.swar_accesses");
+            let (used, unused) = if want == KernelKind::Scalar {
+                (scalar, swar)
+            } else {
+                (swar, scalar)
+            };
+            assert!(
+                used > 0 && unused == 0,
+                "kernel '{}': {scalar} accesses decoded by the scalar kernel, \
+                 {swar} by SWAR",
                 kernel.name(),
-                opts.pipelined,
             );
         }
     }
+}
+
+#[test]
+fn file_batch_reproduces_registry_golden_digest() {
+    let _guard = metrics_guard();
+    // Real files, read block by block, profiled on the batch pool.
+    let dir = std::env::temp_dir().join(format!("rdx-ingest-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let inputs = registry_bytes()
+        .into_iter()
+        .map(|(name, raw)| {
+            let path = dir.join(format!("{name}.rdxt"));
+            std::fs::write(&path, &raw).expect("write");
+            load_rdxt(&path).expect("valid trace file")
+        })
+        .collect();
+    let reports = profile_rdxt_batch(config(), inputs, &IngestOptions::default(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(reports.iter().all(|r| !r.truncated()));
+    let got = digest_profiles(reports.iter().map(|r| &r.profile));
+    assert_eq!(got, GOLDEN, "batch-of-files registry digest {got:#018x}");
 }

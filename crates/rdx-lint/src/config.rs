@@ -83,6 +83,7 @@ impl LintConfig {
                 ("memsim", "debug.rs"),
                 ("rdx-core", "profiler.rs"),
                 ("rdx-core", "runner.rs"),
+                ("rdx-core", "ingest.rs"),
                 ("rdx-core", "merge.rs"),
                 ("rdx-core", "wire.rs"),
                 ("rdx-trace", "io.rs"),
@@ -90,7 +91,6 @@ impl LintConfig {
                 ("rdx-trace", "decoder.rs"),
                 ("rdx-trace", "stream.rs"),
                 ("rdx-trace", "chunk.rs"),
-                ("rdx-trace", "pipeline.rs"),
                 ("rdx-trace", "frame.rs"),
                 ("rdx-server", "protocol.rs"),
                 ("rdx-server", "session.rs"),

@@ -5,10 +5,10 @@
 //! multiplexes many concurrent profiling *sessions*: each session
 //! receives an RDXT byte stream in arbitrary chunks and can be asked
 //! for live histograms, metrics, and a final profile at close. A
-//! session decodes each chunk on arrival into a live profiler
-//! (`rdx_core::LiveProfile`) through the same decode kernels and the
-//! same machine, profiler and post-pass as the local file path, so
-//! server-side profiles are bit-identical to local ones, and a snapshot
+//! session pushes each chunk on arrival into the same ingestion loop
+//! the local file path runs (`rdx_core::RdxtIngest`: decoder, machine,
+//! profiler and post-pass), so server-side profiles are bit-identical
+//! to local ones, and a snapshot
 //! equals the local profile of the bytes received so far — the
 //! loopback integration tests pin this against the workspace's golden
 //! digest.

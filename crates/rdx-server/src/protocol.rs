@@ -8,9 +8,7 @@
 //! first bad message instead of desynchronizing the stream.
 
 use bytes::Bytes;
-use rdx_core::limits::{
-    check_decode_ahead, check_decode_buffer, check_period, check_registers, LimitError,
-};
+use rdx_core::limits::{check_decode_buffer, check_period, check_registers, LimitError};
 use rdx_core::{IngestOptions, RdxConfig, RdxProfile};
 use rdx_trace::{FrameError, PayloadReader, PayloadWriter};
 
@@ -18,7 +16,7 @@ use rdx_trace::{FrameError, PayloadReader, PayloadWriter};
 /// it and the server refuses mismatches, so stale clients fail fast.
 ///
 /// [`Hello`]: ClientMessage::Hello
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Default sampling period for sessions that don't specify one,
 /// matching the CLI's default operating point.
@@ -48,11 +46,6 @@ const T_ERROR: u8 = 0xEE;
 ///
 /// Mirrors the CLI's profiling flags; the server validates them with
 /// the same [`rdx_core::limits`] checks the CLI uses at parse time.
-///
-/// A session decodes each chunk on arrival, so the server ignores
-/// `pipelined` and `decode_ahead`: they stay on the wire (and in
-/// [`ingest`](SessionOptions::ingest), for clients that profile the
-/// same bytes locally) until the decode-ahead reader is removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionOptions {
     /// Mean PMU sampling period in accesses (≥ 1).
@@ -61,29 +54,20 @@ pub struct SessionOptions {
     pub registers: u32,
     /// Machine RNG seed.
     pub seed: u64,
-    /// Local decode-ahead for [`ingest`](SessionOptions::ingest);
-    /// ignored by the server.
-    pub pipelined: bool,
     /// Accesses per decode batch (≥ 1): the server decodes a chunk
     /// into the live profile at most this many accesses (and at most
     /// 2^20) at a time.
     pub chunk_capacity: u64,
-    /// Local decode-ahead ring depth (≥ 2 when `pipelined`); ignored
-    /// by the server.
-    pub decode_ahead: u64,
 }
 
 impl Default for SessionOptions {
     fn default() -> Self {
-        let ingest = IngestOptions::default();
         let config = RdxConfig::default();
         SessionOptions {
             period: DEFAULT_PERIOD,
             registers: 4,
             seed: config.machine.seed,
-            pipelined: ingest.pipelined,
-            chunk_capacity: ingest.chunk_capacity as u64,
-            decode_ahead: ingest.decode_ahead as u64,
+            chunk_capacity: IngestOptions::default().chunk_capacity as u64,
         }
     }
 }
@@ -99,9 +83,6 @@ impl SessionOptions {
         check_period(self.period)?;
         check_registers(usize::try_from(self.registers).unwrap_or(usize::MAX))?;
         check_decode_buffer(usize::try_from(self.chunk_capacity).unwrap_or(usize::MAX))?;
-        if self.pipelined {
-            check_decode_ahead(usize::try_from(self.decode_ahead).unwrap_or(usize::MAX))?;
-        }
         Ok(())
     }
 
@@ -118,9 +99,7 @@ impl SessionOptions {
     #[must_use]
     pub fn ingest(&self) -> IngestOptions {
         IngestOptions::default()
-            .with_pipelined(self.pipelined)
             .with_chunk_capacity(usize::try_from(self.chunk_capacity).unwrap_or(usize::MAX))
-            .with_decode_ahead(usize::try_from(self.decode_ahead).unwrap_or(usize::MAX))
     }
 }
 
@@ -466,9 +445,7 @@ impl ClientMessage {
                 w.put_u64(opts.period);
                 w.put_u32(opts.registers);
                 w.put_u64(opts.seed);
-                w.put_u8(u8::from(opts.pipelined));
                 w.put_u64(opts.chunk_capacity);
-                w.put_u64(opts.decode_ahead);
                 w.finish()
             }
             ClientMessage::TraceChunk { session, bytes } => {
@@ -513,9 +490,7 @@ impl ClientMessage {
                     period: r.take_u64()?,
                     registers: r.take_u32()?,
                     seed: r.take_u64()?,
-                    pipelined: r.take_u8()? != 0,
                     chunk_capacity: r.take_u64()?,
-                    decode_ahead: r.take_u64()?,
                 };
                 ClientMessage::OpenSession { name, opts }
             }
@@ -820,9 +795,7 @@ mod tests {
                 period: 512,
                 registers: 2,
                 seed: 7,
-                pipelined: false,
                 chunk_capacity: 777,
-                decode_ahead: 3,
             },
         });
         roundtrip_client(ClientMessage::TraceChunk {
@@ -883,6 +856,25 @@ mod tests {
         // any allocation, mirroring the histogram bucket-count guard.
         let mut w = PayloadWriter::new(T_SNAP_AGG);
         w.put_u32(u32::MAX);
+        assert!(matches!(
+            ClientMessage::decode(w.finish()),
+            Err(FrameError::Malformed)
+        ));
+    }
+
+    #[test]
+    fn version_1_open_session_layout_is_malformed() {
+        // Protocol 1 carried a pipelined flag (u8) and a decode-ahead
+        // depth (u64) around the chunk capacity; its payload decodes to a typed error
+        // under this grammar, never a panic or a misread option.
+        let mut w = PayloadWriter::new(T_OPEN);
+        w.put_str("zipf").expect("short name");
+        w.put_u64(512); // period
+        w.put_u32(4); // registers
+        w.put_u64(7); // seed
+        w.put_u8(1); // pipelined
+        w.put_u64(1 << 16); // chunk_capacity
+        w.put_u64(2); // decode-ahead depth
         assert!(matches!(
             ClientMessage::decode(w.finish()),
             Err(FrameError::Malformed)
@@ -1004,21 +996,10 @@ mod tests {
                 chunk_capacity: 0,
                 ..SessionOptions::default()
             },
-            SessionOptions {
-                decode_ahead: 1,
-                ..SessionOptions::default()
-            },
         ];
         for opts in bad {
             assert!(opts.validate().is_err(), "{opts:?}");
         }
-        // decode_ahead is only meaningful when pipelined.
-        let bulk = SessionOptions {
-            pipelined: false,
-            decode_ahead: 0,
-            ..SessionOptions::default()
-        };
-        assert!(bulk.validate().is_ok());
     }
 
     #[test]
@@ -1027,18 +1008,13 @@ mod tests {
             period: 512,
             registers: 3,
             seed: 7,
-            pipelined: false,
             chunk_capacity: 1234,
-            decode_ahead: 4,
         };
         let config = opts.config();
         assert_eq!(config.machine.sampling.period, 512);
         assert_eq!(config.machine.registers, 3);
         assert_eq!(config.machine.seed, 7);
-        let ingest = opts.ingest();
-        assert!(!ingest.pipelined);
-        assert_eq!(ingest.chunk_capacity, 1234);
-        assert_eq!(ingest.decode_ahead, 4);
+        assert_eq!(opts.ingest().chunk_capacity, 1234);
         // Defaults mirror the local profiling defaults exactly — the
         // precondition for bit-identical server-side profiles.
         let d = SessionOptions::default();

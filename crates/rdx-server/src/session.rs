@@ -1,16 +1,15 @@
 //! Per-session worker: owns one RDXT byte stream and answers profile
 //! questions about it.
 //!
-//! A session decodes each chunk on arrival and feeds the accesses
-//! straight into a live profiler — the machine run and the RDX profiler
-//! state of [`LiveProfile`] — so it never holds the trace. Decoding goes
-//! through [`RdxtDecoder`], which parses the header with the same rules
-//! as the file reader, decodes records with the same bulk kernels in
-//! batches of at most `chunk_capacity` accesses, and carries only a
-//! record split by a chunk boundary. A malformed stream is reported at
-//! the chunk that contains the corruption, not at close. Session memory
-//! is the profiler state (armed registers plus the pairs collected so
-//! far) and one decode batch, whatever the stream's length.
+//! A session pushes each chunk on arrival into an [`RdxtIngest`], the
+//! same ingestion loop `profile_rdxt` runs over a file's read blocks:
+//! an incremental decoder that carries only a record split by a chunk
+//! boundary, and a live profiler fed batches of at most
+//! `chunk_capacity` accesses. So the session never holds the trace. A
+//! malformed stream is reported at the chunk that contains the
+//! corruption, not at close. Session memory is the profiler state
+//! (armed registers plus the pairs collected so far) and one decode
+//! batch, whatever the stream's length.
 //!
 //! A snapshot clones that state, finishes the clone and runs the same
 //! post-pass as a local profile: O(pairs), not O(bytes received). The
@@ -32,14 +31,9 @@
 
 use crate::protocol::{ErrorCode, ProfileSnapshot, ServerMessage, SessionOptions};
 use bytes::Bytes;
-use rdx_core::{LiveProfile, RdxRunner};
-use rdx_trace::{Access, RdxtDecoder, TraceError};
+use rdx_core::{RdxRunner, RdxtIngest};
+use rdx_trace::TraceError;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-
-/// Largest decode batch in accesses (16 MiB of them), whatever
-/// `chunk_capacity` the client asked for: one 16 MiB frame of 1-byte
-/// records must not allocate a quarter-gigabyte batch.
-const MAX_BATCH: usize = 1 << 20;
 
 /// Commands the connection reader forwards to a session worker.
 #[derive(Debug)]
@@ -74,11 +68,9 @@ pub(crate) struct SessionWorker {
 /// The session's mutable state, advanced one command per
 /// [`handle`](SessionState::handle) call.
 struct SessionState {
-    decoder: RdxtDecoder,
-    /// The profile so far; taken by `Close`.
-    live: Option<LiveProfile>,
-    /// Reused decode batch (at most `chunk_capacity` accesses).
-    batch: Vec<Access>,
+    /// The decoder and profile so far; dropped on failure, taken by
+    /// `Close`.
+    ingest: Option<RdxtIngest>,
     /// Trace bytes received, for the budget and the acks.
     received: u64,
     failure: Option<ErrorCode>,
@@ -87,12 +79,18 @@ struct SessionState {
 impl SessionState {
     fn new(opts: &SessionOptions) -> Self {
         SessionState {
-            decoder: RdxtDecoder::new(),
-            live: Some(RdxRunner::new(opts.config()).start()),
-            batch: Vec::new(),
+            ingest: Some(RdxtIngest::new(
+                &RdxRunner::new(opts.config()),
+                &opts.ingest(),
+            )),
             received: 0,
             failure: None,
         }
+    }
+
+    /// Declared records decoded so far.
+    fn records(&self) -> u64 {
+        self.ingest.as_ref().map_or(0, RdxtIngest::decoded)
     }
 
     /// Applies one command, sending any reply through `w.out`. Returns
@@ -106,8 +104,7 @@ impl SessionState {
                 }
                 if let Err(code) = self.ingest(w, &bytes) {
                     self.failure = Some(code);
-                    self.live = None;
-                    self.batch = Vec::new();
+                    self.ingest = None;
                 }
                 true
             }
@@ -118,7 +115,7 @@ impl SessionState {
                     w.send(&ServerMessage::Flushed {
                         session: w.id,
                         received_bytes: self.received,
-                        records: self.decoder.decoded(),
+                        records: self.records(),
                     });
                 }
                 true
@@ -161,19 +158,18 @@ impl SessionState {
                     w.send(&ServerMessage::Metrics {
                         session: w.id,
                         received_bytes: self.received,
-                        records: self.decoder.decoded(),
+                        records: self.records(),
                         registry_json: rdx_metrics::snapshot().to_json(),
                     });
                 }
                 true
             }
             SessionCmd::Close => {
-                let live = self.live.take().filter(|_| self.decoder.header_complete());
-                let (clean, profile) = match live {
-                    Some(live) if self.failure.is_none() => (
-                        self.decoder.finish().is_ok(),
-                        ProfileSnapshot::from_profile(&live.finish()),
-                    ),
+                let (clean, profile) = match self.ingest.take() {
+                    Some(ingest) if ingest.header_complete() => {
+                        let (profile, verdict) = ingest.finish();
+                        (verdict.is_ok(), ProfileSnapshot::from_profile(&profile))
+                    }
                     _ => (false, ProfileSnapshot::default()),
                 };
                 w.send(&ServerMessage::SessionClosed {
@@ -200,33 +196,20 @@ impl SessionState {
         }
         rdx_metrics::counter("rdx.server.chunk_bytes").add(bytes.len() as u64);
         self.received = total;
-        let capacity =
-            usize::try_from(w.opts.chunk_capacity).map_or(MAX_BATCH, |c| c.min(MAX_BATCH));
-        let mut rest = bytes;
-        while !rest.is_empty() {
-            let used = self
-                .decoder
-                .decode(rest, &mut self.batch, capacity)
-                .map_err(|e| {
-                    w.send_trace_error(&e);
-                    ErrorCode::MalformedTrace
-                })?;
-            if let Some(live) = &mut self.live {
-                live.feed(&self.batch);
-            }
-            rest = &rest[used..];
-        }
-        Ok(())
+        let Some(ingest) = &mut self.ingest else {
+            return Ok(());
+        };
+        ingest.push(bytes).map_err(|e| {
+            w.send_trace_error(&e);
+            ErrorCode::MalformedTrace
+        })
     }
 
     /// The profile of the records received so far; `None` until a
     /// complete header has arrived.
     fn snapshot(&self) -> Option<ProfileSnapshot> {
-        let live = self
-            .live
-            .as_ref()
-            .filter(|_| self.decoder.header_complete())?;
-        Some(ProfileSnapshot::from_profile(&live.snapshot()))
+        let profile = self.ingest.as_ref()?.snapshot()?;
+        Some(ProfileSnapshot::from_profile(&profile))
     }
 }
 
@@ -360,7 +343,7 @@ impl SessionStepper {
     /// Declared records decoded so far.
     #[must_use]
     pub fn records(&self) -> u64 {
-        self.state.decoder.decoded()
+        self.state.records()
     }
 
     /// The sticky failure class, if the session has failed.

@@ -407,28 +407,30 @@ fn version_mismatch_is_refused_with_a_typed_error() {
 
     let handle = start_server(ServerOptions::default());
     let addr = handle.listen().to_string();
-    let mut stream = TcpStream::connect(&addr).expect("connect");
-    let hello = ClientMessage::Hello { version: 999 }
-        .encode()
-        .expect("encode");
-    write_frame(&mut stream, &hello).expect("write");
-    stream.flush().expect("flush");
-    let reply = read_frame(&mut stream)
-        .expect("read")
-        .expect("a reply frame");
-    let msg = ServerMessage::decode(reply).expect("decode");
-    assert!(
-        matches!(
-            msg,
-            ServerMessage::Error {
-                code: ErrorCode::Version,
-                ..
-            }
-        ),
-        "{msg:?}"
-    );
-    // The server hangs up after refusing; the next read is clean EOF.
-    assert!(read_frame(&mut stream).expect("read").is_none());
+    // A protocol-1 client (whose `OpenSession` carried decode-ahead
+    // fields) and a client from the future are both refused.
+    for version in [1, 999] {
+        let mut stream = TcpStream::connect(&addr).expect("connect");
+        let hello = ClientMessage::Hello { version }.encode().expect("encode");
+        write_frame(&mut stream, &hello).expect("write");
+        stream.flush().expect("flush");
+        let reply = read_frame(&mut stream)
+            .expect("read")
+            .expect("a reply frame");
+        let msg = ServerMessage::decode(reply).expect("decode");
+        assert!(
+            matches!(
+                msg,
+                ServerMessage::Error {
+                    code: ErrorCode::Version,
+                    ..
+                }
+            ),
+            "version {version}: {msg:?}"
+        );
+        // The server hangs up after refusing; the next read is clean EOF.
+        assert!(read_frame(&mut stream).expect("read").is_none());
+    }
 }
 
 #[test]

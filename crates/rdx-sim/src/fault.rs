@@ -25,7 +25,7 @@ const PRE_NAME: usize = 12;
 /// Count field width.
 const COUNT_LEN: usize = 8;
 
-/// Which input corruption a pipeline scenario injects.
+/// Which input corruption a session scenario injects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InputFault {
     /// Cut bytes off the end of the stream (`Truncated`).

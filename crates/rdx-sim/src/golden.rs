@@ -1,122 +1,80 @@
-//! Virtual-pipeline reproduction of the registry golden digest.
+//! Session-stepper reproduction of the registry golden digest.
 //!
 //! The repo pins one FNV-1a digest over the reference workload suite's
 //! profiles — `metrics_determinism.rs` from in-memory streams,
 //! `fastpath_equivalence.rs` through the chunk fast path,
-//! `ingest_golden.rs` through the real threaded decode-ahead pipeline.
-//! This module is the fourth execution shape: the production
-//! [`rdx_trace::PipelinedReader`] over a schedule-driven [`SimLink`]
-//! instead of a decoder thread. Fault-free, every schedule must land on
-//! the same bits, so `rdx sim` proves end to end that scheduling freedom
-//! never leaks into results.
+//! `ingest_golden.rs` through `profile_rdxt`. This module is the fourth
+//! execution shape: each workload's RDXT bytes streamed into the
+//! production session state machine ([`SessionStepper`]) in
+//! seed-chosen chunks, digesting the profile each `Close` returns.
+//! Chunk boundaries land anywhere — inside the header, inside a varint
+//! — so `rdx sim` proves end to end that how a stream is cut never
+//! leaks into results.
 
-use crate::pipeline::SimLink;
-use crate::sched::shared;
-use crate::{SeededPicker, Violation};
-use rdx_core::{RdxConfig, RdxRunner};
-use rdx_histogram::Histogram;
-use rdx_trace::{io, KernelChoice, PipelinedReader, Trace, TraceReader};
+use crate::{SplitMix64, Violation};
+use rdx_server::protocol::ServerMessage;
+use rdx_server::{Fnv64, SessionCmd, SessionEvent, SessionOptions, SessionStepper};
+use rdx_trace::{io, Trace};
 use rdx_workloads::{suite, Params};
 
-/// FNV-1a over u64 words — the same digest the golden tests use.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn push(&mut self, word: u64) {
-        for byte in word.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn push_histogram(&mut self, h: &Histogram) {
-        for b in h.buckets() {
-            self.push(b.range.lo);
-            self.push(b.range.hi);
-            self.push(b.weight.to_bits());
-        }
-        self.push(h.infinite_weight().to_bits());
-    }
-}
-
-/// Chunk capacity for the virtual pipeline: odd and small, so chunk
+/// Decode batch for the golden sessions: odd and small, so batch
 /// borders straddle PMU overflow gaps and armed-watchpoint lifetimes
 /// (matching the adversarial capacity the golden ingest test uses).
-const CAPACITY: usize = 777;
-/// Ring depth for the virtual pipeline.
-const DEPTH: usize = 3;
+const CAPACITY: u64 = 777;
+/// Largest seeded chunk in bytes.
+const MAX_CHUNK: usize = 8192;
 
-/// Profiles the reference suite through the *virtual* decode-ahead
-/// pipeline (production `PipelinedReader`, schedule from `seed`) and
-/// digests the registry exactly like the golden tests do.
+/// Streams the reference suite through one session per workload, in
+/// chunks of 1 to 8192 bytes drawn from `seed`, and digests the
+/// registry exactly like the golden tests do.
 ///
 /// # Errors
 ///
-/// [`Violation`] if any workload's virtual decode does not finish
-/// cleanly — the digest would be meaningless on a partial profile.
-pub fn registry_digest_virtual(seed: u64) -> Result<u64, Violation> {
-    registry_digest_virtual_kernel(seed, KernelChoice::Auto)
-}
-
-/// [`registry_digest_virtual`] with both hot-loop kernels forced to
-/// `kernel` — the virtual decoder's varint kernel *and* the machine's
-/// needle-scan kernel. Kernel dispatch must be invisible under every
-/// schedule, so `rdx sim` can pin any kernel against the same digest.
-///
-/// # Errors
-///
-/// [`Violation`] if any workload's virtual decode does not finish
-/// cleanly — the digest would be meaningless on a partial profile.
-pub fn registry_digest_virtual_kernel(seed: u64, kernel: KernelChoice) -> Result<u64, Violation> {
+/// [`Violation`] if any session does not close cleanly — the digest
+/// would be meaningless on a partial profile.
+pub fn registry_digest_chunked(seed: u64) -> Result<u64, Violation> {
     let params = Params::default().with_accesses(60_000).with_elements(800);
-    let config = RdxConfig::default()
-        .with_period(512)
-        .with_seed(7)
-        .with_scan_kernel(kernel);
-    let runner = RdxRunner::new(config);
-    let mut digest = Digest::new();
+    let opts = SessionOptions {
+        period: 512,
+        seed: 7,
+        chunk_capacity: CAPACITY,
+        ..SessionOptions::default()
+    };
+    let mut digest = Fnv64::new();
     for (i, w) in suite().iter().enumerate() {
-        let trace = Trace::from_stream(w.name, w.stream(&params));
-        let raw = io::to_bytes(&trace);
-        let reader = match TraceReader::new(raw).map(|r| r.with_kernel(kernel)) {
-            Ok(r) => r,
-            Err(e) => {
-                return Err(Violation::seeded(
-                    "golden-roundtrip",
-                    seed,
-                    format!("{}: serialized suite trace failed to parse: {e}", w.name),
-                ));
-            }
-        };
-        let declared = reader.declared_len();
-        // Each workload gets its own schedule stream derived from the
-        // run seed, so one `rdx sim` invocation samples distinct
-        // interleavings per workload.
-        let picker = shared(SeededPicker::new(
-            seed ^ (i as u64).wrapping_mul(0x9e37_79b9),
-        ));
-        let link = SimLink::new(reader, CAPACITY, DEPTH, picker, None);
-        let mut piped = PipelinedReader::with_virtual_link(w.name, declared, Box::new(link));
-        let p = runner.profile(&mut piped);
-        if let Err(e) = piped.finish() {
-            return Err(Violation::seeded(
-                "golden-clean-finish",
-                seed,
-                format!("{}: virtual pipeline did not finish cleanly: {e}", w.name),
-            ));
+        let raw = io::to_bytes(&Trace::from_stream(w.name, w.stream(&params)));
+        // Each workload gets its own chunking derived from the run
+        // seed, so one `rdx sim` invocation samples distinct cuts per
+        // workload.
+        let mut rng = SplitMix64::new(seed ^ (i as u64).wrapping_mul(0x9e37_79b9));
+        let mut stepper = SessionStepper::new(1, opts, usize::MAX);
+        let mut at = 0;
+        while at < raw.len() {
+            let end = raw.len().min(at + 1 + rng.below(MAX_CHUNK));
+            stepper.step(SessionCmd::Chunk(raw.slice(at..end)));
+            at = end;
         }
-        digest.push_histogram(p.rd.as_histogram());
-        digest.push_histogram(p.rt.as_histogram());
-        digest.push(p.samples);
-        digest.push(p.traps);
-        digest.push(p.evictions);
-        digest.push(p.m_estimate.to_bits());
+        let closed = stepper
+            .step(SessionCmd::Close)
+            .into_iter()
+            .find_map(|e| match e {
+                SessionEvent::Reply(ServerMessage::SessionClosed {
+                    clean: true,
+                    profile,
+                    ..
+                }) => Some(profile),
+                _ => None,
+            });
+        let Some(profile) = closed else {
+            return Err(Violation::seeded(
+                "golden-clean-close",
+                seed,
+                format!("{}: session did not close cleanly", w.name),
+            ));
+        };
+        profile.fold_into(&mut digest);
     }
-    Ok(digest.0)
+    Ok(digest.value())
 }
 
 #[cfg(test)]
@@ -125,46 +83,20 @@ mod tests {
     use crate::REGISTRY_GOLDEN_DIGEST;
 
     #[test]
-    fn virtual_pipeline_reproduces_registry_golden_digest() {
-        let got = registry_digest_virtual(0).expect("clean virtual decode");
+    fn session_chunking_reproduces_registry_golden_digest() {
+        let got = registry_digest_chunked(0).expect("clean sessions");
         assert_eq!(
             got, REGISTRY_GOLDEN_DIGEST,
-            "virtual-pipeline registry digest {got:#018x} deviates from the \
-             pinned baseline — scheduling freedom must never change results",
+            "session registry digest {got:#018x} deviates from the pinned \
+             baseline — chunk boundaries must never change results",
         );
     }
 
     #[test]
-    fn every_kernel_reproduces_the_digest_under_a_virtual_schedule() {
-        // Scheduling freedom × kernel dispatch: neither may leak into
-        // results, alone or combined. Each kernel runs under a distinct
-        // schedule seed so the pairing is exercised, not just the kernels.
-        for (i, kernel) in [
-            KernelChoice::Auto,
-            KernelChoice::Scalar,
-            KernelChoice::Swar,
-            KernelChoice::Simd,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let got = registry_digest_virtual_kernel(0x5eed ^ i as u64, kernel)
-                .expect("clean virtual decode");
-            assert_eq!(
-                got,
-                REGISTRY_GOLDEN_DIGEST,
-                "kernel '{}' digest {got:#018x} deviates under a virtual \
-                 schedule — kernel dispatch must be bit-identical",
-                kernel.name(),
-            );
-        }
-    }
-
-    #[test]
     fn digest_is_schedule_independent() {
-        let a = registry_digest_virtual(1).expect("clean virtual decode");
-        let b = registry_digest_virtual(0xdead_beef).expect("clean virtual decode");
-        assert_eq!(a, b, "two different schedules produced different digests");
+        let a = registry_digest_chunked(1).expect("clean sessions");
+        let b = registry_digest_chunked(0xdead_beef).expect("clean sessions");
+        assert_eq!(a, b, "two different chunkings produced different digests");
         assert_eq!(a, REGISTRY_GOLDEN_DIGEST);
     }
 }

@@ -1,9 +1,9 @@
 //! rdx-sim — deterministic simulation of the workspace's concurrent
 //! paths.
 //!
-//! The pipelined decode-ahead reader, the batch dispatch pool, and the
-//! rdx-server session loop all have thread/channel/failure
-//! interleavings that ordinary unit tests only sample incidentally:
+//! The batch dispatch pool and the rdx-server session loop have
+//! thread/channel/failure interleavings — and a session has chunk
+//! boundaries — that ordinary unit tests only sample incidentally:
 //! whatever schedule the OS happened to produce is the one that got
 //! tested. This crate replaces the OS with a **seeded, wall-clock-free
 //! virtual scheduler**: every concurrent component is driven one
@@ -17,24 +17,19 @@
 //! The components are not reimplemented for simulation; the production
 //! types expose step hooks the simulator drives directly:
 //!
-//! * [`rdx_trace::DecoderTask`] is the decode loop as a step machine,
-//!   and [`rdx_trace::PipelinedReader::with_virtual_link`] runs the
-//!   *real* consumer logic (recycling, stall handling, parked
-//!   verdicts, dead-worker reaping) over the simulator's virtual
-//!   queues ([`pipeline::SimLink`]).
 //! * [`rdx_core::batch::dispatch`] is the claim/collect core of
 //!   `profile_batch`, driven here by virtual workers
 //!   ([`batch::run_batch`]).
 //! * [`rdx_server::SessionStepper`] is the session state machine one
-//!   command at a time ([`session`]).
+//!   command at a time ([`session`]), over the same ingestion loop
+//!   `profile_rdxt` runs on a file.
 //!
 //! On top of the scheduler sits a **fault injector** ([`fault`]):
-//! truncated and overlong varints mid-chunk, decoder death at a chosen
-//! step, command streams that snapshot before a header or keep talking
+//! truncated tails and overlong varints cut into seed-chosen chunks,
+//! command streams that snapshot before a header or keep talking
 //! after a failure. Each scenario asserts the invariants that must
-//! survive any schedule — decoded-prefix delivery before a parked
-//! typed error, panic propagation in task order, typed `Internal`
-//! (never `Truncated`) for infrastructure death, and bit-identical
+//! survive any schedule — prefix profiles and typed errors at the
+//! right chunk, panic propagation in task order, and a bit-identical
 //! [`REGISTRY_GOLDEN_DIGEST`] when faults are absent.
 
 #![forbid(unsafe_code)]
@@ -43,7 +38,6 @@
 pub mod batch;
 pub mod fault;
 pub mod golden;
-pub mod pipeline;
 pub mod rng;
 pub mod sched;
 pub mod session;
@@ -56,7 +50,7 @@ pub use sched::{explore_exhaustive, shared, Picker, RecordingPicker, SeededPicke
 /// The workspace's golden registry digest: FNV-1a over every suite
 /// workload's profile at the canonical parameters. Must match `GOLDEN`
 /// in rdx-core's `metrics_determinism.rs` / `fastpath_equivalence.rs` /
-/// `ingest_golden.rs` — the virtual pipeline is a fourth execution
+/// `ingest_golden.rs` — chunked server sessions are a fourth execution
 /// shape pinning the same constant.
 pub const REGISTRY_GOLDEN_DIGEST: u64 = 0x17ea_4869_2cad_4966;
 
@@ -106,9 +100,6 @@ pub struct FaultSet {
     /// An overlong varint spliced into the record stream
     /// (`TraceError::Malformed`).
     pub overlong: bool,
-    /// Decoder death at a schedule-chosen step
-    /// (`TraceError::Internal`).
-    pub worker_death: bool,
     /// Batch tasks that panic, at schedule-chosen claim positions.
     pub batch_panic: bool,
     /// Session command streams that misbehave: snapshots before the
@@ -123,7 +114,6 @@ impl FaultSet {
         FaultSet {
             truncate: true,
             overlong: true,
-            worker_death: true,
             batch_panic: true,
             session_disorder: true,
         }
@@ -135,14 +125,13 @@ impl FaultSet {
         FaultSet {
             truncate: false,
             overlong: false,
-            worker_death: false,
             batch_panic: false,
             session_disorder: false,
         }
     }
 
     /// Parses a `--faults` list: `all`, `none`, or a comma-separated
-    /// subset of `truncate`, `overlong`, `worker-death`, `batch-panic`,
+    /// subset of `truncate`, `overlong`, `batch-panic`,
     /// `session-disorder`.
     ///
     /// # Errors
@@ -159,13 +148,12 @@ impl FaultSet {
             match name {
                 "truncate" => set.truncate = true,
                 "overlong" => set.overlong = true,
-                "worker-death" => set.worker_death = true,
                 "batch-panic" => set.batch_panic = true,
                 "session-disorder" => set.session_disorder = true,
                 other => {
                     return Err(format!(
                         "unknown fault class `{other}` (expected all, none, truncate, \
-                         overlong, worker-death, batch-panic, session-disorder)"
+                         overlong, batch-panic, session-disorder)"
                     ))
                 }
             }
@@ -207,8 +195,8 @@ impl Default for SimConfig {
 pub struct SimReport {
     /// `(scenario name, schedules executed)` per scenario that ran.
     pub scenarios: Vec<(String, usize)>,
-    /// The registry digest reproduced through the virtual pipeline
-    /// (always equals [`REGISTRY_GOLDEN_DIGEST`] when `Ok`).
+    /// The registry digest reproduced through chunked sessions (always
+    /// equals [`REGISTRY_GOLDEN_DIGEST`] when `Ok`).
     pub golden_digest: u64,
 }
 
@@ -233,83 +221,67 @@ impl fmt::Display for SimReport {
     }
 }
 
-/// Runs the full simulation suite: fault-free oracle equivalence and
-/// the golden digest, exhaustive exploration of the small scenarios,
-/// and `cfg.schedules` seeded schedules per enabled fault class.
+/// Runs the full simulation suite: exhaustive exploration of the small
+/// batch scenario, `cfg.schedules` seeded schedules per enabled fault
+/// class, and the golden digest through chunked sessions.
 ///
 /// # Errors
 ///
 /// The first [`Violation`] encountered, carrying the seed to replay it.
 pub fn run_suite(cfg: &SimConfig) -> Result<SimReport, Violation> {
     let mut scenarios: Vec<(String, usize)> = Vec::new();
-
-    // Fault-free: the virtual pipeline must match the scalar oracle
-    // under every schedule, exhaustively for a tiny scenario...
-    let explored = pipeline::explore_clean_exhaustive(4096)?;
-    scenarios.push(("pipeline/clean (exhaustive)".into(), explored));
-    // ...and by seeded randomization for larger ones.
-    for k in 0..cfg.schedules {
-        let seed = cfg.seed.wrapping_add(k as u64);
-        pipeline::run_clean_seeded(seed)?;
-    }
-    scenarios.push(("pipeline/clean (seeded)".into(), cfg.schedules));
-
-    if cfg.faults.truncate {
-        for k in 0..cfg.schedules {
-            let seed = cfg.seed.wrapping_add(k as u64);
-            pipeline::run_faulted_seeded(seed, fault::InputFault::TruncateTail)?;
-        }
-        scenarios.push(("pipeline/truncate".into(), cfg.schedules));
-    }
-    if cfg.faults.overlong {
-        for k in 0..cfg.schedules {
-            let seed = cfg.seed.wrapping_add(k as u64);
-            pipeline::run_faulted_seeded(seed, fault::InputFault::OverlongVarint)?;
-        }
-        scenarios.push(("pipeline/overlong".into(), cfg.schedules));
-    }
-    if cfg.faults.worker_death {
-        for k in 0..cfg.schedules {
-            let seed = cfg.seed.wrapping_add(k as u64);
-            pipeline::run_worker_death_seeded(seed)?;
-        }
-        scenarios.push(("pipeline/worker-death".into(), cfg.schedules));
-    }
+    let seeds = || (0..cfg.schedules).map(|k| cfg.seed.wrapping_add(k as u64));
 
     // Batch dispatch: ordered results and task-order panic propagation
     // under every schedule.
     let explored = batch::explore_exhaustive_small(4096)?;
     scenarios.push(("batch/dispatch (exhaustive)".into(), explored));
-    for k in 0..cfg.schedules {
-        let seed = cfg.seed.wrapping_add(k as u64);
+    for seed in seeds() {
         batch::run_seeded(seed, cfg.faults.batch_panic)?;
     }
     scenarios.push(("batch/dispatch (seeded)".into(), cfg.schedules));
 
-    // Server sessions: chunk boundaries anywhere, plus disorderly
-    // command streams when enabled.
-    for k in 0..cfg.schedules {
-        let seed = cfg.seed.wrapping_add(k as u64);
+    // Server sessions: chunk boundaries anywhere, plus corrupt input
+    // and disorderly command streams when enabled.
+    for seed in seeds() {
         session::run_clean_seeded(seed)?;
-        if cfg.faults.overlong || cfg.faults.truncate {
-            session::run_corrupt_seeded(seed)?;
-        }
-        if cfg.faults.session_disorder {
-            session::run_disorder_seeded(seed)?;
+    }
+    scenarios.push(("session/clean".into(), cfg.schedules));
+    for (enabled, input_fault, name) in [
+        (
+            cfg.faults.truncate,
+            fault::InputFault::TruncateTail,
+            "session/truncate",
+        ),
+        (
+            cfg.faults.overlong,
+            fault::InputFault::OverlongVarint,
+            "session/overlong",
+        ),
+    ] {
+        if enabled {
+            for seed in seeds() {
+                session::run_faulted_seeded(seed, input_fault)?;
+            }
+            scenarios.push((name.into(), cfg.schedules));
         }
     }
-    scenarios.push(("session/stepper".into(), cfg.schedules));
+    if cfg.faults.session_disorder {
+        for seed in seeds() {
+            session::run_disorder_seeded(seed)?;
+        }
+        scenarios.push(("session/disorder".into(), cfg.schedules));
+    }
 
     // The expensive capstone: the registry golden digest, reproduced
-    // through the virtual (thread-free) pipeline under a seeded
-    // schedule.
-    let golden_digest = golden::registry_digest_virtual(cfg.seed)?;
+    // through sessions fed seed-chosen chunks.
+    let golden_digest = golden::registry_digest_chunked(cfg.seed)?;
     if golden_digest != REGISTRY_GOLDEN_DIGEST {
         return Err(Violation::seeded(
             "golden-digest",
             cfg.seed,
             format!(
-                "virtual-pipeline registry digest {golden_digest:#018x} deviates from \
+                "chunked-session registry digest {golden_digest:#018x} deviates from \
                  {REGISTRY_GOLDEN_DIGEST:#018x}"
             ),
         ));

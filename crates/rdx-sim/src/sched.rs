@@ -12,10 +12,8 @@
 //!   uses the log to enumerate *all* schedules of a scenario,
 //!   depth-first.
 //!
-//! Components that run *inside* a driven structure (e.g. a
-//! [`rdx_trace::VirtualLink`] owned by the reader under test) receive
-//! their picker as a [`SharedPicker`] so the harness keeps a handle to
-//! the recorded log.
+//! Scenarios receive their picker as a [`SharedPicker`] so the
+//! harness keeps a handle to the recorded log.
 
 use crate::rng::SplitMix64;
 use crate::Violation;
@@ -27,8 +25,7 @@ pub trait Picker {
     fn pick(&mut self, bound: usize) -> usize;
 }
 
-/// A picker handle shareable between the harness and a component under
-/// test (e.g. a virtual link owned by the reader it drives).
+/// A picker handle shareable between the harness and a scenario.
 pub type SharedPicker = Arc<Mutex<dyn Picker + Send>>;
 
 /// Wraps a picker for sharing.

@@ -5,8 +5,9 @@
 //! caller's thread, with the schedule choosing chunk boundaries
 //! (including mid-varint and mid-header splits) and where control
 //! commands land between them. No sockets, no threads — the same
-//! machine the server runs per-session, under schedules a loopback
-//! test would only ever sample.
+//! machine the server runs per-session, and the same ingestion loop
+//! `profile_rdxt` runs over a file, under schedules a loopback test
+//! would only ever sample.
 //!
 //! Invariants across all schedules:
 //!
@@ -15,14 +16,18 @@
 //!   of the same byte prefix (or is `NotReady` while the header is
 //!   short), and `Close` reports `clean = true` with the full declared
 //!   record count decoded;
-//! * corrupt streams: the first error reply is `MalformedTrace`,
-//!   arrives with the chunk containing the corruption, and every later
-//!   command's reply carries the same sticky failure class;
+//! * overlong-varint streams: the first error reply is
+//!   `MalformedTrace`, arrives with the chunk containing the
+//!   corruption, and every later command's reply carries the same
+//!   sticky failure class;
+//! * truncated streams: no error reply (more bytes could still come),
+//!   the snapshot and the unclean close both equal
+//!   `RdxRunner::profile` of the records the bytes hold;
 //! * disorderly streams: snapshots before the header get `NotReady`
 //!   (not a crash, not a stale answer), and commands after `Close`
 //!   produce nothing.
 
-use crate::fault;
+use crate::fault::{self, InputFault};
 use crate::sched::{pick_shared, SharedPicker};
 use crate::{shared, SeededPicker, SplitMix64, Violation};
 use bytes::Bytes;
@@ -31,7 +36,7 @@ use rdx_server::protocol::ServerMessage;
 use rdx_server::{
     ErrorCode, Fnv64, ProfileSnapshot, SessionCmd, SessionEvent, SessionOptions, SessionStepper,
 };
-use rdx_trace::{io, Trace};
+use rdx_trace::{io, AccessStream, Trace, TraceReader};
 
 /// Per-session byte budget for sim sessions — far above any scenario's
 /// trace size, so `Overflow` never muddies the invariant under test.
@@ -191,26 +196,124 @@ pub fn run_clean_seeded(seed: u64) -> Result<(), Violation> {
     Ok(())
 }
 
-/// Corrupt-stream invariant under one seeded schedule: an overlong
-/// varint spliced into the record stream must be reported as
-/// `MalformedTrace` with the chunk that contains it, stick for every
-/// later command, and force `clean = false` at close.
+/// Corrupt-stream invariants under one seeded chunking: the injected
+/// fault is applied to a valid trace and the result streamed into a
+/// session. A truncated stream draws no error and describes exactly
+/// the records it holds; an overlong varint fails the session, typed
+/// and sticky, at the chunk that decides it.
 ///
 /// # Errors
 ///
 /// [`Violation`] with the seed on any divergence.
-pub fn run_corrupt_seeded(seed: u64) -> Result<(), Violation> {
+pub fn run_faulted_seeded(seed: u64, input_fault: InputFault) -> Result<(), Violation> {
     let mut rng = SplitMix64::new(seed ^ 0xc0c0_0000_0000_0004);
     let (clean_bytes, _) = session_trace(&mut rng);
-    let bytes = fault::overlong_varint(&clean_bytes);
+    let cut = 1 + rng.below(clean_bytes.len().saturating_sub(21).max(1));
+    let bytes = fault::apply(input_fault, &clean_bytes, cut);
     let picker = shared(SeededPicker::new(seed));
+    match input_fault {
+        InputFault::TruncateTail => run_truncated(seed, &bytes, &picker),
+        InputFault::OverlongVarint => run_overlong(seed, &bytes, &picker),
+    }
+}
+
+/// The oracle for a corrupt stream: `RdxRunner::profile` of the
+/// records a whole-buffer [`TraceReader`] decodes before it stops.
+fn prefix_oracle(bytes: &Bytes, opts: &SessionOptions) -> Option<ProfileSnapshot> {
+    let mut reader = TraceReader::new(bytes.clone()).ok()?;
+    let mut prefix = Trace::new("prefix");
+    while let Some(a) = reader.next_access() {
+        prefix.push(a);
+    }
+    let profile = RdxRunner::new(opts.config()).profile(prefix.stream());
+    Some(ProfileSnapshot::from_profile(&profile))
+}
+
+/// A tail cut off a stream: more bytes could still arrive, so no chunk
+/// draws an error. The snapshot, the record count and the unclean
+/// close all describe exactly the records the bytes hold.
+fn run_truncated(seed: u64, bytes: &Bytes, picker: &SharedPicker) -> Result<(), Violation> {
+    let opts = SessionOptions {
+        period: 16,
+        ..SessionOptions::default()
+    };
+    let mut stepper = SessionStepper::new(1, opts, MAX_BYTES);
+    let fail = |invariant, detail| Err(Violation::seeded(invariant, seed, detail));
+    let Some(want) = prefix_oracle(bytes, &opts) else {
+        return fail(
+            "session-truncate-header",
+            "the cut reached the header".into(),
+        );
+    };
+    for chunk in split_chunks(bytes, picker) {
+        let events = stepper.step(SessionCmd::Chunk(chunk));
+        if !error_replies(&events).is_empty() {
+            return fail(
+                "session-truncate-no-error",
+                format!("a truncated stream drew {events:?} mid-stream"),
+            );
+        }
+    }
+    let events = stepper.step(SessionCmd::Flush);
+    match events.first() {
+        Some(SessionEvent::Reply(ServerMessage::Flushed { records, .. }))
+            if *records == want.accesses => {}
+        other => {
+            return fail(
+                "session-truncate-records",
+                format!("Flush answered {other:?}, want {} records", want.accesses),
+            );
+        }
+    }
+    let events = stepper.step(SessionCmd::SnapshotHistogram);
+    match events.first() {
+        Some(SessionEvent::Reply(ServerMessage::Histogram { profile, .. }))
+            if digest(profile) == digest(&want) && profile.accesses == want.accesses => {}
+        other => {
+            return fail(
+                "session-truncate-prefix",
+                format!("snapshot answered {other:?}, the decoded prefix profiles to {want:?}"),
+            );
+        }
+    }
+    let events = stepper.step(SessionCmd::Close);
+    match events.first() {
+        Some(SessionEvent::Reply(ServerMessage::SessionClosed {
+            clean: false,
+            profile,
+            ..
+        })) if digest(profile) == digest(&want) => Ok(()),
+        other => fail(
+            "session-truncate-close",
+            format!("Close answered {other:?}, want clean=false with the prefix profile"),
+        ),
+    }
+}
+
+/// An overlong varint spliced into the record stream: reported as
+/// `MalformedTrace` with the chunk that contains it, sticky for every
+/// later command, and `clean = false` at close.
+fn run_overlong(seed: u64, bytes: &Bytes, picker: &SharedPicker) -> Result<(), Violation> {
     let mut stepper = SessionStepper::new(1, SessionOptions::default(), MAX_BYTES);
     let fail = |invariant, detail| Err(Violation::seeded(invariant, seed, detail));
 
+    // The spliced record is the last 20 bytes; its 19th byte is the
+    // first that cannot fit, so that byte's chunk must draw the error.
+    let decisive = bytes.len() - 2;
     let mut first_error: Option<ErrorCode> = None;
-    for chunk in split_chunks(&bytes, &picker) {
+    let mut sent = 0;
+    for chunk in split_chunks(bytes, picker) {
+        let range = sent..sent + chunk.len();
+        sent = range.end;
         let events = stepper.step(SessionCmd::Chunk(chunk));
-        for code in error_replies(&events) {
+        let errors = error_replies(&events);
+        if first_error.is_none() && !errors.is_empty() && !range.contains(&decisive) {
+            return fail(
+                "session-corrupt-at-its-chunk",
+                format!("error on bytes {range:?}, the corruption is decided at byte {decisive}"),
+            );
+        }
+        for code in errors {
             if first_error.is_none() {
                 first_error = Some(code);
             }
@@ -321,7 +424,9 @@ mod tests {
     #[test]
     fn corrupt_schedules_hold() {
         for seed in 0..24 {
-            run_corrupt_seeded(seed).expect("corrupt session invariants");
+            for input_fault in [InputFault::TruncateTail, InputFault::OverlongVarint] {
+                run_faulted_seeded(seed, input_fault).expect("corrupt session invariants");
+            }
         }
     }
 

@@ -7,35 +7,16 @@
 //! from the command line, or the same call here under a debugger.
 
 use rdx_sim::fault::InputFault;
-use rdx_sim::{batch, pipeline, session, FaultSet, SimConfig};
+use rdx_sim::{batch, session, FaultSet, SimConfig};
 
-/// Bug: `reap_worker` blamed the *input* (`TraceError::Truncated`) when
-/// the decoder thread died without delivering a verdict. The fix types
-/// it `Internal`. Every seed here schedules a decoder death; the
-/// invariant inside the runner rejects any non-`Internal` report.
-#[test]
-fn decoder_death_is_internal_not_truncated() {
-    for seed in [0, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144] {
-        pipeline::run_worker_death_seeded(seed).expect("death typed Internal");
-    }
-}
-
-/// Bug class: the decode-ahead pipeline reordering or dropping accesses
-/// under uncommon thread interleavings. Exhaustive over the small
-/// scenario — every schedule, not a sample.
-#[test]
-fn every_small_pipeline_schedule_matches_the_oracle() {
-    let n = pipeline::explore_clean_exhaustive(8192).expect("all schedules match oracle");
-    assert!(n > 10, "schedule tree collapsed to {n} schedules");
-}
-
-/// Corrupt input must surface as decoded-prefix-then-typed-error under
-/// any schedule, for both corruption classes.
+/// Corrupt input must surface, under any chunking, as the profile of
+/// the decodable prefix (truncation) or a typed error at the chunk
+/// holding the corruption (overlong varint).
 #[test]
 fn corrupt_input_delivers_prefix_then_typed_error() {
     for seed in [7, 11, 42, 1009, 65537] {
-        pipeline::run_faulted_seeded(seed, InputFault::TruncateTail).expect("truncate invariant");
-        pipeline::run_faulted_seeded(seed, InputFault::OverlongVarint).expect("overlong invariant");
+        session::run_faulted_seeded(seed, InputFault::TruncateTail).expect("truncate invariant");
+        session::run_faulted_seeded(seed, InputFault::OverlongVarint).expect("overlong invariant");
     }
 }
 
@@ -68,7 +49,7 @@ fn batch_panic_propagation_is_task_ordered() {
 fn session_failure_ordering_is_pinned() {
     for seed in [0, 9, 77, 512, 4096] {
         session::run_clean_seeded(seed).expect("clean session");
-        session::run_corrupt_seeded(seed).expect("corrupt session");
+        session::run_faulted_seeded(seed, InputFault::OverlongVarint).expect("corrupt session");
         session::run_disorder_seeded(seed).expect("disorder session");
     }
 }

@@ -1,9 +1,9 @@
 //! Resumable `RDXT` decoding for byte streams that arrive in pieces.
 //!
-//! A long-lived ingestion session receives a trace as framed chunks
-//! that split the header and the varint records anywhere, and must not
-//! hold on to the bytes. [`RdxtDecoder`] consumes such chunks as they
-//! come: it parses the header once enough bytes have arrived (through
+//! A trace file read block by block, or a long-lived ingestion session
+//! receiving framed chunks, splits the header and the varint records
+//! anywhere, and must not hold on to the bytes. [`RdxtDecoder`]
+//! consumes such pieces as they come: it parses the header once enough bytes have arrived (through
 //! the same rules as `TraceReader::new`), decodes records with the bulk
 //! kernels, and carries only what a boundary can split — at most one
 //! partial record — plus the delta-chain address to the next chunk.
@@ -49,7 +49,7 @@ pub struct RdxtDecoder {
     error: Option<TraceError>,
     /// The record kernel, resolved once (every kernel decodes
     /// identically; the choice only affects speed).
-    pub(crate) kernel: KernelKind,
+    kernel: KernelKind,
 }
 
 impl Default for RdxtDecoder {
@@ -72,6 +72,21 @@ impl RdxtDecoder {
             error: None,
             kernel: kernels::resolve_decode(KernelChoice::Auto),
         }
+    }
+
+    /// Selects the record kernel (default: auto, the cheapest available
+    /// in [`kernels::decode_kernels`]). Every kernel decodes
+    /// identically; the choice only affects speed.
+    #[must_use]
+    pub fn with_kernel(mut self, choice: KernelChoice) -> RdxtDecoder {
+        self.kernel = kernels::resolve_decode(choice);
+        self
+    }
+
+    /// The record kernel this decoder resolved to.
+    #[must_use]
+    pub fn kernel(&self) -> KernelKind {
+        self.kernel
     }
 
     /// A decoder whose header someone else parsed: the next byte it is
@@ -412,8 +427,7 @@ mod tests {
         let (want, _) = oracle(&raw);
         let bytes: Vec<&[u8]> = raw.chunks(1).collect();
         for max in [1, 2, 7] {
-            let mut dec = RdxtDecoder::new();
-            dec.kernel = kernels::resolve_decode(KernelChoice::Scalar);
+            let mut dec = RdxtDecoder::new().with_kernel(KernelChoice::Scalar);
             let (got, err) = feed(&mut dec, &bytes, max);
             assert!(err.is_none());
             assert_eq!(got, want, "max {max}");
@@ -547,8 +561,7 @@ mod tests {
                 at = c;
             }
             let kernel = if scalar { KernelChoice::Scalar } else { KernelChoice::Swar };
-            let mut dec = RdxtDecoder::new();
-            dec.kernel = kernels::resolve_decode(kernel);
+            let mut dec = RdxtDecoder::new().with_kernel(kernel);
             let (got, err) = feed(&mut dec, &chunks, max);
             let (want, verdict) = reference(&raw);
             match err {

@@ -25,7 +25,7 @@
 use crate::chunk::{Chunk, DEFAULT_CHUNK_CAPACITY};
 use crate::decoder::RdxtDecoder;
 use crate::event::Access;
-use crate::kernels::{self, KernelChoice, KernelKind};
+use crate::kernels::{KernelChoice, KernelKind};
 use crate::stream::AccessStream;
 use crate::trace::Trace;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -83,11 +83,6 @@ pub enum TraceError {
     NameTooLong(usize),
     /// Bytes remain after the declared record count was decoded.
     TrailingData(usize),
-    /// An internal pipeline failure: a decode stage went away without
-    /// delivering a verdict (e.g. a decoder thread that exited without
-    /// reporting). Unlike [`Truncated`](TraceError::Truncated) this says
-    /// nothing about the input — it is infrastructure, not data.
-    Internal(&'static str),
 }
 
 /// Former name of [`TraceError`].
@@ -110,9 +105,6 @@ impl fmt::Display for TraceError {
             }
             TraceError::TrailingData(n) => {
                 write!(f, "{n} trailing byte(s) after the declared record count")
-            }
-            TraceError::Internal(what) => {
-                write!(f, "internal decode-pipeline failure: {what}")
             }
         }
     }
@@ -268,17 +260,18 @@ pub(crate) fn count_decoded(kernel: KernelKind, bytes: usize, n: usize) {
 
 /// A parsed `RDXT` header.
 #[derive(Debug)]
-pub(crate) struct Header {
+pub struct Header {
     /// The embedded trace name.
-    pub(crate) name: String,
+    pub name: String,
     /// The record count the header declares.
-    pub(crate) declared: u64,
+    pub declared: u64,
     /// Header length in bytes: the records start here.
-    pub(crate) len: usize,
+    pub len: usize,
 }
 
 /// Longest possible header: fixed fields plus a [`MAX_NAME_LEN`] name.
-pub(crate) const MAX_HEADER_LEN: usize = 4 + 4 + 4 + MAX_NAME_LEN + 8;
+/// A first read of at least this many bytes holds any valid header.
+pub const MAX_HEADER_LEN: usize = 4 + 4 + 4 + MAX_NAME_LEN + 8;
 
 /// The header rules of the format, shared by every decoder: parses the
 /// header at the start of `bytes` (which may run on into the records).
@@ -290,7 +283,7 @@ pub(crate) const MAX_HEADER_LEN: usize = 4 + 4 + 4 + MAX_NAME_LEN + 8;
 /// name longer than [`MAX_NAME_LEN`], [`TraceError::BadName`] for a
 /// non-UTF-8 name, and [`TraceError::Truncated`] when `bytes` ends
 /// inside the header — the only verdict more bytes can change.
-pub(crate) fn parse_header(bytes: &[u8]) -> Result<Header, TraceError> {
+pub fn parse_header(bytes: &[u8]) -> Result<Header, TraceError> {
     if bytes.get(..4) != Some(&MAGIC[..]) {
         return Err(TraceError::BadMagic);
     }
@@ -367,18 +360,18 @@ impl TraceReader {
 
     /// Selects the decode kernel [`decode_chunk`](TraceReader::decode_chunk)
     /// dispatches to (default: `auto`, the cheapest available kernel in
-    /// [`kernels::decode_kernels`]). Every kernel is bit-identical in
+    /// [`crate::kernels::decode_kernels`]). Every kernel is bit-identical in
     /// output; the choice only affects speed.
     #[must_use]
     pub fn with_kernel(mut self, choice: KernelChoice) -> Self {
-        self.decoder.kernel = kernels::resolve_decode(choice);
+        self.decoder = self.decoder.with_kernel(choice);
         self
     }
 
     /// The decode kernel this reader resolved to.
     #[must_use]
     pub fn kernel(&self) -> KernelKind {
-        self.decoder.kernel
+        self.decoder.kernel()
     }
 
     /// Sets the number of accesses the reader bulk-decodes per refill of

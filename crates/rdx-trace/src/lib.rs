@@ -20,14 +20,11 @@
 //! * [`io`] — a compact binary trace format (magic + version header,
 //!   delta-encoded addresses) for persisting traces, with a streaming
 //!   [`TraceReader`] and typed [`TraceError`]s: malformed input is a
-//!   recoverable error everywhere, never a panic. The reader is
-//!   chunk-capable: [`TraceReader::decode_chunk`] bulk-decodes a whole
-//!   bounded chunk per call, and [`PipelinedReader`] runs that decoder
-//!   on a dedicated thread (decode-ahead over a ring of recycled
-//!   buffers), so file-backed profiling feeds the machine fast path.
-//!   [`RdxtDecoder`] decodes the same format from byte chunks as they
-//!   arrive (a server session), carrying only a split record between
-//!   chunks; a `TraceReader` is that decoder fed its whole buffer.
+//!   recoverable error everywhere, never a panic. [`RdxtDecoder`]
+//!   decodes the format from byte blocks as they arrive (a file read
+//!   block by block, a server session's chunks), carrying only a split
+//!   record between blocks; a chunk-capable [`TraceReader`] is that
+//!   decoder fed one whole in-memory buffer.
 //! * [`frame`] — a length-prefixed frame codec with typed
 //!   [`FrameError`]s and [`PayloadWriter`] / [`PayloadReader`] field
 //!   encoding, the wire layer of the `rdx serve` protocol.
@@ -53,7 +50,6 @@ mod event;
 pub mod frame;
 pub mod io;
 pub mod kernels;
-mod pipeline;
 mod stats;
 mod stream;
 mod trace;
@@ -63,11 +59,8 @@ pub use chunk::{Chunk, Chunked, Chunker, DEFAULT_CHUNK_CAPACITY};
 pub use decoder::RdxtDecoder;
 pub use event::{Access, AccessKind, Address, Granularity};
 pub use frame::{FrameError, PayloadReader, PayloadWriter, MAX_FRAME_LEN};
-pub use io::{TraceError, TraceReader, MAX_NAME_LEN};
+pub use io::{TraceError, TraceReader, MAX_HEADER_LEN, MAX_NAME_LEN};
 pub use kernels::{DecodeKernel, KernelChoice, KernelEntry, KernelKind};
-pub use pipeline::{
-    DecodeMsg, DecodeTurn, DecoderTask, PipelineOptions, PipelinedReader, VirtualLink,
-};
 pub use stats::TraceStats;
 pub use stream::{AccessStream, FnStream, Opaque, Take};
 pub use trace::{Trace, TraceStream};

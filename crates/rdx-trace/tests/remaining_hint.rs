@@ -8,14 +8,11 @@
 //! consumers and ETA math. So the invariant at every consumption point
 //! is `hint ≥ accesses actually still deliverable`, checked here for
 //! the scalar `TraceReader`, the `Chunked` buffering adapter (in both
-//! pass-through and buffering modes via `Opaque`), the `Take` cap, and
-//! the pipelined decode-ahead reader — over arbitrary record
-//! sequences, chunk capacities, and decode depths.
+//! pass-through and buffering modes via `Opaque`) and the `Take` cap —
+//! over arbitrary record sequences and chunk capacities.
 
 use proptest::prelude::*;
-use rdx_trace::{
-    io, AccessStream, Chunked, Opaque, PipelineOptions, PipelinedReader, Trace, TraceReader,
-};
+use rdx_trace::{io, AccessStream, Chunked, Opaque, Trace, TraceReader};
 
 /// Drains `stream`, asserting at every step that the hint is at least
 /// the number of accesses actually still deliverable, and returns the
@@ -49,7 +46,6 @@ proptest! {
     fn hint_never_under_reports(
         records in prop::collection::vec((any::<u64>(), any::<bool>()), 0..200),
         capacity in 1usize..48,
-        depth in 2usize..5,
         cap in 0u64..256,
     ) {
         let t: Trace = records.iter().copied().collect();
@@ -77,40 +73,7 @@ proptest! {
         );
 
         // Take caps both the stream and the hint.
-        let reader = TraceReader::new(raw.clone()).unwrap();
-        drain_checking_hint(reader.take(cap), total.min(cap), "Take");
-
-        // The pipelined reader decodes ahead on a thread; buffered
-        // chunks must never make the hint dip below what is left.
         let reader = TraceReader::new(raw).unwrap();
-        let piped = PipelinedReader::with_options(
-            reader,
-            PipelineOptions::default()
-                .with_chunk_capacity(capacity)
-                .with_depth(depth),
-        );
-        let piped = drain_then(piped, total);
-        prop_assert!(piped.finish().is_ok());
+        drain_checking_hint(reader.take(cap), total.min(cap), "Take");
     }
-}
-
-/// `drain_checking_hint` for the pipelined reader, returning it so the
-/// caller can assert a clean `finish()`.
-fn drain_then(mut piped: PipelinedReader, total: u64) -> PipelinedReader {
-    let mut delivered = 0u64;
-    loop {
-        let left = total - delivered;
-        if let Some(hint) = piped.remaining_hint() {
-            assert!(
-                hint >= left,
-                "PipelinedReader: hint {hint} under-reports with {left} of {total} left"
-            );
-        }
-        match piped.next_access() {
-            Some(_) => delivered += 1,
-            None => break,
-        }
-    }
-    assert_eq!(delivered, total, "PipelinedReader shorted the trace");
-    piped
 }
