@@ -9,16 +9,22 @@
 //! (named with the same [`KernelKind`] taxonomy as the decode side in
 //! `rdx_trace::kernels`):
 //!
-//! * **scalar** — [`NeedleSet::scan`], the original unrolled per-access
-//!   loop, kept verbatim. It is the oracle: the AVX2 kernel must
-//!   produce the identical [`ScanOutcome`] on every input, which the
-//!   equivalence proptests in `tests/scan_kernels.rs` enforce.
+//! * **scalar** — [`NeedleSet::scan`], the unrolled per-access loop. It
+//!   is the oracle: the AVX2 kernel must produce the identical
+//!   [`ScanOutcome`] on every input, which the equivalence proptests in
+//!   `tests/scan_kernels.rs` enforce.
 //! * **simd** — AVX2 on x86_64 (runtime-detected): four 64-bit address
-//!   lanes per compare, the unsigned range test done with the
-//!   sign-flip + signed-greater-than trick. This is the only `unsafe`
-//!   code in the workspace, confined to this module and guarded by
+//!   lanes per compare, loaded straight from the run's address column,
+//!   the unsigned range test done with the sign-flip +
+//!   signed-greater-than trick. This is the only `unsafe` code in the
+//!   workspace, confined to this module and guarded by
 //!   `is_x86_feature_detected!`. Other hosts mark the row unavailable
 //!   and resolve to scalar.
+//!
+//! Runs are columnar ([`AccessSlice`]): the scan streams 8 bytes of
+//! address per access, and neither kernel counts stores per access.
+//! The store prefix of an outcome is one popcount over the run's store
+//! bitmap ([`AccessSlice::stores_in`]) up to the first match.
 //!
 //! There is no SWAR scan kernel: a blockwise one measured 0.7× scalar
 //! (EXPERIMENTS.md P3), so the `swar` kind routes to scalar here. The
@@ -33,7 +39,7 @@
 #[cfg(target_arch = "x86_64")]
 use crate::scan::MAX_NEEDLES;
 use crate::scan::{NeedleSet, ScanOutcome};
-use rdx_trace::Access;
+use rdx_trace::AccessSlice;
 pub use rdx_trace::{KernelChoice, KernelEntry, KernelKind};
 
 /// Accesses tested per block in the AVX2 kernel: two 4-lane compares.
@@ -51,10 +57,10 @@ pub trait ScanKernel {
 
     /// Finds the first access in `run` hitting any needle of `set`,
     /// counting the stores that precede it.
-    fn scan(&self, set: &NeedleSet, run: &[Access]) -> ScanOutcome;
+    fn scan(&self, set: &NeedleSet, run: AccessSlice<'_>) -> ScanOutcome;
 }
 
-/// The original unrolled per-access loop, retained as the oracle.
+/// The per-access loop, retained as the oracle.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ScalarScan;
 
@@ -63,7 +69,7 @@ impl ScanKernel for ScalarScan {
         KernelKind::Scalar
     }
 
-    fn scan(&self, set: &NeedleSet, run: &[Access]) -> ScanOutcome {
+    fn scan(&self, set: &NeedleSet, run: AccessSlice<'_>) -> ScanOutcome {
         set.scan(run)
     }
 }
@@ -81,11 +87,15 @@ impl ScanKernel for SimdScan {
         KernelKind::Simd
     }
 
-    fn scan(&self, set: &NeedleSet, run: &[Access]) -> ScanOutcome {
+    fn scan(&self, set: &NeedleSet, run: AccessSlice<'_>) -> ScanOutcome {
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") {
             // SAFETY: AVX2 support was just verified on this CPU.
-            return unsafe { avx2::scan(set, run) };
+            let first_match = unsafe { avx2::first_match(set, run) };
+            return ScanOutcome {
+                first_match,
+                stores_before: run.stores_in(..first_match.unwrap_or(run.len())),
+            };
         }
         ScalarScan.scan(set, run)
     }
@@ -96,100 +106,57 @@ mod avx2 {
     //! The AVX2 lane kernel. All `unsafe` in the workspace lives here;
     //! every intrinsic call is guarded by the caller's feature check.
     //!
-    //! Layout-aware lane loading: `Access` is `{ addr: Address(u64),
-    //! kind: AccessKind }` with no guaranteed repr, so the kernel reads
-    //! the field offsets with `offset_of!` at compile time. On the
-    //! expected 16-byte layout (address on an 8-byte boundary) two
-    //! accesses are fetched per unaligned 32-byte load and the address
-    //! and kind lanes separated with one unpack each — no per-element
-    //! scalar extraction. Any other layout falls back to scalar lane
-    //! inserts (still AVX2 compares). The loads cover the struct's
-    //! padding bytes; every lane derived from padding is masked off
-    //! before use (only the address word and the kind byte feed any
-    //! predicate).
+    //! The address column is a plain `[u64]`, so each 8-access block is
+    //! two unaligned 32-byte loads straight into address lanes. Loads
+    //! never read the store bitmap: only write-only needles need it,
+    //! and they take their lane mask from the block's 8 bitmap bits.
 
     use super::LANES;
-    use crate::scan::{count_stores, NeedleSet, ScanOutcome};
-    use rdx_trace::Access;
+    use crate::scan::NeedleSet;
+    use rdx_trace::AccessSlice;
     use std::arch::x86_64::{
-        __m256i, _mm256_add_epi64, _mm256_and_si256, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64,
-        _mm256_loadu_si256, _mm256_or_si256, _mm256_set1_epi64x, _mm256_set_epi64x,
-        _mm256_setzero_si256, _mm256_storeu_si256, _mm256_sub_epi64, _mm256_testz_si256,
-        _mm256_unpackhi_epi64, _mm256_unpacklo_epi64, _mm256_xor_si256,
+        __m256i, _mm256_and_si256, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64, _mm256_loadu_si256,
+        _mm256_or_si256, _mm256_set1_epi64x, _mm256_set_epi64x, _mm256_setzero_si256,
+        _mm256_sub_epi64, _mm256_testz_si256, _mm256_xor_si256,
     };
 
     /// Sign-flip constant: turns an unsigned 64-bit compare into the
     /// signed compare AVX2 provides (`a <u b  ⇔  a^MSB <s b^MSB`).
     const MSB: i64 = i64::MIN;
 
-    /// Field geometry of [`Access`], checked at compile time.
-    const ACCESS_SIZE: usize = std::mem::size_of::<Access>();
-    const ADDR_OFF: usize = std::mem::offset_of!(Access, addr);
-    const KIND_OFF: usize = std::mem::offset_of!(Access, kind);
-
-    /// Whether the vectorized loader understands this layout: 16-byte
-    /// stride, address word naturally aligned, kind inside the other
-    /// word. Holds for every layout rustc actually picks; anything else
-    /// (e.g. under randomized layouts) takes the insert-based path.
-    const RAW_LANES: bool = ACCESS_SIZE == 16
-        && ADDR_OFF.is_multiple_of(8)
-        && KIND_OFF < 16
-        && (KIND_OFF / 8) != (ADDR_OFF / 8)
-        && std::mem::size_of::<rdx_trace::AccessKind>() == 1;
-
-    /// Bit position of the kind byte within its 64-bit lane.
-    const KIND_SHIFT: u32 = 8 * ((KIND_OFF % 8) as u32);
-
-    /// The discriminant byte a store's `kind` field carries in memory.
-    fn store_kind_byte() -> u8 {
-        let probe = Access::store(0u64);
-        // SAFETY: `kind` is an initialized one-byte enum field at
-        // KIND_OFF inside `probe`.
-        unsafe { *std::ptr::from_ref(&probe).cast::<u8>().add(KIND_OFF) }
-    }
-
-    /// Sums the four u64 lanes of an accumulator (cold path: once per
-    /// scan, at the hit block or the end of the run).
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum(v: __m256i) -> u64 {
-        let mut lanes = [0u64; 4];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), v);
-        lanes.iter().sum()
-    }
-
-    /// Blockwise AVX2 scan: two 4-lane compares per 8-access block.
-    /// Quiet blocks cost one `testz`; store counts accumulate in vector
-    /// lanes and are summed once; the rare hit block is re-walked with
-    /// the scalar oracle for the exact offset and store prefix.
+    /// Offset of the first access in `run` hitting any needle.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 support on this CPU.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scan(set: &NeedleSet, run: &[Access]) -> ScanOutcome {
+    pub(super) unsafe fn first_match(set: &NeedleSet, run: AccessSlice<'_>) -> Option<usize> {
         if set.is_empty() {
-            return ScanOutcome {
-                first_match: None,
-                stores_before: count_stores(run),
-            };
+            return None;
         }
         // Monomorphize the kind gate away when every needle is
         // read-write (the paper's configuration): the gate ops vanish
         // from the hot loop instead of being re-tested per needle.
         if set.store_only[..set.len()].iter().any(|&s| s) {
-            scan_impl::<true>(set, run)
+            first_match_impl::<true>(set, run)
         } else {
-            scan_impl::<false>(set, run)
+            first_match_impl::<false>(set, run)
         }
     }
 
-    /// The scan body; `GATED` compiles in the per-needle store gate.
+    /// Blockwise scan: two 4-lane compares per 8-access block. Quiet
+    /// blocks cost one `testz`; the rare hit block is re-walked with
+    /// the scalar oracle for the exact offset. `GATED` compiles in the
+    /// per-needle store gate.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 support on this CPU.
     #[target_feature(enable = "avx2")]
-    unsafe fn scan_impl<const GATED: bool>(set: &NeedleSet, run: &[Access]) -> ScanOutcome {
+    unsafe fn first_match_impl<const GATED: bool>(
+        set: &NeedleSet,
+        run: AccessSlice<'_>,
+    ) -> Option<usize> {
         let n = set.len();
         // Hoist the per-needle broadcast constants out of the block
         // loop (n is not a compile-time constant, so LLVM cannot).
@@ -204,54 +171,25 @@ mod avx2 {
             kind_pass_v[j] = _mm256_set1_epi64x(-i64::from(!set.store_only[j]));
         }
         let msb = _mm256_set1_epi64x(MSB);
-        let kind_mask = _mm256_set1_epi64x((0xffu64 << KIND_SHIFT) as i64);
-        let store_byte = _mm256_set1_epi64x((u64::from(store_kind_byte()) << KIND_SHIFT) as i64);
+        // Lane k of a half tests one bit of the block's store byte.
+        let bit_lo = _mm256_set_epi64x(8, 4, 2, 1);
+        let bit_hi = _mm256_set_epi64x(128, 64, 32, 16);
 
-        let mut store_cnt = _mm256_setzero_si256();
+        let addrs = run.addrs();
         let mut pos: usize = 0;
-        while let Some(block) = run.get(pos..pos + LANES) {
-            let (lo, hi, st_lo, st_hi) = if RAW_LANES {
-                // Four 32-byte loads fetch the whole block; unpacks
-                // split address words from kind words (lane order is
-                // permuted, which no consumer below depends on).
-                let p: *const __m256i = block.as_ptr().cast();
-                let v0 = _mm256_loadu_si256(p);
-                let v1 = _mm256_loadu_si256(p.add(1));
-                let v2 = _mm256_loadu_si256(p.add(2));
-                let v3 = _mm256_loadu_si256(p.add(3));
-                let (lo, hi, meta_lo, meta_hi) = if ADDR_OFF == 0 {
-                    (
-                        _mm256_unpacklo_epi64(v0, v1),
-                        _mm256_unpacklo_epi64(v2, v3),
-                        _mm256_unpackhi_epi64(v0, v1),
-                        _mm256_unpackhi_epi64(v2, v3),
-                    )
-                } else {
-                    (
-                        _mm256_unpackhi_epi64(v0, v1),
-                        _mm256_unpackhi_epi64(v2, v3),
-                        _mm256_unpacklo_epi64(v0, v1),
-                        _mm256_unpacklo_epi64(v2, v3),
-                    )
-                };
-                // All-ones lanes where the kind byte says store; the
-                // padding bytes in the meta words are masked off here.
-                let st_lo = _mm256_cmpeq_epi64(_mm256_and_si256(meta_lo, kind_mask), store_byte);
-                let st_hi = _mm256_cmpeq_epi64(_mm256_and_si256(meta_hi, kind_mask), store_byte);
-                (lo, hi, st_lo, st_hi)
-            } else {
-                let mut addr = [0i64; LANES];
-                let mut store_lane = [0i64; LANES];
-                for (k, access) in block.iter().enumerate() {
-                    addr[k] = access.addr.raw() as i64;
-                    store_lane[k] = -i64::from(access.kind.is_store());
-                }
+        while let Some(block) = addrs.get(pos..pos + LANES) {
+            let p: *const __m256i = block.as_ptr().cast();
+            let lo = _mm256_loadu_si256(p);
+            let hi = _mm256_loadu_si256(p.add(1));
+            // All-ones lanes where the access is a store (GATED only).
+            let (st_lo, st_hi) = if GATED {
+                let bits = _mm256_set1_epi64x((run.store_word(pos) & 0xff) as i64);
                 (
-                    _mm256_set_epi64x(addr[3], addr[2], addr[1], addr[0]),
-                    _mm256_set_epi64x(addr[7], addr[6], addr[5], addr[4]),
-                    _mm256_set_epi64x(store_lane[3], store_lane[2], store_lane[1], store_lane[0]),
-                    _mm256_set_epi64x(store_lane[7], store_lane[6], store_lane[5], store_lane[4]),
+                    _mm256_cmpeq_epi64(_mm256_and_si256(bits, bit_lo), bit_lo),
+                    _mm256_cmpeq_epi64(_mm256_and_si256(bits, bit_hi), bit_hi),
                 )
+            } else {
+                (_mm256_setzero_si256(), _mm256_setzero_si256())
             };
             let mut hit_lo = _mm256_setzero_si256();
             let mut hit_hi = _mm256_setzero_si256();
@@ -273,27 +211,16 @@ mod avx2 {
             let any = _mm256_or_si256(hit_lo, hit_hi);
             if _mm256_testz_si256(any, any) == 0 {
                 // Rare (at most once per quiet segment): the scalar
-                // oracle pins the exact offset and in-block prefix. An
-                // over-matching lane falls through at the cost of a
-                // block re-walk — never a wrong outcome.
-                let sub = set.scan_any(block, n);
-                if let Some(off) = sub.first_match {
-                    return ScanOutcome {
-                        first_match: Some(pos + off),
-                        stores_before: hsum(store_cnt) + sub.stores_before,
-                    };
+                // oracle pins the exact offset. An over-matching lane
+                // falls through at the cost of a block re-walk — never
+                // a wrong outcome.
+                if let Some(off) = set.first_match(run.slice(pos..pos + LANES), n) {
+                    return Some(pos + off);
                 }
             }
-            // Store-mask lanes are 0 or −1: subtracting adds one per
-            // store to the per-lane counters.
-            store_cnt = _mm256_sub_epi64(store_cnt, _mm256_add_epi64(st_lo, st_hi));
             pos += LANES;
         }
-        let tail = set.scan_any(&run[pos..], n);
-        ScanOutcome {
-            first_match: tail.first_match.map(|i| pos + i),
-            stores_before: hsum(store_cnt) + tail.stores_before,
-        }
+        set.first_match(run.slice(pos..), n).map(|i| pos + i)
     }
 }
 
@@ -336,7 +263,7 @@ pub fn resolve_scan(choice: KernelChoice) -> KernelKind {
 /// resolved the kind once per run). `Swar` has no scan kernel and runs
 /// the scalar oracle.
 #[inline]
-pub fn run_scan(kind: KernelKind, set: &NeedleSet, run: &[Access]) -> ScanOutcome {
+pub fn run_scan(kind: KernelKind, set: &NeedleSet, run: AccessSlice<'_>) -> ScanOutcome {
     match kind {
         KernelKind::Scalar | KernelKind::Swar => ScalarScan.scan(set, run),
         KernelKind::Simd => SimdScan.scan(set, run),
@@ -356,8 +283,9 @@ pub fn scan_kernel(kind: KernelKind) -> &'static dyn ScanKernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdx_trace::{Access, AccessBuf};
 
-    fn run_of(addrs: &[(u64, bool)]) -> Vec<Access> {
+    fn run_of(addrs: &[(u64, bool)]) -> AccessBuf {
         addrs
             .iter()
             .map(|&(a, s)| if s { Access::store(a) } else { Access::load(a) })
@@ -390,11 +318,11 @@ mod tests {
         accesses[7] = (24, true);
         accesses[10] = (0x204, true); // store-only needle, store access
         let run = run_of(&accesses);
-        let want = set.scan(&run);
+        let want = set.scan(run.as_slice());
         assert_eq!(want.first_match, Some(10));
         assert_eq!(want.stores_before, 3);
         for kind in [KernelKind::Scalar, KernelKind::Simd] {
-            let got = run_scan(kind, &set, &run);
+            let got = run_scan(kind, &set, run.as_slice());
             assert_eq!(got, want, "kind={kind:?}");
         }
     }
@@ -403,10 +331,10 @@ mod tests {
     fn kernels_agree_on_store_only_suppression() {
         let set = NeedleSet::from_ranges(&[(0x40, 8, true)]);
         let run = run_of(&[(0x40, false), (0x44, false), (0x40, true)]);
-        let want = set.scan(&run);
+        let want = set.scan(run.as_slice());
         assert_eq!(want.first_match, Some(2));
         for kind in [KernelKind::Scalar, KernelKind::Simd] {
-            assert_eq!(run_scan(kind, &set, &run), want, "kind={kind:?}");
+            assert_eq!(run_scan(kind, &set, run.as_slice()), want, "kind={kind:?}");
         }
     }
 
@@ -416,10 +344,14 @@ mod tests {
         for len in 0..21u64 {
             let accesses: Vec<(u64, bool)> = (0..len).map(|i| (i * 8, i % 3 == 0)).collect();
             let run = run_of(&accesses);
-            let want = set.scan(&run);
+            let want = set.scan(run.as_slice());
             assert_eq!(want.first_match, None);
             for kind in [KernelKind::Scalar, KernelKind::Simd] {
-                assert_eq!(run_scan(kind, &set, &run), want, "len={len} kind={kind:?}");
+                assert_eq!(
+                    run_scan(kind, &set, run.as_slice()),
+                    want,
+                    "len={len} kind={kind:?}"
+                );
             }
         }
     }

@@ -5,7 +5,7 @@ use crate::debug::{ArmError, ArmInfo, DebugRegisterFile, Slot, Watchpoint};
 use crate::kernels::{self, KernelChoice, KernelKind};
 use crate::pmu::{CounterSnapshot, Pmu, PmuEvent, PmuOutcome, SamplingConfig};
 use crate::scan::NeedleSet;
-use rdx_trace::{Access, AccessStream};
+use rdx_trace::{Access, AccessBuf, AccessSlice, AccessStream};
 
 /// Machine configuration: register count, sampling mode, cost model, seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -262,8 +262,8 @@ impl Machine {
     ///
     /// The run is a loop of [`MachineRun::feed`] calls plus one
     /// [`MachineRun::finish`]: chunk-capable streams feed their chunks
-    /// as they come, other streams are batched through a fixed stack
-    /// buffer.
+    /// as they come, other streams are batched through one reused
+    /// columnar buffer.
     ///
     /// # Fast path
     ///
@@ -291,18 +291,19 @@ impl Machine {
         }
         // Non-chunked streams (and whatever a chunk-capable stream
         // still yields per access once its chunks run out).
-        let mut batch = [Access::load(0); SLOW_BATCH];
+        let mut batch = AccessBuf::with_capacity(SLOW_BATCH);
         loop {
-            let mut n = 0;
-            while n < SLOW_BATCH {
-                let Some(access) = stream.next_access() else {
+            batch.clear();
+            let mut out = batch.appender();
+            while out.len() < SLOW_BATCH {
+                let Some(a) = stream.next_access() else {
                     break;
                 };
-                batch[n] = access;
-                n += 1;
+                out.push(a.addr.raw(), a.kind.is_store());
             }
-            run.feed(&batch[..n], profiler);
-            if n < SLOW_BATCH {
+            drop(out);
+            run.feed(batch.as_slice(), profiler);
+            if batch.len() < SLOW_BATCH {
                 break;
             }
         }
@@ -364,7 +365,7 @@ impl MachineRun {
     /// changes nothing: the PMU countdown and armed registers carry
     /// over, so any sequence of feeds equals one feed of the
     /// concatenation.
-    pub fn feed(&mut self, accesses: &[Access], profiler: &mut impl Profiler) {
+    pub fn feed(&mut self, accesses: AccessSlice<'_>, profiler: &mut impl Profiler) {
         if accesses.is_empty() {
             return;
         }
@@ -395,7 +396,7 @@ impl MachineRun {
                 }
             }
         } else {
-            for &access in accesses {
+            for access in accesses {
                 step_access(
                     access,
                     &mut self.pmu,
@@ -493,7 +494,7 @@ fn step_access(
 /// (`countdown − 1` accesses) and the chunk end, scanned in bulk, then
 /// at most one single-stepped event access.
 fn run_chunk(
-    chunk: &[Access],
+    chunk: AccessSlice<'_>,
     kernel: KernelKind,
     pmu: &mut Pmu,
     drf: &mut DebugRegisterFile,
@@ -510,7 +511,7 @@ fn run_chunk(
         // most countdown − 1 accesses long.
         let gap = pmu.countdown() - 1;
         let quiet = remaining.min(usize::try_from(gap).unwrap_or(usize::MAX));
-        let scan = kernels::run_scan(kernel, &needles, &chunk[pos..pos + quiet]);
+        let scan = kernels::run_scan(kernel, &needles, chunk.slice(pos..pos + quiet));
         match scan.first_match {
             Some(off) => {
                 // Trap inside the quiet run: bulk-advance the prefix,
@@ -519,7 +520,7 @@ fn run_chunk(
                 pmu.advance_quiet(prefix - scan.stores_before, scan.stores_before);
                 ledger.accesses += prefix;
                 *index += prefix;
-                step_access(chunk[pos + off], pmu, drf, ledger, profiler, *index);
+                step_access(chunk.get(pos + off), pmu, drf, ledger, profiler, *index);
                 *index += 1;
                 pos += off + 1;
                 needles = NeedleSet::from_registers(drf);
@@ -533,7 +534,7 @@ fn run_chunk(
                 pos += quiet;
                 if quiet < remaining {
                     // Next access overflows the sampling counter.
-                    step_access(chunk[pos], pmu, drf, ledger, profiler, *index);
+                    step_access(chunk.get(pos), pmu, drf, ledger, profiler, *index);
                     *index += 1;
                     pos += 1;
                     needles = NeedleSet::from_registers(drf);
@@ -722,8 +723,9 @@ mod tests {
         for split in [1usize, 7, 299, 300, 4096] {
             let mut rec = Recorder::default();
             let mut run = Machine::new(cfg).start();
-            for part in trace.accesses().chunks(split) {
-                run.feed(part, &mut rec);
+            let all = trace.accesses();
+            for start in (0..all.len()).step_by(split) {
+                run.feed(all.slice(start..all.len().min(start + split)), &mut rec);
             }
             assert_eq!(run.finish(&mut rec), want, "split {split}");
             assert_eq!(rec.samples, whole.samples, "split {split}");
@@ -736,7 +738,10 @@ mod tests {
     fn finishing_a_clone_equals_a_run_of_the_prefix() {
         let trace = Trace::from_addresses("c", (0..10_000u64).map(|i| (i % 211) * 8));
         let cfg = MachineConfig::default().with_sampling_period(97);
-        let (head, tail) = trace.accesses().split_at(6_001);
+        let (head, tail) = (
+            trace.accesses().slice(..6_001),
+            trace.accesses().slice(6_001..),
+        );
         let mut rec = Recorder::default();
         let mut run = Machine::new(cfg).start();
         run.feed(head, &mut rec);

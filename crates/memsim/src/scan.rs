@@ -23,7 +23,7 @@ use crate::debug::DebugRegisterFile;
 #[cfg(test)]
 use crate::debug::Watchpoint;
 use crate::WatchKind;
-use rdx_trace::Access;
+use rdx_trace::AccessSlice;
 
 /// Upper bound on needles: [`DebugRegisterFile`] holds at most 64 slots.
 pub(crate) const MAX_NEEDLES: usize = 64;
@@ -111,67 +111,58 @@ impl NeedleSet {
     ///
     /// This is the scalar reference scanner — the oracle every kernel
     /// in [`crate::kernels`] must agree with on all inputs.
-    pub fn scan(&self, run: &[Access]) -> ScanOutcome {
+    #[must_use]
+    pub fn scan(&self, run: AccessSlice<'_>) -> ScanOutcome {
         // Dispatch to a monomorphized scanner so the per-access needle
         // loop unrolls completely for the common register counts (x86
         // has 4); larger ablation configurations take the generic loop.
-        match self.len {
-            0 => ScanOutcome {
-                first_match: None,
-                stores_before: count_stores(run),
-            },
-            1 => self.scan_unrolled::<1>(run),
-            2 => self.scan_unrolled::<2>(run),
-            3 => self.scan_unrolled::<3>(run),
-            4 => self.scan_unrolled::<4>(run),
-            _ => self.scan_any(run, self.len),
-        }
-    }
-
-    fn scan_unrolled<const N: usize>(&self, run: &[Access]) -> ScanOutcome {
-        self.scan_any(run, N)
-    }
-
-    #[inline(always)]
-    pub(crate) fn scan_any(&self, run: &[Access], n: usize) -> ScanOutcome {
-        let mut stores: u64 = 0;
-        for (i, access) in run.iter().enumerate() {
-            let addr = access.addr.raw();
-            let is_store = access.kind.is_store();
-            let mut hit = false;
-            for j in 0..n {
-                // In-range iff addr ∈ [base, base + span): one wrapping
-                // subtract replaces the two compares of
-                // `Watchpoint::matches`, with identical outcomes for
-                // every armable (aligned, non-wrapping) range.
-                hit |= addr.wrapping_sub(self.base[j]) < self.span[j]
-                    && (is_store || !self.store_only[j]);
-            }
-            if hit {
-                return ScanOutcome {
-                    first_match: Some(i),
-                    stores_before: stores,
-                };
-            }
-            stores += u64::from(is_store);
-        }
+        let first_match = match self.len {
+            0 => None,
+            1 => self.first_match(run, 1),
+            2 => self.first_match(run, 2),
+            3 => self.first_match(run, 3),
+            4 => self.first_match(run, 4),
+            n => self.first_match(run, n),
+        };
         ScanOutcome {
-            first_match: None,
-            stores_before: stores,
+            first_match,
+            stores_before: run.stores_in(..first_match.unwrap_or(run.len())),
         }
     }
-}
 
-/// Stores in a run with no armed watchpoints (vectorizes freely).
-pub(crate) fn count_stores(run: &[Access]) -> u64 {
-    run.iter().map(|a| u64::from(a.kind.is_store())).sum()
+    /// Offset of the first access in `run` hitting any of the first `n`
+    /// needles. Inlined into each caller so a constant `n` unrolls.
+    #[inline(always)]
+    pub(crate) fn first_match(&self, run: AccessSlice<'_>, n: usize) -> Option<usize> {
+        // One bitmap word per 64 accesses keeps the store test a
+        // branch-free shift in the per-access loop.
+        for (w, addrs) in run.addrs().chunks(64).enumerate() {
+            let stores = run.store_word(w * 64);
+            for (t, &addr) in addrs.iter().enumerate() {
+                let is_store = (stores >> t) & 1 == 1;
+                let mut hit = false;
+                for j in 0..n {
+                    // In-range iff addr ∈ [base, base + span): one
+                    // wrapping subtract replaces the two compares of
+                    // `Watchpoint::matches`, with identical outcomes for
+                    // every armable (aligned, non-wrapping) range.
+                    hit |= addr.wrapping_sub(self.base[j]) < self.span[j]
+                        && (is_store || !self.store_only[j]);
+                }
+                if hit {
+                    return Some(w * 64 + t);
+                }
+            }
+        }
+        None
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::debug::ArmInfo;
-    use rdx_trace::Address;
+    use rdx_trace::{Access, AccessBuf, Address};
 
     fn armed_file(bases: &[u64]) -> DebugRegisterFile {
         let mut drf = DebugRegisterFile::new(bases.len().max(1));
@@ -187,7 +178,7 @@ mod tests {
         drf
     }
 
-    fn run_of(addrs: &[(u64, bool)]) -> Vec<Access> {
+    fn run_of(addrs: &[(u64, bool)]) -> AccessBuf {
         addrs
             .iter()
             .map(|&(a, s)| if s { Access::store(a) } else { Access::load(a) })
@@ -198,7 +189,7 @@ mod tests {
     fn empty_set_counts_stores_only() {
         let set = NeedleSet::from_registers(&DebugRegisterFile::default());
         let run = run_of(&[(0, false), (8, true), (16, true), (24, false)]);
-        let out = set.scan(&run);
+        let out = set.scan(run.as_slice());
         assert_eq!(out.first_match, None);
         assert_eq!(out.stores_before, 2);
     }
@@ -212,7 +203,7 @@ mod tests {
             (0x204, true), // within [0x200, 0x208)
             (0x100, false),
         ]);
-        let out = set.scan(&run);
+        let out = set.scan(run.as_slice());
         assert_eq!(out.first_match, Some(2));
         assert_eq!(out.stores_before, 1, "only the store before the hit");
     }
@@ -231,7 +222,8 @@ mod tests {
             for probe in [0x0FFFu64, 0x1000, 0x1007, 0x1008, 0x1040, 0x1147, 0x1148] {
                 let a = Access::load(probe);
                 let expect = wp.iter().any(|w| w.matches(&a));
-                let got = set.scan(std::slice::from_ref(&a)).first_match.is_some();
+                let one: AccessBuf = [a].into_iter().collect();
+                let got = set.scan(one.as_slice()).first_match.is_some();
                 assert_eq!(got, expect, "n={n} probe={probe:#x}");
             }
         }
@@ -252,7 +244,7 @@ mod tests {
         .unwrap();
         let set = NeedleSet::from_registers(&drf);
         let run = run_of(&[(0x40, false), (0x40, false), (0x44, true)]);
-        let out = set.scan(&run);
+        let out = set.scan(run.as_slice());
         assert_eq!(out.first_match, Some(2));
         assert_eq!(out.stores_before, 0);
     }
@@ -261,7 +253,7 @@ mod tests {
     fn no_match_reports_all_stores() {
         let set = NeedleSet::from_registers(&armed_file(&[0x1000]));
         let run = run_of(&[(0, true), (8, true), (16, false)]);
-        let out = set.scan(&run);
+        let out = set.scan(run.as_slice());
         assert_eq!(out.first_match, None);
         assert_eq!(out.stores_before, 2);
     }
@@ -269,7 +261,7 @@ mod tests {
     #[test]
     fn empty_run_is_quiet() {
         let set = NeedleSet::from_registers(&armed_file(&[0x40]));
-        let out = set.scan(&[]);
+        let out = set.scan(AccessBuf::new().as_slice());
         assert_eq!(out.first_match, None);
         assert_eq!(out.stores_before, 0);
     }

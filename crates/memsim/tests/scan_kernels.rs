@@ -6,11 +6,14 @@
 //! mixes, run lengths and match offsets. Runs are generated with a
 //! deliberate bias toward the needle ranges so hits land at arbitrary
 //! block offsets (including block-straddling tails), not just never.
+//! Runs are columnar views that may start at any bit of a store
+//! bitmap word, so each outcome is also checked against a count over
+//! the plain `(address, is_store)` pairs the view was built from.
 
 use memsim::kernels::{run_scan, scan_kernels};
 use memsim::{KernelChoice, KernelKind, NeedleSet};
 use proptest::prelude::*;
-use rdx_trace::Access;
+use rdx_trace::{Access, AccessBuf};
 
 /// Every kernel kind that must agree with the oracle. `Simd` is always
 /// exercised: on hosts without AVX2 it degrades to the scalar kernel
@@ -27,7 +30,7 @@ fn needle_strategy() -> impl Strategy<Value = (u64, u64, bool)> {
     ]
 }
 
-fn run_strategy() -> impl Strategy<Value = Vec<Access>> {
+fn run_strategy() -> impl Strategy<Value = AccessBuf> {
     // Addresses biased into the needles' aligned window so matches are
     // common at arbitrary offsets; stores mixed throughout.
     prop::collection::vec(
@@ -54,9 +57,9 @@ proptest! {
         run in run_strategy(),
     ) {
         let set = NeedleSet::from_ranges(&needles);
-        let want = set.scan(&run);
+        let want = set.scan(run.as_slice());
         for kind in KINDS {
-            let got = run_scan(kind, &set, &run);
+            let got = run_scan(kind, &set, run.as_slice());
             prop_assert_eq!(got, want, "kernel {} deviates", kind.name());
         }
     }
@@ -72,7 +75,7 @@ proptest! {
     ) {
         let hit_at = ((len - 1) as f64 * hit_at_frac) as usize;
         let set = NeedleSet::from_ranges(&[(0x10_0000, 8, false)]);
-        let run: Vec<Access> = (0..len)
+        let run: AccessBuf = (0..len)
             .map(|i| {
                 let addr = if i == hit_at { 0x10_0004 } else { (i as u64) * 8 };
                 if store_mix >> (i % 64) & 1 == 1 {
@@ -82,10 +85,65 @@ proptest! {
                 }
             })
             .collect();
-        let want = set.scan(&run);
+        let want = set.scan(run.as_slice());
         prop_assert_eq!(want.first_match, Some(hit_at));
         for kind in KINDS {
-            prop_assert_eq!(run_scan(kind, &set, &run), want, "kernel {}", kind.name());
+            prop_assert_eq!(run_scan(kind, &set, run.as_slice()), want, "kernel {}", kind.name());
+        }
+    }
+
+    /// Views that start at every bit offset 0..=127 into the store
+    /// bitmap, 0..=300 accesses long, under 0–64 needles mixing
+    /// read-write and write-only ranges (the top aligned block, whose
+    /// end wraps to zero, included): the oracle's outcome is the one a
+    /// plain walk over the source pairs gives, and every kernel
+    /// reproduces it.
+    #[test]
+    fn kernels_match_oracle_at_every_bitmap_offset(
+        offset in 0usize..128,
+        len in 0usize..301,
+        pool in prop::collection::vec(
+            (
+                prop_oneof![
+                    2 => 0u64..4096,
+                    6 => any::<u64>(),
+                    1 => (u64::MAX - 16)..u64::MAX,
+                    1 => Just(u64::MAX),
+                ],
+                any::<bool>(),
+            ),
+            428..429,
+        ),
+        needles in prop::collection::vec(
+            prop_oneof![
+                4 => (0u64..512, any::<bool>()).prop_map(|(s, w)| (s * 8, 8u64, w)),
+                1 => any::<bool>().prop_map(|w| (!7u64, 8u64, w)),
+            ],
+            0..65,
+        ),
+    ) {
+        let pairs = &pool[..offset + len];
+        let buf: AccessBuf = pairs
+            .iter()
+            .map(|&(a, s)| if s { Access::store(a) } else { Access::load(a) })
+            .collect();
+        let run = buf.as_slice().slice(offset..);
+        let pairs = &pairs[offset..];
+        let hits = |&(a, s): &(u64, bool)| {
+            needles
+                .iter()
+                .any(|&(base, span, write_only): &(u64, u64, bool)| {
+                    a.wrapping_sub(base) < span && (s || !write_only)
+                })
+        };
+        let first = pairs.iter().position(hits);
+        let stores = pairs[..first.unwrap_or(len)].iter().filter(|p| p.1).count() as u64;
+        let set = NeedleSet::from_ranges(&needles);
+        let want = set.scan(run);
+        prop_assert_eq!(want.first_match, first);
+        prop_assert_eq!(want.stores_before, stores);
+        for kind in KINDS {
+            prop_assert_eq!(run_scan(kind, &set, run), want, "kernel {}", kind.name());
         }
     }
 }

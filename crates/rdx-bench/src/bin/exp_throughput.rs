@@ -37,7 +37,7 @@ use rdx_bench::{
     update_bench_json_at, update_bench_json_keeping,
 };
 use rdx_core::{RdxProfile, RdxRunner};
-use rdx_trace::{Access, Opaque, Trace};
+use rdx_trace::{Access, AccessBuf, Opaque, Trace};
 use rdx_workloads::suite;
 use std::fmt::Write as _;
 
@@ -98,7 +98,8 @@ fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
         (0x7fff_2000, 8, false),
         (0x7fff_3000, 8, false),
     ]);
-    let run: Vec<Access> = (0..SCAN_RUN as u64)
+    // Built in the columnar layout the machine scans (`AccessBuf`).
+    let run: AccessBuf = (0..SCAN_RUN as u64)
         .map(|i| {
             if i % 5 == 0 {
                 Access::store(i * 8)
@@ -117,7 +118,7 @@ fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
         let (secs, sink) = time_min(reps, || {
             let mut sink = 0u64;
             for _ in 0..passes {
-                let out = run_scan(kind, &needles, &run);
+                let out = run_scan(kind, &needles, run.as_slice());
                 sink = sink
                     .wrapping_add(out.stores_before)
                     .wrapping_add(out.first_match.map_or(0, |i| i as u64));

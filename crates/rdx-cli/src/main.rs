@@ -96,7 +96,7 @@ use rdx_core::{
 use rdx_groundtruth::{ExactProfile, ShardedExact};
 use rdx_histogram::accuracy::histogram_intersection;
 use rdx_histogram::{Binning, Histogram};
-use rdx_trace::{AccessKind, Granularity, KernelChoice, RdxtDecoder, DEFAULT_CHUNK_CAPACITY};
+use rdx_trace::{AccessBuf, Granularity, KernelChoice, RdxtDecoder, DEFAULT_CHUNK_CAPACITY};
 use rdx_workloads::{by_name, suite, Params, WorkloadSpec};
 use std::process::ExitCode;
 
@@ -1008,7 +1008,7 @@ fn trace_cmd(args: &[String]) -> ExitCode {
             usize::try_from(v).unwrap_or(usize::MAX)
         })
         .max(1);
-    let mut batch = Vec::new();
+    let mut batch = AccessBuf::new();
     let (mut total_bytes, mut stores, mut chunks, mut accesses) = (0u64, 0u64, 0u64, 0u64);
     let (mut min_fill, mut max_fill) = (usize::MAX, 0usize);
     // Observational readout only: the elapsed time prints as a decode
@@ -1025,10 +1025,7 @@ fn trace_cmd(args: &[String]) -> ExitCode {
                 accesses += batch.len() as u64;
                 min_fill = min_fill.min(batch.len());
                 max_fill = max_fill.max(batch.len());
-                stores += batch
-                    .iter()
-                    .filter(|a| matches!(a.kind, AccessKind::Store))
-                    .count() as u64;
+                stores += batch.as_slice().stores_in(..);
             }
             rest = &rest[used?..];
         }

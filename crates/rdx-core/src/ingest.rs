@@ -19,7 +19,7 @@ use crate::config::RdxConfig;
 use crate::report::RdxProfile;
 use crate::runner::{LiveProfile, RdxRunner};
 use rdx_trace::{
-    io, Access, KernelChoice, KernelKind, RdxtDecoder, TraceError, DEFAULT_CHUNK_CAPACITY,
+    io, AccessBuf, KernelChoice, KernelKind, RdxtDecoder, TraceError, DEFAULT_CHUNK_CAPACITY,
     MAX_HEADER_LEN,
 };
 use std::fmt;
@@ -33,9 +33,9 @@ pub const BLOCK_LEN: usize = 64 << 10;
 // The first block must hold any valid header.
 const _: () = assert!(BLOCK_LEN >= MAX_HEADER_LEN);
 
-/// Largest decode batch in accesses (16 MiB of them), whatever
-/// `chunk_capacity` asks for: one 16 MiB server frame of 1-byte
-/// records must not allocate a quarter-gigabyte batch.
+/// Largest decode batch in accesses (1 Mi of them, 8.125 MiB of
+/// columns), whatever `chunk_capacity` asks for: one 16 MiB server
+/// frame of 1-byte records must not allocate a 130 MiB batch.
 const MAX_BATCH: usize = 1 << 20;
 
 /// How RDXT input is decoded.
@@ -92,7 +92,7 @@ pub struct RdxtIngest {
     decoder: RdxtDecoder,
     live: LiveProfile,
     /// Reused decode batch (at most `capacity` accesses).
-    batch: Vec<Access>,
+    batch: AccessBuf,
     capacity: usize,
 }
 
@@ -103,7 +103,7 @@ impl RdxtIngest {
         RdxtIngest {
             decoder: RdxtDecoder::new().with_kernel(opts.decode_kernel),
             live: runner.start(),
-            batch: Vec::new(),
+            batch: AccessBuf::new(),
             capacity: opts.chunk_capacity.clamp(1, MAX_BATCH),
         }
     }
@@ -119,7 +119,7 @@ impl RdxtIngest {
         let mut rest = bytes;
         while !rest.is_empty() {
             let used = self.decoder.decode(rest, &mut self.batch, self.capacity);
-            self.live.feed(&self.batch);
+            self.live.feed(self.batch.as_slice());
             rest = &rest[used?..];
         }
         Ok(())

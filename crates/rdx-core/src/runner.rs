@@ -12,7 +12,7 @@ use crate::profiler::RdxProfiler;
 use crate::report::RdxProfile;
 use memsim::{Machine, MachineRun, RunReport};
 use rdx_histogram::{RdHistogram, ReuseDistance, ReuseTime, RtHistogram};
-use rdx_trace::{Access, AccessStream};
+use rdx_trace::{AccessSlice, AccessStream};
 
 /// Runs the RDX profiler over access streams.
 ///
@@ -235,7 +235,7 @@ fn count_profile(report: &RunReport) {
 }
 
 /// A profile under construction ([`RdxRunner::start`]): the machine run
-/// and the profiler state, fed one slice of accesses at a time.
+/// and the profiler state, fed one columnar view of accesses at a time.
 ///
 /// This is the push-style face of [`RdxRunner::profile`] for inputs
 /// that arrive incrementally (a server session). A
@@ -251,7 +251,7 @@ pub struct LiveProfile {
 
 impl LiveProfile {
     /// Runs the next stretch of the access stream.
-    pub fn feed(&mut self, accesses: &[Access]) {
+    pub fn feed(&mut self, accesses: AccessSlice<'_>) {
         self.run.feed(accesses, &mut self.profiler);
     }
 

@@ -11,7 +11,7 @@
 use memsim::PmuEvent;
 use proptest::prelude::*;
 use rdx_core::{RdxConfig, RdxProfile, RdxRunner, ReplacementPolicy};
-use rdx_trace::{Access, Trace};
+use rdx_trace::{Access, AccessBuf, AccessSlice, Trace};
 
 /// Field-by-field bit equality, `profiler_bytes` aside (see above).
 fn same_profile(a: &RdxProfile, b: &RdxProfile) -> bool {
@@ -30,21 +30,21 @@ fn same_profile(a: &RdxProfile, b: &RdxProfile) -> bool {
         && a.cost == b.cost
 }
 
-fn whole(config: RdxConfig, accesses: &[Access]) -> RdxProfile {
-    let trace = Trace::from_addresses("prefix", accesses.iter().map(|a| a.addr.raw()));
+fn whole(config: RdxConfig, accesses: AccessSlice<'_>) -> RdxProfile {
+    let trace = Trace::from_addresses("prefix", accesses.addrs().iter().copied());
     RdxRunner::new(config).profile(trace.stream())
 }
 
 /// Feeds `accesses` in slices cut at `cuts`, checking a snapshot after
 /// every slice and the final profile.
-fn check(config: RdxConfig, accesses: &[Access], cuts: &[usize]) -> Result<(), String> {
+fn check(config: RdxConfig, accesses: AccessSlice<'_>, cuts: &[usize]) -> Result<(), String> {
     let mut live = RdxRunner::new(config).start();
     let mut at = 0;
     for &cut in cuts.iter().chain([&accesses.len()]) {
         let cut = cut.clamp(at, accesses.len());
-        live.feed(&accesses[at..cut]);
+        live.feed(accesses.slice(at..cut));
         at = cut;
-        if !same_profile(&live.snapshot(), &whole(config, &accesses[..at])) {
+        if !same_profile(&live.snapshot(), &whole(config, accesses.slice(..at))) {
             return Err(format!("snapshot after {at} accesses differs"));
         }
     }
@@ -54,7 +54,7 @@ fn check(config: RdxConfig, accesses: &[Access], cuts: &[usize]) -> Result<(), S
     Ok(())
 }
 
-fn addresses(addrs: &[u64]) -> Vec<Access> {
+fn addresses(addrs: &[u64]) -> AccessBuf {
     addrs.iter().map(|&a| Access::load(a * 8)).collect()
 }
 
@@ -82,7 +82,7 @@ proptest! {
             .with_registers(registers)
             .with_seed(seed)
             .with_replacement(replacement);
-        let result = check(config, &addresses(&addrs), &cuts);
+        let result = check(config, addresses(&addrs).as_slice(), &cuts);
         prop_assert!(result.is_ok(), "{:?}", result);
     }
 }
@@ -93,17 +93,18 @@ fn one_access_slices_match() {
     let cuts: Vec<usize> = (0..3000).step_by(97).collect();
     let config = RdxConfig::default().with_period(64);
     let accesses = addresses(&addrs);
+    let all = accesses.as_slice();
     let mut live = RdxRunner::new(config).start();
-    for (i, a) in accesses.iter().enumerate() {
-        live.feed(std::slice::from_ref(a));
+    for i in 0..all.len() {
+        live.feed(all.slice(i..=i));
         if cuts.contains(&(i + 1)) {
             assert!(same_profile(
                 &live.snapshot(),
-                &whole(config, &accesses[..=i])
+                &whole(config, all.slice(..=i))
             ));
         }
     }
-    assert!(same_profile(&live.finish(), &whole(config, &accesses)));
+    assert!(same_profile(&live.finish(), &whole(config, all)));
 }
 
 #[test]
@@ -116,6 +117,7 @@ fn per_access_sampling_modes_match_too() {
     let mut loads = RdxConfig::default().with_period(40);
     loads.machine.sampling.event = PmuEvent::Loads;
     for config in [skid, loads] {
-        check(config, &addresses(&addrs), &[1, 999, 1000, 2500]).expect("snapshots match");
+        check(config, addresses(&addrs).as_slice(), &[1, 999, 1000, 2500])
+            .expect("snapshots match");
     }
 }

@@ -89,9 +89,12 @@ impl ShardPass {
         let mut queries: Vec<(u64, u64)> = Vec::new();
         let mut rt = RtHistogram::new(binning);
         let mut cold = 0u64;
+        let shift = granularity.shift();
         for chunk in rx {
-            for (time, a) in chunk.indexed() {
-                let block = a.addr.block(granularity);
+            // Reuse needs only the address column, never the store bits.
+            for (i, &addr) in chunk.accesses.addrs().iter().enumerate() {
+                let time = chunk.index_of(i);
+                let block = addr >> shift;
                 if shard_of(block, shards) != shard {
                     continue;
                 }

@@ -8,21 +8,23 @@
 //! every access keeps its exact stream index (`base_index + offset`),
 //! no matter which thread processes the chunk.
 
+use crate::columns::{AccessBuf, AccessSlice};
 use crate::event::Access;
 use crate::stream::AccessStream;
 
-/// Default accesses per chunk. 64Ki accesses ≈ 1 MiB of `Access`es:
-/// large enough to amortize hand-off, small enough that a handful of
-/// in-flight chunks stay within a few percent of a trace's footprint.
+/// Default accesses per chunk. 64Ki accesses = 520 KiB of columns
+/// (512 KiB of addresses, 8 KiB of store bitmap): large enough to
+/// amortize hand-off, small enough that a handful of in-flight chunks
+/// stay within a few percent of a trace's footprint.
 pub const DEFAULT_CHUNK_CAPACITY: usize = 1 << 16;
 
 /// A contiguous run of accesses starting at `base_index` in the stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Chunk {
-    /// Stream index of `accesses[0]`.
+    /// Stream index of the first access.
     pub base_index: u64,
     /// The accesses, in stream order.
-    pub accesses: Vec<Access>,
+    pub accesses: AccessBuf,
 }
 
 impl Chunk {
@@ -30,14 +32,6 @@ impl Chunk {
     #[must_use]
     pub fn index_of(&self, i: usize) -> u64 {
         self.base_index + i as u64
-    }
-
-    /// Enumerates `(stream_index, access)` pairs.
-    pub fn indexed(&self) -> impl Iterator<Item = (u64, Access)> + '_ {
-        self.accesses
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (self.base_index + i as u64, *a))
     }
 
     /// Number of accesses in the chunk.
@@ -92,31 +86,30 @@ impl<S: AccessStream> Chunker<S> {
         if self.done {
             return None;
         }
-        let mut accesses = Vec::with_capacity(self.capacity);
-        while accesses.len() < self.capacity {
-            if self.bulk {
+        let mut accesses = AccessBuf::with_capacity(self.capacity);
+        if self.bulk {
+            while accesses.len() < self.capacity {
                 let want = self.capacity - accesses.len();
-                let took = match self.stream.next_chunk() {
-                    Some(run) => {
-                        let k = run.len().min(want);
-                        accesses.extend_from_slice(&run[..k]);
-                        k
-                    }
-                    None => 0,
+                let Some(run) = self.stream.next_chunk() else {
+                    break;
                 };
-                if took > 0 {
-                    self.stream.consume_chunk(took);
-                    continue;
-                }
+                let k = run.len().min(want);
+                accesses.extend_from_slice(run.slice(..k));
+                self.stream.consume_chunk(k);
             }
+        }
+        // Streams without chunks, or past their last one, step per access.
+        let mut out = accesses.appender();
+        while out.len() < self.capacity {
             match self.stream.next_access() {
-                Some(a) => accesses.push(a),
+                Some(a) => out.push(a.addr.raw(), a.kind.is_store()),
                 None => {
                     self.done = true;
                     break;
                 }
             }
         }
+        drop(out);
         if accesses.is_empty() {
             return None;
         }
@@ -164,7 +157,7 @@ impl<S: AccessStream> Iterator for Chunker<S> {
 pub struct Chunked<S> {
     inner: S,
     passthrough: bool,
-    buf: Vec<Access>,
+    buf: AccessBuf,
     pos: usize,
     capacity: usize,
 }
@@ -186,7 +179,7 @@ impl<S: AccessStream> Chunked<S> {
         Chunked {
             inner: stream,
             passthrough,
-            buf: Vec::new(),
+            buf: AccessBuf::new(),
             pos: 0,
             capacity,
         }
@@ -208,12 +201,11 @@ impl<S: AccessStream> Chunked<S> {
         debug_assert_eq!(self.buffered(), 0);
         self.buf.clear();
         self.pos = 0;
-        if self.buf.capacity() == 0 {
-            self.buf.reserve_exact(self.capacity);
-        }
-        while self.buf.len() < self.capacity {
+        self.buf.reserve(self.capacity);
+        let mut out = self.buf.appender();
+        while out.len() < self.capacity {
             match self.inner.next_access() {
-                Some(a) => self.buf.push(a),
+                Some(a) => out.push(a.addr.raw(), a.kind.is_store()),
                 None => break,
             }
         }
@@ -227,8 +219,11 @@ impl<S: AccessStream> AccessStream for Chunked<S> {
         }
         if self.buffered() == 0 {
             self.refill();
+            if self.buffered() == 0 {
+                return None;
+            }
         }
-        let a = self.buf.get(self.pos).copied()?;
+        let a = self.buf.get(self.pos);
         self.pos += 1;
         Some(a)
     }
@@ -242,7 +237,7 @@ impl<S: AccessStream> AccessStream for Chunked<S> {
         true
     }
 
-    fn next_chunk(&mut self) -> Option<&[Access]> {
+    fn next_chunk(&mut self) -> Option<AccessSlice<'_>> {
         if self.passthrough {
             return self.inner.next_chunk();
         }
@@ -252,7 +247,7 @@ impl<S: AccessStream> AccessStream for Chunked<S> {
                 return None;
             }
         }
-        Some(&self.buf[self.pos..])
+        Some(self.buf.as_slice().slice(self.pos..))
     }
 
     fn consume_chunk(&mut self, n: usize) {
@@ -285,7 +280,7 @@ mod tests {
         assert_eq!(expected_base, 1000);
         let replayed: Vec<u64> = chunks
             .iter()
-            .flat_map(|c| c.accesses.iter().map(|a| a.addr.raw()))
+            .flat_map(|c| c.accesses.addrs().iter().copied())
             .collect();
         assert_eq!(replayed, (0..1000u64).map(|i| i * 8).collect::<Vec<_>>());
     }
@@ -296,7 +291,7 @@ mod tests {
         let chunks: Vec<Chunk> = Chunker::with_capacity(t.stream(), 4).collect();
         let indices: Vec<u64> = chunks
             .iter()
-            .flat_map(|c| c.indexed().map(|(i, _)| i))
+            .flat_map(|c| (0..c.len()).map(|i| c.index_of(i)))
             .collect();
         assert_eq!(indices, (0..10u64).collect::<Vec<_>>());
         assert_eq!(chunks[1].index_of(2), 6);
@@ -353,7 +348,7 @@ mod tests {
         s.consume_chunk(2);
         let chunk = s.next_chunk().expect("rest of the buffer");
         assert_eq!(chunk.len(), 4);
-        assert_eq!(chunk[0].addr.raw(), 16);
+        assert_eq!(chunk.get(0).addr.raw(), 16);
         s.consume_chunk(4);
         // Scalar reads interleave with chunk reads over the same buffer.
         assert_eq!(s.next_access().unwrap().addr.raw(), 48);

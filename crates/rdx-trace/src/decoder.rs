@@ -15,7 +15,7 @@
 //! `TrailingData` or `Malformed`. Bytes past the declared record count
 //! are counted, not decoded.
 
-use crate::event::Access;
+use crate::columns::AccessBuf;
 use crate::io::{self, Header, TraceError, MAX_HEADER_LEN};
 use crate::kernels::{self, KernelChoice, KernelKind};
 
@@ -145,7 +145,7 @@ impl RdxtDecoder {
     pub fn decode(
         &mut self,
         input: &[u8],
-        out: &mut Vec<Access>,
+        out: &mut AccessBuf,
         max: usize,
     ) -> Result<usize, TraceError> {
         out.clear();
@@ -178,7 +178,7 @@ impl RdxtDecoder {
     fn decode_inner(
         &mut self,
         input: &[u8],
-        out: &mut Vec<Access>,
+        out: &mut AccessBuf,
         max: usize,
         committed: &mut usize,
     ) -> Result<usize, TraceError> {
@@ -250,7 +250,7 @@ impl RdxtDecoder {
     fn complete_carry(
         &mut self,
         input: &[u8],
-        out: &mut Vec<Access>,
+        out: &mut AccessBuf,
         committed: &mut usize,
     ) -> Result<usize, TraceError> {
         // A window one byte past the longest record always resolves to
@@ -311,7 +311,7 @@ impl RdxtDecoder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{AccessKind, Address};
+    use crate::event::{Access, AccessKind, Address};
     use crate::io::to_bytes;
     use crate::{Trace, TraceReader};
     use bytes::{Buf, Bytes};
@@ -325,13 +325,13 @@ mod tests {
         max: usize,
     ) -> (Vec<Access>, Option<TraceError>) {
         let mut got = Vec::new();
-        let mut out = Vec::new();
+        let mut out = AccessBuf::new();
         for chunk in chunks {
             let mut rest = *chunk;
             loop {
                 let r = dec.decode(rest, &mut out, max);
                 assert!(out.len() <= max);
-                got.extend_from_slice(&out);
+                got.extend(out.iter());
                 match r {
                     Ok(used) => rest = &rest[used..],
                     Err(e) => return (got, Some(e)),
@@ -435,7 +435,7 @@ mod tests {
         }
         // One chunk, batch of one: the caller re-passes the rest.
         let mut dec = RdxtDecoder::new();
-        let mut out = Vec::new();
+        let mut out = AccessBuf::new();
         let used = dec.decode(&raw, &mut out, 1).unwrap();
         assert_eq!(out.len(), 1);
         assert!(used < raw.len());
@@ -447,7 +447,7 @@ mod tests {
         let mut head = to_bytes(&t).to_vec();
         head.pop(); // drop the one record, keep the header (declares 1)
         let mut dec = RdxtDecoder::new();
-        let mut out = Vec::new();
+        let mut out = AccessBuf::new();
         assert_eq!(dec.decode(&head, &mut out, 8).unwrap(), head.len());
         assert!(dec.header_complete());
         assert_eq!(dec.decode(&[0x81], &mut out, 8).unwrap(), 1);
@@ -472,7 +472,7 @@ mod tests {
             let mut dec = RdxtDecoder::new();
             let (_, err) = feed(&mut dec, &[&bad[..split], &bad[split..]], 64);
             assert!(matches!(err, Some(TraceError::Malformed)), "split {split}");
-            let mut out = Vec::new();
+            let mut out = AccessBuf::new();
             assert!(matches!(
                 dec.decode(&[0x02], &mut out, 8),
                 Err(TraceError::Malformed)
@@ -577,6 +577,40 @@ mod tests {
             let (read, read_verdict) = oracle(&raw);
             prop_assert!(same_verdict(&read_verdict, &verdict));
             prop_assert_eq!(read, want);
+        }
+
+        /// An encoded trace fed in arbitrary byte pieces and batch
+        /// sizes decodes to the trace's own columns: the batches,
+        /// appended one after another, rebuild the store bitmap word
+        /// for word, including where a record split across pieces is
+        /// completed mid-word.
+        #[test]
+        fn pieces_rebuild_the_store_bitmap(
+            pairs in prop::collection::vec((0u64..1 << 40, any::<bool>()), 0..300),
+            cuts in prop::collection::vec(0usize..2400, 0..12),
+            max in 1usize..200,
+            scalar in any::<bool>(),
+        ) {
+            let trace: Trace = pairs.iter().copied().collect();
+            let raw = to_bytes(&trace);
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(raw.len())).collect();
+            cuts.sort_unstable();
+            let kernel = if scalar { KernelChoice::Scalar } else { KernelChoice::Swar };
+            let mut dec = RdxtDecoder::new().with_kernel(kernel);
+            let mut all = AccessBuf::new();
+            let mut out = AccessBuf::new();
+            let mut at = 0;
+            for c in cuts.into_iter().chain([raw.len()]) {
+                let mut rest = &raw[at..c];
+                at = c;
+                while !rest.is_empty() {
+                    let used = dec.decode(rest, &mut out, max).unwrap();
+                    all.extend_from_slice(out.as_slice());
+                    rest = &rest[used..];
+                }
+            }
+            prop_assert!(dec.finish().is_ok());
+            prop_assert_eq!(all.as_slice(), trace.accesses());
         }
     }
 }

@@ -23,6 +23,7 @@
 //! garbage through both layers to keep that guarantee honest.
 
 use crate::chunk::{Chunk, DEFAULT_CHUNK_CAPACITY};
+use crate::columns::{AccessBuf, AccessSlice};
 use crate::decoder::RdxtDecoder;
 use crate::event::Access;
 use crate::kernels::{KernelChoice, KernelKind};
@@ -444,16 +445,14 @@ impl TraceReader {
         if self.buffered() == 0 {
             self.refill(1);
         }
-        match self.pending.accesses.get(self.pos) {
-            Some(&a) => {
-                self.pos += 1;
-                Ok(Some(a))
-            }
-            None => self
-                .decoder
-                .error()
-                .map_or(Ok(None), |e| Err(dup_decode_error(e))),
+        if self.buffered() > 0 {
+            let a = self.pending.accesses.get(self.pos);
+            self.pos += 1;
+            return Ok(Some(a));
         }
+        self.decoder
+            .error()
+            .map_or(Ok(None), |e| Err(dup_decode_error(e)))
     }
 
     /// Bulk-decodes up to `max` (≥ 1) accesses into `out` in one tight
@@ -513,7 +512,7 @@ impl TraceReader {
         if !self.buf.is_empty() && self.decoder.decoded() == self.decoder.declared() {
             // Every declared record is out: what the decoder has not
             // seen yet is trailing data, which it counts, not decodes.
-            let _ = self.decoder.decode(&self.buf, &mut Vec::new(), 1);
+            let _ = self.decoder.decode(&self.buf, &mut AccessBuf::new(), 1);
         }
         self.decoder.finish()
     }
@@ -538,14 +537,14 @@ impl AccessStream for TraceReader {
         true
     }
 
-    fn next_chunk(&mut self) -> Option<&[Access]> {
+    fn next_chunk(&mut self) -> Option<AccessSlice<'_>> {
         if self.buffered() == 0 {
             self.refill(self.chunk_capacity);
             if self.buffered() == 0 {
                 return None;
             }
         }
-        self.pending.accesses.get(self.pos..)
+        Some(self.pending.accesses.as_slice().slice(self.pos..))
     }
 
     fn consume_chunk(&mut self, n: usize) {
@@ -563,13 +562,14 @@ impl AccessStream for TraceReader {
 /// rejected as [`TraceError::TrailingData`]).
 pub fn from_bytes(bytes: impl Into<Bytes>) -> Result<Trace, TraceError> {
     let mut reader = TraceReader::new(bytes)?;
-    let mut trace = Trace::new(reader.name().to_owned());
+    let mut accesses = AccessBuf::new();
     let mut chunk = Chunk::default();
     while reader.decode_chunk(&mut chunk, DEFAULT_CHUNK_CAPACITY)? > 0 {
-        trace.extend(chunk.accesses.iter().copied());
+        accesses.extend_from_slice(chunk.accesses.as_slice());
     }
+    let name = reader.name().to_owned();
     reader.finish()?;
-    Ok(trace)
+    Ok(Trace::from_buf(name, accesses))
 }
 
 /// Writes a trace to any [`Write`] sink (a `&mut W` also works).
@@ -829,7 +829,7 @@ mod tests {
         while let Some(a) = reader.next_access() {
             got.push(a);
         }
-        assert_eq!(got.as_slice(), t.accesses());
+        assert_eq!(got, t.iter().collect::<Vec<_>>());
         assert_eq!(reader.decoded(), t.len() as u64);
         assert!(reader.error().is_none());
         assert!(reader.finish().is_ok());
@@ -873,9 +873,9 @@ mod tests {
                 break;
             }
             bases.push(chunk.base_index);
-            got.extend_from_slice(&chunk.accesses);
+            got.extend(chunk.accesses.iter());
         }
-        assert_eq!(got.as_slice(), t.accesses());
+        assert_eq!(got, t.iter().collect::<Vec<_>>());
         assert_eq!(bases, vec![0, 4]);
         assert!(reader.finish().is_ok());
     }
@@ -908,12 +908,12 @@ mod tests {
         let mut lens = Vec::new();
         while let Some(run) = reader.next_chunk() {
             lens.push(run.len());
-            got.extend_from_slice(run);
+            got.extend(run.iter());
             let n = run.len();
             reader.consume_chunk(n);
         }
         assert_eq!(lens, vec![128, 128, 44]);
-        assert_eq!(got.as_slice(), t.accesses());
+        assert_eq!(got, t.iter().collect::<Vec<_>>());
         assert!(reader.finish().is_ok());
     }
 
@@ -1152,11 +1152,11 @@ mod proptests {
                         Ok(0) => break false,
                         Ok(_) => {
                             prop_assert_eq!(chunk.base_index, got.len() as u64);
-                            got.extend_from_slice(&chunk.accesses);
+                            got.extend(chunk.accesses.iter());
                         }
                         Err(e) => {
                             prop_assert!(matches!(e, TraceError::Truncated));
-                            got.extend_from_slice(&chunk.accesses);
+                            got.extend(chunk.accesses.iter());
                             break true;
                         }
                     }
@@ -1190,7 +1190,7 @@ mod proptests {
                 let mut got = Vec::new();
                 while let Some(run) = chunked.next_chunk() {
                     prop_assert!(!run.is_empty());
-                    got.extend_from_slice(run);
+                    got.extend(run.iter());
                     let n = run.len();
                     chunked.consume_chunk(n);
                 }
@@ -1252,11 +1252,11 @@ mod proptests {
         ) {
             use crate::kernels::{DecodeKernel, ScalarDecode, SwarDecode};
             let mut scalar_prev = prev;
-            let mut scalar_out = Vec::new();
+            let mut scalar_out = AccessBuf::new();
             let scalar = ScalarDecode.decode_records(
                 &data, target, &mut scalar_prev, &mut scalar_out);
             let mut swar_prev = prev;
-            let mut swar_out = Vec::new();
+            let mut swar_out = AccessBuf::new();
             let swar = SwarDecode.decode_records(
                 &data, target, &mut swar_prev, &mut swar_out);
             prop_assert_eq!(&swar_out, &scalar_out);

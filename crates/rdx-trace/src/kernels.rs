@@ -26,7 +26,7 @@
 //! resolving to the cheapest available) follows Morello's kernel/cost
 //! split, so adding an arch kernel is one new row plus one impl.
 
-use crate::event::{Access, AccessKind, Address};
+use crate::columns::{AccessAppender, AccessBuf};
 use crate::io::{unzigzag, varint_bits_overflow, TraceError};
 
 /// A concrete kernel implementation family.
@@ -181,16 +181,18 @@ pub trait DecodeKernel {
     /// Which kernel family this is.
     fn kind(&self) -> KernelKind;
 
-    /// Decodes records from `bytes` into `out` until `out.len()`
-    /// reaches `target`, the bytes run out (`Truncated`) or an overlong
-    /// varint is hit (`Malformed`). `prev` is the delta-chain state,
-    /// updated to cover exactly the records pushed.
+    /// Decodes records from `bytes` onto the end of `out` until
+    /// `out.len()` reaches `target`, the bytes run out (`Truncated`) or
+    /// an overlong varint is hit (`Malformed`). `prev` is the
+    /// delta-chain state, updated to cover exactly the records pushed.
+    /// Store bits gather in a register word through an
+    /// [`AccessAppender`], flushed every 64 records.
     fn decode_records(
         &self,
         bytes: &[u8],
         target: usize,
         prev: &mut u64,
-        out: &mut Vec<Access>,
+        out: &mut AccessBuf,
     ) -> KernelRun;
 }
 
@@ -208,8 +210,9 @@ impl DecodeKernel for ScalarDecode {
         bytes: &[u8],
         target: usize,
         prev: &mut u64,
-        out: &mut Vec<Access>,
+        out: &mut AccessBuf,
     ) -> KernelRun {
+        let mut out = out.appender();
         let mut p = 0usize;
         let mut committed = 0usize;
         let mut failure: Option<TraceError> = None;
@@ -236,7 +239,7 @@ impl DecodeKernel for ScalarDecode {
                 }
                 shift += 7;
             }
-            push_record((raw >> 1) as u64, raw & 1 == 1, prev, out);
+            push_record((raw >> 1) as u64, raw & 1 == 1, prev, &mut out);
             committed = p;
         }
         KernelRun { committed, failure }
@@ -265,8 +268,9 @@ impl DecodeKernel for SwarDecode {
         bytes: &[u8],
         target: usize,
         prev: &mut u64,
-        out: &mut Vec<Access>,
+        out: &mut AccessBuf,
     ) -> KernelRun {
+        let mut out = out.appender();
         let mut p = 0usize;
         let mut committed = 0usize;
         while out.len() < target {
@@ -286,7 +290,7 @@ impl DecodeKernel for SwarDecode {
                     // the 128-bit overlong rule — no check needed.
                     let keep = w & (u64::MAX >> (64 - 8 * len));
                     let raw = fold7(keep & PAYLOAD_MASK);
-                    push_record(raw >> 1, raw & 1 == 1, prev, out);
+                    push_record(raw >> 1, raw & 1 == 1, prev, &mut out);
                     p += len;
                     committed = p;
                     continue;
@@ -295,8 +299,11 @@ impl DecodeKernel for SwarDecode {
             // Slow lane: tail of the buffer, or a record spilling past
             // the 8-byte window — the scalar step handles truncation
             // and the overlong (128-bit overflow) rule.
-            match scalar_record(bytes, &mut p, prev, out) {
-                Ok(()) => committed = p,
+            match scalar_record(bytes, &mut p) {
+                Ok(raw) => {
+                    push_record((raw >> 1) as u64, raw & 1 == 1, prev, &mut out);
+                    committed = p;
+                }
                 Err(e) => {
                     return KernelRun {
                         committed,
@@ -322,15 +329,12 @@ fn fold7(x: u64) -> u64 {
     (x & 0x0000_0000_0fff_ffff) | ((x & 0x0fff_ffff_0000_0000) >> 4)
 }
 
-/// Decodes one record the scalar way (byte loop, full error taxonomy),
-/// advancing `p` past the bytes it read. On error `p` may sit past the
-/// offending byte — the caller's commit cursor is what rewinds.
-fn scalar_record(
-    bytes: &[u8],
-    p: &mut usize,
-    prev: &mut u64,
-    out: &mut Vec<Access>,
-) -> Result<(), TraceError> {
+/// Reads one raw record the scalar way (byte loop, full error
+/// taxonomy), advancing `p` past the bytes it read. On error `p` may
+/// sit past the offending byte — the caller's commit cursor is what
+/// rewinds. The caller appends the record, so the appender (and its
+/// register-held store word) never leaves the kernel's loop.
+fn scalar_record(bytes: &[u8], p: &mut usize) -> Result<u128, TraceError> {
     let mut raw = 0u128;
     let mut shift = 0u32;
     loop {
@@ -344,29 +348,19 @@ fn scalar_record(
         }
         raw |= sig << shift;
         if byte & 0x80 == 0 {
-            break;
+            return Ok(raw);
         }
         shift += 7;
     }
-    push_record((raw >> 1) as u64, raw & 1 == 1, prev, out);
-    Ok(())
 }
 
 /// Applies one decoded record (zigzagged delta + kind bit) to the
-/// address chain and pushes the access.
-#[inline]
-fn push_record(zz_delta: u64, is_store: bool, prev: &mut u64, out: &mut Vec<Access>) {
-    let kind = if is_store {
-        AccessKind::Store
-    } else {
-        AccessKind::Load
-    };
+/// address chain and appends the access.
+#[inline(always)]
+fn push_record(zz_delta: u64, is_store: bool, prev: &mut u64, out: &mut AccessAppender<'_>) {
     let delta = unzigzag(zz_delta);
     *prev = prev.wrapping_add(delta as u64);
-    out.push(Access {
-        addr: Address::new(*prev),
-        kind,
-    });
+    out.push(*prev, is_store);
 }
 
 /// Runs the decode kernel of `kind` (static dispatch — the reader
@@ -376,7 +370,7 @@ pub(crate) fn run_decode(
     bytes: &[u8],
     target: usize,
     prev: &mut u64,
-    out: &mut Vec<Access>,
+    out: &mut AccessBuf,
 ) -> KernelRun {
     match kind {
         KernelKind::Scalar => ScalarDecode.decode_records(bytes, target, prev, out),

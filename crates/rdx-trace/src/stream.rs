@@ -1,6 +1,7 @@
 //! Pull-based access streams.
 
 use crate::chunk::Chunked;
+use crate::columns::AccessSlice;
 use crate::event::Access;
 
 /// A pull-based stream of memory accesses.
@@ -65,7 +66,8 @@ pub trait AccessStream {
         false
     }
 
-    /// Peeks at the next contiguous run of pending accesses as a slice,
+    /// Peeks at the next contiguous run of pending accesses as a
+    /// columnar view,
     /// or `None` when the stream is exhausted (or cannot expose slices —
     /// see [`chunk_capable`](AccessStream::chunk_capable)).
     ///
@@ -76,7 +78,7 @@ pub trait AccessStream {
     /// while letting wrappers update their own state outside the
     /// borrow's lifetime. A returned slice is never empty, and repeated
     /// peeks without an intervening consume return the same accesses.
-    fn next_chunk(&mut self) -> Option<&[Access]> {
+    fn next_chunk(&mut self) -> Option<AccessSlice<'_>> {
         None
     }
 
@@ -116,7 +118,7 @@ impl<S: AccessStream + ?Sized> AccessStream for &mut S {
         (**self).chunk_capable()
     }
 
-    fn next_chunk(&mut self) -> Option<&[Access]> {
+    fn next_chunk(&mut self) -> Option<AccessSlice<'_>> {
         (**self).next_chunk()
     }
 
@@ -138,7 +140,7 @@ impl<S: AccessStream + ?Sized> AccessStream for Box<S> {
         (**self).chunk_capable()
     }
 
-    fn next_chunk(&mut self) -> Option<&[Access]> {
+    fn next_chunk(&mut self) -> Option<AccessSlice<'_>> {
         (**self).next_chunk()
     }
 
@@ -176,14 +178,14 @@ impl<S: AccessStream> AccessStream for Take<S> {
         self.inner.chunk_capable()
     }
 
-    fn next_chunk(&mut self) -> Option<&[Access]> {
+    fn next_chunk(&mut self) -> Option<AccessSlice<'_>> {
         let left = usize::try_from(self.left).unwrap_or(usize::MAX);
         if left == 0 {
             return None;
         }
         let chunk = self.inner.next_chunk()?;
         let visible = chunk.len().min(left);
-        Some(&chunk[..visible])
+        Some(chunk.slice(..visible))
     }
 
     fn consume_chunk(&mut self, n: usize) {
@@ -338,7 +340,7 @@ mod tests {
         assert_eq!(s.next_access().unwrap().addr.raw(), 0);
         let chunk = s.next_chunk().expect("five left");
         assert_eq!(chunk.len(), 5);
-        assert_eq!(chunk[0].addr.raw(), 8);
+        assert_eq!(chunk.get(0).addr.raw(), 8);
         s.consume_chunk(2);
         assert_eq!(s.next_access().unwrap().addr.raw(), 24);
         assert_eq!(s.count_remaining(), 2);

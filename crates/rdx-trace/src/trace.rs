@@ -1,18 +1,19 @@
 //! Materialized traces.
 
-use crate::event::{Access, AccessKind, Address};
+use crate::columns::{AccessBuf, AccessSlice, Iter};
+use crate::event::Access;
 use crate::stream::AccessStream;
 
 /// A materialized memory access trace.
 ///
-/// Accesses are stored packed (address plus a kind bit folded into a `u64`
-/// pair) to keep large traces affordable; tests and small experiments use
-/// this form, while long-running workloads stream instead (see
-/// [`AccessStream`]).
+/// Accesses are stored in columns (an [`AccessBuf`]): one `u64` address
+/// per access plus a store bitmap, ~8.125 bytes per access. Tests,
+/// experiments and the benchmark use this form, while long-running
+/// workloads stream instead (see [`AccessStream`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     name: String,
-    accesses: Vec<Access>,
+    accesses: AccessBuf,
 }
 
 impl Trace {
@@ -33,43 +34,47 @@ impl Trace {
     pub fn new(name: impl Into<String>) -> Self {
         Trace {
             name: Self::checked_name(name),
-            accesses: Vec::new(),
+            accesses: AccessBuf::new(),
+        }
+    }
+
+    /// A named trace of the accesses in `accesses`.
+    pub(crate) fn from_buf(name: impl Into<String>, accesses: AccessBuf) -> Self {
+        Trace {
+            name: Self::checked_name(name),
+            accesses,
         }
     }
 
     /// Builds a trace of loads from raw addresses.
     #[must_use]
     pub fn from_addresses(name: impl Into<String>, addrs: impl IntoIterator<Item = u64>) -> Self {
-        Trace {
-            name: Self::checked_name(name),
-            accesses: addrs.into_iter().map(Access::load).collect(),
-        }
+        Trace::from_buf(name, addrs.into_iter().map(Access::load).collect())
     }
 
     /// Accesses pre-reserved from a stream's `remaining_hint` before the
     /// `Vec` falls back to growth-by-doubling. A corrupt trace header can
     /// declare up to `u64::MAX` records; trusting that hint verbatim
     /// would abort in the allocator, so cap the up-front reservation
-    /// (16Mi accesses = 256 MiB) and let honest oversized streams grow
-    /// normally from there.
+    /// (16Mi accesses = 130 MiB of columns) and let honest oversized
+    /// streams grow normally from there.
     const MAX_HINT_RESERVE: usize = 1 << 24;
 
     /// Materializes a stream into a trace.
     #[must_use]
     pub fn from_stream(name: impl Into<String>, mut stream: impl AccessStream) -> Self {
-        let mut accesses = Vec::with_capacity(
+        let mut accesses = AccessBuf::with_capacity(
             stream
                 .remaining_hint()
                 .map_or(0, |h| usize::try_from(h).unwrap_or(usize::MAX))
                 .min(Self::MAX_HINT_RESERVE),
         );
+        let mut out = accesses.appender();
         while let Some(a) = stream.next_access() {
-            accesses.push(a);
+            out.push(a.addr.raw(), a.kind.is_store());
         }
-        Trace {
-            name: Self::checked_name(name),
-            accesses,
-        }
+        drop(out);
+        Trace::from_buf(name, accesses)
     }
 
     /// Test-only: bypasses the construction-time name clamp so the
@@ -78,7 +83,7 @@ impl Trace {
     pub(crate) fn with_unchecked_name(name: String) -> Self {
         Trace {
             name,
-            accesses: Vec::new(),
+            accesses: AccessBuf::new(),
         }
     }
 
@@ -105,14 +110,14 @@ impl Trace {
         self.accesses.push(access);
     }
 
-    /// The accesses as a slice.
+    /// The accesses as a borrowed columnar view.
     #[must_use]
-    pub fn accesses(&self) -> &[Access] {
-        &self.accesses
+    pub fn accesses(&self) -> AccessSlice<'_> {
+        self.accesses.as_slice()
     }
 
-    /// Iterates over the accesses.
-    pub fn iter(&self) -> std::slice::Iter<'_, Access> {
+    /// Iterates over the accesses by value.
+    pub fn iter(&self) -> Iter<'_> {
         self.accesses.iter()
     }
 
@@ -131,11 +136,7 @@ impl Trace {
     pub fn distinct_blocks(&self, shift: u32) -> u64 {
         // Sort + dedup instead of a hash set: deterministic and free of
         // SipHash's per-process seed (rdx-trace is a hot crate).
-        let mut blocks: Vec<u64> = self
-            .accesses
-            .iter()
-            .map(|a| a.addr.raw() >> shift)
-            .collect();
+        let mut blocks: Vec<u64> = self.accesses.addrs().iter().map(|a| a >> shift).collect();
         blocks.sort_unstable();
         blocks.dedup();
         blocks.len() as u64
@@ -150,16 +151,13 @@ impl Extend<Access> for Trace {
 
 impl FromIterator<Access> for Trace {
     fn from_iter<T: IntoIterator<Item = Access>>(iter: T) -> Self {
-        Trace {
-            name: String::new(),
-            accesses: iter.into_iter().collect(),
-        }
+        Trace::from_buf(String::new(), iter.into_iter().collect())
     }
 }
 
 impl<'a> IntoIterator for &'a Trace {
-    type Item = &'a Access;
-    type IntoIter = std::slice::Iter<'a, Access>;
+    type Item = Access;
+    type IntoIter = Iter<'a>;
 
     fn into_iter(self) -> Self::IntoIter {
         self.accesses.iter()
@@ -175,7 +173,10 @@ pub struct TraceStream<'a> {
 
 impl AccessStream for TraceStream<'_> {
     fn next_access(&mut self) -> Option<Access> {
-        let a = self.trace.accesses.get(self.pos).copied()?;
+        if self.pos == self.trace.len() {
+            return None;
+        }
+        let a = self.trace.accesses.get(self.pos);
         self.pos += 1;
         Some(a)
     }
@@ -188,9 +189,9 @@ impl AccessStream for TraceStream<'_> {
         true
     }
 
-    /// Zero-copy: the entire unread remainder of the trace as one slice.
-    fn next_chunk(&mut self) -> Option<&[Access]> {
-        let rest = &self.trace.accesses[self.pos..];
+    /// Zero-copy: the entire unread remainder of the trace as one view.
+    fn next_chunk(&mut self) -> Option<AccessSlice<'_>> {
+        let rest = self.trace.accesses().slice(self.pos..);
         if rest.is_empty() {
             None
         } else {
@@ -207,26 +208,20 @@ impl AccessStream for TraceStream<'_> {
 /// Convenience: build a load/store trace from `(addr, is_store)` pairs.
 impl FromIterator<(u64, bool)> for Trace {
     fn from_iter<T: IntoIterator<Item = (u64, bool)>>(iter: T) -> Self {
-        Trace {
-            name: String::new(),
-            accesses: iter
-                .into_iter()
-                .map(|(addr, is_store)| Access {
-                    addr: Address::new(addr),
-                    kind: if is_store {
-                        AccessKind::Store
-                    } else {
-                        AccessKind::Load
-                    },
-                })
-                .collect(),
+        let mut accesses = AccessBuf::new();
+        let mut out = accesses.appender();
+        for (addr, is_store) in iter {
+            out.push(addr, is_store);
         }
+        drop(out);
+        Trace::from_buf(String::new(), accesses)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::AccessKind;
 
     #[test]
     fn build_and_replay() {
@@ -253,8 +248,8 @@ mod tests {
     #[test]
     fn collect_from_pairs() {
         let t: Trace = [(0x40u64, false), (0x80, true)].into_iter().collect();
-        assert_eq!(t.accesses()[0].kind, AccessKind::Load);
-        assert_eq!(t.accesses()[1].kind, AccessKind::Store);
+        assert_eq!(t.accesses().get(0).kind, AccessKind::Load);
+        assert_eq!(t.accesses().get(1).kind, AccessKind::Store);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! holds a single test. It checks nothing when the collectors are
 //! compiled out.
 
-use rdx_trace::{io, Access, Chunk, RdxtDecoder, Trace, TraceReader};
+use rdx_trace::{io, AccessBuf, Chunk, RdxtDecoder, Trace, TraceReader};
 
 const NAMES: [&str; 4] = [
     "rdx.trace.decode.bytes",
@@ -44,7 +44,7 @@ fn streaming_and_file_decode_count_alike() {
 
     rdx_metrics::reset();
     let mut decoder = RdxtDecoder::new();
-    let mut out: Vec<Access> = Vec::new();
+    let mut out = AccessBuf::new();
     let mut passes = 0;
     // 61-byte pieces split the header and many records.
     for piece in raw.chunks(61) {
