@@ -262,8 +262,8 @@ impl Machine {
     ///
     /// The run is a loop of [`MachineRun::feed`] calls plus one
     /// [`MachineRun::finish`]: chunk-capable streams feed their chunks
-    /// as they come, other streams are batched through one reused
-    /// columnar buffer.
+    /// as they come, other streams [`fill`](AccessStream::fill) one
+    /// reused columnar buffer a batch at a time.
     ///
     /// # Fast path
     ///
@@ -290,20 +290,13 @@ impl Machine {
             }
         }
         // Non-chunked streams (and whatever a chunk-capable stream
-        // still yields per access once its chunks run out).
+        // still yields once its chunks run out).
         let mut batch = AccessBuf::with_capacity(SLOW_BATCH);
         loop {
             batch.clear();
-            let mut out = batch.appender();
-            while out.len() < SLOW_BATCH {
-                let Some(a) = stream.next_access() else {
-                    break;
-                };
-                out.push(a.addr.raw(), a.kind.is_store());
-            }
-            drop(out);
+            let n = stream.fill(&mut batch, SLOW_BATCH);
             run.feed(batch.as_slice(), profiler);
-            if batch.len() < SLOW_BATCH {
+            if n < SLOW_BATCH {
                 break;
             }
         }
@@ -311,7 +304,7 @@ impl Machine {
     }
 }
 
-/// Accesses [`Machine::run`] pulls from a non-chunked stream per
+/// Accesses [`Machine::run`] fills from a non-chunked stream per
 /// [`MachineRun::feed`] call.
 const SLOW_BATCH: usize = 512;
 

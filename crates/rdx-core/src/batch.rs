@@ -119,8 +119,9 @@ pub fn default_jobs() -> usize {
 
 fn run_task<S: AccessStream, F: FnOnce() -> S>(config: RdxConfig, make_stream: F) -> RdxProfile {
     // Batch throughput is the point of this module, so hand the machine
-    // chunks: generator streams get buffered into bounded slices for the
-    // bulk-scan fast path, materialized traces pass through zero-copy.
+    // chunks: per-access streams get buffered into bounded slices for
+    // the bulk-scan fast path, while materialized traces and registry
+    // generators pass through with their own chunks.
     // Chunking never changes the access sequence, so profiles stay
     // bit-identical to an unwrapped run (asserted by the tests below).
     RdxRunner::new(config).profile(Chunked::new(make_stream()))

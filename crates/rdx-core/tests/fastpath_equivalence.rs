@@ -10,13 +10,15 @@
 //!   and armed-watchpoint lifetimes straddle chunk borders), and
 //! * the registry golden digest from `metrics_determinism.rs`, re-run
 //!   with every workload materialized and profiled through the fast
-//!   path: the digest recorded from the slow loop must reproduce.
+//!   path: the digest recorded from the slow loop must reproduce, and
+//!   every registry generator stream, profiled as it comes (the CLI's
+//!   path), must equal both its materialized trace and the slow loop.
 
 use memsim::KernelChoice;
 use proptest::prelude::*;
 use rdx_core::{RdxConfig, RdxProfile, RdxRunner};
 use rdx_histogram::Histogram;
-use rdx_trace::{Chunked, Opaque, Trace};
+use rdx_trace::{AccessStream, Chunked, Opaque, Trace};
 use rdx_workloads::{suite, Params};
 
 /// Every scan-kernel selection the golden digest must survive. `Simd`
@@ -135,7 +137,7 @@ impl Digest {
 }
 
 /// Must match `GOLDEN` in `metrics_determinism.rs`, which profiles the
-/// same registry point through generator streams (the slow loop).
+/// same registry point straight from the generator streams.
 const GOLDEN: u64 = 0x17ea_4869_2cad_4966;
 
 /// The registry digest through the fast path with one kernel forced.
@@ -147,8 +149,7 @@ fn registry_digest_with_kernel(kernel: KernelChoice) -> u64 {
         .with_scan_kernel(kernel);
     let mut digest = Digest::new();
     for w in suite() {
-        // Materializing forces the zero-copy chunk fast path (generator
-        // streams are not chunk-capable and would single-step).
+        // The materialized trace is one zero-copy chunk.
         let trace = Trace::from_stream(w.name, w.stream(&params));
         let p = RdxRunner::new(config).profile(trace.stream());
         digest.push_histogram(p.rd.as_histogram());
@@ -173,5 +174,27 @@ fn fast_path_reproduces_registry_golden_digest() {
              bit-identical",
             kernel.name(),
         );
+    }
+}
+
+/// `RdxRunner::profile` of a registry generator stream takes the scan
+/// fast path on the stream's own chunks, and is bit-identical to the
+/// profile of its materialized trace and to the single-stepped loop. The
+/// run crosses the generators' 64 Ki chunk edge twice.
+#[test]
+fn generator_streams_profile_like_their_traces() {
+    let params = Params::default()
+        .with_accesses(150_000)
+        .with_elements(5000)
+        .with_seed(3);
+    let runner = RdxRunner::new(RdxConfig::default().with_period(512).with_seed(11));
+    for w in suite() {
+        assert!(w.stream(&params).chunk_capable(), "{}", w.name);
+        let streamed = runner.profile(w.stream(&params));
+        let trace = Trace::from_stream(w.name, w.stream(&params));
+        let materialized = runner.profile(trace.stream());
+        let stepped = runner.profile(Opaque::new(w.stream(&params)));
+        assert_profiles_identical(w.name, &streamed, &materialized);
+        assert_profiles_identical(w.name, &streamed, &stepped);
     }
 }

@@ -98,18 +98,11 @@ impl<S: AccessStream> Chunker<S> {
                 self.stream.consume_chunk(k);
             }
         }
-        // Streams without chunks, or past their last one, step per access.
-        let mut out = accesses.appender();
-        while out.len() < self.capacity {
-            match self.stream.next_access() {
-                Some(a) => out.push(a.addr.raw(), a.kind.is_store()),
-                None => {
-                    self.done = true;
-                    break;
-                }
-            }
+        // Streams without chunks, or past their last one, fill.
+        let want = self.capacity - accesses.len();
+        if self.stream.fill(&mut accesses, want) < want {
+            self.done = true;
         }
-        drop(out);
         if accesses.is_empty() {
             return None;
         }
@@ -202,13 +195,7 @@ impl<S: AccessStream> Chunked<S> {
         self.buf.clear();
         self.pos = 0;
         self.buf.reserve(self.capacity);
-        let mut out = self.buf.appender();
-        while out.len() < self.capacity {
-            match self.inner.next_access() {
-                Some(a) => out.push(a.addr.raw(), a.kind.is_store()),
-                None => break,
-            }
-        }
+        self.inner.fill(&mut self.buf, self.capacity);
     }
 }
 
@@ -257,6 +244,13 @@ impl<S: AccessStream> AccessStream for Chunked<S> {
             debug_assert!(n <= self.buffered());
             self.pos += n;
         }
+    }
+
+    fn fill(&mut self, out: &mut AccessBuf, max: usize) -> usize {
+        let k = self.buffered().min(max);
+        out.extend_from_slice(self.buf.as_slice().slice(self.pos..self.pos + k));
+        self.pos += k;
+        k + self.inner.fill(out, max - k)
     }
 }
 

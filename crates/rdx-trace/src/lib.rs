@@ -81,5 +81,5 @@ pub use frame::{FrameError, PayloadReader, PayloadWriter, MAX_FRAME_LEN};
 pub use io::{TraceError, TraceReader, MAX_HEADER_LEN, MAX_NAME_LEN};
 pub use kernels::{DecodeKernel, KernelChoice, KernelEntry, KernelKind};
 pub use stats::TraceStats;
-pub use stream::{AccessStream, FnStream, Opaque, Take};
+pub use stream::{AccessStream, Opaque, Take};
 pub use trace::{Trace, TraceStream};

@@ -1,7 +1,7 @@
 //! Pull-based access streams.
 
 use crate::chunk::Chunked;
-use crate::columns::AccessSlice;
+use crate::columns::{AccessBuf, AccessSlice};
 use crate::event::Access;
 
 /// A pull-based stream of memory accesses.
@@ -93,6 +93,27 @@ pub trait AccessStream {
         debug_assert_eq!(n, 0, "consume_chunk without a chunk to consume");
     }
 
+    /// Appends up to `max` accesses to `out`, advancing the stream past
+    /// them, and returns how many it appended. A count below `max`
+    /// means the stream is exhausted.
+    ///
+    /// `out` keeps the accesses it already holds and grows as `Vec`
+    /// does, so a caller that knows the size reserves first. The
+    /// default steps [`next_access`](AccessStream::next_access);
+    /// generators override it to write whole loop iterations straight
+    /// into the columns, and adapters forward it.
+    fn fill(&mut self, out: &mut AccessBuf, max: usize) -> usize {
+        let mut out = out.appender();
+        let start = out.len();
+        while out.len() - start < max {
+            let Some(a) = self.next_access() else {
+                break;
+            };
+            out.push(a.addr.raw(), a.kind.is_store());
+        }
+        out.len() - start
+    }
+
     /// Re-exposes this stream through a buffering adapter whose
     /// [`next_chunk`](AccessStream::next_chunk) always works: streaming
     /// sources are batched into slices of at most `capacity` accesses,
@@ -125,6 +146,10 @@ impl<S: AccessStream + ?Sized> AccessStream for &mut S {
     fn consume_chunk(&mut self, n: usize) {
         (**self).consume_chunk(n);
     }
+
+    fn fill(&mut self, out: &mut AccessBuf, max: usize) -> usize {
+        (**self).fill(out, max)
+    }
 }
 
 impl<S: AccessStream + ?Sized> AccessStream for Box<S> {
@@ -146,6 +171,10 @@ impl<S: AccessStream + ?Sized> AccessStream for Box<S> {
 
     fn consume_chunk(&mut self, n: usize) {
         (**self).consume_chunk(n);
+    }
+
+    fn fill(&mut self, out: &mut AccessBuf, max: usize) -> usize {
+        (**self).fill(out, max)
     }
 }
 
@@ -192,6 +221,13 @@ impl<S: AccessStream> AccessStream for Take<S> {
         self.inner.consume_chunk(n);
         self.left -= n as u64;
     }
+
+    fn fill(&mut self, out: &mut AccessBuf, max: usize) -> usize {
+        let max = max.min(usize::try_from(self.left).unwrap_or(usize::MAX));
+        let n = self.inner.fill(out, max);
+        self.left -= n as u64;
+        n
+    }
 }
 
 /// Adapter that hides a stream's chunk capability; created by
@@ -199,7 +235,9 @@ impl<S: AccessStream> AccessStream for Take<S> {
 ///
 /// Exists so benchmarks and equivalence tests can force consumers onto
 /// their per-access slow path (or force [`Chunked`] into buffering mode)
-/// while replaying the exact same accesses.
+/// while replaying the exact same accesses. It also hides the inner
+/// stream's [`fill`](AccessStream::fill): the default per-access fill
+/// runs instead.
 #[derive(Debug, Clone)]
 pub struct Opaque<S>(S);
 
@@ -235,56 +273,59 @@ impl<S: AccessStream> Iterator for Iter<'_, S> {
     }
 }
 
-/// An [`AccessStream`] produced by a closure; handy in tests and examples.
-///
-/// The closure is called once per access and returns `None` to finish.
-pub struct FnStream<F>(F);
-
-impl<F: FnMut() -> Option<Access>> FnStream<F> {
-    /// Wraps a closure as a stream.
-    pub fn new(f: F) -> Self {
-        FnStream(f)
-    }
-}
-
-impl<F: FnMut() -> Option<Access>> AccessStream for FnStream<F> {
-    fn next_access(&mut self) -> Option<Access> {
-        (self.0)()
-    }
-}
-
-impl<F> std::fmt::Debug for FnStream<F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("FnStream(..)")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Access;
 
-    fn counting_stream(n: u64) -> impl AccessStream {
-        let mut i = 0;
-        FnStream::new(move || {
-            if i < n {
-                i += 1;
-                Some(Access::load(i * 64))
-            } else {
-                None
-            }
-        })
+    /// Loads of `64, 128, …` up to `n` accesses, with no chunks and
+    /// no hint: the trait's defaults only.
+    struct Counting {
+        i: u64,
+        n: u64,
+    }
+
+    impl AccessStream for Counting {
+        fn next_access(&mut self) -> Option<Access> {
+            (self.i < self.n).then(|| {
+                self.i += 1;
+                Access::load(self.i * 64)
+            })
+        }
+    }
+
+    fn counting_stream(n: u64) -> Counting {
+        Counting { i: 0, n }
     }
 
     #[test]
-    fn fn_stream_produces() {
-        let mut s = counting_stream(3);
-        assert_eq!(s.next_access().unwrap().addr.raw(), 64);
-        assert_eq!(s.next_access().unwrap().addr.raw(), 128);
-        assert_eq!(s.next_access().unwrap().addr.raw(), 192);
-        assert!(s.next_access().is_none());
-        // streams are fused by construction here
-        assert!(s.next_access().is_none());
+    fn default_fill_steps_per_access() {
+        let mut s = counting_stream(5);
+        let mut out = AccessBuf::new();
+        out.push(Access::store(8u64));
+        assert_eq!(s.fill(&mut out, 3), 3, "a full fill appends `max`");
+        assert_eq!(s.fill(&mut out, 0), 0);
+        assert_eq!(s.fill(&mut out, 10), 2, "a short fill means exhausted");
+        assert_eq!(s.fill(&mut out, 10), 0);
+        let addrs: Vec<u64> = out.iter().map(|a| a.addr.raw()).collect();
+        assert_eq!(addrs, vec![8, 64, 128, 192, 256, 320]);
+        assert!(out.get(0).kind.is_store(), "existing accesses are kept");
+    }
+
+    #[test]
+    fn fill_forwards_through_take_mut_ref_and_box() {
+        let t = crate::Trace::from_addresses("t", (0..10u64).map(|i| i * 8));
+        let mut s = t.stream().take(7);
+        let mut out = AccessBuf::new();
+        fn fill_by_value(mut s: impl AccessStream, out: &mut AccessBuf, max: usize) -> usize {
+            s.fill(out, max)
+        }
+        assert_eq!(fill_by_value(&mut s, &mut out, 4), 4);
+        assert_eq!(s.remaining_hint(), Some(3));
+        let mut b: Box<dyn AccessStream + '_> = Box::new(s);
+        assert_eq!(b.fill(&mut out, 100), 3, "the take budget caps a fill");
+        assert!(b.next_access().is_none());
+        assert_eq!(out.as_slice(), t.accesses().slice(..7));
     }
 
     #[test]

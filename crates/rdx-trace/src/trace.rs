@@ -60,7 +60,9 @@ impl Trace {
     /// streams grow normally from there.
     const MAX_HINT_RESERVE: usize = 1 << 24;
 
-    /// Materializes a stream into a trace.
+    /// Materializes a stream into a trace: one
+    /// [`fill`](AccessStream::fill) into columns reserved from the
+    /// stream's `remaining_hint`.
     #[must_use]
     pub fn from_stream(name: impl Into<String>, mut stream: impl AccessStream) -> Self {
         let mut accesses = AccessBuf::with_capacity(
@@ -69,11 +71,7 @@ impl Trace {
                 .map_or(0, |h| usize::try_from(h).unwrap_or(usize::MAX))
                 .min(Self::MAX_HINT_RESERVE),
         );
-        let mut out = accesses.appender();
-        while let Some(a) = stream.next_access() {
-            out.push(a.addr.raw(), a.kind.is_store());
-        }
-        drop(out);
+        stream.fill(&mut accesses, usize::MAX);
         Trace::from_buf(name, accesses)
     }
 
@@ -202,6 +200,14 @@ impl AccessStream for TraceStream<'_> {
     fn consume_chunk(&mut self, n: usize) {
         debug_assert!(n <= self.trace.accesses.len() - self.pos);
         self.pos += n;
+    }
+
+    fn fill(&mut self, out: &mut AccessBuf, max: usize) -> usize {
+        let rest = self.trace.accesses().slice(self.pos..);
+        let n = rest.len().min(max);
+        out.extend_from_slice(rest.slice(..n));
+        self.pos += n;
+        n
     }
 }
 

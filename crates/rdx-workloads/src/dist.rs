@@ -13,7 +13,9 @@ use rand::RngExt;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     n: u64,
-    theta: f64,
+    /// `1 + 0.5^θ`: a draw with `u·ζ(n)` in `[1, rank1_bound)` is
+    /// rank 1.
+    rank1_bound: f64,
     alpha: f64,
     zetan: f64,
     eta: f64,
@@ -39,7 +41,7 @@ impl Zipf {
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
         Zipf {
             n,
-            theta,
+            rank1_bound: 1.0 + 0.5f64.powf(theta),
             alpha,
             zetan,
             eta,
@@ -67,7 +69,7 @@ impl Zipf {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < self.rank1_bound {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;

@@ -1,15 +1,18 @@
 //! The kernel implementations.
 //!
-//! Every kernel is an infinite, deterministic access generator capped at
-//! `params.accesses` by the registry. Addresses are 8-byte elements laid
-//! out in per-array regions 4 GiB apart so arrays never alias.
+//! Every kernel is an infinite, deterministic loop nest, written as a
+//! closure over its loop state that appends one whole loop iteration
+//! per call; [`KernelStream`] caps it at `params.accesses`. Addresses
+//! are 8-byte elements laid out in per-array regions 4 GiB apart so
+//! arrays never alias.
 
 use crate::dist::{sattolo_cycle, standard_normal, Zipf};
 use crate::params::Params;
 use crate::registry::DynStream;
+use crate::stream::KernelStream;
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
-use rdx_trace::{Access, AccessStream, FnStream};
+use rdx_trace::AccessAppender;
 
 /// Base byte address of array region `r`.
 fn region(r: u64) -> u64 {
@@ -21,31 +24,43 @@ fn elem(r: u64, idx: u64) -> u64 {
     region(r) + idx * 8
 }
 
+/// Appends a load of element `idx` in region `r`.
+#[inline(always)]
+fn load(out: &mut AccessAppender<'_>, r: u64, idx: u64) {
+    out.push(elem(r, idx), false);
+}
+
+/// Appends a store to element `idx` in region `r`.
+#[inline(always)]
+fn store(out: &mut AccessAppender<'_>, r: u64, idx: u64) {
+    out.push(elem(r, idx), true);
+}
+
 fn rng_for(p: &Params, salt: u64) -> SmallRng {
     SmallRng::seed_from_u64(p.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
-fn boxed(p: &Params, f: impl FnMut() -> Option<Access> + Send + 'static) -> DynStream {
-    Box::new(FnStream::new(f).take(p.accesses))
+/// The stream of a kernel whose `step` appends one loop iteration of
+/// at most `STEP` accesses per call.
+fn kernel<const STEP: usize>(
+    p: &Params,
+    step: impl FnMut(&mut AccessAppender<'_>) + Send + 'static,
+) -> DynStream {
+    Box::new(KernelStream::<_, STEP>::new(p.accesses, step))
 }
 
 /// STREAM-triad style: `a[i] = b[i] + s·c[i]` over three arrays.
 pub(crate) fn stream_triad(p: &Params) -> DynStream {
     let n = (p.elements / 3).max(1);
     let mut i = 0u64;
-    let mut lane = 0u8;
-    boxed(p, move || {
-        let a = match lane {
-            0 => Access::load(elem(1, i)),  // b[i]
-            1 => Access::load(elem(2, i)),  // c[i]
-            _ => Access::store(elem(0, i)), // a[i]
-        };
-        lane += 1;
-        if lane == 3 {
-            lane = 0;
-            i = (i + 1) % n;
+    kernel::<3>(p, move |out| {
+        load(out, 1, i); // b[i]
+        load(out, 2, i); // c[i]
+        store(out, 0, i); // a[i]
+        i += 1;
+        if i == n {
+            i = 0;
         }
-        Some(a)
     })
 }
 
@@ -54,16 +69,14 @@ pub(crate) fn stream_triad(p: &Params) -> DynStream {
 pub(crate) fn strided(p: &Params) -> DynStream {
     let n = p.elements.max(8);
     let mut off = 0u64;
-    let mut i = 0u64;
-    boxed(p, move || {
-        let idx = off + i * 8;
-        let a = Access::load(elem(0, idx % n));
-        i += 1;
-        if off + i * 8 >= n {
-            i = 0;
+    let mut idx = 0u64; // off + 8·i, always below n
+    kernel::<1>(p, move |out| {
+        load(out, 0, idx);
+        idx += 8;
+        if idx >= n {
             off = (off + 1) % 8;
+            idx = off;
         }
-        Some(a)
     })
 }
 
@@ -72,8 +85,8 @@ pub(crate) fn sawtooth(p: &Params) -> DynStream {
     let n = p.elements.max(2);
     let mut i = 0u64;
     let mut up = true;
-    boxed(p, move || {
-        let a = Access::load(elem(0, i));
+    kernel::<1>(p, move |out| {
+        load(out, 0, i);
         if up {
             if i + 1 == n {
                 up = false;
@@ -85,7 +98,6 @@ pub(crate) fn sawtooth(p: &Params) -> DynStream {
         } else {
             i -= 1;
         }
-        Some(a)
     })
 }
 
@@ -93,18 +105,10 @@ pub(crate) fn sawtooth(p: &Params) -> DynStream {
 pub(crate) fn fifo_queue(p: &Params) -> DynStream {
     let n = p.elements.clamp(2, 3000); // queues are small by nature
     let mut head = 0u64;
-    let mut producing = true;
-    boxed(p, move || {
-        let a = if producing {
-            Access::store(elem(0, head))
-        } else {
-            let tail = (head + n / 2) % n;
-            let a = Access::load(elem(0, tail));
-            head = (head + 1) % n;
-            a
-        };
-        producing = !producing;
-        Some(a)
+    kernel::<2>(p, move |out| {
+        store(out, 0, head); // produce
+        load(out, 0, (head + n / 2) % n); // consume
+        head = (head + 1) % n;
     })
 }
 
@@ -112,13 +116,9 @@ pub(crate) fn fifo_queue(p: &Params) -> DynStream {
 pub(crate) fn random_uniform(p: &Params) -> DynStream {
     let n = p.elements;
     let mut rng = rng_for(p, 1);
-    boxed(p, move || {
+    kernel::<1>(p, move |out| {
         let idx = rng.random_range(0..n);
-        Some(if rng.random_range(0..10u32) == 0 {
-            Access::store(elem(0, idx))
-        } else {
-            Access::load(elem(0, idx))
-        })
+        out.push(elem(0, idx), rng.random_range(0..10u32) == 0);
     })
 }
 
@@ -126,10 +126,7 @@ pub(crate) fn random_uniform(p: &Params) -> DynStream {
 pub(crate) fn zipf(p: &Params) -> DynStream {
     let z = Zipf::new(p.elements, 0.99);
     let mut rng = rng_for(p, 2);
-    boxed(p, move || {
-        let rank = z.sample(&mut rng);
-        Some(Access::load(elem(0, rank)))
-    })
+    kernel::<1>(p, move |out| load(out, 0, z.sample(&mut rng)))
 }
 
 /// A Gaussian hot set whose center drifts slowly across the footprint.
@@ -138,13 +135,21 @@ pub(crate) fn gauss_hotset(p: &Params) -> DynStream {
     let sigma = (n / 64).max(1) as f64;
     let drift_every = (n / 16).max(1);
     let mut rng = rng_for(p, 3);
-    let mut t = 0u64;
-    boxed(p, move || {
-        let center = (t / drift_every) % n;
+    // The center moves one element every `drift_every` accesses.
+    let mut center = 0u64;
+    let mut until_drift = drift_every;
+    kernel::<1>(p, move |out| {
         let jump = standard_normal(&mut rng) * sigma;
-        let idx = (center as i64 + jump as i64).rem_euclid(n as i64) as u64;
-        t += 1;
-        Some(Access::load(elem(0, idx)))
+        load(
+            out,
+            0,
+            (center as i64 + jump as i64).rem_euclid(n as i64) as u64,
+        );
+        until_drift -= 1;
+        if until_drift == 0 {
+            until_drift = drift_every;
+            center = (center + 1) % n;
+        }
     })
 }
 
@@ -152,25 +157,19 @@ pub(crate) fn gauss_hotset(p: &Params) -> DynStream {
 pub(crate) fn hash_probe(p: &Params) -> DynStream {
     let m = p.elements.next_power_of_two();
     let mut rng = rng_for(p, 4);
-    let mut probe_left = 0u64;
-    let mut slot = 0u64;
-    boxed(p, move || {
-        if probe_left == 0 {
-            // new lookup: hash a fresh key, draw a probe length
-            slot = rng.random_range(0..m);
-            probe_left = 1;
-            while probe_left < 8 && rng.random_range(0..2u32) == 0 {
-                probe_left += 1;
-            }
+    // One step is one lookup: a hashed slot, then 1–8 linear probes,
+    // the last of which inserts a quarter of the time.
+    kernel::<8>(p, move |out| {
+        let mut slot = rng.random_range(0..m);
+        let mut len = 1;
+        while len < 8 && rng.random_range(0..2u32) == 0 {
+            len += 1;
         }
-        let a = if probe_left == 1 && rng.random_range(0..4u32) == 0 {
-            Access::store(elem(0, slot)) // insert on final probe
-        } else {
-            Access::load(elem(0, slot))
-        };
-        slot = (slot + 1) & (m - 1);
-        probe_left -= 1;
-        Some(a)
+        for _ in 1..len {
+            load(out, 0, slot);
+            slot = (slot + 1) & (m - 1);
+        }
+        out.push(elem(0, slot), rng.random_range(0..4u32) == 0);
     })
 }
 
@@ -178,13 +177,11 @@ pub(crate) fn hash_probe(p: &Params) -> DynStream {
 /// LLC-defeating pattern (505.mcf's core loop).
 pub(crate) fn pointer_chase(p: &Params) -> DynStream {
     let n = usize::try_from(p.elements.min(1 << 22)).expect("footprint fits usize");
-    let mut rng = rng_for(p, 5);
-    let next = sattolo_cycle(n.max(1), &mut rng);
+    let next = sattolo_cycle(n.max(1), &mut rng_for(p, 5));
     let mut cur = 0u32;
-    boxed(p, move || {
-        let a = Access::load(elem(0, u64::from(cur)));
+    kernel::<1>(p, move |out| {
+        load(out, 0, u64::from(cur));
         cur = next[cur as usize];
-        Some(a)
     })
 }
 
@@ -193,13 +190,12 @@ pub(crate) fn bst_search(p: &Params) -> DynStream {
     let n = p.elements.max(1);
     let mut rng = rng_for(p, 6);
     let mut node = 1u64; // 1-based heap indexing
-    boxed(p, move || {
-        let a = Access::load(elem(0, node - 1));
+    kernel::<1>(p, move |out| {
+        load(out, 0, node - 1);
         node = 2 * node + u64::from(rng.random_range(0..2u32));
         if node > n {
             node = 1; // next search
         }
-        Some(a)
     })
 }
 
@@ -210,29 +206,21 @@ pub(crate) fn spmv(p: &Params) -> DynStream {
     let nnz_stream = (p.elements / 4).max(1); // col + val arrays (cycled)
     let rows = (x_len / 8).max(1);
     let mut rng = rng_for(p, 7);
-    let mut k = 0u64;
-    let mut lane = 0u8;
+    let mut k = 0u64; // nonzero index, modulo nnz_stream
     let mut row = 0u64;
-    let mut pending_store: Option<u64> = None;
-    boxed(p, move || {
-        if let Some(r) = pending_store.take() {
-            return Some(Access::store(elem(3, r))); // y[row]
-        }
-        let a = match lane {
-            0 => Access::load(elem(1, k % nnz_stream)), // col[k]
-            1 => Access::load(elem(2, k % nnz_stream)), // val[k]
-            _ => Access::load(elem(0, rng.random_range(0..x_len))), // x[col]
-        };
-        lane += 1;
-        if lane == 3 {
-            lane = 0;
+    // One step is one row: 8 nonzeros, then the row's result store.
+    kernel::<25>(p, move |out| {
+        for _ in 0..8 {
+            load(out, 1, k); // col[k]
+            load(out, 2, k); // val[k]
+            load(out, 0, rng.random_range(0..x_len)); // x[col]
             k += 1;
-            if k.is_multiple_of(8) {
-                row = (row + 1) % rows;
-                pending_store = Some(row);
+            if k == nnz_stream {
+                k = 0;
             }
         }
-        Some(a)
+        row = (row + 1) % rows;
+        store(out, 3, row); // y[row]
     })
 }
 
@@ -240,31 +228,21 @@ pub(crate) fn spmv(p: &Params) -> DynStream {
 /// accumulates — the canonical capacity-miss generator.
 pub(crate) fn matmul_naive(p: &Params) -> DynStream {
     let n = (((p.elements / 3) as f64).sqrt() as u64).max(2);
-    let mut i = 0u64;
-    let mut j = 0u64;
-    let mut k = 0u64;
-    let mut lane = 0u8;
-    boxed(p, move || {
-        let a = match lane {
-            0 => Access::load(elem(0, i * n + k)), // A[i][k]
-            1 => Access::load(elem(1, k * n + j)), // B[k][j]
-            2 => Access::load(elem(2, i * n + j)), // C[i][j]
-            _ => Access::store(elem(2, i * n + j)),
-        };
-        lane += 1;
-        if lane == 4 {
-            lane = 0;
-            k += 1;
-            if k == n {
-                k = 0;
-                j += 1;
-                if j == n {
-                    j = 0;
-                    i = (i + 1) % n;
-                }
+    let (mut i, mut j, mut k) = (0u64, 0u64, 0u64);
+    kernel::<4>(p, move |out| {
+        load(out, 0, i * n + k); // A[i][k]
+        load(out, 1, k * n + j); // B[k][j]
+        load(out, 2, i * n + j); // C[i][j]
+        store(out, 2, i * n + j);
+        k += 1;
+        if k == n {
+            k = 0;
+            j += 1;
+            if j == n {
+                j = 0;
+                i = (i + 1) % n;
             }
         }
-        Some(a)
     })
 }
 
@@ -275,112 +253,89 @@ pub(crate) fn matmul_blocked(p: &Params) -> DynStream {
     let n = (((p.elements / 3) as f64).sqrt() as u64).max(2);
     let t = 8u64.min(n);
     let tiles = n.div_ceil(t);
-    // loop state: tile coords (ti, tj, tk), intra coords (i, j, k), lane
+    // loop state: tile coords (ti, tj, tk), intra coords (i, j, k)
     let mut s = [0u64; 6];
-    let mut lane = 0u8;
-    boxed(p, move || {
+    kernel::<4>(p, move |out| {
         let [ti, tj, tk, i, j, k] = s;
         let (gi, gj, gk) = ((ti * t + i) % n, (tj * t + j) % n, (tk * t + k) % n);
-        let a = match lane {
-            0 => Access::load(elem(0, gi * n + gk)),
-            1 => Access::load(elem(1, gk * n + gj)),
-            2 => Access::load(elem(2, gi * n + gj)),
-            _ => Access::store(elem(2, gi * n + gj)),
-        };
-        lane += 1;
-        if lane == 4 {
-            lane = 0;
-            // advance k, j, i within tile, then tk, tj, ti
-            s[5] += 1;
-            if s[5] == t {
-                s[5] = 0;
-                s[4] += 1;
-                if s[4] == t {
-                    s[4] = 0;
-                    s[3] += 1;
-                    if s[3] == t {
-                        s[3] = 0;
-                        s[2] += 1;
-                        if s[2] == tiles {
-                            s[2] = 0;
-                            s[1] += 1;
-                            if s[1] == tiles {
-                                s[1] = 0;
-                                s[0] = (s[0] + 1) % tiles;
-                            }
+        load(out, 0, gi * n + gk);
+        load(out, 1, gk * n + gj);
+        load(out, 2, gi * n + gj);
+        store(out, 2, gi * n + gj);
+        // advance k, j, i within tile, then tk, tj, ti
+        s[5] += 1;
+        if s[5] == t {
+            s[5] = 0;
+            s[4] += 1;
+            if s[4] == t {
+                s[4] = 0;
+                s[3] += 1;
+                if s[3] == t {
+                    s[3] = 0;
+                    s[2] += 1;
+                    if s[2] == tiles {
+                        s[2] = 0;
+                        s[1] += 1;
+                        if s[1] == tiles {
+                            s[1] = 0;
+                            s[0] = (s[0] + 1) % tiles;
                         }
                     }
                 }
             }
         }
-        Some(a)
     })
 }
 
 /// 5-point 2-D stencil sweeps over an in/out grid pair.
 pub(crate) fn stencil2d(p: &Params) -> DynStream {
     let g = (((p.elements / 2) as f64).sqrt() as u64).max(2);
-    let mut i = 0u64;
-    let mut j = 0u64;
-    let mut lane = 0u8;
-    boxed(p, move || {
-        let clamp = |v: i64| v.clamp(0, g as i64 - 1) as u64;
-        let (ii, jj) = (i as i64, j as i64);
-        let a = match lane {
-            0 => Access::load(elem(0, i * g + j)),
-            1 => Access::load(elem(0, clamp(ii - 1) * g + j)),
-            2 => Access::load(elem(0, clamp(ii + 1) * g + j)),
-            3 => Access::load(elem(0, i * g + clamp(jj - 1))),
-            4 => Access::load(elem(0, i * g + clamp(jj + 1))),
-            _ => Access::store(elem(1, i * g + j)),
-        };
-        lane += 1;
-        if lane == 6 {
-            lane = 0;
-            j += 1;
-            if j == g {
-                j = 0;
-                i = (i + 1) % g;
-            }
+    let (mut i, mut j) = (0u64, 0u64);
+    kernel::<6>(p, move |out| {
+        // Neighbours clamp to the grid edge.
+        let (up, down) = (i.saturating_sub(1), (i + 1).min(g - 1));
+        let (left, right) = (j.saturating_sub(1), (j + 1).min(g - 1));
+        load(out, 0, i * g + j);
+        load(out, 0, up * g + j);
+        load(out, 0, down * g + j);
+        load(out, 0, i * g + left);
+        load(out, 0, i * g + right);
+        store(out, 1, i * g + j);
+        j += 1;
+        if j == g {
+            j = 0;
+            i = (i + 1) % g;
         }
-        Some(a)
     })
 }
 
 /// 7-point 3-D stencil sweeps (the lattice-Boltzmann access shape).
 pub(crate) fn stencil3d(p: &Params) -> DynStream {
     let g = (((p.elements / 2) as f64).cbrt() as u64).max(2);
+    let at = move |x: u64, y: u64, z: u64| (x * g + y) * g + z;
+    // Neighbours clamp to the grid edge.
+    let lo = |v: u64| v.saturating_sub(1);
+    let hi = move |v: u64| (v + 1).min(g - 1);
     let mut c = [0u64; 3];
-    let mut lane = 0u8;
-    boxed(p, move || {
-        let clamp = |v: i64| v.clamp(0, g as i64 - 1) as u64;
+    kernel::<8>(p, move |out| {
         let [x, y, z] = c;
-        let at = |x: u64, y: u64, z: u64| (x * g + y) * g + z;
-        let (xi, yi, zi) = (x as i64, y as i64, z as i64);
-        let a = match lane {
-            0 => Access::load(elem(0, at(x, y, z))),
-            1 => Access::load(elem(0, at(clamp(xi - 1), y, z))),
-            2 => Access::load(elem(0, at(clamp(xi + 1), y, z))),
-            3 => Access::load(elem(0, at(x, clamp(yi - 1), z))),
-            4 => Access::load(elem(0, at(x, clamp(yi + 1), z))),
-            5 => Access::load(elem(0, at(x, y, clamp(zi - 1)))),
-            6 => Access::load(elem(0, at(x, y, clamp(zi + 1)))),
-            _ => Access::store(elem(1, at(x, y, z))),
-        };
-        lane += 1;
-        if lane == 8 {
-            lane = 0;
-            c[2] += 1;
-            if c[2] == g {
-                c[2] = 0;
-                c[1] += 1;
-                if c[1] == g {
-                    c[1] = 0;
-                    c[0] = (c[0] + 1) % g;
-                }
+        load(out, 0, at(x, y, z));
+        load(out, 0, at(lo(x), y, z));
+        load(out, 0, at(hi(x), y, z));
+        load(out, 0, at(x, lo(y), z));
+        load(out, 0, at(x, hi(y), z));
+        load(out, 0, at(x, y, lo(z)));
+        load(out, 0, at(x, y, hi(z)));
+        store(out, 1, at(x, y, z));
+        c[2] += 1;
+        if c[2] == g {
+            c[2] = 0;
+            c[1] += 1;
+            if c[1] == g {
+                c[1] = 0;
+                c[0] = (c[0] + 1) % g;
             }
         }
-        Some(a)
     })
 }
 
@@ -389,47 +344,47 @@ pub(crate) fn stencil3d(p: &Params) -> DynStream {
 pub(crate) fn sort_merge(p: &Params) -> DynStream {
     let n = (p.elements / 2).max(4);
     let mut run = 1u64;
-    let mut out = 0u64;
-    let mut lane = 0u8;
-    boxed(p, move || {
-        let pair = out / (2 * run);
-        let within = out % (2 * run);
-        let left = pair * 2 * run + within / 2;
-        let right = (pair * 2 * run + run + within / 2).min(n - 1);
-        let a = match lane {
-            0 => Access::load(elem(0, left)),
-            1 => Access::load(elem(0, right)),
-            _ => Access::store(elem(1, out)),
-        };
-        lane += 1;
-        if lane == 3 {
-            lane = 0;
-            out += 1;
-            if out == n {
-                out = 0;
-                run *= 2;
-                if run >= n {
-                    run = 1;
-                }
+    let mut o = 0u64;
+    kernel::<3>(p, move |out| {
+        let pair = o / (2 * run);
+        let within = o % (2 * run);
+        load(out, 0, pair * 2 * run + within / 2); // left
+        load(out, 0, (pair * 2 * run + run + within / 2).min(n - 1)); // right
+        store(out, 1, o);
+        o += 1;
+        if o == n {
+            o = 0;
+            run *= 2;
+            if run >= n {
+                run = 1;
             }
         }
-        Some(a)
     })
 }
 
 /// Phase-changing hot sets: the working set expands and contracts every
 /// eighth of the run, as compiler-like workloads do between passes.
 pub(crate) fn phased(p: &Params) -> DynStream {
+    const RUN: usize = 64;
     let n = p.elements.max(64);
     let phase_len = (p.accesses / 8).max(1000);
-    let sizes = [n, n / 16, n / 2, n / 64];
+    let sizes = [n, n / 16, n / 2, n / 64].map(|s| s.max(1));
     let mut rng = rng_for(p, 8);
-    let mut t = 0u64;
-    boxed(p, move || {
-        let hot = sizes[((t / phase_len) % sizes.len() as u64) as usize].max(1);
-        let idx = rng.random_range(0..hot);
-        t += 1;
-        Some(Access::load(elem(0, idx)))
+    let mut phase = 0;
+    let mut phase_left = phase_len;
+    // One step is a run of up to RUN draws within one phase, all from
+    // that phase's hot-set size.
+    kernel::<RUN>(p, move |out| {
+        let hot = sizes[phase];
+        let run = phase_left.min(RUN as u64);
+        for _ in 0..run {
+            load(out, 0, rng.random_range(0..hot));
+        }
+        phase_left -= run;
+        if phase_left == 0 {
+            phase = (phase + 1) % sizes.len();
+            phase_left = phase_len;
+        }
     })
 }
 
@@ -438,17 +393,19 @@ pub(crate) fn phased(p: &Params) -> DynStream {
 pub(crate) fn lru_adversary(p: &Params) -> DynStream {
     let n = p.elements.max(2);
     let mut i = 0u64;
-    boxed(p, move || {
-        let a = Access::load(elem(0, i));
-        i = (i + 1) % n;
-        Some(a)
+    kernel::<1>(p, move |out| {
+        load(out, 0, i);
+        i += 1;
+        if i == n {
+            i = 0;
+        }
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdx_trace::{Granularity, TraceStats};
+    use rdx_trace::{AccessStream, Granularity, TraceStats};
 
     fn stats(f: fn(&Params) -> DynStream, p: &Params) -> TraceStats {
         TraceStats::measure(f(p), Granularity::WORD)

@@ -39,6 +39,7 @@ pub mod dist;
 mod kernels;
 mod params;
 mod registry;
+mod stream;
 
 pub use params::Params;
 pub use registry::{by_name, suite, DynStream, WorkloadSpec};

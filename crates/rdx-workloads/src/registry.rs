@@ -5,7 +5,8 @@ use crate::params::Params;
 use rdx_trace::AccessStream;
 use std::fmt;
 
-/// A boxed, sendable access stream — what every kernel produces.
+/// A boxed, sendable access stream — what every kernel produces. Kernel
+/// streams are chunk-capable and override [`AccessStream::fill`].
 pub type DynStream = Box<dyn AccessStream + Send>;
 
 /// A workload in the suite: identity, provenance, and a stream factory.
@@ -26,7 +27,11 @@ impl WorkloadSpec {
     /// Instantiates the workload's access stream for the given parameters.
     ///
     /// The stream yields exactly `params.accesses` accesses and is a
-    /// deterministic function of `params`.
+    /// deterministic function of `params`. It serves
+    /// [`next_chunk`](AccessStream::next_chunk) from one reused buffer,
+    /// so the machine's scan fast path takes it as it is, and its
+    /// [`fill`](AccessStream::fill) generates straight into the
+    /// caller's columns.
     #[must_use]
     pub fn stream(&self, params: &Params) -> DynStream {
         (self.build)(params)

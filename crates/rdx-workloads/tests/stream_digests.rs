@@ -6,7 +6,8 @@
 //! kernel must reproduce its stream bit for bit — through every way of
 //! pulling it.
 
-use rdx_trace::{AccessStream, Chunked, Opaque, Trace};
+use proptest::prelude::*;
+use rdx_trace::{AccessBuf, AccessStream, Chunked, Chunker, Opaque, Trace};
 use rdx_workloads::{suite, Params};
 
 /// The four parameter sets, in `DIGESTS` column order.
@@ -67,6 +68,14 @@ fn digest_of(mut stream: impl AccessStream) -> u64 {
     d.finish(n)
 }
 
+fn digest_of_buf(b: &AccessBuf) -> u64 {
+    let mut d = Digest::new();
+    for a in b.iter() {
+        d.push(a.addr.raw(), a.kind.is_store());
+    }
+    d.finish(b.len() as u64)
+}
+
 fn digest_of_trace(t: &Trace) -> u64 {
     let mut d = Digest::new();
     for a in t {
@@ -74,6 +83,13 @@ fn digest_of_trace(t: &Trace) -> u64 {
     }
     d.finish(t.len() as u64)
 }
+
+/// Piece sizes the split tests cut each stream into: smaller than,
+/// equal to and larger than every kernel's loop iteration, and across
+/// the stream's own 64 Ki buffer. A stream is cut into at most
+/// `MAX_PIECES` pieces, so the small sizes run on the short streams.
+const SPLITS: [usize; 8] = [1, 2, 3, 5, 7, 64, 1000, 65_537];
+const MAX_PIECES: u64 = 4200;
 
 /// `(kernel, [digest per params()])`, recorded from the closure
 /// generators.
@@ -284,5 +300,121 @@ fn materialized_and_rechunked_streams_match_pinned_digests() {
                 assert_eq!(digest_of(s), want, "{} chunked({cap}) #{k}", w.name);
             }
         }
+    }
+}
+
+#[test]
+fn filled_and_peeked_streams_match_pinned_digests_at_every_split() {
+    for w in suite() {
+        for (k, p) in params().iter().enumerate() {
+            let want = pinned(w.name)[k];
+            for cap in SPLITS
+                .into_iter()
+                .filter(|&c| p.accesses / c as u64 <= MAX_PIECES)
+            {
+                let mut s = w.stream(p);
+                assert!(s.chunk_capable(), "{}", w.name);
+                let mut filled = AccessBuf::new();
+                while s.fill(&mut filled, cap) == cap {}
+                assert_eq!(digest_of_buf(&filled), want, "{} fill({cap}) #{k}", w.name);
+
+                let mut s = w.stream(p);
+                let mut peeked = AccessBuf::new();
+                while let Some(c) = s.next_chunk() {
+                    let n = c.len().min(cap);
+                    peeked.extend_from_slice(c.slice(..n));
+                    s.consume_chunk(n);
+                }
+                assert_eq!(digest_of_buf(&peeked), want, "{} chunk({cap}) #{k}", w.name);
+
+                let mut chunks = AccessBuf::new();
+                for c in Chunker::with_capacity(w.stream(p), cap) {
+                    chunks.extend_from_slice(c.accesses.as_slice());
+                }
+                assert_eq!(
+                    digest_of_buf(&chunks),
+                    want,
+                    "{} chunker({cap}) #{k}",
+                    w.name
+                );
+            }
+        }
+    }
+}
+
+/// How one pull of an interleaving reads a stream.
+#[derive(Debug, Clone)]
+enum Pull {
+    Access,
+    Chunk(usize),
+    Fill(usize),
+}
+
+fn pull() -> impl Strategy<Value = Pull> {
+    prop_oneof![
+        Just(Pull::Access),
+        (0usize..200).prop_map(Pull::Chunk),
+        (0usize..200).prop_map(Pull::Fill),
+    ]
+}
+
+/// Drains `s` by `pulls` (cycled 40 times), then by one `fill`,
+/// checking the exact hint and the `fill` count on the way.
+fn drain(mut s: impl AccessStream, pulls: &[Pull], total: u64) -> AccessBuf {
+    let mut got = AccessBuf::new();
+    for p in pulls.iter().cycle().take(40 * pulls.len()) {
+        let left = s
+            .remaining_hint()
+            .expect("kernel streams know their length");
+        assert_eq!(left, total - got.len() as u64, "the hint is exact");
+        match *p {
+            Pull::Access => {
+                if let Some(a) = s.next_access() {
+                    got.push(a);
+                }
+            }
+            Pull::Chunk(n) => {
+                if let Some(c) = s.next_chunk() {
+                    let k = n.min(c.len());
+                    got.extend_from_slice(c.slice(..k));
+                    s.consume_chunk(k);
+                }
+            }
+            Pull::Fill(n) => {
+                let k = s.fill(&mut got, n);
+                assert_eq!(k as u64, left.min(n as u64), "fill short of `max`");
+            }
+        }
+    }
+    s.fill(&mut got, usize::MAX);
+    assert_eq!(s.remaining_hint(), Some(0));
+    assert!(s.next_access().is_none() && s.next_chunk().is_none());
+    got
+}
+
+proptest! {
+    /// Any interleaving of `next_access`, `next_chunk` consumed to any
+    /// length and `fill` of any size concatenates to the same stream as
+    /// one `fill` of the whole and as the per-access stream, for every
+    /// kernel at arbitrary `Params`.
+    #[test]
+    fn interleaved_pulls_concatenate_to_one_stream(
+        kernel in 0usize..18,
+        accesses in 1u64..3000,
+        elements in 1u64..5000,
+        seed in any::<u64>(),
+        pulls in prop::collection::vec(pull(), 1..8),
+    ) {
+        let w = &suite()[kernel];
+        let p = Params::default()
+            .with_accesses(accesses)
+            .with_elements(elements)
+            .with_seed(seed);
+        let mut whole = AccessBuf::new();
+        prop_assert_eq!(w.stream(&p).fill(&mut whole, usize::MAX) as u64, accesses);
+        let mut stepped = w.stream(&p);
+        let per_access: AccessBuf = stepped.iter().collect();
+        prop_assert_eq!(&per_access, &whole);
+        prop_assert_eq!(drain(w.stream(&p), &pulls, accesses), whole);
     }
 }
