@@ -1,38 +1,30 @@
-//! Scan kernels: interchangeable inner loops for the needle scanner,
-//! behind one trait and a capability/cost table.
+//! The needle scanner's inner loop: AVX2 where the host has it, the
+//! scalar oracle everywhere else.
 //!
 //! [`Machine::run`](crate::Machine::run)'s fast path owns the event
 //! choreography (overflow gaps, trap replay, counter bulk-advance); the
-//! per-access needle testing is delegated to a [`ScanKernel`] resolved
-//! once per run from [`MachineConfig::scan_kernel`]
-//! (crate::MachineConfig::scan_kernel). The scan side has two kernels
-//! (named with the same [`KernelKind`] taxonomy as the decode side in
-//! `rdx_trace::kernels`):
+//! per-access needle testing is [`scan`]. The host, not an option,
+//! picks its loop:
 //!
-//! * **scalar** — [`NeedleSet::scan`], the unrolled per-access loop. It
-//!   is the oracle: the AVX2 kernel must produce the identical
-//!   [`ScanOutcome`] on every input, which the equivalence proptests in
-//!   `tests/scan_kernels.rs` enforce.
-//! * **simd** — AVX2 on x86_64 (runtime-detected): four 64-bit address
-//!   lanes per compare, loaded straight from the run's address column,
-//!   the unsigned range test done with the sign-flip +
-//!   signed-greater-than trick. This is the only `unsafe` code in the
-//!   workspace, confined to this module and guarded by
-//!   `is_x86_feature_detected!`. Other hosts mark the row unavailable
-//!   and resolve to scalar.
+//! * **AVX2** on x86_64 CPUs where `is_x86_feature_detected!("avx2")`
+//!   holds: four 64-bit address lanes per compare, loaded straight from
+//!   the run's address column, the unsigned range test done with the
+//!   sign-flip + signed-greater-than trick. This is the only `unsafe`
+//!   code in the workspace, confined to this module and guarded by the
+//!   feature check.
+//! * **scalar** — [`NeedleSet::scan`], the unrolled per-access loop,
+//!   everywhere else. It is also the oracle: [`scan`] must produce the
+//!   identical [`ScanOutcome`] on every input, which the equivalence
+//!   proptests in `tests/scan_kernels.rs` enforce by calling both.
 //!
 //! Runs are columnar ([`AccessSlice`]): the scan streams 8 bytes of
-//! address per access, and neither kernel counts stores per access.
-//! The store prefix of an outcome is one popcount over the run's store
+//! address per access, and neither loop counts stores per access. The
+//! store prefix of an outcome is one popcount over the run's store
 //! bitmap ([`AccessSlice::stores_in`]) up to the first match.
 //!
-//! There is no SWAR scan kernel: a blockwise one measured 0.7× scalar
-//! (EXPERIMENTS.md P3), so the `swar` kind routes to scalar here. The
-//! decode side keeps its SWAR kernel, where it wins.
-//!
-//! The capability/cost table idiom ([`scan_kernels`], `auto` picking
-//! the cheapest available row) mirrors `rdx_trace::kernels`: adding an
-//! arch kernel (e.g. aarch64 NEON) is one new row plus one impl.
+//! There is no SWAR scan: a blockwise one measured 0.7× scalar
+//! (EXPERIMENTS.md P3). The decode side keeps its SWAR kernel, where it
+//! wins.
 
 #![allow(unsafe_code)]
 
@@ -40,65 +32,38 @@
 use crate::scan::MAX_NEEDLES;
 use crate::scan::{NeedleSet, ScanOutcome};
 use rdx_trace::AccessSlice;
-pub use rdx_trace::{KernelChoice, KernelEntry, KernelKind};
 
 /// Accesses tested per block in the AVX2 kernel: two 4-lane compares.
 #[cfg(target_arch = "x86_64")]
 const LANES: usize = 8;
 
-/// One interchangeable inner loop of the needle scanner.
-///
-/// Implementations must be exactly equivalent to the scalar oracle
-/// [`NeedleSet::scan`]: same first-match offset, same store prefix
-/// count, for every needle set and run.
-pub trait ScanKernel {
-    /// Which kernel family this is.
-    fn kind(&self) -> KernelKind;
-
-    /// Finds the first access in `run` hitting any needle of `set`,
-    /// counting the stores that precede it.
-    fn scan(&self, set: &NeedleSet, run: AccessSlice<'_>) -> ScanOutcome;
+/// Finds the first access in `run` hitting any needle of `set`,
+/// counting the stores that precede it: the AVX2 loop where this host
+/// has AVX2, else the oracle [`NeedleSet::scan`]. Both give the same
+/// outcome.
+#[inline]
+pub fn scan(set: &NeedleSet, run: AccessSlice<'_>) -> ScanOutcome {
+    #[cfg(target_arch = "x86_64")]
+    if avx2_detected() {
+        // SAFETY: AVX2 support was just verified on this CPU.
+        let first_match = unsafe { avx2::first_match(set, run) };
+        return ScanOutcome {
+            first_match,
+            stores_before: run.stores_in(..first_match.unwrap_or(run.len())),
+        };
+    }
+    set.scan(run)
 }
 
-/// The per-access loop, retained as the oracle.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ScalarScan;
-
-impl ScanKernel for ScalarScan {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Scalar
-    }
-
-    fn scan(&self, set: &NeedleSet, run: AccessSlice<'_>) -> ScanOutcome {
-        set.scan(run)
-    }
-}
-
-/// The x86_64 AVX2 kernel: four address lanes per compare.
-///
-/// Only constructed when `is_x86_feature_detected!("avx2")` holds (and
-/// [`ScanKernel::scan`] re-checks, so a mis-forced kind degrades to the
-/// scalar oracle instead of executing illegal instructions).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SimdScan;
-
-impl ScanKernel for SimdScan {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Simd
-    }
-
-    fn scan(&self, set: &NeedleSet, run: AccessSlice<'_>) -> ScanOutcome {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just verified on this CPU.
-            let first_match = unsafe { avx2::first_match(set, run) };
-            return ScanOutcome {
-                first_match,
-                stores_before: run.stores_in(..first_match.unwrap_or(run.len())),
-            };
-        }
-        ScalarScan.scan(set, run)
-    }
+/// Whether [`scan`] runs the AVX2 loop on this host.
+#[inline]
+#[must_use]
+pub fn avx2_detected() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    let detected = std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    let detected = false;
+    detected
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -224,62 +189,6 @@ mod avx2 {
     }
 }
 
-/// The scan-side capability/cost table for this host.
-///
-/// The `simd` row is available only on x86_64 CPUs with AVX2; elsewhere
-/// `resolve` degrades every choice to scalar.
-#[must_use]
-pub fn scan_kernels() -> [KernelEntry; 2] {
-    [
-        KernelEntry {
-            kind: KernelKind::Scalar,
-            available: true,
-            cost: 100,
-        },
-        KernelEntry {
-            kind: KernelKind::Simd,
-            available: avx2_detected(),
-            cost: 30,
-        },
-    ]
-}
-
-/// Whether this host can run the AVX2 scan kernel.
-fn avx2_detected() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    let detected = std::arch::is_x86_feature_detected!("avx2");
-    #[cfg(not(target_arch = "x86_64"))]
-    let detected = false;
-    detected
-}
-
-/// Resolves a scan kernel choice against [`scan_kernels`].
-#[must_use]
-pub fn resolve_scan(choice: KernelChoice) -> KernelKind {
-    rdx_trace::kernels::resolve(&scan_kernels(), choice)
-}
-
-/// Runs the scan kernel of `kind` (static dispatch — the machine
-/// resolved the kind once per run). `Swar` has no scan kernel and runs
-/// the scalar oracle.
-#[inline]
-pub fn run_scan(kind: KernelKind, set: &NeedleSet, run: AccessSlice<'_>) -> ScanOutcome {
-    match kind {
-        KernelKind::Scalar | KernelKind::Swar => ScalarScan.scan(set, run),
-        KernelKind::Simd => SimdScan.scan(set, run),
-    }
-}
-
-/// The scan kernel instance for `kind`, for benches and tests that
-/// drive kernels directly (`Swar` maps to the scalar oracle).
-#[must_use]
-pub fn scan_kernel(kind: KernelKind) -> &'static dyn ScanKernel {
-    match kind {
-        KernelKind::Scalar | KernelKind::Swar => &ScalarScan,
-        KernelKind::Simd => &SimdScan,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -290,21 +199,6 @@ mod tests {
             .iter()
             .map(|&(a, s)| if s { Access::store(a) } else { Access::load(a) })
             .collect()
-    }
-
-    #[test]
-    fn resolve_auto_prefers_fastest_available() {
-        // Auto takes AVX2 exactly where it is detected, scalar anywhere
-        // else; a forced `swar` has no scan row and resolves like auto.
-        let want = if avx2_detected() {
-            KernelKind::Simd
-        } else {
-            KernelKind::Scalar
-        };
-        assert_eq!(resolve_scan(KernelChoice::Auto), want);
-        assert_eq!(resolve_scan(KernelChoice::Scalar), KernelKind::Scalar);
-        assert_eq!(resolve_scan(KernelChoice::Swar), want);
-        assert_eq!(resolve_scan(KernelChoice::Simd), want);
     }
 
     #[test]
@@ -321,10 +215,7 @@ mod tests {
         let want = set.scan(run.as_slice());
         assert_eq!(want.first_match, Some(10));
         assert_eq!(want.stores_before, 3);
-        for kind in [KernelKind::Scalar, KernelKind::Simd] {
-            let got = run_scan(kind, &set, run.as_slice());
-            assert_eq!(got, want, "kind={kind:?}");
-        }
+        assert_eq!(scan(&set, run.as_slice()), want);
     }
 
     #[test]
@@ -333,9 +224,7 @@ mod tests {
         let run = run_of(&[(0x40, false), (0x44, false), (0x40, true)]);
         let want = set.scan(run.as_slice());
         assert_eq!(want.first_match, Some(2));
-        for kind in [KernelKind::Scalar, KernelKind::Simd] {
-            assert_eq!(run_scan(kind, &set, run.as_slice()), want, "kind={kind:?}");
-        }
+        assert_eq!(scan(&set, run.as_slice()), want);
     }
 
     #[test]
@@ -346,13 +235,7 @@ mod tests {
             let run = run_of(&accesses);
             let want = set.scan(run.as_slice());
             assert_eq!(want.first_match, None);
-            for kind in [KernelKind::Scalar, KernelKind::Simd] {
-                assert_eq!(
-                    run_scan(kind, &set, run.as_slice()),
-                    want,
-                    "len={len} kind={kind:?}"
-                );
-            }
+            assert_eq!(scan(&set, run.as_slice()), want, "len={len}");
         }
     }
 }

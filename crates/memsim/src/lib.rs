@@ -72,7 +72,6 @@ mod scan;
 
 pub use cost::{CostLedger, CostModel};
 pub use debug::{ArmError, ArmInfo, DebugRegisterFile, Slot, WatchKind, Watchpoint};
-pub use kernels::{KernelChoice, KernelEntry, KernelKind, ScanKernel};
 pub use machine::{
     Hardware, Machine, MachineConfig, MachineRun, Profiler, RunReport, Sample, Trap,
 };

@@ -2,7 +2,7 @@
 
 use crate::cost::{CostLedger, CostModel};
 use crate::debug::{ArmError, ArmInfo, DebugRegisterFile, Slot, Watchpoint};
-use crate::kernels::{self, KernelChoice, KernelKind};
+use crate::kernels;
 use crate::pmu::{CounterSnapshot, Pmu, PmuEvent, PmuOutcome, SamplingConfig};
 use crate::scan::NeedleSet;
 use rdx_trace::{Access, AccessBuf, AccessSlice, AccessStream};
@@ -18,8 +18,6 @@ pub struct MachineConfig {
     pub cost: CostModel,
     /// Seed for the PMU's period randomization.
     pub seed: u64,
-    /// Which scan kernel the fast path uses (resolved once per run).
-    pub scan_kernel: KernelChoice,
 }
 
 impl Default for MachineConfig {
@@ -29,7 +27,6 @@ impl Default for MachineConfig {
             sampling: SamplingConfig::default(),
             cost: CostModel::default(),
             seed: 0x005D_1CE5,
-            scan_kernel: KernelChoice::Auto,
         }
     }
 }
@@ -64,13 +61,6 @@ impl MachineConfig {
     #[must_use]
     pub fn with_sampling(mut self, sampling: SamplingConfig) -> Self {
         self.sampling = sampling;
-        self
-    }
-
-    /// Selects the fast path's scan kernel (default: auto).
-    #[must_use]
-    pub fn with_scan_kernel(mut self, kernel: KernelChoice) -> Self {
-        self.scan_kernel = kernel;
         self
     }
 }
@@ -329,26 +319,18 @@ pub struct MachineRun {
     ledger: CostLedger,
     index: u64,
     cost: CostModel,
-    /// Scan kernel, resolved once per run against the host capability
-    /// table and never re-dispatched inside the loop.
-    kernel: KernelKind,
     /// Replay slices through the chunk fast path (else step per access).
     fast: bool,
 }
 
 impl MachineRun {
     fn new(config: &MachineConfig, fast: bool) -> Self {
-        let kernel = kernels::resolve_scan(config.scan_kernel);
-        if fast {
-            rdx_metrics::counter("rdx.machine.scan.kernel").incr();
-        }
         MachineRun {
             pmu: Pmu::new(config.sampling, config.seed),
             drf: DebugRegisterFile::new(config.registers),
             ledger: CostLedger::default(),
             index: 0,
             cost: config.cost,
-            kernel,
             fast,
         }
     }
@@ -366,7 +348,6 @@ impl MachineRun {
         if self.fast {
             run_chunk(
                 accesses,
-                self.kernel,
                 &mut self.pmu,
                 &mut self.drf,
                 &mut self.ledger,
@@ -378,15 +359,12 @@ impl MachineRun {
             // a snapshot's cloned finish never counts them again.
             rdx_metrics::counter("rdx.machine.fastpath.chunks").incr();
             rdx_metrics::counter("rdx.machine.fastpath.scanned_accesses").add(n);
-            // Per-kernel totals, named literally per match arm so the
-            // counter-manifest lint sees every name.
-            match self.kernel {
-                KernelKind::Scalar | KernelKind::Swar => {
-                    rdx_metrics::counter("rdx.machine.scan.scalar_accesses").add(n);
-                }
-                KernelKind::Simd => {
-                    rdx_metrics::counter("rdx.machine.scan.simd_accesses").add(n);
-                }
+            // Which loop the host scanned with, each name literal so
+            // the counter-manifest lint sees it.
+            if kernels::avx2_detected() {
+                rdx_metrics::counter("rdx.machine.scan.simd_accesses").add(n);
+            } else {
+                rdx_metrics::counter("rdx.machine.scan.scalar_accesses").add(n);
             }
         } else {
             for access in accesses {
@@ -488,7 +466,6 @@ fn step_access(
 /// at most one single-stepped event access.
 fn run_chunk(
     chunk: AccessSlice<'_>,
-    kernel: KernelKind,
     pmu: &mut Pmu,
     drf: &mut DebugRegisterFile,
     ledger: &mut CostLedger,
@@ -504,7 +481,7 @@ fn run_chunk(
         // most countdown − 1 accesses long.
         let gap = pmu.countdown() - 1;
         let quiet = remaining.min(usize::try_from(gap).unwrap_or(usize::MAX));
-        let scan = kernels::run_scan(kernel, &needles, chunk.slice(pos..pos + quiet));
+        let scan = kernels::scan(&needles, chunk.slice(pos..pos + quiet));
         match scan.first_match {
             Some(off) => {
                 // Trap inside the quiet run: bulk-advance the prefix,

@@ -1,24 +1,20 @@
-//! Scalar-vs-SIMD equivalence for the needle scanner.
+//! Production-vs-oracle equivalence for the needle scanner.
 //!
-//! [`NeedleSet::scan`] is the oracle; every kernel in `memsim::kernels`
-//! must produce the identical [`ScanOutcome`] — same first-match
-//! offset, same store prefix — for arbitrary needle counts, store-only
-//! mixes, run lengths and match offsets. Runs are generated with a
+//! [`NeedleSet::scan`] is the oracle; the production scan
+//! [`memsim::kernels::scan`] (AVX2 where this host has it, the oracle's
+//! own loop elsewhere) must produce the identical [`ScanOutcome`] —
+//! same first-match offset, same store prefix — for arbitrary needle
+//! counts, store-only mixes, run lengths and match offsets. Runs are generated with a
 //! deliberate bias toward the needle ranges so hits land at arbitrary
 //! block offsets (including block-straddling tails), not just never.
 //! Runs are columnar views that may start at any bit of a store
 //! bitmap word, so each outcome is also checked against a count over
 //! the plain `(address, is_store)` pairs the view was built from.
 
-use memsim::kernels::{run_scan, scan_kernels};
-use memsim::{KernelChoice, KernelKind, NeedleSet};
+use memsim::kernels::scan;
+use memsim::NeedleSet;
 use proptest::prelude::*;
 use rdx_trace::{Access, AccessBuf};
-
-/// Every kernel kind that must agree with the oracle. `Simd` is always
-/// exercised: on hosts without AVX2 it degrades to the scalar kernel
-/// inside `run_scan`, which must *still* match the oracle.
-const KINDS: [KernelKind; 2] = [KernelKind::Scalar, KernelKind::Simd];
 
 fn needle_strategy() -> impl Strategy<Value = (u64, u64, bool)> {
     // Aligned 8-byte spans near the generated address range, plus
@@ -50,7 +46,7 @@ fn run_strategy() -> impl Strategy<Value = AccessBuf> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// All kernels reproduce the oracle's outcome exactly.
+    /// The production scan reproduces the oracle's outcome exactly.
     #[test]
     fn kernels_match_scalar_oracle(
         needles in prop::collection::vec(needle_strategy(), 0..7),
@@ -58,15 +54,12 @@ proptest! {
     ) {
         let set = NeedleSet::from_ranges(&needles);
         let want = set.scan(run.as_slice());
-        for kind in KINDS {
-            let got = run_scan(kind, &set, run.as_slice());
-            prop_assert_eq!(got, want, "kernel {} deviates", kind.name());
-        }
+        prop_assert_eq!(scan(&set, run.as_slice()), want);
     }
 
     /// Block boundaries hold no surprises: a single guaranteed hit
-    /// planted at every offset of a run is found at that offset by
-    /// every kernel, with the same store prefix.
+    /// planted at every offset of a run is found at that offset by the
+    /// production scan, with the same store prefix.
     #[test]
     fn planted_hit_found_at_every_offset(
         len in 1usize..40,
@@ -87,16 +80,14 @@ proptest! {
             .collect();
         let want = set.scan(run.as_slice());
         prop_assert_eq!(want.first_match, Some(hit_at));
-        for kind in KINDS {
-            prop_assert_eq!(run_scan(kind, &set, run.as_slice()), want, "kernel {}", kind.name());
-        }
+        prop_assert_eq!(scan(&set, run.as_slice()), want);
     }
 
     /// Views that start at every bit offset 0..=127 into the store
     /// bitmap, 0..=300 accesses long, under 0–64 needles mixing
     /// read-write and write-only ranges (the top aligned block, whose
     /// end wraps to zero, included): the oracle's outcome is the one a
-    /// plain walk over the source pairs gives, and every kernel
+    /// plain walk over the source pairs gives, and the production scan
     /// reproduces it.
     #[test]
     fn kernels_match_oracle_at_every_bitmap_offset(
@@ -142,33 +133,6 @@ proptest! {
         let want = set.scan(run);
         prop_assert_eq!(want.first_match, first);
         prop_assert_eq!(want.stores_before, stores);
-        for kind in KINDS {
-            prop_assert_eq!(run_scan(kind, &set, run), want, "kernel {}", kind.name());
-        }
-    }
-}
-
-/// The capability table always offers scalar, has no SWAR row, and
-/// resolution never lands on an unavailable row.
-#[test]
-fn capability_table_is_sound() {
-    let table = scan_kernels();
-    assert!(table
-        .iter()
-        .any(|e| e.kind == KernelKind::Scalar && e.available));
-    assert!(table.iter().all(|e| e.kind != KernelKind::Swar));
-    for choice in [
-        KernelChoice::Auto,
-        KernelChoice::Scalar,
-        KernelChoice::Swar,
-        KernelChoice::Simd,
-    ] {
-        let kind = memsim::kernels::resolve_scan(choice);
-        assert!(
-            table.iter().any(|e| e.kind == kind && e.available),
-            "{} resolved to unavailable {}",
-            choice.name(),
-            kind.name()
-        );
+        prop_assert_eq!(scan(&set, run), want);
     }
 }

@@ -15,25 +15,27 @@
 //! ingestion loop every RDXT path runs. Both profiles are asserted
 //! bit-identical; the speedup is the whole point of bulk ingestion.
 //!
-//! **Decode kernels.** The bulk drain is additionally timed with the
-//! varint decode kernel pinned to the scalar oracle and to whatever
-//! auto dispatch selects ([`rdx_trace::kernels`]); their ratio is
-//! `kernel_speedup`, an in-process number immune to host speed — the
-//! quantity the CI regression gate checks.
+//! **Decode kernels.** Every serialized workload's record bytes are
+//! additionally drained in chunk-sized batches by the production SWAR
+//! kernel and by the scalar oracle ([`rdx_trace::kernels`]), both
+//! called the same way, in back-to-back pairs; the median of the pairs'
+//! ratios is `kernel_speedup`, an in-process number immune to host
+//! speed — the quantity the CI regression gate checks.
 //!
 //! Results land in the `"decode"` section of `BENCH_rdx.json` (path
 //! override `RDX_BENCH_OUT`; other sections, e.g. `exp_throughput`'s
 //! `"throughput"`, are preserved). `RDX_ACCESSES` scales the run;
-//! `RDX_REPS` (default 3) controls the best-of-N timing.
+//! `RDX_REPS` (default 3) controls the best-of-N timing (at least nine
+//! pairs for the kernel ratio).
 //!
 //! `--check [--tol <0..1>]` switches to regression-check mode: only the
 //! decode-kernel contrast runs, fresh `kernel_speedup` is compared
 //! against the recorded baseline (`BENCH_rdx.json`, override
 //! `RDX_BENCH_BASELINE`; fail only below recorded × (1 − tol)), and
 //! fresh numbers go to `BENCH_fresh.json` (override `RDX_BENCH_OUT`).
-//! `RDX_KERNEL` forces what "auto" resolves to — CI sets
-//! `RDX_KERNEL=scalar` to prove the gate fails when the fast kernels
-//! are disabled.
+//! `RDX_KERNEL=scalar` makes the production side time the oracle
+//! instead — CI sets it to prove the gate fails without the fast
+//! kernel.
 
 use rdx_bench::{
     bench_args, bench_out_path, check_metric, experiment_params, geo_mean, json_number,
@@ -41,9 +43,9 @@ use rdx_bench::{
     time_min, update_bench_json_at, update_bench_json_keeping,
 };
 use rdx_core::{IngestOptions, RdxProfile, RdxRunner, RdxtInput};
+use rdx_trace::kernels::{KernelRun, ScalarDecode, SwarDecode};
 use rdx_trace::{
-    io, kernels::resolve_decode, AccessStream, Bytes, Chunk, KernelChoice, Opaque, Trace,
-    TraceReader, DEFAULT_CHUNK_CAPACITY,
+    io, AccessBuf, AccessStream, Bytes, Chunk, Opaque, Trace, TraceReader, DEFAULT_CHUNK_CAPACITY,
 };
 use rdx_workloads::suite;
 use std::fmt::Write as _;
@@ -75,56 +77,98 @@ fn assert_identical(name: &str, what: &str, a: &RdxProfile, b: &RdxProfile) {
     );
 }
 
-/// One decode-kernel measurement: the resolved auto kernel and the
-/// bulk drain's throughput with the kernel pinned scalar vs auto.
+/// One decode-kernel measurement: the kernel the production side ran,
+/// each side's median record-drain throughput, and the median of the
+/// per-round production-vs-oracle ratios.
 struct KernelBench {
+    /// `swar`, or `scalar` when `RDX_KERNEL=scalar` forced the oracle.
     auto_name: &'static str,
     scalar_aps: f64,
     auto_aps: f64,
+    speedup: f64,
 }
 
 impl KernelBench {
     fn kernel_speedup(&self) -> f64 {
-        self.auto_aps / self.scalar_aps
+        self.speedup
     }
 }
 
-/// Times the bulk chunk drain over the serialized suite with the varint
-/// decode kernel pinned to the scalar oracle and to what auto dispatch
-/// picks (`RDX_KERNEL` overrides the auto choice).
+/// A decode kernel's signature: records from `bytes` onto `out` until
+/// `out` holds `target` accesses.
+type DecodeFn = fn(&[u8], usize, &mut u64, &mut AccessBuf) -> KernelRun;
+
+/// Fewest rounds the decode-kernel microbenchmark times.
+const DECODE_MIN_ROUNDS: u32 = 9;
+
+/// The middle value of `v` (upper middle for an even count).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Times the record drain over the serialized suite with the scalar
+/// oracle and with the production SWAR kernel (`RDX_KERNEL=scalar`
+/// times the oracle on both sides). Each side decodes every blob's
+/// records in `DEFAULT_CHUNK_CAPACITY` batches into one reused buffer,
+/// the way `RdxtDecoder` calls its kernel.
+///
+/// Each round times the oracle and then the production side, back to
+/// back, and the speedup is the median of the rounds' ratios. On a
+/// shared host the two sides' best rounds can come from different host
+/// states, so a best-of-N per side swings the ratio; a pair shares one.
 fn decode_kernel_bench(blobs: &[(&'static str, u64, Bytes)], total: u64, reps: u32) -> KernelBench {
-    let auto_choice = kernel_override().unwrap_or(KernelChoice::Auto);
-    let drain = |kernel: KernelChoice| {
-        let (secs, n) = time_min(reps, || {
-            let mut n = 0u64;
-            let mut chunk = Chunk::default();
-            for (name, _, raw) in blobs {
-                let mut r = TraceReader::new(raw.clone())
-                    .expect("valid trace bytes")
-                    .with_kernel(kernel);
-                loop {
-                    match r.decode_chunk(&mut chunk, DEFAULT_CHUNK_CAPACITY) {
-                        Ok(0) => break,
-                        Ok(k) => n += k as u64,
-                        Err(e) => panic!("{name}: clean trace failed to decode: {e}"),
-                    }
-                }
+    let scalar: DecodeFn = |b, t, p, o| ScalarDecode.decode_records(b, t, p, o);
+    let swar: DecodeFn = |b, t, p, o| SwarDecode.decode_records(b, t, p, o);
+    let forced = kernel_override();
+    let records: Vec<(&str, usize, &[u8])> = blobs
+        .iter()
+        .map(|(name, n, raw)| {
+            let header = io::parse_header(raw).expect("valid trace bytes");
+            (*name, *n as usize, &raw[header.len..])
+        })
+        .collect();
+    let drain = |decode: DecodeFn| {
+        let mut n = 0u64;
+        let mut out = AccessBuf::with_capacity(DEFAULT_CHUNK_CAPACITY);
+        for &(name, mut left, mut bytes) in &records {
+            let mut prev = 0u64;
+            while left > 0 {
+                out.clear();
+                let target = left.min(DEFAULT_CHUNK_CAPACITY);
+                let run = decode(bytes, target, &mut prev, &mut out);
+                assert!(
+                    run.failure.is_none() && out.len() == target,
+                    "{name}: clean trace failed to decode"
+                );
+                left -= target;
+                n += target as u64;
+                bytes = &bytes[run.committed..];
             }
-            n
-        });
-        assert_eq!(n, total, "kernel '{}' drain lost records", kernel.name());
-        total as f64 / secs
+        }
+        n
     };
+    let production = if forced { scalar } else { swar };
+    let rounds: Vec<[f64; 2]> = (0..reps.max(DECODE_MIN_ROUNDS))
+        .map(|_| {
+            [scalar, production].map(|decode| {
+                let (secs, n) = time_min(1, || drain(decode));
+                assert_eq!(n, total, "drain lost records");
+                secs
+            })
+        })
+        .collect();
     KernelBench {
-        auto_name: resolve_decode(auto_choice).name(),
-        scalar_aps: drain(KernelChoice::Scalar),
-        auto_aps: drain(auto_choice),
+        auto_name: if forced { "scalar" } else { "swar" },
+        scalar_aps: total as f64 / median(rounds.iter().map(|r| r[0]).collect()),
+        auto_aps: total as f64 / median(rounds.iter().map(|r| r[1]).collect()),
+        speedup: median(rounds.iter().map(|r| r[0] / r[1]).collect()),
     }
 }
 
 fn print_kernel_bench(bench: &KernelBench, total: u64) {
     println!(
-        "\ndecode kernels (bulk drain, {total} accesses, auto resolves to '{}'):",
+        "\ndecode kernels (record drain, {total} accesses, production runs '{}'):",
         bench.auto_name
     );
     print_table(
@@ -143,7 +187,7 @@ fn print_kernel_bench(bench: &KernelBench, total: u64) {
         ],
     );
     println!(
-        "kernel_speedup (auto vs scalar): {:.2}x",
+        "kernel_speedup (production vs scalar oracle): {:.2}x",
         bench.kernel_speedup()
     );
 }

@@ -9,10 +9,11 @@
 //! difference is accesses per second.
 //!
 //! A second contrast isolates the needle scanner itself: the same quiet
-//! run is swept by every registered scan kernel ([`memsim::kernels`]),
-//! and the auto-dispatched kernel's throughput over the scalar oracle's
-//! becomes `kernel_speedup` — an in-process ratio that is immune to
-//! host speed, which is what the CI regression gate checks.
+//! run is swept by the production scan ([`memsim::kernels::scan`], AVX2
+//! where the host has it) and by the scalar oracle `NeedleSet::scan`,
+//! both called the same way, and the production throughput over the
+//! oracle's becomes `kernel_speedup` — an in-process ratio that is
+//! immune to host speed, which is what the CI regression gate checks.
 //!
 //! Besides the table, results land in the `"throughput"` section of
 //! `BENCH_rdx.json` (path override: `RDX_BENCH_OUT`; other sections,
@@ -25,19 +26,18 @@
 //! compared against the recorded baseline (`BENCH_rdx.json`, override
 //! `RDX_BENCH_BASELINE`; fail only below recorded × (1 − tol)), and the
 //! fresh numbers go to `BENCH_fresh.json` (override `RDX_BENCH_OUT`)
-//! for artifact upload. `RDX_KERNEL` forces what "auto" resolves to —
-//! CI sets `RDX_KERNEL=scalar` to prove the gate fails when the fast
-//! kernels are disabled.
+//! for artifact upload. `RDX_KERNEL=scalar` makes the production side
+//! time the oracle instead — CI sets it to prove the gate fails without
+//! the fast kernel.
 
-use memsim::kernels::{resolve_scan, run_scan, scan_kernels};
-use memsim::{KernelChoice, KernelKind, NeedleSet};
+use memsim::{kernels, NeedleSet, ScanOutcome};
 use rdx_bench::{
     bench_args, bench_out_path, check_metric, experiment_params, json_number, kernel_override,
     paper_config, print_table, read_bench_baseline, reps, resolve_tolerance, time_min,
     update_bench_json_at, update_bench_json_keeping,
 };
 use rdx_core::{RdxProfile, RdxRunner};
-use rdx_trace::{Access, AccessBuf, Opaque, Trace};
+use rdx_trace::{Access, AccessBuf, AccessSlice, Opaque, Trace};
 use rdx_workloads::suite;
 use std::fmt::Write as _;
 
@@ -65,13 +65,13 @@ fn assert_identical(name: &str, fast: &RdxProfile, slow: &RdxProfile) {
     );
 }
 
-/// One scan-kernel measurement: the resolved auto kernel, every
-/// registered kernel's quiet-run throughput, and the auto-vs-scalar
+/// One scan-kernel measurement: the loop the production side ran, the
+/// quiet-run throughput of both sides, and the production-vs-oracle
 /// ratio the regression gate pins.
 struct ScanBench {
-    auto_kind: KernelKind,
+    /// `simd` when the production side scanned with AVX2, else `scalar`.
+    kernel: &'static str,
     accesses: u64,
-    per_kernel: Vec<(&'static str, f64)>,
     scalar_aps: f64,
     auto_aps: f64,
 }
@@ -88,9 +88,9 @@ const SCAN_RUN: usize = 1 << 16;
 /// Fewest alternating rounds the scan-kernel microbenchmark times.
 const SCAN_MIN_ROUNDS: u32 = 9;
 
-/// Times every registered scan kernel over the hot case — a quiet run
-/// (no needle hits) swept end to end, exactly what the machine fast
-/// path does between PMU overflows.
+/// Times the production scan and the scalar oracle over the hot case —
+/// a quiet run (no needle hits) swept end to end, exactly what the
+/// machine fast path does between PMU overflows.
 fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
     // Four read-write 8-byte needles (the paper's DR0–DR3 at maximal
     // width) parked far above the run so no access hits — the machine
@@ -114,21 +114,23 @@ fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
     let passes = (total_accesses as usize / SCAN_RUN).max(1);
     let accesses = (SCAN_RUN * passes) as u64;
 
-    let auto_choice = kernel_override().unwrap_or(KernelChoice::Auto);
-    let auto_kind = resolve_scan(auto_choice);
-    // The kernels take turns rep by rep, each keeping its fastest, so a
-    // host stall lands on one rep of one kernel rather than on every rep
-    // of whichever kernel happens to be timed during it. A rep at the CI
-    // scale lasts about a millisecond, so at least `SCAN_MIN_ROUNDS`
-    // turns are taken whatever `reps` asks.
-    let kernels = scan_kernels();
-    let mut best = vec![f64::INFINITY; kernels.len()];
+    // The oracle and the production side take turns rep by rep, each
+    // keeping its fastest, so a host stall lands on one rep of one side
+    // rather than on every rep of whichever side happens to be timed
+    // during it. A rep at the CI scale lasts about a millisecond, so at
+    // least `SCAN_MIN_ROUNDS` turns are taken whatever `reps` asks.
+    // Both sides are called through a fn pointer, so they are timed at
+    // the same boundary.
+    let oracle: fn(&NeedleSet, AccessSlice<'_>) -> ScanOutcome = NeedleSet::scan;
+    let forced = kernel_override();
+    let production = if forced { oracle } else { kernels::scan };
+    let mut best = [f64::INFINITY; 2];
     for _ in 0..reps.max(SCAN_MIN_ROUNDS) {
-        for (entry, best) in kernels.iter().zip(&mut best) {
+        for (scan, best) in [oracle, production].into_iter().zip(&mut best) {
             let (secs, sink) = time_min(1, || {
                 let mut sink = 0u64;
                 for _ in 0..passes {
-                    let out = run_scan(entry.kind, &needles, run.as_slice());
+                    let out = scan(&needles, run.as_slice());
                     sink = sink
                         .wrapping_add(out.stores_before)
                         .wrapping_add(out.first_match.map_or(0, |i| i as u64));
@@ -139,48 +141,40 @@ fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
             *best = best.min(secs);
         }
     }
-    let per_kernel: Vec<(&str, f64)> = kernels
-        .iter()
-        .zip(&best)
-        .map(|(entry, &secs)| (entry.kind.name(), accesses as f64 / secs))
-        .collect();
-    let lookup = |kind: KernelKind| {
-        per_kernel
-            .iter()
-            .find(|&&(name, _)| name == kind.name())
-            .map_or(0.0, |&(_, aps)| aps)
-    };
     ScanBench {
-        auto_kind,
+        kernel: if !forced && kernels::avx2_detected() {
+            "simd"
+        } else {
+            "scalar"
+        },
         accesses,
-        scalar_aps: lookup(KernelKind::Scalar),
-        auto_aps: lookup(auto_kind),
-        per_kernel,
+        scalar_aps: accesses as f64 / best[0],
+        auto_aps: accesses as f64 / best[1],
     }
 }
 
 fn print_scan_bench(bench: &ScanBench) {
     println!(
-        "\nscan kernels (quiet run, {} accesses, auto resolves to '{}'):",
-        bench.accesses,
-        bench.auto_kind.name()
+        "\nscan kernels (quiet run, {} accesses, production scan runs '{}'):",
+        bench.accesses, bench.kernel
     );
     print_table(
         &["kernel", "acc/s", "vs scalar"],
-        &bench
-            .per_kernel
-            .iter()
-            .map(|&(name, aps)| {
-                vec![
-                    name.to_string(),
-                    format!("{aps:.3e}"),
-                    format!("{:.2}x", aps / bench.scalar_aps),
-                ]
-            })
-            .collect::<Vec<_>>(),
+        &[
+            vec![
+                "scalar (oracle)".into(),
+                format!("{:.3e}", bench.scalar_aps),
+                "1.00x".into(),
+            ],
+            vec![
+                format!("{} (production)", bench.kernel),
+                format!("{:.3e}", bench.auto_aps),
+                format!("{:.2}x", bench.kernel_speedup()),
+            ],
+        ],
     );
     println!(
-        "kernel_speedup (auto vs scalar): {:.2}x",
+        "kernel_speedup (production vs scalar oracle): {:.2}x",
         bench.kernel_speedup()
     );
 }
@@ -291,10 +285,21 @@ fn main() {
 fn render_scan_kernel(bench: &ScanBench, indent: &str) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "{indent}  \"kernel\": \"{}\",", bench.auto_kind.name());
+    let _ = writeln!(s, "{indent}  \"kernel\": \"{}\",", bench.kernel);
     let _ = writeln!(s, "{indent}  \"accesses\": {},", bench.accesses);
-    for &(name, aps) in &bench.per_kernel {
-        let _ = writeln!(s, "{indent}  \"{name}_accesses_per_sec\": {aps:.1},");
+    let _ = writeln!(
+        s,
+        "{indent}  \"scalar_accesses_per_sec\": {:.1},",
+        bench.scalar_aps
+    );
+    // A production side that ran the scalar loop too has no row of
+    // its own: its throughput is only the ratio below.
+    if bench.kernel != "scalar" {
+        let _ = writeln!(
+            s,
+            "{indent}  \"{}_accesses_per_sec\": {:.1},",
+            bench.kernel, bench.auto_aps
+        );
     }
     let _ = writeln!(
         s,

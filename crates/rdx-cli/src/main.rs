@@ -5,14 +5,13 @@
 //! rdx profile <workload|file.rdxt> [--accesses N] [--elements N]
 //!             [--period N] [--seed N] [--registers N] [--jobs N]
 //!             [--exact] [--mrc] [--csv] [--metrics] [--save file.rdxp]
-//!             [--decode-buffer N] [--kernel auto|scalar|swar|simd]
+//!             [--decode-buffer N]
 //! rdx suite [file.rdxt ...] [--accesses N] [--elements N] [--period N]
 //!           [--seed N] [--jobs N] [--csv] [--metrics]
 //!           [--merge] [--out file.rdxp]
-//!           [--decode-buffer N] [--kernel auto|scalar|swar|simd]
+//!           [--decode-buffer N]
 //! rdx merge <file.rdxp ...> [--out file.rdxp] [--csv] [--mrc]
-//! rdx trace <file> [--decode-buffer N] [--kernel auto|scalar|swar|simd]
-//!           [--metrics]
+//! rdx trace <file> [--decode-buffer N] [--metrics]
 //! rdx serve --listen <addr|socket-path> [--max-conns N]
 //!           [--max-session-bytes N]
 //! rdx client <addr|socket-path> <workload|file.rdxt> [--accesses N]
@@ -40,15 +39,10 @@
 //! (version, binning, granularity, or cost-model mismatches) are typed
 //! errors naming both sides, never panics.
 //!
-//! `--kernel` forces the hot-loop kernels — the machine fast path's
-//! needle scanner and the trace layer's bulk varint decoder — to one
-//! implementation family (`auto`, the default, picks the cheapest
-//! available per the capability tables; a forced kind that is
-//! unavailable on this host degrades per the table: `simd` decode runs
-//! the SWAR kernel, `swar` scan — which has no kernel — runs like
-//! `auto`, and a host without AVX2 scans with the scalar kernel).
-//! Every kernel is bit-identical in output; `rdx trace` prints the
-//! resolved kernel it decoded with.
+//! The hot loops take no flag: the needle scanner runs AVX2 where the
+//! host has it and its scalar loop elsewhere, and the varint decoder
+//! always runs SWAR. Every loop is bit-identical to its scalar oracle,
+//! so the host changes speed, never output.
 //!
 //! `serve` runs the long-lived framed profiling daemon from
 //! `rdx-server`; `client` streams a workload or trace file to such a
@@ -96,7 +90,7 @@ use rdx_core::{
 use rdx_groundtruth::{ExactProfile, ShardedExact};
 use rdx_histogram::accuracy::histogram_intersection;
 use rdx_histogram::{Binning, Histogram};
-use rdx_trace::{AccessBuf, Granularity, KernelChoice, RdxtDecoder, DEFAULT_CHUNK_CAPACITY};
+use rdx_trace::{AccessBuf, Granularity, RdxtDecoder, DEFAULT_CHUNK_CAPACITY};
 use rdx_workloads::{by_name, suite, Params, WorkloadSpec};
 use std::process::ExitCode;
 
@@ -105,13 +99,13 @@ fn usage() -> ExitCode {
         "usage:\n  rdx list\n  rdx profile <workload|file.rdxt> [--accesses N] \
          [--elements N] [--period N]\n              [--seed N] [--registers N] [--jobs N] \
          [--exact] [--mrc] [--csv] [--metrics]\n              [--save file.rdxp] \
-         [--decode-buffer N] [--kernel auto|scalar|swar|simd]\n  \
+         [--decode-buffer N]\n  \
          rdx suite [file.rdxt ...] [--accesses N] \
          [--elements N] [--period N] [--seed N]\n            [--jobs N] [--csv] [--metrics] \
          [--merge] [--out file.rdxp]\n            \
-         [--decode-buffer N] [--kernel auto|scalar|swar|simd]\n  \
+         [--decode-buffer N]\n  \
          rdx merge <file.rdxp ...> [--out file.rdxp] [--csv] [--mrc]\n  \
-         rdx trace <file> [--decode-buffer N] [--kernel auto|scalar|swar|simd] [--metrics]\n  \
+         rdx trace <file> [--decode-buffer N] [--metrics]\n  \
          rdx serve --listen <addr|socket-path> [--max-conns N] [--max-session-bytes N]\n  \
          rdx client <addr|socket-path> <workload|file.rdxt> [--accesses N] [--elements N]\n             \
          [--period N] [--seed N] [--registers N] [--chunk-bytes N]\n             \
@@ -157,7 +151,6 @@ struct Opts {
     decode_buffer: Option<u64>,
     chunk_bytes: Option<u64>,
     aggregate: Option<u64>,
-    kernel: Option<KernelChoice>,
     save: Option<String>,
     out: Option<String>,
     exact: bool,
@@ -206,15 +199,6 @@ impl Opts {
                     }
                     let value = it.next().ok_or_else(|| format!("{flag} needs a value"))?;
                     *slot = Some(value.clone());
-                }
-                "--kernel" => {
-                    if opts.kernel.is_some() {
-                        return Err("duplicate flag '--kernel'".to_string());
-                    }
-                    let value = it.next().ok_or("--kernel needs a value")?;
-                    opts.kernel = Some(KernelChoice::parse(value).ok_or_else(|| {
-                        format!("--kernel must be auto, scalar, swar or simd (got '{value}')")
-                    })?);
                 }
                 _ => {
                     let slot = match flag {
@@ -306,9 +290,6 @@ impl Opts {
         if let Some(v) = self.registers {
             c = c.with_registers(v as usize);
         }
-        if let Some(k) = self.kernel {
-            c = c.with_scan_kernel(k);
-        }
         c
     }
 
@@ -320,14 +301,11 @@ impl Opts {
     }
 
     /// How file inputs should be decoded (`--decode-buffer` sizes the
-    /// decode batch, `--kernel` picks the decode kernel).
+    /// decode batch).
     fn ingest(&self) -> IngestOptions {
         let mut o = IngestOptions::default();
         if let Some(v) = self.decode_buffer {
             o = o.with_chunk_capacity(usize::try_from(v).unwrap_or(usize::MAX).max(1));
-        }
-        if let Some(k) = self.kernel {
-            o = o.with_decode_kernel(k);
         }
         o
     }
@@ -341,7 +319,6 @@ const PROFILE_FLAGS: &[&str] = &[
     "--registers",
     "--jobs",
     "--decode-buffer",
-    "--kernel",
     "--exact",
     "--mrc",
     "--csv",
@@ -356,7 +333,6 @@ const SUITE_FLAGS: &[&str] = &[
     "--period",
     "--jobs",
     "--decode-buffer",
-    "--kernel",
     "--csv",
     "--metrics",
     "--merge",
@@ -365,7 +341,7 @@ const SUITE_FLAGS: &[&str] = &[
 
 const MERGE_FLAGS: &[&str] = &["--out", "--csv", "--mrc"];
 
-const TRACE_FLAGS: &[&str] = &["--decode-buffer", "--kernel", "--metrics"];
+const TRACE_FLAGS: &[&str] = &["--decode-buffer", "--metrics"];
 
 const STATIC_FLAGS: &[&str] = &[
     "--accesses",
@@ -1001,7 +977,7 @@ fn trace_cmd(args: &[String]) -> ExitCode {
         }
     };
     let (name, declared) = (input.label.clone(), input.declared);
-    let mut decoder = RdxtDecoder::new().with_kernel(opts.kernel.unwrap_or(KernelChoice::Auto));
+    let mut decoder = RdxtDecoder::new();
     let capacity = opts
         .decode_buffer
         .map_or(DEFAULT_CHUNK_CAPACITY, |v| {
@@ -1042,7 +1018,6 @@ fn trace_cmd(args: &[String]) -> ExitCode {
     let loads = accesses - stores;
     println!("trace           : {name}");
     println!("file size       : {total_bytes} B");
-    println!("decode kernel   : {}", decoder.kernel().name());
     println!("accesses        : {accesses} ({loads} loads, {stores} stores)");
     if chunks > 0 {
         println!("chunks          : {chunks} (capacity {capacity}, fill {min_fill}..={max_fill})");
@@ -1066,7 +1041,6 @@ const DECODE_COUNTERS: &[&str] = &[
     "rdx.trace.decode.accesses",
     "rdx.trace.decode.bytes",
     "rdx.trace.decode.chunks",
-    "rdx.trace.decode.events",
 ];
 
 /// Prints the `rdx trace --metrics` JSON report: the decode counters
@@ -1733,13 +1707,14 @@ mod tests {
     fn rejects_unknown_flag() {
         let err = Opts::parse(&to_args(&["--bogus", "3"]), PROFILE_FLAGS).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
-        // The decode-ahead reader and its knobs are gone: every command
-        // that took them now rejects them.
-        for flags in [PROFILE_FLAGS, SUITE_FLAGS, CLIENT_FLAGS] {
+        // The decode-ahead reader and the kernel selector are gone:
+        // every command that took them now rejects them.
+        for flags in [PROFILE_FLAGS, SUITE_FLAGS, CLIENT_FLAGS, TRACE_FLAGS] {
             for args in [
                 &["--pipelined"][..],
                 &["--no-pipelined"][..],
                 &["--decode-ahead", "2"][..],
+                &["--kernel", "scalar"][..],
             ] {
                 let err = Opts::parse(&to_args(args), flags).unwrap_err();
                 assert!(
@@ -1812,46 +1787,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_flag_parses_and_validates() {
-        for flags in [PROFILE_FLAGS, SUITE_FLAGS, TRACE_FLAGS] {
-            for (value, want) in [
-                ("auto", KernelChoice::Auto),
-                ("scalar", KernelChoice::Scalar),
-                ("swar", KernelChoice::Swar),
-                ("simd", KernelChoice::Simd),
-            ] {
-                let opts = Opts::parse(&to_args(&["--kernel", value]), flags).unwrap();
-                assert_eq!(opts.kernel, Some(want));
-            }
-        }
-        let err = Opts::parse(&to_args(&["--kernel", "avx512"]), PROFILE_FLAGS).unwrap_err();
-        assert!(err.contains("--kernel must be"), "{err}");
-        let err = Opts::parse(&to_args(&["--kernel"]), PROFILE_FLAGS).unwrap_err();
-        assert!(err.contains("needs a value"), "{err}");
-        let err = Opts::parse(
-            &to_args(&["--kernel", "swar", "--kernel", "scalar"]),
-            PROFILE_FLAGS,
-        )
-        .unwrap_err();
-        assert!(err.contains("duplicate flag '--kernel'"), "{err}");
-        // The choice threads into both the machine config and ingestion.
-        let opts = Opts::parse(&to_args(&["--kernel", "scalar"]), PROFILE_FLAGS).unwrap();
-        assert_eq!(opts.config().machine.scan_kernel, KernelChoice::Scalar);
-        assert_eq!(opts.ingest().decode_kernel, KernelChoice::Scalar);
-    }
-
-    #[test]
-    fn trace_cmd_accepts_kernel_flag() {
-        let _guard = metrics_guard();
-        let (path, _) = write_sample_trace("trace-kernel", 5_000);
-        for kernel in ["scalar", "swar", "auto", "simd"] {
-            let code = trace_cmd(&to_args(&[&path.display().to_string(), "--kernel", kernel]));
-            assert_eq!(code, ExitCode::SUCCESS, "--kernel {kernel}");
-        }
-        let _ = std::fs::remove_file(path);
-    }
-
-    #[test]
     fn trace_flags_reject_profile_flags() {
         let err = Opts::parse(&to_args(&["--period", "512"]), TRACE_FLAGS).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
@@ -1919,7 +1854,7 @@ mod tests {
         let arg = path.display().to_string();
         for extra in [
             &["--period", "512", "--csv"][..],
-            &["--decode-buffer", "777", "--kernel", "scalar", "--csv"][..],
+            &["--decode-buffer", "777", "--csv"][..],
         ] {
             let mut args = vec![arg.clone()];
             args.extend(extra.iter().map(|s| (*s).to_string()));

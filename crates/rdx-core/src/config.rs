@@ -119,13 +119,6 @@ impl RdxConfig {
         self
     }
 
-    /// Selects the machine fast path's scan kernel (default: auto).
-    #[must_use]
-    pub fn with_scan_kernel(mut self, kernel: memsim::KernelChoice) -> Self {
-        self.machine = self.machine.with_scan_kernel(kernel);
-        self
-    }
-
     /// Sets the replacement policy.
     #[must_use]
     pub fn with_replacement(mut self, replacement: ReplacementPolicy) -> Self {

@@ -18,10 +18,7 @@ use crate::batch::run_batch;
 use crate::config::RdxConfig;
 use crate::report::RdxProfile;
 use crate::runner::{LiveProfile, RdxRunner};
-use rdx_trace::{
-    io, AccessBuf, KernelChoice, KernelKind, RdxtDecoder, TraceError, DEFAULT_CHUNK_CAPACITY,
-    MAX_HEADER_LEN,
-};
+use rdx_trace::{io, AccessBuf, RdxtDecoder, TraceError, DEFAULT_CHUNK_CAPACITY, MAX_HEADER_LEN};
 use std::fmt;
 use std::fs::File;
 use std::io::Read;
@@ -44,16 +41,12 @@ pub struct IngestOptions {
     /// Accesses per decode batch (default [`DEFAULT_CHUNK_CAPACITY`],
     /// capped at 2^20).
     pub chunk_capacity: usize,
-    /// Which decode kernel the decoder uses (default: auto, the
-    /// cheapest available in the trace layer's capability table).
-    pub decode_kernel: KernelChoice,
 }
 
 impl Default for IngestOptions {
     fn default() -> Self {
         IngestOptions {
             chunk_capacity: DEFAULT_CHUNK_CAPACITY,
-            decode_kernel: KernelChoice::Auto,
         }
     }
 }
@@ -71,13 +64,6 @@ impl IngestOptions {
     #[must_use]
     pub fn with_chunk_capacity(mut self, capacity: usize) -> Self {
         self.chunk_capacity = capacity;
-        self
-    }
-
-    /// Selects the decode kernel (default: auto).
-    #[must_use]
-    pub fn with_decode_kernel(mut self, kernel: KernelChoice) -> Self {
-        self.decode_kernel = kernel;
         self
     }
 }
@@ -101,7 +87,7 @@ impl RdxtIngest {
     #[must_use]
     pub fn new(runner: &RdxRunner, opts: &IngestOptions) -> RdxtIngest {
         RdxtIngest {
-            decoder: RdxtDecoder::new().with_kernel(opts.decode_kernel),
+            decoder: RdxtDecoder::new(),
             live: runner.start(),
             batch: AccessBuf::new(),
             capacity: opts.chunk_capacity.clamp(1, MAX_BATCH),
@@ -135,12 +121,6 @@ impl RdxtIngest {
     #[must_use]
     pub fn decoded(&self) -> u64 {
         self.decoder.decoded()
-    }
-
-    /// The decode kernel in use.
-    #[must_use]
-    pub fn kernel(&self) -> KernelKind {
-        self.decoder.kernel()
     }
 
     /// The profile of the records pushed so far; `None` until a

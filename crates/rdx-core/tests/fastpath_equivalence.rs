@@ -14,22 +14,11 @@
 //!   every registry generator stream, profiled as it comes (the CLI's
 //!   path), must equal both its materialized trace and the slow loop.
 
-use memsim::KernelChoice;
 use proptest::prelude::*;
 use rdx_core::{RdxConfig, RdxProfile, RdxRunner};
 use rdx_histogram::Histogram;
 use rdx_trace::{AccessStream, Chunked, Opaque, Trace};
 use rdx_workloads::{suite, Params};
-
-/// Every scan-kernel selection the golden digest must survive. `Simd`
-/// resolves to the portable kernel on hosts without AVX2 — still a
-/// distinct dispatch path worth pinning.
-const KERNELS: [KernelChoice; 4] = [
-    KernelChoice::Auto,
-    KernelChoice::Scalar,
-    KernelChoice::Swar,
-    KernelChoice::Simd,
-];
 
 /// Field-by-field bit equality of two profiles (floats by bit pattern:
 /// "close" is not good enough — the fast path claims identity).
@@ -83,14 +72,12 @@ proptest! {
         registers in 1usize..6,
         chunk_capacity in 3usize..160,
         seed in any::<u64>(),
-        kernel_idx in 0usize..KERNELS.len(),
     ) {
         let trace: Trace = accesses.iter().map(|&(a, s)| (a * 8, s)).collect();
         let mut config = RdxConfig::default()
             .with_period(period)
             .with_registers(registers)
-            .with_seed(seed)
-            .with_scan_kernel(KERNELS[kernel_idx]);
+            .with_seed(seed);
         config.machine.sampling.jitter = if jittered { period / 8 } else { 0 };
         let runner = RdxRunner::new(config);
 
@@ -140,13 +127,10 @@ impl Digest {
 /// same registry point straight from the generator streams.
 const GOLDEN: u64 = 0x17ea_4869_2cad_4966;
 
-/// The registry digest through the fast path with one kernel forced.
-fn registry_digest_with_kernel(kernel: KernelChoice) -> u64 {
+#[test]
+fn fast_path_reproduces_registry_golden_digest() {
     let params = Params::default().with_accesses(60_000).with_elements(800);
-    let config = RdxConfig::default()
-        .with_period(512)
-        .with_seed(7)
-        .with_scan_kernel(kernel);
+    let config = RdxConfig::default().with_period(512).with_seed(7);
     let mut digest = Digest::new();
     for w in suite() {
         // The materialized trace is one zero-copy chunk.
@@ -159,22 +143,12 @@ fn registry_digest_with_kernel(kernel: KernelChoice) -> u64 {
         digest.push(p.evictions);
         digest.push(p.m_estimate.to_bits());
     }
-    digest.0
-}
-
-#[test]
-fn fast_path_reproduces_registry_golden_digest() {
-    for kernel in KERNELS {
-        let got = registry_digest_with_kernel(kernel);
-        assert_eq!(
-            got,
-            GOLDEN,
-            "fast-path registry digest {got:#018x} with scan kernel '{}' \
-             deviates from the slow-loop baseline — every kernel must be \
-             bit-identical",
-            kernel.name(),
-        );
-    }
+    let got = digest.0;
+    assert_eq!(
+        got, GOLDEN,
+        "fast-path registry digest {got:#018x} deviates from the slow-loop \
+         baseline — the scan must be bit-identical to its oracle",
+    );
 }
 
 /// `RdxRunner::profile` of a registry generator stream takes the scan

@@ -1,28 +1,20 @@
 //! RDXT ingestion must be invisible in the output: profiling an
 //! RDXT-serialized workload through `profile_rdxt` — from an in-memory
-//! buffer or a file read block by block, under any decode kernel and
-//! batch size — reproduces the exact registry golden digest that
-//! `metrics_determinism.rs` recorded from in-memory generator streams
-//! and `fastpath_equivalence.rs` reproduced through the chunk fast
-//! path. Same constant, third execution shape.
+//! buffer or a file read block by block, at any batch size — reproduces
+//! the exact registry golden digest that `metrics_determinism.rs`
+//! recorded from in-memory generator streams and
+//! `fastpath_equivalence.rs` reproduced through the chunk fast path.
+//! Same constant, third execution shape. Decoding the same bytes with
+//! either decode kernel called directly — the production SWAR kernel or
+//! the scalar oracle — and profiling in memory lands on it too.
 
 use rdx_core::{
-    load_rdxt, profile_rdxt_batch, IngestOptions, RdxConfig, RdxProfile, RdxRunner, RdxtIngest,
-    RdxtInput,
+    load_rdxt, profile_rdxt_batch, IngestOptions, RdxConfig, RdxProfile, RdxRunner, RdxtInput,
 };
 use rdx_histogram::Histogram;
-use rdx_trace::{io, kernels, KernelChoice, KernelKind, Trace};
+use rdx_trace::kernels::{KernelRun, ScalarDecode, SwarDecode};
+use rdx_trace::{io, AccessBuf, Trace};
 use rdx_workloads::{suite, Params};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Serializes the tests of this binary: the decode-kernel test reads
-/// the process-global metrics registry and must see only its own
-/// decoding.
-static METRICS_LOCK: Mutex<()> = Mutex::new(());
-
-fn metrics_guard() -> MutexGuard<'static, ()> {
-    METRICS_LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// FNV-1a over u64 words — the same digest as `metrics_determinism.rs`
 /// and `fastpath_equivalence.rs`, so all three tests pin one baseline.
@@ -101,7 +93,6 @@ fn registry_digest_through_bytes(opts: &IngestOptions) -> u64 {
 
 #[test]
 fn bulk_ingestion_reproduces_registry_golden_digest() {
-    let _guard = metrics_guard();
     let got = registry_digest_through_bytes(&IngestOptions::default());
     assert_eq!(
         got, GOLDEN,
@@ -112,7 +103,6 @@ fn bulk_ingestion_reproduces_registry_golden_digest() {
 
 #[test]
 fn odd_chunk_capacities_reproduce_the_digest() {
-    let _guard = metrics_guard();
     // Batch borders must never matter: a tiny odd capacity forces PMU
     // overflow gaps and armed-watchpoint lifetimes to straddle batches,
     // and a huge one is capped.
@@ -123,61 +113,52 @@ fn odd_chunk_capacities_reproduce_the_digest() {
     }
 }
 
+/// A decode kernel's signature: records from `bytes` onto `out` until
+/// `out` holds `target` accesses.
+type DecodeFn = fn(&[u8], usize, &mut u64, &mut AccessBuf) -> KernelRun;
+
 #[test]
 fn every_decode_kernel_reproduces_the_digest() {
-    let _guard = metrics_guard();
-    // Kernel dispatch must be invisible: forcing each decode kernel
-    // (simd degrades to SWAR by table rule — still a distinct path)
-    // lands on the same bits.
-    for kernel in [
-        KernelChoice::Auto,
-        KernelChoice::Scalar,
-        KernelChoice::Swar,
-        KernelChoice::Simd,
-    ] {
-        let opts = IngestOptions::default()
-            .with_decode_kernel(kernel)
-            .with_chunk_capacity(777);
-        let want = kernels::resolve_decode(kernel);
-        let runner = RdxRunner::new(config());
+    // Each kernel decodes every registry blob's records in one call,
+    // outside the decoder; the columns, profiled in memory, land on the
+    // same bits. The scalar oracle runs nowhere in production, so this
+    // is what keeps it pinned to the digest.
+    let kernels: [(&str, DecodeFn); 2] = [
+        ("scalar", |b, t, p, o| {
+            ScalarDecode.decode_records(b, t, p, o)
+        }),
+        ("swar", |b, t, p, o| SwarDecode.decode_records(b, t, p, o)),
+    ];
+    let runner = RdxRunner::new(config());
+    for (kernel, decode) in kernels {
+        let profiles: Vec<RdxProfile> = registry_bytes()
+            .into_iter()
+            .map(|(name, raw)| {
+                let header = io::parse_header(&raw).expect("valid RDXT header");
+                let records = &raw[header.len..];
+                let mut accesses = AccessBuf::new();
+                let declared = usize::try_from(header.declared).expect("fits usize");
+                let run = decode(records, declared, &mut 0, &mut accesses);
+                assert!(
+                    run.failure.is_none() && run.committed == records.len(),
+                    "{name}: the {kernel} kernel must decode every record",
+                );
+                let mut live = runner.start();
+                live.feed(accesses.as_slice());
+                live.finish()
+            })
+            .collect();
+        let got = digest_profiles(&profiles);
         assert_eq!(
-            RdxtIngest::new(&runner, &opts).kernel(),
-            want,
-            "the ingestion loop must decode with the forced kernel",
+            got, GOLDEN,
+            "decode kernel '{kernel}' digest {got:#018x} deviates — every \
+             kernel must be bit-identical",
         );
-        rdx_metrics::reset();
-        let got = registry_digest_through_bytes(&opts);
-        assert_eq!(
-            got,
-            GOLDEN,
-            "decode kernel '{}' digest {got:#018x} deviates — every kernel \
-             must be bit-identical",
-            kernel.name(),
-        );
-        if rdx_metrics::enabled() {
-            // The per-kernel decode counters say which kernel decoded.
-            let snap = rdx_metrics::snapshot();
-            let count = |name| snap.counter(name).unwrap_or(0);
-            let scalar = count("rdx.trace.decode.scalar_accesses");
-            let swar = count("rdx.trace.decode.swar_accesses");
-            let (used, unused) = if want == KernelKind::Scalar {
-                (scalar, swar)
-            } else {
-                (swar, scalar)
-            };
-            assert!(
-                used > 0 && unused == 0,
-                "kernel '{}': {scalar} accesses decoded by the scalar kernel, \
-                 {swar} by SWAR",
-                kernel.name(),
-            );
-        }
     }
 }
 
 #[test]
 fn file_batch_reproduces_registry_golden_digest() {
-    let _guard = metrics_guard();
     // Real files, read block by block, profiled on the batch pool.
     let dir = std::env::temp_dir().join(format!("rdx-ingest-golden-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");

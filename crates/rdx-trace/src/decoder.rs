@@ -4,8 +4,8 @@
 //! receiving framed chunks, splits the header and the varint records
 //! anywhere, and must not hold on to the bytes. [`RdxtDecoder`]
 //! consumes such pieces as they come: it parses the header once enough bytes have arrived (through
-//! the same rules as `TraceReader::new`), decodes records with the bulk
-//! kernels, and carries only what a boundary can split — at most one
+//! the same rules as `TraceReader::new`), decodes records with the SWAR
+//! kernel, and carries only what a boundary can split — at most one
 //! partial record — plus the delta-chain address to the next chunk.
 //!
 //! A [`TraceReader`](crate::TraceReader) is this decoder fed its whole
@@ -17,7 +17,7 @@
 
 use crate::columns::AccessBuf;
 use crate::io::{self, Header, TraceError, MAX_HEADER_LEN};
-use crate::kernels::{self, KernelChoice, KernelKind};
+use crate::kernels::SwarDecode;
 
 /// Longest valid varint record: 19 bytes carry 133 payload bits, the
 /// first encoding length past 128. A 20th byte is always overlong.
@@ -50,9 +50,6 @@ pub struct RdxtDecoder {
     /// Bytes received after the last declared record.
     trailing: u64,
     error: Option<TraceError>,
-    /// The record kernel, resolved once (every kernel decodes
-    /// identically; the choice only affects speed).
-    kernel: KernelKind,
 }
 
 impl Default for RdxtDecoder {
@@ -62,7 +59,7 @@ impl Default for RdxtDecoder {
 }
 
 impl RdxtDecoder {
-    /// A decoder at the start of a stream, with the auto decode kernel.
+    /// A decoder at the start of a stream.
     #[must_use]
     pub fn new() -> RdxtDecoder {
         RdxtDecoder {
@@ -73,23 +70,7 @@ impl RdxtDecoder {
             decoded: 0,
             trailing: 0,
             error: None,
-            kernel: kernels::resolve_decode(KernelChoice::Auto),
         }
-    }
-
-    /// Selects the record kernel (default: auto, the cheapest available
-    /// in [`kernels::decode_kernels`]). Every kernel decodes
-    /// identically; the choice only affects speed.
-    #[must_use]
-    pub fn with_kernel(mut self, choice: KernelChoice) -> RdxtDecoder {
-        self.kernel = kernels::resolve_decode(choice);
-        self
-    }
-
-    /// The record kernel this decoder resolved to.
-    #[must_use]
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// A decoder whose header someone else parsed: the next byte it is
@@ -102,7 +83,6 @@ impl RdxtDecoder {
 
     fn enter_records(&mut self, header: &Header) {
         rdx_metrics::counter("rdx.trace.decode.bytes").add(header.len as u64);
-        rdx_metrics::counter("rdx.trace.decode.kernel").incr();
         self.phase = Phase::Records {
             declared: header.declared,
         };
@@ -159,7 +139,7 @@ impl RdxtDecoder {
         // from the carry included.
         let mut committed = 0;
         let result = self.decode_inner(input, out, max.max(1), &mut committed);
-        io::count_decoded(self.kernel, committed, out.len());
+        io::count_decoded(committed, out.len());
         if let Err(e) = &result {
             self.error = Some(io::dup_decode_error(e));
         }
@@ -221,7 +201,7 @@ impl RdxtDecoder {
             // (usually reused) batch once instead.
             out.reserve(want.min(bytes.len().div_ceil(RESERVE_BYTES_PER_ACCESS)));
             let before = out.len();
-            let run = kernels::run_decode(self.kernel, bytes, before + want, &mut self.prev, out);
+            let run = SwarDecode.decode_records(bytes, before + want, &mut self.prev, out);
             self.decoded += (out.len() - before) as u64;
             pos += run.committed;
             *committed += run.committed;
@@ -264,7 +244,7 @@ impl RdxtDecoder {
         let take = input.len().min(self.carry.len() - had);
         let mut window = self.carry;
         window[had..had + take].copy_from_slice(&input[..take]);
-        let run = kernels::run_decode(self.kernel, &window[..had + take], 1, &mut self.prev, out);
+        let run = SwarDecode.decode_records(&window[..had + take], 1, &mut self.prev, out);
         match run.failure {
             None => {
                 self.decoded += 1;
@@ -318,6 +298,7 @@ mod tests {
     use super::*;
     use crate::event::{Access, AccessKind, Address};
     use crate::io::to_bytes;
+    use crate::kernels::ScalarDecode;
     use crate::{Trace, TraceReader};
     use bytes::{Buf, Bytes};
     use proptest::prelude::*;
@@ -398,6 +379,17 @@ mod tests {
         (got, verdict)
     }
 
+    /// The scalar oracle kernel called once on the record bytes behind
+    /// `bytes`' header, asked for every declared record: the accesses it
+    /// decodes and whether it stopped on an overlong record.
+    fn scalar_oracle(bytes: &[u8]) -> (AccessBuf, bool) {
+        let header = io::parse_header(bytes).expect("a valid header");
+        let mut out = AccessBuf::new();
+        let declared = usize::try_from(header.declared).unwrap_or(usize::MAX);
+        let run = ScalarDecode.decode_records(&bytes[header.len..], declared, &mut 0, &mut out);
+        (out, matches!(run.failure, Some(TraceError::Malformed)))
+    }
+
     fn same_verdict(a: &Result<(), TraceError>, b: &Result<(), TraceError>) -> bool {
         match (a, b) {
             (Ok(()), Ok(())) => true,
@@ -432,7 +424,7 @@ mod tests {
         let (want, _) = oracle(&raw);
         let bytes: Vec<&[u8]> = raw.chunks(1).collect();
         for max in [1, 2, 7] {
-            let mut dec = RdxtDecoder::new().with_kernel(KernelChoice::Scalar);
+            let mut dec = RdxtDecoder::new();
             let (got, err) = feed(&mut dec, &bytes, max);
             assert!(err.is_none());
             assert_eq!(got, want, "max {max}");
@@ -541,15 +533,15 @@ mod tests {
         /// mostly garbage records, so truncation and overlong cuts of
         /// every flavor, and any declared count — decodes to what the
         /// scalar reference reads from the concatenation, with the same
-        /// verdict, for both kernels and any batch size; and so does a
-        /// `TraceReader` over the concatenation.
+        /// verdict, for any batch size; the scalar oracle kernel decodes
+        /// the same accesses from the concatenation in one call; and so
+        /// does a `TraceReader` over the concatenation.
         #[test]
         fn any_chunking_matches_the_reference(
             records in prop::collection::vec(any::<u8>(), 0..200),
             declared in 0u64..120,
             cuts in prop::collection::vec(0usize..260, 0..6),
             max in 1usize..40,
-            scalar in any::<bool>(),
         ) {
             let mut raw = b"RDXT".to_vec();
             raw.extend_from_slice(&1u32.to_le_bytes());
@@ -565,10 +557,12 @@ mod tests {
                 chunks.push(&raw[at..c]);
                 at = c;
             }
-            let kernel = if scalar { KernelChoice::Scalar } else { KernelChoice::Swar };
-            let mut dec = RdxtDecoder::new().with_kernel(kernel);
+            let mut dec = RdxtDecoder::new();
             let (got, err) = feed(&mut dec, &chunks, max);
             let (want, verdict) = reference(&raw);
+            let (scalar, malformed) = scalar_oracle(&raw);
+            prop_assert_eq!(scalar.iter().collect::<Vec<_>>(), got.clone());
+            prop_assert_eq!(malformed, matches!(err, Some(TraceError::Malformed)));
             match err {
                 // A malformed record fails the stream at once; the
                 // reference reads the same prefix and then fails too.
@@ -588,20 +582,19 @@ mod tests {
         /// sizes decodes to the trace's own columns: the batches,
         /// appended one after another, rebuild the store bitmap word
         /// for word, including where a record split across pieces is
-        /// completed mid-word.
+        /// completed mid-word; the scalar oracle kernel decodes the same
+        /// columns in one call.
         #[test]
         fn pieces_rebuild_the_store_bitmap(
             pairs in prop::collection::vec((0u64..1 << 40, any::<bool>()), 0..300),
             cuts in prop::collection::vec(0usize..2400, 0..12),
             max in 1usize..200,
-            scalar in any::<bool>(),
         ) {
             let trace: Trace = pairs.iter().copied().collect();
             let raw = to_bytes(&trace);
             let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(raw.len())).collect();
             cuts.sort_unstable();
-            let kernel = if scalar { KernelChoice::Scalar } else { KernelChoice::Swar };
-            let mut dec = RdxtDecoder::new().with_kernel(kernel);
+            let mut dec = RdxtDecoder::new();
             let mut all = AccessBuf::new();
             let mut out = AccessBuf::new();
             let mut at = 0;
@@ -616,6 +609,7 @@ mod tests {
             }
             prop_assert!(dec.finish().is_ok());
             prop_assert_eq!(all.as_slice(), trace.accesses());
+            prop_assert_eq!(scalar_oracle(&raw), (all, false));
         }
     }
 }

@@ -26,7 +26,6 @@ use crate::chunk::{Chunk, DEFAULT_CHUNK_CAPACITY};
 use crate::columns::{AccessBuf, AccessSlice};
 use crate::decoder::RdxtDecoder;
 use crate::event::Access;
-use crate::kernels::{KernelChoice, KernelKind};
 use crate::stream::AccessStream;
 use crate::trace::Trace;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -241,22 +240,13 @@ pub fn to_bytes(trace: &Trace) -> Bytes {
 }
 
 /// Counts one bulk decode pass of `n` records over `bytes` bytes.
-pub(crate) fn count_decoded(kernel: KernelKind, bytes: usize, n: usize) {
+pub(crate) fn count_decoded(bytes: usize, n: usize) {
     if n == 0 {
         return;
     }
     rdx_metrics::counter("rdx.trace.decode.bytes").add(bytes as u64);
-    rdx_metrics::counter("rdx.trace.decode.events").add(n as u64);
     rdx_metrics::counter("rdx.trace.decode.accesses").add(n as u64);
     rdx_metrics::counter("rdx.trace.decode.chunks").incr();
-    match kernel {
-        KernelKind::Scalar => {
-            rdx_metrics::counter("rdx.trace.decode.scalar_accesses").add(n as u64);
-        }
-        KernelKind::Swar | KernelKind::Simd => {
-            rdx_metrics::counter("rdx.trace.decode.swar_accesses").add(n as u64);
-        }
-    }
 }
 
 /// A parsed `RDXT` header.
@@ -357,22 +347,6 @@ impl TraceReader {
             pos: 0,
             chunk_capacity: DEFAULT_CHUNK_CAPACITY,
         })
-    }
-
-    /// Selects the decode kernel [`decode_chunk`](TraceReader::decode_chunk)
-    /// dispatches to (default: `auto`, the cheapest available kernel in
-    /// [`crate::kernels::decode_kernels`]). Every kernel is bit-identical in
-    /// output; the choice only affects speed.
-    #[must_use]
-    pub fn with_kernel(mut self, choice: KernelChoice) -> Self {
-        self.decoder = self.decoder.with_kernel(choice);
-        self
-    }
-
-    /// The decode kernel this reader resolved to.
-    #[must_use]
-    pub fn kernel(&self) -> KernelKind {
-        self.decoder.kernel()
     }
 
     /// Sets the number of accesses the reader bulk-decodes per refill of
@@ -1250,7 +1224,7 @@ mod proptests {
             target in 0usize..96,
             prev in any::<u64>(),
         ) {
-            use crate::kernels::{DecodeKernel, ScalarDecode, SwarDecode};
+            use crate::kernels::{ScalarDecode, SwarDecode};
             let mut scalar_prev = prev;
             let mut scalar_out = AccessBuf::new();
             let scalar = ScalarDecode.decode_records(
@@ -1271,11 +1245,13 @@ mod proptests {
             prop_assert_eq!(tag(&swar.failure), tag(&scalar.failure));
         }
 
-        /// Kernel equivalence at the reader boundary: a reader forced
-        /// to each kernel decodes the byte-for-byte same chunks, errors
-        /// and counts, over records of every varint width (arbitrary
-        /// u64 deltas reach 10-byte records; small strides stay at
-        /// 1–2), every chunk capacity, and every truncation cut.
+        /// Kernel equivalence at the reader boundary: `decode_chunk`
+        /// yields, chunk after chunk, exactly what the scalar oracle
+        /// decodes from the same record bytes in one call — accesses,
+        /// stream indices, and truncated-vs-malformed verdict — over
+        /// records of every varint width (arbitrary u64 deltas reach
+        /// 10-byte records; small strides stay at 1–2), every chunk
+        /// capacity, and every truncation cut.
         #[test]
         fn decode_chunk_kernels_agree_across_widths_and_cuts(
             records in prop::collection::vec(
@@ -1283,38 +1259,35 @@ mod proptests {
             capacity in 1usize..40,
             cut_back in 0usize..24,
         ) {
+            use crate::kernels::ScalarDecode;
             let t: Trace = records.iter().copied().collect();
             let full = to_bytes(&t);
             let cut = full.len().saturating_sub(cut_back).max(20);
             for raw in [full.clone(), full.slice(..cut.min(full.len()))] {
-                let Ok(scalar) = TraceReader::new(raw.clone()) else { continue };
-                let Ok(swar) = TraceReader::new(raw) else { continue };
-                let mut scalar = scalar.with_kernel(KernelChoice::Scalar);
-                let mut swar = swar.with_kernel(KernelChoice::Swar);
-                prop_assert_eq!(scalar.kernel(), KernelKind::Scalar);
-                prop_assert_eq!(swar.kernel(), KernelKind::Swar);
-                let mut sc = Chunk::default();
-                let mut sw = Chunk::default();
-                loop {
-                    let a = scalar.decode_chunk(&mut sc, capacity);
-                    let b = swar.decode_chunk(&mut sw, capacity);
-                    prop_assert_eq!(&sw.accesses, &sc.accesses);
-                    prop_assert_eq!(sw.base_index, sc.base_index);
-                    prop_assert_eq!(swar.decoded(), scalar.decoded());
-                    match (a, b) {
-                        (Ok(0), Ok(0)) => break,
-                        (Ok(n), Ok(m)) => prop_assert_eq!(n, m),
-                        (Err(ea), Err(eb)) => {
-                            prop_assert_eq!(
-                                matches!(ea, TraceError::Malformed),
-                                matches!(eb, TraceError::Malformed)
-                            );
-                            break;
-                        }
-                        (a, b) => prop_assert!(
-                            false, "kernels disagree: {a:?} vs {b:?}"),
+                let Ok(header) = parse_header(&raw) else { continue };
+                let mut want = AccessBuf::new();
+                let oracle = ScalarDecode.decode_records(
+                    &raw[header.len..], header.declared as usize, &mut 0, &mut want);
+                let mut reader = TraceReader::new(raw).unwrap();
+                let mut chunk = Chunk::default();
+                let mut got = AccessBuf::new();
+                let verdict = loop {
+                    let r = reader.decode_chunk(&mut chunk, capacity);
+                    prop_assert_eq!(chunk.base_index, got.len() as u64);
+                    prop_assert!(chunk.accesses.len() <= capacity);
+                    got.extend_from_slice(chunk.accesses.as_slice());
+                    prop_assert_eq!(reader.decoded(), got.len() as u64);
+                    match r {
+                        Ok(0) => break None,
+                        Ok(n) => prop_assert_eq!(n, chunk.accesses.len()),
+                        Err(e) => break Some(e),
                     }
-                }
+                };
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(
+                    verdict.map(|e| matches!(e, TraceError::Malformed)),
+                    oracle.failure.map(|e| matches!(e, TraceError::Malformed))
+                );
             }
         }
 

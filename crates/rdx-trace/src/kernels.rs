@@ -1,165 +1,30 @@
-//! Decode kernels: interchangeable inner loops for the bulk varint
-//! decoder, behind one trait and a capability/cost table.
+//! Decode kernels: the bulk varint decoder's inner loop and its oracle.
 //!
 //! [`TraceReader::decode_chunk`](crate::TraceReader::decode_chunk) owns
 //! chunk bookkeeping (targets, cursor commit, error parking); the
-//! per-record byte crunching is delegated to a [`DecodeKernel`] chosen
-//! once per reader. Three kinds exist workspace-wide ([`KernelKind`]):
+//! per-record byte crunching is one of two loops with the same
+//! signature:
 //!
-//! * **scalar** — the original per-byte loop, kept verbatim. It is the
-//!   oracle: every other kernel must be byte-for-byte equivalent to it
-//!   (outcome, committed cursor, and error taxonomy), which the
-//!   equivalence proptests in `io.rs` enforce.
-//! * **swar** — SIMD-within-a-register: loads 8 bytes as one `u64` via
-//!   `from_le_bytes`, finds the record terminator (continuation bit
-//!   clear) with `!w & 0x8080…80`, and folds the 7-bit payload groups
-//!   with three mask/shift rounds — no per-byte branches, no `u128`
-//!   arithmetic on the common short records. Records longer than 8
-//!   bytes and buffer tails fall back to the scalar per-record step.
-//! * **simd** — reserved for arch-specific lane kernels. The decoder's
-//!   boundary find is already word-parallel and its value chain is
-//!   serial in `prev`, so no lane-level variant beats SWAR here; the
-//!   table marks the slot unavailable and [`resolve`] falls back to
-//!   SWAR. (The scan side in `memsim` does ship an AVX2 kernel.)
+//! * [`SwarDecode`] — what every decoder runs. SIMD-within-a-register:
+//!   loads 8 bytes as one `u64` via `from_le_bytes`, finds the record
+//!   terminator (continuation bit clear) with `!w & 0x8080…80`, and
+//!   folds the 7-bit payload groups with three mask/shift rounds — no
+//!   per-byte branches, no `u128` arithmetic on the common short
+//!   records. Records longer than 8 bytes and buffer tails fall back to
+//!   the scalar per-record step.
+//! * [`ScalarDecode`] — the original per-byte loop, kept verbatim as the
+//!   oracle. Nothing in production calls it: the equivalence proptests
+//!   in `io.rs` and `decoder.rs` and the decode benchmark call it
+//!   directly, and SWAR must match it byte for byte (outcome, committed
+//!   cursor, and error taxonomy).
 //!
-//! The table idiom (capability + relative cost per kernel, `auto`
-//! resolving to the cheapest available) follows Morello's kernel/cost
-//! split, so adding an arch kernel is one new row plus one impl.
+//! There is no lane-SIMD decoder: the terminator search is already
+//! word-parallel here and the address chain (`prev += delta`) is
+//! serial, so a lane kernel has nothing left to parallelize. (The scan
+//! side in `memsim` does ship an AVX2 kernel.)
 
 use crate::columns::{AccessAppender, AccessBuf};
 use crate::io::{unzigzag, varint_bits_overflow, TraceError};
-
-/// A concrete kernel implementation family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KernelKind {
-    /// Portable per-element reference implementation (the oracle).
-    Scalar,
-    /// Portable SIMD-within-a-register implementation (safe Rust).
-    Swar,
-    /// Arch-specific SIMD (runtime-detected; availability varies).
-    Simd,
-}
-
-impl KernelKind {
-    /// The kernel's name as used in CLI flags and bench JSON.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::Swar => "swar",
-            KernelKind::Simd => "simd",
-        }
-    }
-}
-
-/// A kernel selection: a fixed kind, or `auto` (cheapest available).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelChoice {
-    /// Pick the cheapest available kernel from the capability table.
-    #[default]
-    Auto,
-    /// Force the scalar reference kernel.
-    Scalar,
-    /// Force the portable SWAR kernel.
-    Swar,
-    /// Request the arch SIMD kernel (falls back to SWAR where the
-    /// table marks it unavailable).
-    Simd,
-}
-
-impl KernelChoice {
-    /// Parses a CLI kernel name (`auto|scalar|swar|simd`).
-    #[must_use]
-    pub fn parse(s: &str) -> Option<KernelChoice> {
-        match s {
-            "auto" => Some(KernelChoice::Auto),
-            "scalar" => Some(KernelChoice::Scalar),
-            "swar" => Some(KernelChoice::Swar),
-            "simd" => Some(KernelChoice::Simd),
-            _ => None,
-        }
-    }
-
-    /// The choice's CLI name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelChoice::Auto => "auto",
-            KernelChoice::Scalar => "scalar",
-            KernelChoice::Swar => "swar",
-            KernelChoice::Simd => "simd",
-        }
-    }
-}
-
-/// One row of a capability/cost table: whether a kernel kind is usable
-/// on this host, and its relative cost (scalar ≡ 100; lower is faster).
-#[derive(Debug, Clone, Copy)]
-pub struct KernelEntry {
-    /// The kernel family this row describes.
-    pub kind: KernelKind,
-    /// True when the kernel can run on this host (arch + CPU features).
-    pub available: bool,
-    /// Relative cost per element, scalar = 100 (used by `auto`).
-    pub cost: u32,
-}
-
-/// Resolves a [`KernelChoice`] against a capability table: `auto` takes
-/// the cheapest available row; a forced kind that is unavailable
-/// degrades to the cheapest available portable kind (never scalar
-/// unless scalar is all that's left).
-#[must_use]
-pub fn resolve(table: &[KernelEntry], choice: KernelChoice) -> KernelKind {
-    let cheapest = table
-        .iter()
-        .filter(|e| e.available)
-        .min_by_key(|e| e.cost)
-        .map_or(KernelKind::Scalar, |e| e.kind);
-    let want = match choice {
-        KernelChoice::Auto => return cheapest,
-        KernelChoice::Scalar => KernelKind::Scalar,
-        KernelChoice::Swar => KernelKind::Swar,
-        KernelChoice::Simd => KernelKind::Simd,
-    };
-    if table.iter().any(|e| e.kind == want && e.available) {
-        want
-    } else {
-        cheapest
-    }
-}
-
-/// The decode-side capability/cost table for this host.
-///
-/// The `simd` row is unavailable by design, not omission: the
-/// terminator search is already word-parallel in the SWAR kernel and
-/// the address chain (`prev += delta`) is serial, so a lane kernel has
-/// nothing left to parallelize. `resolve` sends `simd` to SWAR.
-#[must_use]
-pub fn decode_kernels() -> [KernelEntry; 3] {
-    [
-        KernelEntry {
-            kind: KernelKind::Scalar,
-            available: true,
-            cost: 100,
-        },
-        KernelEntry {
-            kind: KernelKind::Swar,
-            available: true,
-            cost: 35,
-        },
-        KernelEntry {
-            kind: KernelKind::Simd,
-            available: false,
-            cost: 35,
-        },
-    ]
-}
-
-/// Resolves a decode kernel choice against [`decode_kernels`].
-#[must_use]
-pub fn resolve_decode(choice: KernelChoice) -> KernelKind {
-    resolve(&decode_kernels(), choice)
-}
 
 /// Outcome of one kernel pass over a record window.
 #[derive(Debug)]
@@ -172,40 +37,18 @@ pub struct KernelRun {
     pub failure: Option<TraceError>,
 }
 
-/// One interchangeable inner loop of the bulk varint decoder.
-///
-/// Implementations must be exactly equivalent to [`ScalarDecode`]:
-/// same accesses pushed, same committed cursor, same
-/// truncated-vs-malformed verdicts, for every input and target.
-pub trait DecodeKernel {
-    /// Which kernel family this is.
-    fn kind(&self) -> KernelKind;
+/// The original per-byte decode loop, retained verbatim as the oracle.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ScalarDecode;
 
+impl ScalarDecode {
     /// Decodes records from `bytes` onto the end of `out` until
     /// `out.len()` reaches `target`, the bytes run out (`Truncated`) or
     /// an overlong varint is hit (`Malformed`). `prev` is the
     /// delta-chain state, updated to cover exactly the records pushed.
     /// Store bits gather in a register word through an
     /// [`AccessAppender`], flushed every 64 records.
-    fn decode_records(
-        &self,
-        bytes: &[u8],
-        target: usize,
-        prev: &mut u64,
-        out: &mut AccessBuf,
-    ) -> KernelRun;
-}
-
-/// The original per-byte decode loop, retained verbatim as the oracle.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ScalarDecode;
-
-impl DecodeKernel for ScalarDecode {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Scalar
-    }
-
-    fn decode_records(
+    pub fn decode_records(
         &self,
         bytes: &[u8],
         target: usize,
@@ -258,12 +101,11 @@ const PAYLOAD_MASK: u64 = 0x7f7f_7f7f_7f7f_7f7f;
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SwarDecode;
 
-impl DecodeKernel for SwarDecode {
-    fn kind(&self) -> KernelKind {
-        KernelKind::Swar
-    }
-
-    fn decode_records(
+impl SwarDecode {
+    /// Exactly [`ScalarDecode::decode_records`]: same accesses pushed,
+    /// same committed cursor, same truncated-vs-malformed verdicts, for
+    /// every input and target.
+    pub fn decode_records(
         &self,
         bytes: &[u8],
         target: usize,
@@ -363,69 +205,9 @@ fn push_record(zz_delta: u64, is_store: bool, prev: &mut u64, out: &mut AccessAp
     out.push(*prev, is_store);
 }
 
-/// Runs the decode kernel of `kind` (static dispatch — the reader
-/// resolved the kind once at construction).
-pub(crate) fn run_decode(
-    kind: KernelKind,
-    bytes: &[u8],
-    target: usize,
-    prev: &mut u64,
-    out: &mut AccessBuf,
-) -> KernelRun {
-    match kind {
-        KernelKind::Scalar => ScalarDecode.decode_records(bytes, target, prev, out),
-        // The table has no arch decode kernel; `Simd` cannot reach a
-        // reader (resolve_decode sends it to SWAR), but stay total.
-        KernelKind::Swar | KernelKind::Simd => SwarDecode.decode_records(bytes, target, prev, out),
-    }
-}
-
-/// The decode kernel instance for `kind`, for benches and tests that
-/// drive kernels directly.
-#[must_use]
-pub fn decode_kernel(kind: KernelKind) -> &'static dyn DecodeKernel {
-    match kind {
-        KernelKind::Scalar => &ScalarDecode,
-        KernelKind::Swar | KernelKind::Simd => &SwarDecode,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn resolve_auto_picks_cheapest_available() {
-        assert_eq!(resolve_decode(KernelChoice::Auto), KernelKind::Swar);
-        assert_eq!(resolve_decode(KernelChoice::Scalar), KernelKind::Scalar);
-        assert_eq!(resolve_decode(KernelChoice::Swar), KernelKind::Swar);
-        // No arch decode kernel: simd degrades to the portable SWAR.
-        assert_eq!(resolve_decode(KernelChoice::Simd), KernelKind::Swar);
-    }
-
-    #[test]
-    fn resolve_handles_empty_and_unavailable_tables() {
-        assert_eq!(resolve(&[], KernelChoice::Auto), KernelKind::Scalar);
-        let none = [KernelEntry {
-            kind: KernelKind::Simd,
-            available: false,
-            cost: 10,
-        }];
-        assert_eq!(resolve(&none, KernelChoice::Simd), KernelKind::Scalar);
-    }
-
-    #[test]
-    fn choice_names_roundtrip() {
-        for c in [
-            KernelChoice::Auto,
-            KernelChoice::Scalar,
-            KernelChoice::Swar,
-            KernelChoice::Simd,
-        ] {
-            assert_eq!(KernelChoice::parse(c.name()), Some(c));
-        }
-        assert_eq!(KernelChoice::parse("avx9"), None);
-    }
 
     #[test]
     fn fold7_matches_shift_sum() {

@@ -79,7 +79,6 @@ pub use decoder::RdxtDecoder;
 pub use event::{Access, AccessKind, Address, Granularity};
 pub use frame::{FrameError, PayloadReader, PayloadWriter, MAX_FRAME_LEN};
 pub use io::{TraceError, TraceReader, MAX_HEADER_LEN, MAX_NAME_LEN};
-pub use kernels::{DecodeKernel, KernelChoice, KernelEntry, KernelKind};
 pub use stats::TraceStats;
 pub use stream::{AccessStream, Opaque, Take};
 pub use trace::{Trace, TraceStream};

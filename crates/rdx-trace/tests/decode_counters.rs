@@ -1,9 +1,9 @@
 //! The `rdx.trace.decode.*` counters mean the same thing on the file
 //! path and the streaming path: a `TraceReader` over a whole trace and
 //! an `RdxtDecoder` fed the same bytes in pieces report the same bytes
-//! (header included), events and kernel resolutions, and one chunk per
-//! decode call that yields records — a record completed across a piece
-//! boundary is not a chunk of its own.
+//! (header included) and accesses, and one chunk per decode call that
+//! yields records — a record completed across a piece boundary is not a
+//! chunk of its own.
 //!
 //! The counters live in one process-global registry, so this binary
 //! holds a single test. It checks nothing when the collectors are
@@ -11,14 +11,13 @@
 
 use rdx_trace::{io, AccessBuf, Chunk, RdxtDecoder, Trace, TraceReader};
 
-const NAMES: [&str; 4] = [
+const NAMES: [&str; 3] = [
     "rdx.trace.decode.bytes",
-    "rdx.trace.decode.events",
-    "rdx.trace.decode.kernel",
+    "rdx.trace.decode.accesses",
     "rdx.trace.decode.chunks",
 ];
 
-fn read() -> [u64; 4] {
+fn read() -> [u64; 3] {
     NAMES.map(|name| rdx_metrics::counter(name).get())
 }
 
@@ -40,7 +39,7 @@ fn streaming_and_file_decode_count_alike() {
     {}
     reader.finish().expect("clean");
     let file = read();
-    assert_eq!(file, [raw.len() as u64, 5_000, 1, 1]);
+    assert_eq!(file, [raw.len() as u64, 5_000, 1]);
 
     rdx_metrics::reset();
     let mut decoder = RdxtDecoder::new();
@@ -54,6 +53,6 @@ fn streaming_and_file_decode_count_alike() {
     }
     decoder.finish().expect("clean");
     let streamed = read();
-    assert_eq!(streamed[..3], file[..3]);
-    assert_eq!(streamed[3], passes);
+    assert_eq!(streamed[..2], file[..2]);
+    assert_eq!(streamed[2], passes);
 }
