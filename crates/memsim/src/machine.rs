@@ -355,8 +355,8 @@ impl MachineRun {
                 &mut self.index,
             );
             // Engagement counters, flushed once per feed so the
-            // (feature-gated) metrics atomics stay off the hot path and
-            // a snapshot's cloned finish never counts them again.
+            // metrics registry stays off the hot path and a snapshot's
+            // cloned finish never counts them again.
             rdx_metrics::counter("rdx.machine.fastpath.chunks").incr();
             rdx_metrics::counter("rdx.machine.fastpath.scanned_accesses").add(n);
             // Which loop the host scanned with, each name literal so

@@ -881,21 +881,17 @@ fn crosscheck_rows(rows: &[(String, RdxProfile)]) -> [(&'static str, u64); 6] {
 /// Prints the `--metrics` JSON report: per-workload profile counters,
 /// the counter crosscheck, and the full registry snapshot. Returns
 /// FAILURE when a crosscheck row disagrees (collection bug), SUCCESS
-/// otherwise. With metrics compiled out the report says so and the
-/// crosscheck is skipped.
+/// otherwise.
 fn emit_metrics_report(rows: &[(String, RdxProfile)]) -> ExitCode {
     use std::fmt::Write as _;
     let snap = rdx_metrics::snapshot();
     let checks = crosscheck_rows(rows);
-    let matched = !rdx_metrics::enabled()
-        || checks
-            .iter()
-            .all(|&(name, want)| snap.counter(name).unwrap_or(0) == want);
+    let matched = checks
+        .iter()
+        .all(|&(name, want)| snap.counter(name).unwrap_or(0) == want);
 
     let mut out = String::new();
-    out.push('{');
-    let _ = write!(out, "\"enabled\":{},", rdx_metrics::enabled());
-    out.push_str("\"workloads\":[");
+    out.push_str("{\"workloads\":[");
     for (i, (name, p)) in rows.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -924,7 +920,7 @@ fn emit_metrics_report(rows: &[(String, RdxProfile)]) -> ExitCode {
             out,
             "{{\"counter\":\"{name}\",\"expected\":{want},\"observed\":{got},\
              \"matched\":{}}}",
-            !rdx_metrics::enabled() || got == want
+            got == want
         );
     }
     let _ = write!(
@@ -936,10 +932,6 @@ fn emit_metrics_report(rows: &[(String, RdxProfile)]) -> ExitCode {
 
     println!("\nmetrics report:");
     println!("{out}");
-    if !rdx_metrics::enabled() {
-        eprintln!("note: this binary was built without the `metrics` feature; probes are no-ops");
-        return ExitCode::SUCCESS;
-    }
     if matched {
         ExitCode::SUCCESS
     } else {
@@ -1051,11 +1043,10 @@ fn emit_trace_metrics(decoded: u64) -> ExitCode {
     let snap = rdx_metrics::snapshot();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let observed = counter("rdx.trace.decode.accesses");
-    let matched = !rdx_metrics::enabled() || observed == decoded;
+    let matched = observed == decoded;
 
     let mut out = String::new();
-    let _ = write!(out, "{{\"enabled\":{},", rdx_metrics::enabled());
-    out.push_str("\"decode\":{");
+    out.push_str("{\"decode\":{");
     for (i, name) in DECODE_COUNTERS.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -1073,10 +1064,6 @@ fn emit_trace_metrics(decoded: u64) -> ExitCode {
 
     println!("\nmetrics report:");
     println!("{out}");
-    if !rdx_metrics::enabled() {
-        eprintln!("note: this binary was built without the `metrics` feature; probes are no-ops");
-        return ExitCode::SUCCESS;
-    }
     if matched {
         ExitCode::SUCCESS
     } else {
@@ -1592,15 +1579,13 @@ fn static_cmd(args: &[String]) -> ExitCode {
 fn emit_static_metrics(snap: &rdx_metrics::Snapshot) -> ExitCode {
     use std::fmt::Write as _;
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
-    let matched = !rdx_metrics::enabled()
-        || (counter("rdx.static.estimates") == 1
-            && STATIC_ZERO_COUNTERS.iter().all(|n| counter(n) == 0));
+    let matched = counter("rdx.static.estimates") == 1
+        && STATIC_ZERO_COUNTERS.iter().all(|n| counter(n) == 0);
 
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"enabled\":{},\"static\":{{\"estimates\":{},\"rejected\":{}}},",
-        rdx_metrics::enabled(),
+        "{{\"static\":{{\"estimates\":{},\"rejected\":{}}},",
         counter("rdx.static.estimates"),
         counter("rdx.static.rejected")
     );
@@ -1613,7 +1598,7 @@ fn emit_static_metrics(snap: &rdx_metrics::Snapshot) -> ExitCode {
         let _ = write!(
             out,
             "{{\"counter\":\"{name}\",\"expected\":0,\"observed\":{got},\"matched\":{}}}",
-            !rdx_metrics::enabled() || got == 0
+            got == 0
         );
     }
     let _ = write!(
@@ -1625,10 +1610,6 @@ fn emit_static_metrics(snap: &rdx_metrics::Snapshot) -> ExitCode {
 
     println!("\nmetrics report:");
     println!("{out}");
-    if !rdx_metrics::enabled() {
-        eprintln!("note: this binary was built without the `metrics` feature; probes are no-ops");
-        return ExitCode::SUCCESS;
-    }
     if matched {
         ExitCode::SUCCESS
     } else {
@@ -2109,12 +2090,10 @@ mod tests {
             "--metrics",
         ]));
         assert_eq!(code, ExitCode::SUCCESS);
-        if rdx_metrics::enabled() {
-            let snap = rdx_metrics::snapshot();
-            assert_eq!(snap.counter("rdx.static.estimates"), Some(1));
-            for name in STATIC_ZERO_COUNTERS {
-                assert_eq!(snap.counter(name).unwrap_or(0), 0, "{name}");
-            }
+        let snap = rdx_metrics::snapshot();
+        assert_eq!(snap.counter("rdx.static.estimates"), Some(1));
+        for name in STATIC_ZERO_COUNTERS {
+            assert_eq!(snap.counter(name).unwrap_or(0), 0, "{name}");
         }
     }
 

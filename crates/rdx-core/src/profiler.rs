@@ -102,7 +102,6 @@ impl RdxProfiler {
 
 impl Profiler for RdxProfiler {
     fn on_sample(&mut self, sample: &Sample, hw: &mut Hardware) {
-        rdx_metrics::counter("rdx.profiler.samples").incr();
         // Aging: release registers whose watchpoint has been armed beyond
         // the age limit — these are overwhelmingly cold (never-reused)
         // samples that would otherwise clog the register file forever.
@@ -120,7 +119,6 @@ impl Profiler for RdxProfiler {
             }
             for &slot in &expired[..expired_len] {
                 if let Some(info) = hw.disarm(slot) {
-                    rdx_metrics::counter("rdx.profiler.evictions").incr();
                     self.evicted.push(now.saturating_sub(info.accesses_at_arm));
                 }
             }
@@ -132,39 +130,31 @@ impl Profiler for RdxProfiler {
             .armed_iter()
             .any(|(_, info)| info.watchpoint.addr == wp.addr)
         {
-            rdx_metrics::counter("rdx.profiler.duplicate_samples").incr();
             self.duplicate_samples += 1;
             return;
         }
         if hw.armed_count() == hw.register_count() {
             match self.evict_victim(hw) {
                 None => {
-                    rdx_metrics::counter("rdx.profiler.dropped_samples").incr();
                     self.dropped_samples += 1;
                     return;
                 }
                 Some(slot) => {
                     if let Some(info) = hw.disarm(slot) {
-                        rdx_metrics::counter("rdx.profiler.evictions").incr();
                         self.evicted
                             .push(hw.access_count().saturating_sub(info.accesses_at_arm));
                     }
                 }
             }
         }
-        match hw.arm(wp, sample.access.addr.raw()) {
-            Ok(_) => rdx_metrics::counter("rdx.profiler.watchpoints_armed").incr(),
-            Err(_) => {
-                // Defensive: the eviction above guarantees a free slot, so
-                // treat a failed arm like a dropped sample instead of dying.
-                rdx_metrics::counter("rdx.profiler.dropped_samples").incr();
-                self.dropped_samples += 1;
-            }
+        if hw.arm(wp, sample.access.addr.raw()).is_err() {
+            // Defensive: the eviction above guarantees a free slot, so
+            // treat a failed arm like a dropped sample instead of dying.
+            self.dropped_samples += 1;
         }
     }
 
     fn on_trap(&mut self, trap: &Trap, _hw: &mut Hardware) {
-        rdx_metrics::counter("rdx.profiler.traps").incr();
         // Counter snapshots are taken after each access retires, so the
         // number of accesses strictly between sample and reuse is the
         // difference minus the trapping access itself.
@@ -183,15 +173,12 @@ impl Profiler for RdxProfiler {
             armed[armed_len] = slot;
             armed_len += 1;
         }
-        let mut end_censored = 0u64;
         for &slot in &armed[..armed_len] {
             if let Some(info) = hw.disarm(slot) {
-                end_censored += 1;
                 self.end_censored
                     .push(now.saturating_sub(info.accesses_at_arm));
             }
         }
-        rdx_metrics::counter("rdx.profiler.end_censored").add(end_censored);
     }
 }
 

@@ -44,8 +44,7 @@ impl RdxRunner {
         let machine_span = rdx_metrics::span("machine");
         let report = Machine::new(self.config.machine).run(stream, &mut profiler);
         drop(machine_span);
-        count_profile(&report);
-        self.post_pass(&profiler, &report)
+        count_profile(self.post_pass(&profiler, &report))
     }
 
     /// Starts a live profile: an empty machine run and profiler that
@@ -228,10 +227,23 @@ impl RdxRunner {
     }
 }
 
-/// Counts one finished profile (snapshots are not counted).
-fn count_profile(report: &RunReport) {
+/// Counts one finished profile into the metrics registry and hands it
+/// back. The profiler's event counters are added here from the
+/// profile's own fields, once per profile, so the sample and trap
+/// handlers carry no probe. Snapshots are not counted.
+fn count_profile(profile: RdxProfile) -> RdxProfile {
     rdx_metrics::counter("rdx.runner.profiles").incr();
-    rdx_metrics::counter("rdx.runner.accesses").add(report.counters.loads + report.counters.stores);
+    rdx_metrics::counter("rdx.runner.accesses").add(profile.accesses);
+    rdx_metrics::counter("rdx.profiler.samples").add(profile.samples);
+    rdx_metrics::counter("rdx.profiler.traps").add(profile.traps);
+    rdx_metrics::counter("rdx.profiler.evictions").add(profile.evictions);
+    rdx_metrics::counter("rdx.profiler.end_censored").add(profile.end_censored);
+    rdx_metrics::counter("rdx.profiler.dropped_samples").add(profile.dropped_samples);
+    rdx_metrics::counter("rdx.profiler.duplicate_samples").add(profile.duplicate_samples);
+    // Every sample that is neither a duplicate nor dropped arms a register.
+    rdx_metrics::counter("rdx.profiler.watchpoints_armed")
+        .add(profile.samples - profile.duplicate_samples - profile.dropped_samples);
+    profile
 }
 
 /// A profile under construction ([`RdxRunner::start`]): the machine run
@@ -268,8 +280,7 @@ impl LiveProfile {
     #[must_use]
     pub fn finish(mut self) -> RdxProfile {
         let report = self.run.finish(&mut self.profiler);
-        count_profile(&report);
-        self.runner.post_pass(&self.profiler, &report)
+        count_profile(self.runner.post_pass(&self.profiler, &report))
     }
 }
 

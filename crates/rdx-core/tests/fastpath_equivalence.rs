@@ -8,11 +8,11 @@
 //! * a property test over random traces, periods, jitter, register
 //!   counts, and deliberately tiny chunk capacities (so overflow gaps
 //!   and armed-watchpoint lifetimes straddle chunk borders), and
-//! * the registry golden digest from `metrics_determinism.rs`, re-run
-//!   with every workload materialized and profiled through the fast
-//!   path: the digest recorded from the slow loop must reproduce, and
-//!   every registry generator stream, profiled as it comes (the CLI's
-//!   path), must equal both its materialized trace and the slow loop.
+//! * the registry golden digest, recorded from the slow loop, which the
+//!   fast path must reproduce both from every workload's materialized
+//!   trace and from its generator stream profiled as it comes (the
+//!   CLI's path); and every generator stream must equal both its
+//!   materialized trace and the slow loop profile for profile.
 
 use proptest::prelude::*;
 use rdx_core::{RdxConfig, RdxProfile, RdxRunner};
@@ -97,8 +97,10 @@ proptest! {
     }
 }
 
-/// FNV-1a over u64 words — the same digest as `metrics_determinism.rs`,
-/// so the two tests pin the same baseline.
+/// FNV-1a over u64 words (histogram weight bit patterns, bucket bounds
+/// and event counts), so equality means bit-for-bit equality. The
+/// other golden tests (`ingest_golden.rs`, `merge_golden.rs`, rdx-sim,
+/// rdx-server's loopback) hash the same words to pin the same baseline.
 struct Digest(u64);
 
 impl Digest {
@@ -121,34 +123,45 @@ impl Digest {
         }
         self.push(h.infinite_weight().to_bits());
     }
+
+    fn push_profile(&mut self, p: &RdxProfile) {
+        self.push_histogram(p.rd.as_histogram());
+        self.push_histogram(p.rt.as_histogram());
+        self.push(p.samples);
+        self.push(p.traps);
+        self.push(p.evictions);
+        self.push(p.m_estimate.to_bits());
+    }
 }
 
-/// Must match `GOLDEN` in `metrics_determinism.rs`, which profiles the
-/// same registry point straight from the generator streams.
+/// The digest of the whole registry at the pinned operating point
+/// (60 000 accesses over 800 elements, period 512, seed 7), recorded
+/// from the single-stepped loop. Every input path reproduces it.
 const GOLDEN: u64 = 0x17ea_4869_2cad_4966;
 
 #[test]
 fn fast_path_reproduces_registry_golden_digest() {
     let params = Params::default().with_accesses(60_000).with_elements(800);
-    let config = RdxConfig::default().with_period(512).with_seed(7);
-    let mut digest = Digest::new();
+    let runner = RdxRunner::new(RdxConfig::default().with_period(512).with_seed(7));
+    let (mut from_trace, mut from_stream) = (Digest::new(), Digest::new());
     for w in suite() {
         // The materialized trace is one zero-copy chunk.
         let trace = Trace::from_stream(w.name, w.stream(&params));
-        let p = RdxRunner::new(config).profile(trace.stream());
-        digest.push_histogram(p.rd.as_histogram());
-        digest.push_histogram(p.rt.as_histogram());
-        digest.push(p.samples);
-        digest.push(p.traps);
-        digest.push(p.evictions);
-        digest.push(p.m_estimate.to_bits());
+        from_trace.push_profile(&runner.profile(trace.stream()));
+        // The generator stream, scanned on its own reused chunks.
+        from_stream.push_profile(&runner.profile(w.stream(&params)));
     }
-    let got = digest.0;
-    assert_eq!(
-        got, GOLDEN,
-        "fast-path registry digest {got:#018x} deviates from the slow-loop \
-         baseline — the scan must be bit-identical to its oracle",
-    );
+    for (input, digest) in [
+        ("materialized-trace", from_trace),
+        ("generator-stream", from_stream),
+    ] {
+        let got = digest.0;
+        assert_eq!(
+            got, GOLDEN,
+            "{input} registry digest {got:#018x} deviates from the slow-loop \
+             baseline — the scan must be bit-identical to its oracle",
+        );
+    }
 }
 
 /// `RdxRunner::profile` of a registry generator stream takes the scan

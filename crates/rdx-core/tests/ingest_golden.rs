@@ -1,10 +1,9 @@
 //! RDXT ingestion must be invisible in the output: profiling an
 //! RDXT-serialized workload through `profile_rdxt` — from an in-memory
 //! buffer or a file read block by block, at any batch size — reproduces
-//! the exact registry golden digest that `metrics_determinism.rs`
-//! recorded from in-memory generator streams and
-//! `fastpath_equivalence.rs` reproduced through the chunk fast path.
-//! Same constant, third execution shape. Decoding the same bytes with
+//! the exact registry golden digest that `fastpath_equivalence.rs`
+//! pins for in-memory traces and generator streams through the chunk
+//! fast path. Same constant, another execution shape. Decoding the same bytes with
 //! either decode kernel called directly — the production SWAR kernel or
 //! the scalar oracle — and profiling in memory lands on it too.
 
@@ -16,8 +15,8 @@ use rdx_trace::kernels::{KernelRun, ScalarDecode, SwarDecode};
 use rdx_trace::{io, AccessBuf, Trace};
 use rdx_workloads::{suite, Params};
 
-/// FNV-1a over u64 words — the same digest as `metrics_determinism.rs`
-/// and `fastpath_equivalence.rs`, so all three tests pin one baseline.
+/// FNV-1a over u64 words — the same digest as `fastpath_equivalence.rs`,
+/// so both tests pin one baseline.
 struct Digest(u64);
 
 impl Digest {
@@ -42,8 +41,7 @@ impl Digest {
     }
 }
 
-/// Must match `GOLDEN` in `metrics_determinism.rs` and
-/// `fastpath_equivalence.rs`.
+/// Must match `GOLDEN` in `fastpath_equivalence.rs`.
 const GOLDEN: u64 = 0x17ea_4869_2cad_4966;
 
 fn config() -> RdxConfig {

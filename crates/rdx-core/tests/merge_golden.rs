@@ -9,7 +9,7 @@
 //!   histogram bucket for bucket, and the cold counts must compose into
 //!   the merged cold (infinite) weight. This pins the cold-correction
 //!   composition rule: cold weight is additive under merge.
-//! * **Registry digest.** The `metrics_determinism.rs` golden digest
+//! * **Registry digest.** The `fastpath_equivalence.rs` golden digest
 //!   (`0x17ea_4869_2cad_4966`) must survive a trip through the RDXP
 //!   wire format and `merge_batch` with the identity profile:
 //!   aggregation machinery may never perturb a profile.
@@ -21,7 +21,7 @@ use rdx_histogram::{Binning, Histogram};
 use rdx_trace::Granularity;
 use rdx_workloads::{suite, Params};
 
-/// Same FNV-1a digest as `metrics_determinism.rs`, so the constant
+/// Same FNV-1a digest as `fastpath_equivalence.rs`, so the constant
 /// below is directly comparable across the two tests.
 struct Digest(u64);
 
@@ -47,7 +47,7 @@ impl Digest {
     }
 }
 
-/// The whole-registry digest recorded by `metrics_determinism.rs`.
+/// The whole-registry digest pinned by `fastpath_equivalence.rs`.
 const GOLDEN: u64 = 0x17ea_4869_2cad_4966;
 
 #[test]

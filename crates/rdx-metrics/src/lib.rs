@@ -18,16 +18,17 @@
 //! that serializes to JSON via [`Snapshot::to_json`]; [`reset`] zeroes
 //! the registry between measurement windows (handles stay valid).
 //!
-//! # Zero cost when disabled
+//! # Where the probes sit
 //!
-//! All of this is compiled in only under the `enabled` cargo feature.
-//! Without it (the default) every function here is an inlined empty
-//! body over zero-sized types: no registry, no atomics, no clock reads
-//! — the optimizer erases the probes entirely, so instrumented code
-//! paths cost exactly as much as uninstrumented ones. Collection never
-//! feeds back into what the instrumented code computes, so results are
-//! bit-identical with the feature on and off (enforced by the
-//! `metrics_determinism` test in `rdx-core`).
+//! The collectors are always compiled in, so the shipped binaries can
+//! answer `--metrics` without a rebuild. They stay cheap by where they
+//! are called: every probe fires once per chunk, per frame, per
+//! finished profile or less often — never per access, PMU sample or
+//! trap. The profiler's own event counts (`rdx.profiler.*`) are added
+//! once from the finished profile's fields. A probe takes the registry
+//! lock for its name lookup, so a per-event call site would put a mutex
+//! on the hot path. Collection never feeds back into what the
+//! instrumented code computes.
 //!
 //! # Example
 //!
@@ -39,9 +40,7 @@
 //!     let _inner = rdx_metrics::span("inner"); // records as demo.outer/inner
 //! }
 //! let snap = rdx_metrics::snapshot();
-//! if rdx_metrics::enabled() {
-//!     assert_eq!(snap.counter("demo.events"), Some(3));
-//! }
+//! assert_eq!(snap.counter("demo.events"), Some(3));
 //! println!("{}", snap.to_json());
 //! ```
 
@@ -51,23 +50,7 @@
 mod snapshot;
 pub use snapshot::{Snapshot, TimerStat};
 
-#[cfg(feature = "enabled")]
 mod registry;
-#[cfg(feature = "enabled")]
 pub use registry::{
     counter, record_duration_ns, record_value, reset, snapshot, span, Counter, SpanGuard,
 };
-
-#[cfg(not(feature = "enabled"))]
-mod noop;
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
-    counter, record_duration_ns, record_value, reset, snapshot, span, Counter, SpanGuard,
-};
-
-/// True when the crate was compiled with the `enabled` feature, i.e.
-/// probes collect for real rather than compiling to no-ops.
-#[must_use]
-pub const fn enabled() -> bool {
-    cfg!(feature = "enabled")
-}

@@ -1,10 +1,13 @@
-//! The real collectors, compiled under the `enabled` feature.
+//! The collectors, always compiled in.
 //!
 //! One process-global registry interns counters and timers by name.
 //! Handles borrow leaked cells (`&'static AtomicU64`), so the lock is
-//! taken only on first registration and on snapshot/reset — never on
-//! the increment path of a cached [`Counter`]. The number of distinct
-//! metric names is small and static, so the leak is bounded.
+//! taken by each name lookup ([`counter`], [`span`], the explicit
+//! records) and by snapshot/reset — never on the increment path of a
+//! cached [`Counter`]. That lookup is why call sites sit per chunk,
+//! per frame or per finished profile, never per access or event. The
+//! number of distinct metric names is small and static, so the leak is
+//! bounded.
 
 use crate::snapshot::{Snapshot, TimerStat};
 use std::cell::RefCell;

@@ -57,8 +57,7 @@ impl Snapshot {
             .map(|i| &self.timers[i])
     }
 
-    /// True when nothing has been recorded (always true with the
-    /// `enabled` feature off).
+    /// True when nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.timers.is_empty()
@@ -68,7 +67,6 @@ impl Snapshot {
     ///
     /// ```json
     /// {
-    ///   "enabled": true,
     ///   "counters": {"rdx.profiler.samples": 61},
     ///   "timers": {"profile/machine": {"count": 1, "total_ns": 9,
     ///              "min_ns": 9, "max_ns": 9, "mean_ns": 9}}
@@ -77,9 +75,7 @@ impl Snapshot {
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(64 + 48 * (self.counters.len() + self.timers.len()));
-        out.push_str("{\"enabled\":");
-        out.push_str(if crate::enabled() { "true" } else { "false" });
-        out.push_str(",\"counters\":{");
+        out.push_str("{\"counters\":{");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -156,7 +152,7 @@ mod tests {
     #[test]
     fn json_shape() {
         let j = sample().to_json();
-        assert!(j.starts_with("{\"enabled\":"));
+        assert!(j.starts_with("{\"counters\":{"));
         assert!(j.contains("\"a.count\":7"));
         assert!(j.contains("\"outer/inner\":{\"count\":2,\"total_ns\":10"));
         assert!(j.ends_with("}}"));

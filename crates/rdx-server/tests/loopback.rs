@@ -1,8 +1,8 @@
 //! Loopback integration: a real server on 127.0.0.1, real clients, and
 //! the workspace's golden digest.
 //!
-//! The registry digest pinned by `metrics_determinism.rs`,
-//! `fastpath_equivalence.rs`, and `ingest_golden.rs` must be
+//! The registry digest pinned by `fastpath_equivalence.rs` and
+//! `ingest_golden.rs` must be
 //! reproduced a fourth way here: through the framed network protocol,
 //! with the trace bytes chopped into arbitrary chunks and interleaved
 //! across concurrent sessions. Any divergence between the server-side

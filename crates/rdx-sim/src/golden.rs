@@ -1,8 +1,8 @@
 //! Session-stepper reproduction of the registry golden digest.
 //!
 //! The repo pins one FNV-1a digest over the reference workload suite's
-//! profiles — `metrics_determinism.rs` from in-memory streams,
-//! `fastpath_equivalence.rs` through the chunk fast path,
+//! profiles — `fastpath_equivalence.rs` from in-memory traces and
+//! generator streams through the chunk fast path,
 //! `ingest_golden.rs` through `profile_rdxt`. This module is the fourth
 //! execution shape: each workload's RDXT bytes streamed into the
 //! production session state machine ([`SessionStepper`]) in

@@ -49,8 +49,8 @@ pub use sched::{explore_exhaustive, shared, Picker, RecordingPicker, SeededPicke
 
 /// The workspace's golden registry digest: FNV-1a over every suite
 /// workload's profile at the canonical parameters. Must match `GOLDEN`
-/// in rdx-core's `metrics_determinism.rs` / `fastpath_equivalence.rs` /
-/// `ingest_golden.rs` — chunked server sessions are a fourth execution
+/// in rdx-core's `fastpath_equivalence.rs` / `ingest_golden.rs` —
+/// chunked server sessions are a fourth execution
 /// shape pinning the same constant.
 pub const REGISTRY_GOLDEN_DIGEST: u64 = 0x17ea_4869_2cad_4966;
 

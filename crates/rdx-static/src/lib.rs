@@ -87,8 +87,7 @@ impl From<AnalysisError> for StaticError {
 ///
 /// Executes zero accesses: the result is a closed-form function of the
 /// kernel's loop structure and `params` (the `rdx.static.estimates` /
-/// `rdx.static.rejected` counters are the only observable side effect,
-/// and only under the `metrics` feature).
+/// `rdx.static.rejected` counters are the only observable side effect).
 ///
 /// # Errors
 ///

@@ -6,8 +6,7 @@
 //! chunk of its own.
 //!
 //! The counters live in one process-global registry, so this binary
-//! holds a single test. It checks nothing when the collectors are
-//! compiled out.
+//! holds a single test.
 
 use rdx_trace::{io, AccessBuf, Chunk, RdxtDecoder, Trace, TraceReader};
 
@@ -23,9 +22,6 @@ fn read() -> [u64; 3] {
 
 #[test]
 fn streaming_and_file_decode_count_alike() {
-    if !rdx_metrics::enabled() {
-        return;
-    }
     let t = Trace::from_addresses("count", (0..5_000u64).map(|i| (i * 7919) % 1_000_003 * 8));
     let raw = io::to_bytes(&t).to_vec();
 

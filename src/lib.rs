@@ -10,8 +10,8 @@
 //! * [`baselines`] — exhaustive, SHARDS-style and counter-only comparators.
 //! * [`histogram`] — histograms, accuracy metrics, miss-ratio curves.
 //! * [`cache`] — cache presets, a set-associative simulator, predictions.
-//! * [`metrics`] — zero-cost-when-disabled observability probes; turn
-//!   them into real collectors with the `metrics` cargo feature.
+//! * [`metrics`] — always-on observability probes, called per chunk,
+//!   per frame or per finished profile.
 //!
 //! # Quickstart
 //!
