@@ -9,9 +9,11 @@
 //! * **AVX2** on x86_64 CPUs where `is_x86_feature_detected!("avx2")`
 //!   holds: four 64-bit address lanes per compare, loaded straight from
 //!   the run's address column, the unsigned range test done with the
-//!   sign-flip + signed-greater-than trick. This is the only `unsafe`
-//!   code in the workspace, confined to this module and guarded by the
-//!   feature check.
+//!   sign-flip + signed-greater-than trick, one instance per needle
+//!   count for 1–4 needles and one generic instance for 5–64, so a
+//!   call sets up only as many constants as there are armed
+//!   registers. This is the only `unsafe` code in the workspace,
+//!   confined to this module and guarded by the feature check.
 //! * **scalar** — [`NeedleSet::scan`], the unrolled per-access loop,
 //!   everywhere else. It is also the oracle: [`scan`] must produce the
 //!   identical [`ScanOutcome`] on every input, which the equivalence
@@ -28,8 +30,6 @@
 
 #![allow(unsafe_code)]
 
-#[cfg(target_arch = "x86_64")]
-use crate::scan::MAX_NEEDLES;
 use crate::scan::{NeedleSet, ScanOutcome};
 use rdx_trace::AccessSlice;
 
@@ -77,7 +77,7 @@ mod avx2 {
     //! and they take their lane mask from the block's 8 bitmap bits.
 
     use super::LANES;
-    use crate::scan::NeedleSet;
+    use crate::scan::{NeedleSet, MAX_NEEDLES};
     use rdx_trace::AccessSlice;
     use std::arch::x86_64::{
         __m256i, _mm256_and_si256, _mm256_cmpeq_epi64, _mm256_cmpgt_epi64, _mm256_loadu_si256,
@@ -96,44 +96,59 @@ mod avx2 {
     /// The caller must have verified AVX2 support on this CPU.
     #[target_feature(enable = "avx2")]
     pub(super) unsafe fn first_match(set: &NeedleSet, run: AccessSlice<'_>) -> Option<usize> {
-        if set.is_empty() {
-            return None;
-        }
         // Monomorphize the kind gate away when every needle is
         // read-write (the paper's configuration): the gate ops vanish
         // from the hot loop instead of being re-tested per needle.
-        if set.store_only[..set.len()].iter().any(|&s| s) {
-            first_match_impl::<true>(set, run)
-        } else {
-            first_match_impl::<false>(set, run)
+        let gated = set.store_only[..set.len()].iter().any(|&s| s);
+        // Monomorphize the needle count for the x86 register file's
+        // 1–4, so the constants are exactly as many as the armed
+        // registers, stay in vector registers and the needle loop
+        // unrolls; larger ablation sets take the one generic instance.
+        match (set.len(), gated) {
+            (0, _) => None,
+            (1, false) => first_match_impl::<1, false>(set, run),
+            (1, true) => first_match_impl::<1, true>(set, run),
+            (2, false) => first_match_impl::<2, false>(set, run),
+            (2, true) => first_match_impl::<2, true>(set, run),
+            (3, false) => first_match_impl::<3, false>(set, run),
+            (3, true) => first_match_impl::<3, true>(set, run),
+            (4, false) => first_match_impl::<4, false>(set, run),
+            (4, true) => first_match_impl::<4, true>(set, run),
+            (_, false) => first_match_impl::<MAX_NEEDLES, false>(set, run),
+            (_, true) => first_match_impl::<MAX_NEEDLES, true>(set, run),
         }
     }
 
     /// Blockwise scan: two 4-lane compares per 8-access block. Quiet
     /// blocks cost one `testz`; the rare hit block is re-walked with
-    /// the scalar oracle for the exact offset. `GATED` compiles in the
-    /// per-needle store gate.
+    /// the scalar oracle for the exact offset. `N` is the needle count
+    /// for `N` < [`MAX_NEEDLES`]; the `MAX_NEEDLES` instance is the
+    /// generic one and scans however many needles the set holds.
+    /// `GATED` compiles in the per-needle store gate.
     ///
     /// # Safety
     ///
     /// The caller must have verified AVX2 support on this CPU.
     #[target_feature(enable = "avx2")]
-    unsafe fn first_match_impl<const GATED: bool>(
+    unsafe fn first_match_impl<const N: usize, const GATED: bool>(
         set: &NeedleSet,
         run: AccessSlice<'_>,
     ) -> Option<usize> {
-        let n = set.len();
-        // Hoist the per-needle broadcast constants out of the block
-        // loop (n is not a compile-time constant, so LLVM cannot).
-        let mut base_v = [_mm256_setzero_si256(); super::MAX_NEEDLES];
-        let mut span_flip_v = [_mm256_setzero_si256(); super::MAX_NEEDLES];
+        let n = if N < MAX_NEEDLES { N } else { set.len() };
+        debug_assert_eq!(n, set.len());
+        // Broadcast the per-needle constants once per call, outside
+        // the block loop.
+        let mut base_v = [_mm256_setzero_si256(); N];
+        let mut span_flip_v = [_mm256_setzero_si256(); N];
         // All-ones for needles that accept loads too: the per-lane gate
         // becomes `st | kind_pass` with no branch in the needle loop.
-        let mut kind_pass_v = [_mm256_setzero_si256(); super::MAX_NEEDLES];
+        let mut kind_pass_v = [_mm256_setzero_si256(); N];
         for j in 0..n {
             base_v[j] = _mm256_set1_epi64x(set.base[j] as i64);
             span_flip_v[j] = _mm256_set1_epi64x((set.span[j] as i64) ^ MSB);
-            kind_pass_v[j] = _mm256_set1_epi64x(-i64::from(!set.store_only[j]));
+            if GATED {
+                kind_pass_v[j] = _mm256_set1_epi64x(-i64::from(!set.store_only[j]));
+            }
         }
         let msb = _mm256_set1_epi64x(MSB);
         // Lane k of a half tests one bit of the block's store byte.

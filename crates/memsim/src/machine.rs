@@ -346,7 +346,7 @@ impl MachineRun {
         }
         let n = accesses.len() as u64;
         if self.fast {
-            run_chunk(
+            let segments = run_chunk(
                 accesses,
                 &mut self.pmu,
                 &mut self.drf,
@@ -356,8 +356,11 @@ impl MachineRun {
             );
             // Engagement counters, flushed once per feed so the
             // metrics registry stays off the hot path and a snapshot's
-            // cloned finish never counts them again.
+            // cloned finish never counts them again. Segments (one
+            // scan call each) check that the fast path scans once per
+            // event: samples ≤ segments ≤ samples + traps + chunks.
             rdx_metrics::counter("rdx.machine.fastpath.chunks").incr();
+            rdx_metrics::counter("rdx.machine.fastpath.segments").add(segments);
             rdx_metrics::counter("rdx.machine.fastpath.scanned_accesses").add(n);
             // Which loop the host scanned with, each name literal so
             // the counter-manifest lint sees it.
@@ -456,14 +459,15 @@ fn step_access(
     }
 }
 
-/// Replays one contiguous chunk through the event-driven fast path.
+/// Replays one contiguous chunk through the event-driven fast path and
+/// returns the number of segments it scanned.
 ///
 /// Invariant on entry and exit: `pmu.countdown() ≥ 1`, no skid pending,
-/// and the needle set is rebuilt after every delivered event (the only
-/// points where a handler can rearrange the registers). Each iteration
-/// handles one *segment*: the quiet prefix bounded by the next overflow
-/// (`countdown − 1` accesses) and the chunk end, scanned in bulk, then
-/// at most one single-stepped event access.
+/// and the needle set is refreshed in place after every delivered event
+/// (the only points where a handler can rearrange the registers). Each
+/// iteration handles one *segment*: the quiet prefix bounded by the
+/// next overflow (`countdown − 1` accesses) and the chunk end, scanned
+/// in bulk, then at most one single-stepped event access.
 fn run_chunk(
     chunk: AccessSlice<'_>,
     pmu: &mut Pmu,
@@ -471,10 +475,12 @@ fn run_chunk(
     ledger: &mut CostLedger,
     profiler: &mut impl Profiler,
     index: &mut u64,
-) {
+) -> u64 {
     let mut needles = NeedleSet::from_registers(drf);
+    let mut segments = 0u64;
     let mut pos: usize = 0;
     while pos < chunk.len() {
+        segments += 1;
         let remaining = chunk.len() - pos;
         // The overflow access itself must single-step (it consumes RNG
         // and delivers the sample), so the scannable quiet run is at
@@ -493,7 +499,7 @@ fn run_chunk(
                 step_access(chunk.get(pos + off), pmu, drf, ledger, profiler, *index);
                 *index += 1;
                 pos += off + 1;
-                needles = NeedleSet::from_registers(drf);
+                needles.refresh(drf);
             }
             None => {
                 // Whole quiet run passes without an event.
@@ -507,13 +513,14 @@ fn run_chunk(
                     step_access(chunk.get(pos), pmu, drf, ledger, profiler, *index);
                     *index += 1;
                     pos += 1;
-                    needles = NeedleSet::from_registers(drf);
+                    needles.refresh(drf);
                 }
                 // else: chunk exhausted mid-gap; the countdown carries
                 // the remainder into the next chunk (or the run's end).
             }
         }
     }
+    segments
 }
 
 #[cfg(test)]

@@ -30,10 +30,13 @@ pub(crate) const MAX_NEEDLES: usize = 64;
 
 /// The armed watchpoints of a register file, flattened for scanning.
 ///
-/// Snapshot semantics: the set reflects the register file at
-/// construction time and must be rebuilt after any arm/disarm (the
-/// machine rebuilds it after every delivered trap or sample, the only
-/// places profilers can touch the registers).
+/// Snapshot semantics: the set reflects the register file as of its
+/// construction or last `refresh`, and must be refreshed after any
+/// arm/disarm. The machine refreshes it in place after every delivered
+/// trap or sample, the only places profilers can touch the registers;
+/// a refresh rewrites only the armed entries, so an event costs the
+/// ≤ 4 armed registers, not the 64-slot ceiling. Entries at or past
+/// `len` are stale leftovers that no scan reads.
 #[derive(Debug)]
 pub struct NeedleSet {
     pub(crate) len: usize,
@@ -90,20 +93,23 @@ impl NeedleSet {
 
     /// Snapshots the armed watchpoints of `drf` in slot order.
     pub(crate) fn from_registers(drf: &DebugRegisterFile) -> Self {
-        let mut set = NeedleSet {
-            len: 0,
-            base: [0; MAX_NEEDLES],
-            span: [0; MAX_NEEDLES],
-            store_only: [false; MAX_NEEDLES],
-        };
+        let mut set = NeedleSet::from_ranges(&[]);
+        set.refresh(drf);
+        set
+    }
+
+    /// Re-snapshots the armed watchpoints of `drf` in slot order,
+    /// rewriting only the entries below the new length: equal to
+    /// [`from_registers`](NeedleSet::from_registers) for every scan.
+    pub(crate) fn refresh(&mut self, drf: &DebugRegisterFile) {
+        self.len = 0;
         for (_, info) in drf.armed_iter() {
             let wp = info.watchpoint;
-            set.base[set.len] = wp.addr.raw();
-            set.span[set.len] = u64::from(wp.len);
-            set.store_only[set.len] = wp.kind == WatchKind::Write;
-            set.len += 1;
+            self.base[self.len] = wp.addr.raw();
+            self.span[self.len] = u64::from(wp.len);
+            self.store_only[self.len] = wp.kind == WatchKind::Write;
+            self.len += 1;
         }
-        set
     }
 
     /// Finds the first access in `run` hitting any needle, counting the
@@ -256,6 +262,84 @@ mod tests {
         let out = set.scan(run.as_slice());
         assert_eq!(out.first_match, None);
         assert_eq!(out.stores_before, 2);
+    }
+
+    #[test]
+    fn in_place_refresh_equals_a_fresh_snapshot() {
+        // Arms and disarms that grow and shrink a 4-slot file, with
+        // write-only needles mixed in: after each step the refreshed
+        // set equals a fresh snapshot entry for entry, and a probe at
+        // every stale entry left past `len` scans exactly as the fresh
+        // snapshot does, under both the oracle and the production scan.
+        let mut drf = DebugRegisterFile::new(4);
+        let mut set = NeedleSet::from_registers(&drf);
+        let mut stale_bases = Vec::new();
+        let steps: [(bool, u64); 12] = [
+            (true, 0),
+            (true, 1),
+            (true, 2),
+            (true, 3),
+            (false, 0),
+            (false, 2),
+            (true, 4),
+            (false, 1),
+            (false, 3),
+            (false, 0),
+            (true, 5),
+            (false, 4),
+        ];
+        for (arm, k) in steps {
+            if arm {
+                let kind = if k % 2 == 1 {
+                    WatchKind::Write
+                } else {
+                    WatchKind::ReadWrite
+                };
+                drf.arm(ArmInfo {
+                    watchpoint: Watchpoint {
+                        kind,
+                        ..Watchpoint::read_write(Address::new(0x1000 * (k + 1)), 8)
+                    },
+                    armed_at: 0,
+                    accesses_at_arm: 0,
+                    tag: k,
+                })
+                .unwrap();
+            } else {
+                let slot = drf
+                    .armed_iter()
+                    .find(|(_, info)| info.tag == k)
+                    .map(|(slot, _)| slot);
+                if let Some(slot) = slot {
+                    drf.disarm(slot);
+                }
+            }
+            stale_bases.extend_from_slice(&set.base[..set.len]);
+            set.refresh(&drf);
+            let fresh = NeedleSet::from_registers(&drf);
+            let n = fresh.len;
+            assert_eq!(set.len, n);
+            assert_eq!(set.base[..n], fresh.base[..n]);
+            assert_eq!(set.span[..n], fresh.span[..n]);
+            assert_eq!(set.store_only[..n], fresh.store_only[..n]);
+            for &base in &stale_bases {
+                for store in [false, true] {
+                    let run = run_of(&[(base, store), (base + 4, store)]);
+                    let want = fresh.scan(run.as_slice());
+                    let live = drf
+                        .armed_iter()
+                        .any(|(_, info)| info.watchpoint.matches(&run.as_slice().get(0)));
+                    assert_eq!(want.first_match.is_some(), live, "base={base:#x}");
+                    assert_eq!(set.scan(run.as_slice()), want, "base={base:#x}");
+                    assert_eq!(
+                        crate::kernels::scan(&set, run.as_slice()),
+                        want,
+                        "base={base:#x}"
+                    );
+                }
+            }
+        }
+        assert!(set.len < 4 && !stale_bases.is_empty());
     }
 
     #[test]

@@ -28,15 +28,20 @@ fn needle_strategy() -> impl Strategy<Value = (u64, u64, bool)> {
 
 fn run_strategy() -> impl Strategy<Value = AccessBuf> {
     // Addresses biased into the needles' aligned window so matches are
-    // common at arbitrary offsets; stores mixed throughout.
-    prop::collection::vec(
+    // common at arbitrary offsets; stores mixed throughout. Half the
+    // runs are 1–72 accesses long, a segment at a dense sampling
+    // period, where the kernel's per-call setup shows.
+    let access = || {
         (
             prop_oneof![3 => 0u64..512, 1 => any::<u64>()],
             any::<bool>(),
-        ),
-        0..220,
-    )
-    .prop_map(|v| {
+        )
+    };
+    prop_oneof![
+        prop::collection::vec(access(), 1..73),
+        prop::collection::vec(access(), 0..220),
+    ]
+    .prop_map(|v: Vec<(u64, bool)>| {
         v.into_iter()
             .map(|(a, s)| if s { Access::store(a) } else { Access::load(a) })
             .collect()
@@ -46,15 +51,35 @@ fn run_strategy() -> impl Strategy<Value = AccessBuf> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// The production scan reproduces the oracle's outcome exactly.
+    /// The production scan reproduces the oracle's outcome exactly in
+    /// every instance: 0–4 needles (one instance per count) and the
+    /// generic one at 5 and 64, each with every needle read-write and
+    /// with write-only needles mixed in.
     #[test]
     fn kernels_match_scalar_oracle(
-        needles in prop::collection::vec(needle_strategy(), 0..7),
+        needles in prop::collection::vec(needle_strategy(), 64..65),
         run in run_strategy(),
     ) {
-        let set = NeedleSet::from_ranges(&needles);
-        let want = set.scan(run.as_slice());
-        prop_assert_eq!(scan(&set, run.as_slice()), want);
+        for count in [0usize, 1, 2, 3, 4, 5, 64] {
+            for gated in [false, true] {
+                // A gated set's first needle is write-only; the rest
+                // keep their drawn kind.
+                let ranges: Vec<(u64, u64, bool)> = needles[..count]
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &(base, span, w))| (base, span, gated && (j == 0 || w)))
+                    .collect();
+                let set = NeedleSet::from_ranges(&ranges);
+                let want = set.scan(run.as_slice());
+                prop_assert_eq!(
+                    scan(&set, run.as_slice()),
+                    want,
+                    "count={} gated={}",
+                    count,
+                    gated
+                );
+            }
+        }
     }
 
     /// Block boundaries hold no surprises: a single guaranteed hit

@@ -14,6 +14,9 @@
 //! both called the same way, and the production throughput over the
 //! oracle's becomes `kernel_speedup` — an in-process ratio that is
 //! immune to host speed, which is what the CI regression gate checks.
+//! The same run swept in 64-access slices, one scan call per slice as
+//! at a period-64 sampling rate, gives `short_run_kernel_speedup`: it
+//! charges the kernel's per-call setup, which a whole-run sweep hides.
 //!
 //! Besides the table, results land in the `"throughput"` section of
 //! `BENCH_rdx.json` (path override: `RDX_BENCH_OUT`; other sections,
@@ -22,8 +25,9 @@
 //! controls how many timed repetitions the minimum is taken over.
 //!
 //! `--check [--tol <0..1>]` switches to regression-check mode: only the
-//! scan-kernel microbenchmark runs, its fresh `kernel_speedup` is
-//! compared against the recorded baseline (`BENCH_rdx.json`, override
+//! scan-kernel microbenchmark runs, its fresh `kernel_speedup` and
+//! `short_run_kernel_speedup` are each compared against the recorded
+//! baseline (`BENCH_rdx.json`, override
 //! `RDX_BENCH_BASELINE`; fail only below recorded × (1 − tol)), and the
 //! fresh numbers go to `BENCH_fresh.json` (override `RDX_BENCH_OUT`)
 //! for artifact upload. `RDX_KERNEL=scalar` makes the production side
@@ -66,31 +70,44 @@ fn assert_identical(name: &str, fast: &RdxProfile, slow: &RdxProfile) {
 }
 
 /// One scan-kernel measurement: the loop the production side ran, the
-/// quiet-run throughput of both sides, and the production-vs-oracle
-/// ratio the regression gate pins.
+/// quiet-run throughput of both sides, whole-run and in short slices,
+/// and the production-vs-oracle ratios the regression gate pins.
 struct ScanBench {
     /// `simd` when the production side scanned with AVX2, else `scalar`.
     kernel: &'static str,
     accesses: u64,
     scalar_aps: f64,
     auto_aps: f64,
+    short_scalar_aps: f64,
+    short_auto_aps: f64,
 }
 
 impl ScanBench {
     fn kernel_speedup(&self) -> f64 {
         self.auto_aps / self.scalar_aps
     }
+
+    fn short_run_kernel_speedup(&self) -> f64 {
+        self.short_auto_aps / self.short_scalar_aps
+    }
 }
 
 /// Accesses per scan pass: one plausible PMU overflow gap's worth.
 const SCAN_RUN: usize = 1 << 16;
 
+/// Accesses per scan call in the short-run contrast: a segment at
+/// period 64, the length a dense-period run hands the kernel.
+const SHORT_RUN: usize = 64;
+
 /// Fewest alternating rounds the scan-kernel microbenchmark times.
 const SCAN_MIN_ROUNDS: u32 = 9;
 
+type ScanFn = fn(&NeedleSet, AccessSlice<'_>) -> ScanOutcome;
+
 /// Times the production scan and the scalar oracle over the hot case —
 /// a quiet run (no needle hits) swept end to end, exactly what the
-/// machine fast path does between PMU overflows.
+/// machine fast path does between PMU overflows — once in whole-run
+/// calls and once in `SHORT_RUN`-access calls.
 fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
     // Four read-write 8-byte needles (the paper's DR0–DR3 at maximal
     // width) parked far above the run so no access hits — the machine
@@ -114,33 +131,21 @@ fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
     let passes = (total_accesses as usize / SCAN_RUN).max(1);
     let accesses = (SCAN_RUN * passes) as u64;
 
-    // The oracle and the production side take turns rep by rep, each
-    // keeping its fastest, so a host stall lands on one rep of one side
-    // rather than on every rep of whichever side happens to be timed
-    // during it. A rep at the CI scale lasts about a millisecond, so at
-    // least `SCAN_MIN_ROUNDS` turns are taken whatever `reps` asks.
-    // Both sides are called through a fn pointer, so they are timed at
-    // the same boundary.
-    let oracle: fn(&NeedleSet, AccessSlice<'_>) -> ScanOutcome = NeedleSet::scan;
+    let oracle: ScanFn = NeedleSet::scan;
     let forced = kernel_override();
     let production = if forced { oracle } else { kernels::scan };
-    let mut best = [f64::INFINITY; 2];
-    for _ in 0..reps.max(SCAN_MIN_ROUNDS) {
-        for (scan, best) in [oracle, production].into_iter().zip(&mut best) {
-            let (secs, sink) = time_min(1, || {
-                let mut sink = 0u64;
-                for _ in 0..passes {
-                    let out = scan(&needles, run.as_slice());
-                    sink = sink
-                        .wrapping_add(out.stores_before)
-                        .wrapping_add(out.first_match.map_or(0, |i| i as u64));
-                }
-                sink
-            });
-            std::hint::black_box(sink);
-            *best = best.min(secs);
-        }
-    }
+    let time = |slice: usize| {
+        time_sides(
+            [oracle, production],
+            &needles,
+            run.as_slice(),
+            passes,
+            slice,
+            reps,
+        )
+    };
+    let whole = time(SCAN_RUN);
+    let short = time(SHORT_RUN);
     ScanBench {
         kernel: if !forced && kernels::avx2_detected() {
             "simd"
@@ -148,9 +153,50 @@ fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
             "scalar"
         },
         accesses,
-        scalar_aps: accesses as f64 / best[0],
-        auto_aps: accesses as f64 / best[1],
+        scalar_aps: accesses as f64 / whole[0],
+        auto_aps: accesses as f64 / whole[1],
+        short_scalar_aps: accesses as f64 / short[0],
+        short_auto_aps: accesses as f64 / short[1],
     }
+}
+
+/// Best seconds each of `sides` takes to sweep `run` `passes` times in
+/// calls of `slice` accesses.
+///
+/// The sides take turns rep by rep, each keeping its fastest, so a host
+/// stall lands on one rep of one side rather than on every rep of
+/// whichever side happens to be timed during it. A rep at the CI scale
+/// lasts about a millisecond, so at least `SCAN_MIN_ROUNDS` turns are
+/// taken whatever `reps` asks. Both sides are called through a fn
+/// pointer, so they are timed at the same boundary.
+fn time_sides(
+    sides: [ScanFn; 2],
+    needles: &NeedleSet,
+    run: AccessSlice<'_>,
+    passes: usize,
+    slice: usize,
+    reps: u32,
+) -> [f64; 2] {
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..reps.max(SCAN_MIN_ROUNDS) {
+        for (scan, best) in sides.into_iter().zip(&mut best) {
+            let (secs, sink) = time_min(1, || {
+                let mut sink = 0u64;
+                for _ in 0..passes {
+                    for start in (0..run.len()).step_by(slice) {
+                        let out = scan(needles, run.slice(start..run.len().min(start + slice)));
+                        sink = sink
+                            .wrapping_add(out.stores_before)
+                            .wrapping_add(out.first_match.map_or(0, |i| i as u64));
+                    }
+                }
+                sink
+            });
+            std::hint::black_box(sink);
+            *best = best.min(secs);
+        }
+    }
+    best
 }
 
 fn print_scan_bench(bench: &ScanBench) {
@@ -177,11 +223,18 @@ fn print_scan_bench(bench: &ScanBench) {
         "kernel_speedup (production vs scalar oracle): {:.2}x",
         bench.kernel_speedup()
     );
+    println!(
+        "short_run_kernel_speedup ({SHORT_RUN}-access calls, {:.3e} vs {:.3e} acc/s): {:.2}x",
+        bench.short_auto_aps,
+        bench.short_scalar_aps,
+        bench.short_run_kernel_speedup()
+    );
 }
 
 /// `--check`: rerun only the scan-kernel microbenchmark, gate on the
-/// recorded `kernel_speedup` ratio, and write the fresh numbers to a
-/// separate artifact file. Returns the process exit code.
+/// recorded `kernel_speedup` and `short_run_kernel_speedup` ratios, and
+/// write the fresh numbers to a separate artifact file. Returns the
+/// process exit code.
 fn check_mode(tol_flag: Option<f64>, accesses: u64, reps: u32) -> i32 {
     let baseline = match read_bench_baseline() {
         Ok(text) => text,
@@ -190,23 +243,32 @@ fn check_mode(tol_flag: Option<f64>, accesses: u64, reps: u32) -> i32 {
             return 2;
         }
     };
-    let Some(recorded) = json_number(&baseline, &["throughput", "scan_kernel", "kernel_speedup"])
-    else {
-        eprintln!(
-            "exp_throughput --check: baseline has no throughput.scan_kernel.kernel_speedup \
-             (run exp_throughput once without --check to record it)"
-        );
-        return 2;
-    };
+    let gates = ["kernel_speedup", "short_run_kernel_speedup"];
+    let mut recorded = [0.0; 2];
+    for (key, value) in gates.iter().zip(&mut recorded) {
+        let Some(v) = json_number(&baseline, &["throughput", "scan_kernel", key]) else {
+            eprintln!(
+                "exp_throughput --check: baseline has no throughput.scan_kernel.{key} \
+                 (run exp_throughput once without --check to record it)"
+            );
+            return 2;
+        };
+        *value = v;
+    }
     let tol = resolve_tolerance(tol_flag, &baseline, "throughput");
     let bench = scan_kernel_bench(accesses, reps);
     print_scan_bench(&bench);
-    let ok = check_metric(
-        "throughput.scan_kernel.kernel_speedup",
-        bench.kernel_speedup(),
-        recorded,
-        tol,
-    );
+    let fresh = [bench.kernel_speedup(), bench.short_run_kernel_speedup()];
+    // Both gates are checked and printed, whichever fails first.
+    let mut ok = true;
+    for ((key, fresh), recorded) in gates.iter().zip(fresh).zip(recorded) {
+        ok &= check_metric(
+            &format!("throughput.scan_kernel.{key}"),
+            fresh,
+            recorded,
+            tol,
+        );
+    }
     let out = update_bench_json_at(
         &bench_out_path("BENCH_fresh.json"),
         "throughput",
@@ -303,8 +365,26 @@ fn render_scan_kernel(bench: &ScanBench, indent: &str) -> String {
     }
     let _ = writeln!(
         s,
-        "{indent}  \"kernel_speedup\": {:.3}",
+        "{indent}  \"kernel_speedup\": {:.3},",
         bench.kernel_speedup()
+    );
+    let _ = writeln!(s, "{indent}  \"short_run_accesses\": {SHORT_RUN},");
+    let _ = writeln!(
+        s,
+        "{indent}  \"short_run_scalar_accesses_per_sec\": {:.1},",
+        bench.short_scalar_aps
+    );
+    if bench.kernel != "scalar" {
+        let _ = writeln!(
+            s,
+            "{indent}  \"short_run_{}_accesses_per_sec\": {:.1},",
+            bench.kernel, bench.short_auto_aps
+        );
+    }
+    let _ = writeln!(
+        s,
+        "{indent}  \"short_run_kernel_speedup\": {:.3}",
+        bench.short_run_kernel_speedup()
     );
     let _ = write!(s, "{indent}}}");
     s

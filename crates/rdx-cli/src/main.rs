@@ -413,7 +413,7 @@ fn profile_workload(workload: &WorkloadSpec, opts: &Opts) -> ExitCode {
         );
         println!("accesses        : {}", profile.accesses);
         println!("samples/traps   : {} / {}", profile.samples, profile.traps);
-        println!("est. blocks     : {:.0}", profile.m_estimate);
+        println!("est. blocks     : {:.0}", est_blocks(profile.m_estimate));
         println!("time overhead   : {:.2}%", profile.time_overhead * 100.0);
         println!(
             "memory overhead : {:.2}% (of {} B footprint)",
@@ -495,7 +495,7 @@ fn profile_file(path: &str, opts: &Opts) -> ExitCode {
         println!("source          : {path} ({declared} declared accesses)");
         println!("accesses        : {}", profile.accesses);
         println!("samples/traps   : {} / {}", profile.samples, profile.traps);
-        println!("est. blocks     : {:.0}", profile.m_estimate);
+        println!("est. blocks     : {:.0}", est_blocks(profile.m_estimate));
         println!("time overhead   : {:.2}%", profile.time_overhead * 100.0);
         println!(
             "ingestion       : {} KiB blocks (decode batch {})",
@@ -604,7 +604,13 @@ fn suite_cmd(args: &[String]) -> ExitCode {
         if opts.csv {
             println!(
                 "{},{},{},{},{:.0},{:.6},{:.1}",
-                w.name, p.accesses, p.samples, p.traps, p.m_estimate, p.time_overhead, mean_rd
+                w.name,
+                p.accesses,
+                p.samples,
+                p.traps,
+                est_blocks(p.m_estimate),
+                p.time_overhead,
+                mean_rd
             );
         } else {
             println!(
@@ -613,7 +619,7 @@ fn suite_cmd(args: &[String]) -> ExitCode {
                 p.accesses,
                 p.samples,
                 p.traps,
-                p.m_estimate,
+                est_blocks(p.m_estimate),
                 p.time_overhead * 100.0,
                 mean_rd
             );
@@ -704,7 +710,7 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
                 p.accesses,
                 p.samples,
                 p.traps,
-                p.m_estimate,
+                est_blocks(p.m_estimate),
                 p.time_overhead,
                 mean_rd,
                 !r.truncated()
@@ -717,7 +723,7 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
                 p.accesses,
                 p.samples,
                 p.traps,
-                p.m_estimate,
+                est_blocks(p.m_estimate),
                 p.time_overhead * 100.0,
                 mean_rd,
                 if r.truncated() { "  [truncated]" } else { "" }
@@ -796,7 +802,7 @@ fn emit_fleet(profiles: Vec<RdxProfile>, sources: usize, opts: &Opts) -> ExitCod
         println!("\nfleet profile   : {sources} profiles merged");
         println!("accesses        : {}", merged.accesses);
         println!("samples/traps   : {} / {}", merged.samples, merged.traps);
-        println!("est. blocks     : {:.0}", merged.m_estimate);
+        println!("est. blocks     : {:.0}", est_blocks(merged.m_estimate));
         println!("time overhead   : {:.2}%", merged.time_overhead * 100.0);
         println!("\nmerged reuse-distance histogram (weights normalized):");
     }
@@ -1282,7 +1288,10 @@ fn client_cmd(args: &[String]) -> ExitCode {
         "samples/traps   : {} / {}",
         close.profile.samples, close.profile.traps
     );
-    println!("est. blocks     : {:.0}", close.profile.m_estimate);
+    println!(
+        "est. blocks     : {:.0}",
+        est_blocks(close.profile.m_estimate)
+    );
     println!("clean decode    : {}", close.clean);
     println!("profile digest  : {:#018x}", digest.value());
     if let Some(m) = &metrics {
@@ -1617,6 +1626,17 @@ fn emit_static_metrics(snap: &rdx_metrics::Snapshot) -> ExitCode {
             "error: a dynamic-path counter is nonzero; the static estimate is not trace-free"
         );
         ExitCode::FAILURE
+    }
+}
+
+/// An `m_estimate` as the `est. blocks` column shows it: with nothing
+/// end-censored the estimate is −0.0, which `{:.0}` would print as
+/// `-0`. Only the display is normalised; the profile keeps its bits.
+fn est_blocks(m_estimate: f64) -> f64 {
+    if m_estimate == 0.0 {
+        0.0
+    } else {
+        m_estimate
     }
 }
 
