@@ -12,8 +12,9 @@
 //!   sign-flip + signed-greater-than trick, one instance per needle
 //!   count for 1–4 needles and one generic instance for 5–64, so a
 //!   call sets up only as many constants as there are armed
-//!   registers. This is the only `unsafe` code in the workspace,
-//!   confined to this module and guarded by the feature check.
+//!   registers. Its `unsafe` code is confined to this module and
+//!   guarded by the feature check; the only other `unsafe` module is
+//!   the decode kernels' (`rdx_trace::kernels`).
 //! * **scalar** — [`NeedleSet::scan`], the unrolled per-access loop,
 //!   everywhere else. It is also the oracle: [`scan`] must produce the
 //!   identical [`ScanOutcome`] on every input, which the equivalence
@@ -25,8 +26,7 @@
 //! bitmap ([`AccessSlice::stores_in`]) up to the first match.
 //!
 //! There is no SWAR scan: a blockwise one measured 0.7× scalar
-//! (EXPERIMENTS.md P3). The decode side keeps its SWAR kernel, where it
-//! wins.
+//! (EXPERIMENTS.md P3).
 
 #![allow(unsafe_code)]
 
@@ -68,8 +68,8 @@ pub fn avx2_detected() -> bool {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    //! The AVX2 lane kernel. All `unsafe` in the workspace lives here;
-    //! every intrinsic call is guarded by the caller's feature check.
+    //! The AVX2 lane kernel. All of memsim's `unsafe` lives here; every
+    //! intrinsic call is guarded by the caller's feature check.
     //!
     //! The address column is a plain `[u64]`, so each 8-access block is
     //! two unaligned 32-byte loads straight into address lanes. Loads

@@ -16,11 +16,13 @@
 //! bit-identical; the speedup is the whole point of bulk ingestion.
 //!
 //! **Decode kernels.** Every serialized workload's record bytes are
-//! additionally drained in chunk-sized batches by the production SWAR
-//! kernel and by the scalar oracle ([`rdx_trace::kernels`]), both
-//! called the same way, in back-to-back pairs; the median of the pairs'
+//! additionally drained in chunk-sized batches by the scalar oracle, by
+//! the block-decode instance this host runs and by the portable
+//! instance ([`rdx_trace::kernels`]), all called the same way, in
+//! back-to-back rounds; the median of the rounds' production-vs-oracle
 //! ratios is `kernel_speedup`, an in-process number immune to host
-//! speed — the quantity the CI regression gate checks.
+//! speed — the quantity the CI regression gate checks. The portable
+//! instance's ratio, `portable_speedup`, is reported beside it.
 //!
 //! Results land in the `"decode"` section of `BENCH_rdx.json` (path
 //! override `RDX_BENCH_OUT`; other sections, e.g. `exp_throughput`'s
@@ -39,11 +41,11 @@
 
 use rdx_bench::{
     bench_args, bench_out_path, check_metric, experiment_params, geo_mean, json_number,
-    kernel_override, paper_config, print_table, read_bench_baseline, reps, resolve_tolerance,
-    time_min, update_bench_json_at, update_bench_json_keeping,
+    kernel_override, median, paper_config, print_table, read_bench_baseline, reps,
+    resolve_tolerance, time_min, update_bench_json_at, update_bench_json_keeping,
 };
 use rdx_core::{IngestOptions, RdxProfile, RdxRunner, RdxtInput};
-use rdx_trace::kernels::{KernelRun, ScalarDecode, SwarDecode};
+use rdx_trace::kernels::{BlockDecode, KernelRun, ScalarDecode};
 use rdx_trace::{
     io, AccessBuf, AccessStream, Bytes, Chunk, Opaque, Trace, TraceReader, DEFAULT_CHUNK_CAPACITY,
 };
@@ -78,14 +80,17 @@ fn assert_identical(name: &str, what: &str, a: &RdxProfile, b: &RdxProfile) {
 }
 
 /// One decode-kernel measurement: the kernel the production side ran,
-/// each side's median record-drain throughput, and the median of the
-/// per-round production-vs-oracle ratios.
+/// each side's median record-drain throughput, and the medians of the
+/// per-round ratios to the oracle.
 struct KernelBench {
-    /// `swar`, or `scalar` when `RDX_KERNEL=scalar` forced the oracle.
+    /// `bmi2` or `portable`, or `scalar` when `RDX_KERNEL=scalar`
+    /// forced the oracle.
     auto_name: &'static str,
     scalar_aps: f64,
     auto_aps: f64,
+    portable_aps: f64,
     speedup: f64,
+    portable_speedup: f64,
 }
 
 impl KernelBench {
@@ -94,33 +99,36 @@ impl KernelBench {
     }
 }
 
-/// A decode kernel's signature: records from `bytes` onto `out` until
-/// `out` holds `target` accesses.
-type DecodeFn = fn(&[u8], usize, &mut u64, &mut AccessBuf) -> KernelRun;
+/// Records from `bytes` onto `out` until `out` holds `target` accesses,
+/// by the scalar oracle (`None`) or a block instance.
+fn decode_with(
+    kernel: Option<BlockDecode>,
+    bytes: &[u8],
+    target: usize,
+    prev: &mut u64,
+    out: &mut AccessBuf,
+) -> KernelRun {
+    match kernel {
+        Some(block) => block.decode_records(bytes, target, prev, out),
+        None => ScalarDecode.decode_records(bytes, target, prev, out),
+    }
+}
 
 /// Fewest rounds the decode-kernel microbenchmark times.
 const DECODE_MIN_ROUNDS: u32 = 9;
 
-/// The middle value of `v` (upper middle for an even count).
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[v.len() / 2]
-}
-
 /// Times the record drain over the serialized suite with the scalar
-/// oracle and with the production SWAR kernel (`RDX_KERNEL=scalar`
-/// times the oracle on both sides). Each side decodes every blob's
-/// records in `DEFAULT_CHUNK_CAPACITY` batches into one reused buffer,
-/// the way `RdxtDecoder` calls its kernel.
+/// oracle, the production block instance (`RDX_KERNEL=scalar` times
+/// the oracle there too) and the portable instance. Each side decodes
+/// every blob's records in `DEFAULT_CHUNK_CAPACITY` batches into one
+/// reused buffer, the way `RdxtDecoder` calls its kernel.
 ///
-/// Each round times the oracle and then the production side, back to
-/// back, and the speedup is the median of the rounds' ratios. On a
-/// shared host the two sides' best rounds can come from different host
-/// states, so a best-of-N per side swings the ratio; a pair shares one.
+/// Each round times the three sides back to back, and each speedup is
+/// the median of the rounds' ratios. On a shared host the sides' best
+/// rounds can come from different host states, so a best-of-N per side
+/// swings the ratio; a round shares one.
 fn decode_kernel_bench(blobs: &[(&'static str, u64, Bytes)], total: u64, reps: u32) -> KernelBench {
-    let scalar: DecodeFn = |b, t, p, o| ScalarDecode.decode_records(b, t, p, o);
-    let swar: DecodeFn = |b, t, p, o| SwarDecode.decode_records(b, t, p, o);
-    let forced = kernel_override();
+    let production = (!kernel_override()).then(BlockDecode::detect);
     let records: Vec<(&str, usize, &[u8])> = blobs
         .iter()
         .map(|(name, n, raw)| {
@@ -128,7 +136,7 @@ fn decode_kernel_bench(blobs: &[(&'static str, u64, Bytes)], total: u64, reps: u
             (*name, *n as usize, &raw[header.len..])
         })
         .collect();
-    let drain = |decode: DecodeFn| {
+    let drain = |kernel: Option<BlockDecode>| {
         let mut n = 0u64;
         let mut out = AccessBuf::with_capacity(DEFAULT_CHUNK_CAPACITY);
         for &(name, mut left, mut bytes) in &records {
@@ -136,7 +144,7 @@ fn decode_kernel_bench(blobs: &[(&'static str, u64, Bytes)], total: u64, reps: u
             while left > 0 {
                 out.clear();
                 let target = left.min(DEFAULT_CHUNK_CAPACITY);
-                let run = decode(bytes, target, &mut prev, &mut out);
+                let run = decode_with(kernel, bytes, target, &mut prev, &mut out);
                 assert!(
                     run.failure.is_none() && out.len() == target,
                     "{name}: clean trace failed to decode"
@@ -148,21 +156,24 @@ fn decode_kernel_bench(blobs: &[(&'static str, u64, Bytes)], total: u64, reps: u
         }
         n
     };
-    let production = if forced { scalar } else { swar };
-    let rounds: Vec<[f64; 2]> = (0..reps.max(DECODE_MIN_ROUNDS))
+    let rounds: Vec<[f64; 3]> = (0..reps.max(DECODE_MIN_ROUNDS))
         .map(|_| {
-            [scalar, production].map(|decode| {
-                let (secs, n) = time_min(1, || drain(decode));
+            [None, production, Some(BlockDecode::portable())].map(|kernel| {
+                let (secs, n) = time_min(1, || drain(kernel));
                 assert_eq!(n, total, "drain lost records");
                 secs
             })
         })
         .collect();
+    let aps = |side: usize| total as f64 / median(rounds.iter().map(|r| r[side]).collect());
+    let ratio = |side: usize| median(rounds.iter().map(|r| r[0] / r[side]).collect());
     KernelBench {
-        auto_name: if forced { "scalar" } else { "swar" },
-        scalar_aps: total as f64 / median(rounds.iter().map(|r| r[0]).collect()),
-        auto_aps: total as f64 / median(rounds.iter().map(|r| r[1]).collect()),
-        speedup: median(rounds.iter().map(|r| r[0] / r[1]).collect()),
+        auto_name: production.map_or("scalar", |k| k.name()),
+        scalar_aps: aps(0),
+        auto_aps: aps(1),
+        portable_aps: aps(2),
+        speedup: ratio(1),
+        portable_speedup: ratio(2),
     }
 }
 
@@ -183,6 +194,11 @@ fn print_kernel_bench(bench: &KernelBench, total: u64) {
                 bench.auto_name.into(),
                 format!("{:.3e}", bench.auto_aps),
                 format!("{:.2}x", bench.kernel_speedup()),
+            ],
+            vec![
+                "portable".into(),
+                format!("{:.3e}", bench.portable_aps),
+                format!("{:.2}x", bench.portable_speedup),
             ],
         ],
     );
@@ -250,9 +266,10 @@ fn check_mode(tol_flag: Option<f64>, params: &rdx_workloads::Params, reps: u32) 
     );
     let _ = writeln!(
         body,
-        "    \"kernel_speedup\": {:.3}",
+        "    \"kernel_speedup\": {:.3},",
         bench.kernel_speedup()
     );
+    let _ = writeln!(body, "{}", render_portable(&bench));
     let _ = write!(body, "  }}");
     let out = update_bench_json_at(&bench_out_path("BENCH_fresh.json"), "decode", &body)
         .unwrap_or_else(|e| panic!("writing fresh check numbers: {e}"));
@@ -394,6 +411,14 @@ fn main() {
     println!("wrote {out} (section \"decode\")");
 }
 
+/// The portable instance's two keys, without a trailing comma.
+fn render_portable(bench: &KernelBench) -> String {
+    format!(
+        "    \"portable_accesses_per_sec\": {:.1},\n    \"portable_speedup\": {:.3}",
+        bench.portable_aps, bench.portable_speedup
+    )
+}
+
 /// Hand-rolled JSON for the `"decode"` section (no JSON crate in the
 /// workspace); every value is a finite number or a registry identifier.
 fn render_section(
@@ -424,6 +449,7 @@ fn render_section(
         "    \"kernel_speedup\": {:.3},",
         kernel_bench.kernel_speedup()
     );
+    let _ = writeln!(s, "{},", render_portable(kernel_bench));
     let _ = writeln!(s, "    \"decode_only\": {{");
     let _ = writeln!(s, "      \"scalar_accesses_per_sec\": {scalar_aps:.1},");
     let _ = writeln!(s, "      \"bulk_accesses_per_sec\": {bulk_aps:.1},");

@@ -11,9 +11,10 @@
 //! A second contrast isolates the needle scanner itself: the same quiet
 //! run is swept by the production scan ([`memsim::kernels::scan`], AVX2
 //! where the host has it) and by the scalar oracle `NeedleSet::scan`,
-//! both called the same way, and the production throughput over the
-//! oracle's becomes `kernel_speedup` — an in-process ratio that is
-//! immune to host speed, which is what the CI regression gate checks.
+//! both called the same way, in back-to-back rounds, and the median of
+//! the rounds' production-over-oracle ratios becomes `kernel_speedup` —
+//! an in-process ratio that is immune to host speed, which is what the
+//! CI regression gate checks.
 //! The same run swept in 64-access slices, one scan call per slice as
 //! at a period-64 sampling rate, gives `short_run_kernel_speedup`: it
 //! charges the kernel's per-call setup, which a whole-run sweep hides.
@@ -22,7 +23,8 @@
 //! `BENCH_rdx.json` (path override: `RDX_BENCH_OUT`; other sections,
 //! e.g. `exp_decode`'s `"decode"`, are preserved) for CI artifact
 //! upload. `RDX_ACCESSES` scales the run; `RDX_REPS` (default 3)
-//! controls how many timed repetitions the minimum is taken over.
+//! controls how many timed repetitions the profile minimum is taken
+//! over (at least nine rounds for the scan ratios).
 //!
 //! `--check [--tol <0..1>]` switches to regression-check mode: only the
 //! scan-kernel microbenchmark runs, its fresh `kernel_speedup` and
@@ -37,7 +39,7 @@
 use memsim::{kernels, NeedleSet, ScanOutcome};
 use rdx_bench::{
     bench_args, bench_out_path, check_metric, experiment_params, json_number, kernel_override,
-    paper_config, print_table, read_bench_baseline, reps, resolve_tolerance, time_min,
+    median, paper_config, print_table, read_bench_baseline, reps, resolve_tolerance, time_min,
     update_bench_json_at, update_bench_json_keeping,
 };
 use rdx_core::{RdxProfile, RdxRunner};
@@ -76,20 +78,26 @@ struct ScanBench {
     /// `simd` when the production side scanned with AVX2, else `scalar`.
     kernel: &'static str,
     accesses: u64,
-    scalar_aps: f64,
-    auto_aps: f64,
-    short_scalar_aps: f64,
-    short_auto_aps: f64,
+    whole: Sides,
+    short: Sides,
 }
 
 impl ScanBench {
     fn kernel_speedup(&self) -> f64 {
-        self.auto_aps / self.scalar_aps
+        self.whole.speedup
     }
 
     fn short_run_kernel_speedup(&self) -> f64 {
-        self.short_auto_aps / self.short_scalar_aps
+        self.short.speedup
     }
+}
+
+/// Both sides of one contrast: each side's median throughput and the
+/// median of the rounds' production-over-oracle ratios.
+struct Sides {
+    scalar_aps: f64,
+    auto_aps: f64,
+    speedup: f64,
 }
 
 /// Accesses per scan pass: one plausible PMU overflow gap's worth.
@@ -153,22 +161,21 @@ fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
             "scalar"
         },
         accesses,
-        scalar_aps: accesses as f64 / whole[0],
-        auto_aps: accesses as f64 / whole[1],
-        short_scalar_aps: accesses as f64 / short[0],
-        short_auto_aps: accesses as f64 / short[1],
+        whole,
+        short,
     }
 }
 
-/// Best seconds each of `sides` takes to sweep `run` `passes` times in
-/// calls of `slice` accesses.
+/// Times `sides` sweeping `run` `passes` times in calls of `slice`
+/// accesses.
 ///
-/// The sides take turns rep by rep, each keeping its fastest, so a host
-/// stall lands on one rep of one side rather than on every rep of
-/// whichever side happens to be timed during it. A rep at the CI scale
-/// lasts about a millisecond, so at least `SCAN_MIN_ROUNDS` turns are
-/// taken whatever `reps` asks. Both sides are called through a fn
-/// pointer, so they are timed at the same boundary.
+/// Each round times the oracle and then the production side, back to
+/// back, and the speedup is the median of the rounds' ratios: a host
+/// stall then moves one round's ratio, not the best rep of whichever
+/// side it hit. A round at the CI scale lasts about a millisecond, so
+/// at least `SCAN_MIN_ROUNDS` are taken whatever `reps` asks. Both
+/// sides are called through a fn pointer, so they are timed at the same
+/// boundary.
 fn time_sides(
     sides: [ScanFn; 2],
     needles: &NeedleSet,
@@ -176,10 +183,11 @@ fn time_sides(
     passes: usize,
     slice: usize,
     reps: u32,
-) -> [f64; 2] {
-    let mut best = [f64::INFINITY; 2];
+) -> Sides {
+    let mut rounds: Vec<[f64; 2]> = Vec::new();
     for _ in 0..reps.max(SCAN_MIN_ROUNDS) {
-        for (scan, best) in sides.into_iter().zip(&mut best) {
+        let mut round = [0.0; 2];
+        for (scan, secs_out) in sides.into_iter().zip(&mut round) {
             let (secs, sink) = time_min(1, || {
                 let mut sink = 0u64;
                 for _ in 0..passes {
@@ -193,10 +201,17 @@ fn time_sides(
                 sink
             });
             std::hint::black_box(sink);
-            *best = best.min(secs);
+            *secs_out = secs;
         }
+        rounds.push(round);
     }
-    best
+    let accesses = (passes * run.len()) as f64;
+    let aps = |side: usize| accesses / median(rounds.iter().map(|r| r[side]).collect());
+    Sides {
+        scalar_aps: aps(0),
+        auto_aps: aps(1),
+        speedup: median(rounds.iter().map(|r| r[0] / r[1]).collect()),
+    }
 }
 
 fn print_scan_bench(bench: &ScanBench) {
@@ -209,12 +224,12 @@ fn print_scan_bench(bench: &ScanBench) {
         &[
             vec![
                 "scalar (oracle)".into(),
-                format!("{:.3e}", bench.scalar_aps),
+                format!("{:.3e}", bench.whole.scalar_aps),
                 "1.00x".into(),
             ],
             vec![
                 format!("{} (production)", bench.kernel),
-                format!("{:.3e}", bench.auto_aps),
+                format!("{:.3e}", bench.whole.auto_aps),
                 format!("{:.2}x", bench.kernel_speedup()),
             ],
         ],
@@ -225,8 +240,8 @@ fn print_scan_bench(bench: &ScanBench) {
     );
     println!(
         "short_run_kernel_speedup ({SHORT_RUN}-access calls, {:.3e} vs {:.3e} acc/s): {:.2}x",
-        bench.short_auto_aps,
-        bench.short_scalar_aps,
+        bench.short.auto_aps,
+        bench.short.scalar_aps,
         bench.short_run_kernel_speedup()
     );
 }
@@ -352,7 +367,7 @@ fn render_scan_kernel(bench: &ScanBench, indent: &str) -> String {
     let _ = writeln!(
         s,
         "{indent}  \"scalar_accesses_per_sec\": {:.1},",
-        bench.scalar_aps
+        bench.whole.scalar_aps
     );
     // A production side that ran the scalar loop too has no row of
     // its own: its throughput is only the ratio below.
@@ -360,7 +375,7 @@ fn render_scan_kernel(bench: &ScanBench, indent: &str) -> String {
         let _ = writeln!(
             s,
             "{indent}  \"{}_accesses_per_sec\": {:.1},",
-            bench.kernel, bench.auto_aps
+            bench.kernel, bench.whole.auto_aps
         );
     }
     let _ = writeln!(
@@ -372,13 +387,13 @@ fn render_scan_kernel(bench: &ScanBench, indent: &str) -> String {
     let _ = writeln!(
         s,
         "{indent}  \"short_run_scalar_accesses_per_sec\": {:.1},",
-        bench.short_scalar_aps
+        bench.short.scalar_aps
     );
     if bench.kernel != "scalar" {
         let _ = writeln!(
             s,
             "{indent}  \"short_run_{}_accesses_per_sec\": {:.1},",
-            bench.kernel, bench.short_auto_aps
+            bench.kernel, bench.short.auto_aps
         );
     }
     let _ = writeln!(

@@ -184,6 +184,17 @@ pub fn time_min<T>(reps: u32, mut f: impl FnMut() -> T) -> (f64, T) {
     (best, last.expect("reps >= 1"))
 }
 
+/// The middle value of `v` (upper middle for an even count).
+///
+/// # Panics
+///
+/// Panics if `v` is empty.
+#[must_use]
+pub fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 /// Timed repetitions for benchmark loops: `RDX_REPS` (≥ 1, default 3).
 #[must_use]
 pub fn reps() -> u32 {

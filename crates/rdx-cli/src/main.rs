@@ -41,7 +41,9 @@
 //!
 //! The hot loops take no flag: the needle scanner runs AVX2 where the
 //! host has it and its scalar loop elsewhere, and the varint decoder
-//! always runs SWAR. Every loop is bit-identical to its scalar oracle,
+//! reads 64-byte blocks through BMI2 `pext` where the host runs it fast
+//! and portable integer gathers elsewhere. Every loop is bit-identical
+//! to its scalar oracle,
 //! so the host changes speed, never output.
 //!
 //! `serve` runs the long-lived framed profiling daemon from

@@ -4,14 +4,14 @@
 //! the exact registry golden digest that `fastpath_equivalence.rs`
 //! pins for in-memory traces and generator streams through the chunk
 //! fast path. Same constant, another execution shape. Decoding the same bytes with
-//! either decode kernel called directly — the production SWAR kernel or
+//! each decode kernel called directly — both block-decode instances and
 //! the scalar oracle — and profiling in memory lands on it too.
 
 use rdx_core::{
     load_rdxt, profile_rdxt_batch, IngestOptions, RdxConfig, RdxProfile, RdxRunner, RdxtInput,
 };
 use rdx_histogram::Histogram;
-use rdx_trace::kernels::{KernelRun, ScalarDecode, SwarDecode};
+use rdx_trace::kernels::{BlockDecode, ScalarDecode};
 use rdx_trace::{io, AccessBuf, Trace};
 use rdx_workloads::{suite, Params};
 
@@ -111,24 +111,21 @@ fn odd_chunk_capacities_reproduce_the_digest() {
     }
 }
 
-/// A decode kernel's signature: records from `bytes` onto `out` until
-/// `out` holds `target` accesses.
-type DecodeFn = fn(&[u8], usize, &mut u64, &mut AccessBuf) -> KernelRun;
-
 #[test]
 fn every_decode_kernel_reproduces_the_digest() {
     // Each kernel decodes every registry blob's records in one call,
     // outside the decoder; the columns, profiled in memory, land on the
     // same bits. The scalar oracle runs nowhere in production, so this
     // is what keeps it pinned to the digest.
-    let kernels: [(&str, DecodeFn); 2] = [
-        ("scalar", |b, t, p, o| {
-            ScalarDecode.decode_records(b, t, p, o)
-        }),
-        ("swar", |b, t, p, o| SwarDecode.decode_records(b, t, p, o)),
-    ];
+    // The BMI2 instance runs where this CPU has BMI2, fast `pext` or not.
+    let kernels = [
+        ("scalar", None),
+        ("portable", Some(BlockDecode::portable())),
+    ]
+    .into_iter()
+    .chain(BlockDecode::bmi2().map(|b| ("bmi2", Some(b))));
     let runner = RdxRunner::new(config());
-    for (kernel, decode) in kernels {
+    for (kernel, block) in kernels {
         let profiles: Vec<RdxProfile> = registry_bytes()
             .into_iter()
             .map(|(name, raw)| {
@@ -136,7 +133,10 @@ fn every_decode_kernel_reproduces_the_digest() {
                 let records = &raw[header.len..];
                 let mut accesses = AccessBuf::new();
                 let declared = usize::try_from(header.declared).expect("fits usize");
-                let run = decode(records, declared, &mut 0, &mut accesses);
+                let run = match block {
+                    Some(b) => b.decode_records(records, declared, &mut 0, &mut accesses),
+                    None => ScalarDecode.decode_records(records, declared, &mut 0, &mut accesses),
+                };
                 assert!(
                     run.failure.is_none() && run.committed == records.len(),
                     "{name}: the {kernel} kernel must decode every record",

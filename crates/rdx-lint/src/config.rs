@@ -101,7 +101,10 @@ impl LintConfig {
             .iter()
             .map(|&(c, f)| (c.to_string(), f.to_string()))
             .collect(),
-            unsafe_allowed_files: vec![("memsim".to_string(), "kernels.rs".to_string())],
+            unsafe_allowed_files: [("memsim", "kernels.rs"), ("rdx-trace", "kernels.rs")]
+                .iter()
+                .map(|&(c, f)| (c.to_string(), f.to_string()))
+                .collect(),
             layers: [
                 ("rdx-metrics", 0),
                 ("rdx-histogram", 1),

@@ -99,25 +99,40 @@ impl AccessBuf {
     /// Appends every access of `src`, copying its bitmap a word at a
     /// time.
     pub fn extend_from_slice(&mut self, src: AccessSlice<'_>) {
-        let mut len = self.len();
+        let len = self.len();
+        for k in (0..src.len()).step_by(64) {
+            self.push_store_bits(len + k, (src.len() - k).min(64), src.store_word(k));
+        }
         self.addrs.extend_from_slice(src.addrs);
-        let mut k = 0;
-        while k < src.len() {
-            let n = (src.len() - k).min(64);
-            let w = src.store_word(k);
-            let shift = len % 64;
-            if shift == 0 {
-                self.stores.push(w);
-            } else {
-                if let Some(last) = self.stores.last_mut() {
-                    *last |= w << shift;
-                }
-                if n > 64 - shift {
-                    self.stores.push(w >> (64 - shift));
-                }
+    }
+
+    /// Appends a run of `n` (1..=64) accesses whose store bits are the
+    /// low `n` bits of `stores` (the rest clear), one bitmap word
+    /// operation for the run, and returns their address slots, zeroed,
+    /// for the caller to fill.
+    #[inline(always)]
+    pub(crate) fn append_run(&mut self, n: usize, stores: u64) -> &mut [u64] {
+        let len = self.len();
+        self.push_store_bits(len, n, stores);
+        self.addrs.resize(len + n, 0);
+        &mut self.addrs[len..]
+    }
+
+    /// Puts the store bits of `n` (1..=64) accesses, the low `n` bits of
+    /// `stores`, into the bitmap at access index `at`, the bitmap's end.
+    #[inline(always)]
+    fn push_store_bits(&mut self, at: usize, n: usize, stores: u64) {
+        debug_assert!((1..=64).contains(&n) && (n == 64 || stores >> n == 0));
+        let shift = at % 64;
+        if shift == 0 {
+            self.stores.push(stores);
+        } else {
+            if let Some(last) = self.stores.last_mut() {
+                *last |= stores << shift;
             }
-            len += n;
-            k += n;
+            if n > 64 - shift {
+                self.stores.push(stores >> (64 - shift));
+            }
         }
     }
 

@@ -4,8 +4,8 @@
 //! receiving framed chunks, splits the header and the varint records
 //! anywhere, and must not hold on to the bytes. [`RdxtDecoder`]
 //! consumes such pieces as they come: it parses the header once enough bytes have arrived (through
-//! the same rules as `TraceReader::new`), decodes records with the SWAR
-//! kernel, and carries only what a boundary can split — at most one
+//! the same rules as `TraceReader::new`), decodes records with the block
+//! kernel this host runs, and carries only what a boundary can split — at most one
 //! partial record — plus the delta-chain address to the next chunk.
 //!
 //! A [`TraceReader`](crate::TraceReader) is this decoder fed its whole
@@ -17,7 +17,7 @@
 
 use crate::columns::AccessBuf;
 use crate::io::{self, Header, TraceError, MAX_HEADER_LEN};
-use crate::kernels::SwarDecode;
+use crate::kernels::BlockDecode;
 
 /// Longest valid varint record: 19 bytes carry 133 payload bits, the
 /// first encoding length past 128. A 20th byte is always overlong.
@@ -50,6 +50,18 @@ pub struct RdxtDecoder {
     /// Bytes received after the last declared record.
     trailing: u64,
     error: Option<TraceError>,
+    /// The block-decode instance, picked from the host once.
+    kernel: BlockDecode,
+}
+
+/// What one [`RdxtDecoder::decode`] call did, for the counters.
+#[derive(Default)]
+struct Pass {
+    /// Record bytes consumed, a record completed from the carry
+    /// included.
+    committed: usize,
+    /// Records the block loop handed to the scalar step.
+    slow_records: usize,
 }
 
 impl Default for RdxtDecoder {
@@ -70,6 +82,7 @@ impl RdxtDecoder {
             decoded: 0,
             trailing: 0,
             error: None,
+            kernel: BlockDecode::detect(),
         }
     }
 
@@ -137,9 +150,9 @@ impl RdxtDecoder {
         }
         // Each call is one bulk pass to the counters, a record completed
         // from the carry included.
-        let mut committed = 0;
-        let result = self.decode_inner(input, out, max.max(1), &mut committed);
-        io::count_decoded(committed, out.len());
+        let mut pass = Pass::default();
+        let result = self.decode_inner(input, out, max.max(1), &mut pass);
+        io::count_decoded(pass.committed, out.len(), pass.slow_records);
         if let Err(e) = &result {
             self.error = Some(io::dup_decode_error(e));
         }
@@ -163,7 +176,7 @@ impl RdxtDecoder {
         input: &[u8],
         out: &mut AccessBuf,
         max: usize,
-        committed: &mut usize,
+        pass: &mut Pass,
     ) -> Result<usize, TraceError> {
         let mut pos = 0;
         if let Phase::Header(buf) = &mut self.phase {
@@ -189,7 +202,7 @@ impl RdxtDecoder {
             return Ok(input.len());
         };
         if self.carry_len > 0 && pos < input.len() {
-            pos += self.complete_carry(&input[pos..], out, committed)?;
+            pos += self.complete_carry(&input[pos..], out, pass)?;
         }
         if self.carry_len == 0 && pos < input.len() && self.decoded < declared && out.len() < max {
             let want = usize::try_from(declared - self.decoded)
@@ -201,10 +214,13 @@ impl RdxtDecoder {
             // (usually reused) batch once instead.
             out.reserve(want.min(bytes.len().div_ceil(RESERVE_BYTES_PER_ACCESS)));
             let before = out.len();
-            let run = SwarDecode.decode_records(bytes, before + want, &mut self.prev, out);
+            let run = self
+                .kernel
+                .decode_records(bytes, before + want, &mut self.prev, out);
             self.decoded += (out.len() - before) as u64;
             pos += run.committed;
-            *committed += run.committed;
+            pass.committed += run.committed;
+            pass.slow_records += run.slow_records;
             match run.failure {
                 None => {}
                 Some(TraceError::Truncated) => {
@@ -236,7 +252,7 @@ impl RdxtDecoder {
         &mut self,
         input: &[u8],
         out: &mut AccessBuf,
-        committed: &mut usize,
+        pass: &mut Pass,
     ) -> Result<usize, TraceError> {
         // A window one byte past the longest record always resolves to
         // a record or `Malformed` unless the input runs out first.
@@ -244,12 +260,15 @@ impl RdxtDecoder {
         let take = input.len().min(self.carry.len() - had);
         let mut window = self.carry;
         window[had..had + take].copy_from_slice(&input[..take]);
-        let run = SwarDecode.decode_records(&window[..had + take], 1, &mut self.prev, out);
+        let run = self
+            .kernel
+            .decode_records(&window[..had + take], 1, &mut self.prev, out);
+        pass.slow_records += run.slow_records;
         match run.failure {
             None => {
                 self.decoded += 1;
                 self.carry_len = 0;
-                *committed += run.committed;
+                pass.committed += run.committed;
                 Ok(run.committed.saturating_sub(had))
             }
             Some(TraceError::Truncated) => {

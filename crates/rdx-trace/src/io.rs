@@ -216,37 +216,107 @@ pub fn try_to_bytes(trace: &Trace) -> Result<Bytes, TraceError> {
 /// [`try_to_bytes`] to reject over-long names instead of clamping.
 #[must_use]
 pub fn to_bytes(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(trace.len() * 2 + 64);
+    let name = clamp_name(trace.name()).as_bytes();
+    let accesses = trace.accesses();
+    let addrs = accesses.addrs();
+    // The records' exact size, so the buffer is reserved once.
+    let deltas = || {
+        addrs.iter().scan(0u64, |prev, &addr| {
+            let delta = addr.wrapping_sub(*prev) as i64;
+            *prev = addr;
+            Some(zigzag(delta))
+        })
+    };
+    let body: usize = deltas().map(record_len).sum();
+    let mut buf = BytesMut::with_capacity(MAGIC.len() + 16 + name.len() + body);
     buf.put_slice(MAGIC);
     buf.put_u32_le(VERSION);
-    let name = clamp_name(trace.name()).as_bytes();
     // The clamp bounds `name.len()` ≤ MAX_NAME_LEN, so this cast is
     // exact and the length field agrees with the payload that follows.
     buf.put_u32_le(name.len() as u32);
     buf.put_slice(name);
     buf.put_u64_le(trace.len() as u64);
-    let mut prev: u64 = 0;
-    for a in trace.iter() {
-        let delta = a.addr.raw().wrapping_sub(prev) as i64;
-        prev = a.addr.raw();
-        let kind_bit = u128::from(a.kind.is_store());
-        // The zigzagged delta needs the full 64 bits for |delta| ≥ 2^62,
-        // so the kind bit pushes the record into u128 varint territory.
-        put_varint(&mut buf, (u128::from(zigzag(delta)) << 1) | kind_bit);
+    // Records gather in a stack block, copied out whenever the next
+    // one might not fit.
+    let mut block = [0u8; ENCODE_BLOCK];
+    let mut at = 0;
+    let mut stores = 0;
+    for (i, zz) in deltas().enumerate() {
+        if i % 64 == 0 {
+            stores = accesses.store_word(i);
+        }
+        let kind = stores & 1;
+        stores >>= 1;
+        if at > ENCODE_BLOCK - 8 {
+            buf.put_slice(&block[..at]);
+            at = 0;
+        }
+        if zz >> 55 == 0 {
+            at += put_short_varint(&mut block[at..], (zz << 1) | kind);
+        } else {
+            // |delta| ≥ 2^54: a 9- or 10-byte record, or (from 2^62)
+            // one whose payload needs more than 64 bits.
+            buf.put_slice(&block[..at]);
+            at = 0;
+            put_varint(&mut buf, (u128::from(zz) << 1) | u128::from(kind));
+        }
     }
+    buf.put_slice(&block[..at]);
     rdx_metrics::counter("rdx.trace.encode.events").add(trace.len() as u64);
     rdx_metrics::counter("rdx.trace.encode.bytes").add(buf.len() as u64);
     buf.freeze()
 }
 
-/// Counts one bulk decode pass of `n` records over `bytes` bytes.
-pub(crate) fn count_decoded(bytes: usize, n: usize) {
+/// Bytes of the stack block `to_bytes` gathers records in.
+const ENCODE_BLOCK: usize = 4096;
+
+/// Bytes of the record of a zigzagged delta `zz`: its significant bits
+/// plus the kind bit, 7 to a byte.
+fn record_len(zz: u64) -> usize {
+    (71 - zz.leading_zeros() as usize) / 7
+}
+
+/// Writes `v` (< 2^56) as a varint of at most 8 bytes at the start of
+/// `out`, exactly the bytes [`put_varint`] writes for it, and returns
+/// how many. `out` must have room for 8 bytes.
+///
+/// There is no byte loop, so a record's length costs no branch: the
+/// 7-bit groups spread into bytes, every byte but the last is flagged,
+/// and all 8 bytes are stored.
+#[inline]
+fn put_short_varint(out: &mut [u8], v: u64) -> usize {
+    debug_assert!(v >> 56 == 0);
+    let len = (63 - (v | 1).leading_zeros() as usize) / 7 + 1;
+    let more = HIGH_BITS & ((1 << (8 * (len - 1))) - 1);
+    out[..8].copy_from_slice(&(spread7(v) | more).to_le_bytes());
+    len
+}
+
+/// Bit 7 of each byte of a word.
+const HIGH_BITS: u64 = 0x8080_8080_8080_8080;
+
+/// Spreads the low 56 bits of `x` into eight 7-bit groups, one per
+/// byte, little-endian: the inverse of the decoder's fold.
+#[inline]
+fn spread7(x: u64) -> u64 {
+    let x = (x & 0x0000_0000_0fff_ffff) | ((x & 0x00ff_ffff_f000_0000) << 4);
+    let x = (x & 0x0000_3fff_0000_3fff) | ((x & 0x0fff_c000_0fff_c000) << 2);
+    (x & 0x007f_007f_007f_007f) | ((x & 0x3f80_3f80_3f80_3f80) << 1)
+}
+
+/// Counts one bulk decode pass of `n` records over `bytes` bytes, `slow`
+/// of them read by the per-record scalar step.
+pub(crate) fn count_decoded(bytes: usize, n: usize, slow: usize) {
     if n == 0 {
         return;
     }
     rdx_metrics::counter("rdx.trace.decode.bytes").add(bytes as u64);
     rdx_metrics::counter("rdx.trace.decode.accesses").add(n as u64);
     rdx_metrics::counter("rdx.trace.decode.chunks").incr();
+    // Most passes have none, and a counter lookup costs a lock.
+    if slow > 0 {
+        rdx_metrics::counter("rdx.trace.decode.slow_records").add(slow as u64);
+    }
 }
 
 /// A parsed `RDXT` header.
@@ -967,6 +1037,43 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Runs the scalar oracle and every block instance this host can
+    /// run on `data`, onto a buffer already holding `held` accesses, up
+    /// to `target` accesses in all: everything observable must agree.
+    fn check_block_kernels(data: &[u8], target: usize, prev: u64, held: usize) {
+        use crate::kernels::{BlockDecode, ScalarDecode};
+        let head: AccessBuf = (0..held as u64)
+            .map(|i| {
+                if i % 3 == 0 {
+                    Access::store(i)
+                } else {
+                    Access::load(i)
+                }
+            })
+            .collect();
+        let tag = |f: &Option<TraceError>| match f {
+            None => 0u8,
+            Some(TraceError::Truncated) => 1,
+            Some(TraceError::Malformed) => 2,
+            Some(_) => 3,
+        };
+        let mut scalar_prev = prev;
+        let mut scalar_out = head.clone();
+        let scalar = ScalarDecode.decode_records(data, target, &mut scalar_prev, &mut scalar_out);
+        let instances = [Some(BlockDecode::portable()), BlockDecode::bmi2()];
+        for kernel in instances.into_iter().flatten() {
+            let name = kernel.name();
+            let mut block_prev = prev;
+            let mut block_out = head.clone();
+            let block = kernel.decode_records(data, target, &mut block_prev, &mut block_out);
+            prop_assert_eq!(&block_out, &scalar_out, "{}", name);
+            prop_assert_eq!(block.committed, scalar.committed, "{}", name);
+            prop_assert_eq!(block_prev, scalar_prev, "{}", name);
+            prop_assert_eq!(tag(&block.failure), tag(&scalar.failure), "{}", name);
+            prop_assert!(block.slow_records <= scalar.slow_records, "{}", name);
+        }
+    }
+
     proptest! {
         /// The raw u128 varint round-trips over its full width, and
         /// decoding consumes the exact bytes encoding produced.
@@ -1042,6 +1149,47 @@ mod proptests {
             let a: Vec<_> = t.iter().collect();
             let b: Vec<_> = t2.iter().collect();
             prop_assert_eq!(a, b);
+        }
+
+        /// The encoder writes exactly the bytes of one `put_varint` per
+        /// record over deltas of every width: 1–8 byte records on the
+        /// word path, and 9–10 byte ones and the zigzag extremes
+        /// (|delta| ≥ 2^62) on the u128 one. The word varint alone
+        /// matches `put_varint` on values of every width it takes.
+        #[test]
+        fn encoder_matches_put_varint_per_record(
+            pairs in prop::collection::vec((prop_oneof![
+                0u64..4096,
+                any::<u64>(),
+                Just(0u64),
+                Just(u64::MAX),
+                Just((1u64 << 54) - 1),
+                Just(1u64 << 54),
+                Just(1u64 << 62),
+                Just(i64::MAX as u64),
+                Just(i64::MIN as u64),
+            ], any::<bool>()), 0..300),
+            word in any::<u64>(),
+            shift in 0u32..64,
+        ) {
+            let t: Trace = pairs.iter().copied().collect();
+            let raw = to_bytes(&t);
+            let header = parse_header(&raw).unwrap();
+            let mut want = BytesMut::new();
+            let mut prev = 0u64;
+            for a in t.iter() {
+                let delta = a.addr.raw().wrapping_sub(prev) as i64;
+                prev = a.addr.raw();
+                put_varint(&mut want, (u128::from(zigzag(delta)) << 1) | u128::from(a.kind.is_store()));
+            }
+            prop_assert_eq!(&raw[header.len..], &want[..]);
+            let v = word >> shift.max(8);
+            let mut one = BytesMut::new();
+            put_varint(&mut one, u128::from(v));
+            let mut out = [0u8; 8];
+            let n = put_short_varint(&mut out, v);
+            prop_assert_eq!(&out[..n], &one[..]);
+            prop_assert_eq!(record_len(v >> 1), n);
         }
 
         /// Every prefix of a valid encoding is rejected as an error (the
@@ -1212,37 +1360,49 @@ mod proptests {
             ));
         }
 
-        /// Kernel equivalence at the trait boundary: the SWAR kernel
-        /// reproduces the scalar oracle exactly — accesses, committed
-        /// cursor, delta-chain state, and truncated-vs-malformed
-        /// verdict — on arbitrary byte windows (mostly garbage, so
-        /// truncation and overlong cut points of every flavor) and
-        /// arbitrary record targets.
+        /// Kernel equivalence at the kernel boundary: both block
+        /// instances reproduce the scalar oracle exactly — accesses,
+        /// committed cursor, delta-chain state, and truncated-vs-
+        /// malformed verdict — on arbitrary byte windows (mostly
+        /// garbage, so truncation and overlong cut points of every
+        /// flavor) and arbitrary record targets, appended to a buffer
+        /// already holding any number of accesses.
         #[test]
-        fn swar_kernel_matches_scalar_kernel_on_raw_windows(
+        fn block_kernels_match_scalar_kernel_on_raw_windows(
             data in prop::collection::vec(any::<u8>(), 0..256),
             target in 0usize..96,
             prev in any::<u64>(),
+            held in 0usize..130,
         ) {
-            use crate::kernels::{ScalarDecode, SwarDecode};
-            let mut scalar_prev = prev;
-            let mut scalar_out = AccessBuf::new();
-            let scalar = ScalarDecode.decode_records(
-                &data, target, &mut scalar_prev, &mut scalar_out);
-            let mut swar_prev = prev;
-            let mut swar_out = AccessBuf::new();
-            let swar = SwarDecode.decode_records(
-                &data, target, &mut swar_prev, &mut swar_out);
-            prop_assert_eq!(&swar_out, &scalar_out);
-            prop_assert_eq!(swar.committed, scalar.committed);
-            prop_assert_eq!(swar_prev, scalar_prev);
-            let tag = |f: &Option<TraceError>| match f {
-                None => 0u8,
-                Some(TraceError::Truncated) => 1,
-                Some(TraceError::Malformed) => 2,
-                Some(_) => 3,
-            };
-            prop_assert_eq!(tag(&swar.failure), tag(&scalar.failure));
+            check_block_kernels(&data, held + target, prev, held);
+        }
+
+        /// The same equivalence over record streams: runs of 1–20-byte
+        /// records (overlong ones included) whose lengths move every
+        /// record boundary across the 64-byte blocks, cut at any
+        /// offset, asked for any target, appended at every bitmap
+        /// offset.
+        #[test]
+        fn block_kernels_match_scalar_kernel_on_record_runs(
+            records in prop::collection::vec((1usize..21, any::<u64>(), any::<u64>()), 0..120),
+            cut_back in 0usize..80,
+            target in 0usize..200,
+            prev in any::<u64>(),
+            held in 0usize..130,
+        ) {
+            let mut data = Vec::new();
+            for &(len, lo, hi) in &records {
+                // `len` bytes of payload from the two words; every byte
+                // but the last carries the continuation bit. A 19-byte
+                // record may overflow 128 bits, and 20 bytes always do.
+                let payload = (u128::from(hi) << 64) | u128::from(lo);
+                for i in 0..len {
+                    let byte = (payload >> (7 * i).min(127)) as u8 & 0x7f;
+                    data.push(if i + 1 < len { byte | 0x80 } else { byte });
+                }
+            }
+            let cut = data.len().saturating_sub(cut_back);
+            check_block_kernels(&data[..cut], held + target, prev, held);
         }
 
         /// Kernel equivalence at the reader boundary: `decode_chunk`

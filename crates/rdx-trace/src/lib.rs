@@ -58,7 +58,12 @@
 //! assert_eq!(view.slice(1..).get(0).kind, AccessKind::Store);
 //! ```
 
-#![forbid(unsafe_code)]
+// The BMI2 decode instance needs a core::arch intrinsic, so this crate
+// can only *deny* unsafe code, not forbid it: `kernels.rs` re-allows it
+// for exactly that module, and the unsafe-confinement lint pins every
+// `unsafe` token in the workspace to the allowlisted kernel files.
+// rdx-lint-allow: forbid-unsafe — arch intrinsics confined to kernels.rs
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod chunk;
