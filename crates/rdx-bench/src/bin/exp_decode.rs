@@ -1,19 +1,14 @@
-//! Ingestion contrast: per-access varint decode vs bulk decode,
-//! measured two ways.
+//! Ingestion rates: RDXT decode alone and file-backed profiling.
 //!
 //! **Decode-only.** Every registry workload is serialized to RDXT bytes
-//! once; the whole set is then drained two ways without profiling —
-//! the scalar `try_next` loop and `decode_chunk` into a reusable
-//! buffer — giving the raw decoder throughput each can feed the
-//! machine.
+//! once; the whole set is then drained without profiling through
+//! `decode_chunk` into a reusable buffer, giving the raw decoder
+//! throughput it can feed the machine.
 //!
 //! **End-to-end.** Each serialized workload is profiled at the paper's
-//! 64 Ki operating point two ways: the pre-chunk-decoder baseline
-//! (`Opaque`-wrapped reader, so the machine single-steps and the reader
-//! decodes one varint per access — exactly what `rdx profile <file>` did
-//! before bulk ingestion) and `profile_rdxt`, the block-by-block
-//! ingestion loop every RDXT path runs. Both profiles are asserted
-//! bit-identical; the speedup is the whole point of bulk ingestion.
+//! 64 Ki operating point through `profile_rdxt`, the block-by-block
+//! ingestion loop every RDXT path runs, and each profile is asserted
+//! bit-identical to `RdxRunner::profile` of the in-memory trace.
 //!
 //! **Decode kernels.** Every serialized workload's record bytes are
 //! additionally drained in chunk-sized batches by the scalar oracle, by
@@ -40,28 +35,19 @@
 //! kernel.
 
 use rdx_bench::{
-    bench_args, bench_out_path, check_metric, experiment_params, geo_mean, json_number,
-    kernel_override, median, paper_config, print_table, read_bench_baseline, reps,
-    resolve_tolerance, time_min, update_bench_json_at, update_bench_json_keeping,
+    bench_args, bench_out_path, check_metric, experiment_params, json_number, kernel_override,
+    median, paper_config, print_table, read_bench_baseline, reps, resolve_tolerance, time_min,
+    update_bench_json_at, update_bench_json_keeping,
 };
 use rdx_core::{IngestOptions, RdxProfile, RdxRunner, RdxtInput};
 use rdx_trace::kernels::{BlockDecode, KernelRun, ScalarDecode};
-use rdx_trace::{
-    io, AccessBuf, AccessStream, Bytes, Chunk, Opaque, Trace, TraceReader, DEFAULT_CHUNK_CAPACITY,
-};
+use rdx_trace::{io, AccessBuf, Bytes, Chunk, Trace, TraceReader, DEFAULT_CHUNK_CAPACITY};
 use rdx_workloads::suite;
 use std::fmt::Write as _;
 
 struct Row {
     name: &'static str,
-    baseline_aps: f64,
     bulk_aps: f64,
-}
-
-impl Row {
-    fn bulk_speedup(&self) -> f64 {
-        self.bulk_aps / self.baseline_aps
-    }
 }
 
 fn assert_identical(name: &str, what: &str, a: &RdxProfile, b: &RdxProfile) {
@@ -290,7 +276,7 @@ fn main() {
         std::process::exit(check_mode(args.tol, &params, reps));
     }
     println!(
-        "Ingestion: per-access decode vs bulk decode \
+        "Ingestion: RDXT decode and file-backed profiling \
          ({} accesses/workload, period {period}, best of {reps})\n",
         params.accesses
     );
@@ -299,16 +285,6 @@ fn main() {
     let total: u64 = blobs.iter().map(|&(_, n, _)| n).sum();
 
     // Decode-only throughput over the whole serialized suite.
-    let (scalar_s, scalar_n) = time_min(reps, || {
-        let mut n = 0u64;
-        for (_, _, raw) in &blobs {
-            let mut r = TraceReader::new(raw.clone()).expect("valid trace bytes");
-            while r.next_access().is_some() {
-                n += 1;
-            }
-        }
-        n
-    });
     let (bulk_s, bulk_n) = time_min(reps, || {
         let mut n = 0u64;
         let mut chunk = Chunk::default();
@@ -324,87 +300,47 @@ fn main() {
         }
         n
     });
-    assert_eq!(scalar_n, total, "scalar drain lost records");
     assert_eq!(bulk_n, total, "bulk drain lost records");
     let kernel_bench = decode_kernel_bench(&blobs, total, reps);
-    let (scalar_aps, bulk_only_aps) = (total as f64 / scalar_s, total as f64 / bulk_s);
-    println!("decode-only ({total} accesses over the serialized suite):");
-    print_table(
-        &["path", "acc/s", "speedup"],
-        &[
-            vec![
-                "per-access".into(),
-                format!("{scalar_aps:.3e}"),
-                "1.00x".into(),
-            ],
-            vec![
-                "bulk chunks".into(),
-                format!("{bulk_only_aps:.3e}"),
-                format!("{:.2}x", bulk_only_aps / scalar_aps),
-            ],
-        ],
-    );
+    let bulk_only_aps = total as f64 / bulk_s;
+    println!("decode-only ({total} accesses over the serialized suite): {bulk_only_aps:.3e} acc/s");
 
-    // End-to-end file-backed profiling at the paper operating point.
+    // End-to-end file-backed profiling at the paper operating point,
+    // each profile checked against the in-memory trace's.
     let runner = RdxRunner::new(config);
     let mut rows: Vec<Row> = Vec::new();
-    for (name, n, raw) in &blobs {
-        let n = *n as f64;
-        let (base_s, baseline) = time_min(reps, || {
-            let r = TraceReader::new(raw.clone()).expect("valid trace bytes");
-            runner.profile(Opaque::new(r))
-        });
+    for (w, (name, n, raw)) in suite().iter().zip(&blobs) {
         let (bulk_s, bulk) = time_min(reps, || {
             let input = RdxtInput::from_bytes(*name, raw.clone()).expect("valid trace bytes");
-            let (p, verdict) = runner.profile_rdxt(input, &IngestOptions::default());
+            let (p, verdict) = runner.profile_rdxt(input, &IngestOptions);
             assert!(verdict.is_ok(), "{name}: clean decode expected");
             p
         });
-        assert_identical(name, "bulk vs baseline", &bulk, &baseline);
+        let in_memory = runner.profile(Trace::from_stream(w.name, w.stream(&params)).stream());
+        assert_identical(name, "profile_rdxt vs in-memory", &bulk, &in_memory);
         rows.push(Row {
             name,
-            baseline_aps: n / base_s,
-            bulk_aps: n / bulk_s,
+            bulk_aps: *n as f64 / bulk_s,
         });
     }
 
-    println!("\nend-to-end file-backed profiling (period {period}):");
+    println!(
+        "\nend-to-end file-backed profiling (period {period}, profiles verified bit-identical):"
+    );
     print_table(
-        &["workload", "baseline acc/s", "bulk acc/s", "bulk speedup"],
+        &["workload", "profile_rdxt acc/s"],
         &rows
             .iter()
-            .map(|r| {
-                vec![
-                    r.name.to_string(),
-                    format!("{:.3e}", r.baseline_aps),
-                    format!("{:.3e}", r.bulk_aps),
-                    format!("{:.2}x", r.bulk_speedup()),
-                ]
-            })
+            .map(|r| vec![r.name.to_string(), format!("{:.3e}", r.bulk_aps)])
             .collect::<Vec<_>>(),
     );
     print_kernel_bench(&kernel_bench, total);
-
-    let bulk_speedups: Vec<f64> = rows.iter().map(Row::bulk_speedup).collect();
-    let geo_bulk = geo_mean(&bulk_speedups);
-    let max_bulk = bulk_speedups.iter().fold(0.0f64, |a, &b| a.max(b));
-    println!(
-        "\ngeo-mean end-to-end speedup: bulk {geo_bulk:.2}x \
-         (max {max_bulk:.2}x; profiles verified bit-identical)"
-    );
 
     // A hand-tuned check_tolerance in the recorded file survives
     // re-runs; the gate falls back to 0.25 when absent.
     let out = update_bench_json_keeping(
         "decode",
-        &render_section(
-            &rows,
-            &kernel_bench,
-            total,
-            period,
-            (scalar_aps, bulk_only_aps),
-            (geo_bulk, max_bulk),
-        ),
+        &render_section(&rows, &kernel_bench, total, period, bulk_only_aps),
         &["check_tolerance"],
     )
     .unwrap_or_else(|e| panic!("writing benchmark results: {e}"));
@@ -426,8 +362,7 @@ fn render_section(
     kernel_bench: &KernelBench,
     total: u64,
     period: u64,
-    (scalar_aps, bulk_aps): (f64, f64),
-    (geo_bulk, max_bulk): (f64, f64),
+    bulk_aps: f64,
 ) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "{{");
@@ -451,24 +386,16 @@ fn render_section(
     );
     let _ = writeln!(s, "{},", render_portable(kernel_bench));
     let _ = writeln!(s, "    \"decode_only\": {{");
-    let _ = writeln!(s, "      \"scalar_accesses_per_sec\": {scalar_aps:.1},");
-    let _ = writeln!(s, "      \"bulk_accesses_per_sec\": {bulk_aps:.1},");
-    let _ = writeln!(s, "      \"bulk_speedup\": {:.3}", bulk_aps / scalar_aps);
+    let _ = writeln!(s, "      \"bulk_accesses_per_sec\": {bulk_aps:.1}");
     let _ = writeln!(s, "    }},");
     let _ = writeln!(s, "    \"end_to_end\": {{");
-    let _ = writeln!(s, "      \"geo_mean_bulk_speedup\": {geo_bulk:.3},");
-    let _ = writeln!(s, "      \"max_bulk_speedup\": {max_bulk:.3},");
     let _ = writeln!(s, "      \"workloads\": [");
     for (i, r) in rows.iter().enumerate() {
         let comma = if i + 1 == rows.len() { "" } else { "," };
         let _ = writeln!(
             s,
-            "        {{\"name\": \"{}\", \"baseline_accesses_per_sec\": {:.1}, \
-             \"bulk_accesses_per_sec\": {:.1}, \"bulk_speedup\": {:.3}}}{comma}",
-            r.name,
-            r.baseline_aps,
-            r.bulk_aps,
-            r.bulk_speedup()
+            "        {{\"name\": \"{}\", \"bulk_accesses_per_sec\": {:.1}}}{comma}",
+            r.name, r.bulk_aps
         );
     }
     let _ = writeln!(s, "      ]");

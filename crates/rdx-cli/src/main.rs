@@ -5,19 +5,16 @@
 //! rdx profile <workload|file.rdxt> [--accesses N] [--elements N]
 //!             [--period N] [--seed N] [--registers N] [--jobs N]
 //!             [--exact] [--mrc] [--csv] [--metrics] [--save file.rdxp]
-//!             [--decode-buffer N]
 //! rdx suite [file.rdxt ...] [--accesses N] [--elements N] [--period N]
 //!           [--seed N] [--jobs N] [--csv] [--metrics]
 //!           [--merge] [--out file.rdxp]
-//!           [--decode-buffer N]
 //! rdx merge <file.rdxp ...> [--out file.rdxp] [--csv] [--mrc]
-//! rdx trace <file> [--decode-buffer N] [--metrics]
+//! rdx trace <file> [--metrics]
 //! rdx serve --listen <addr|socket-path> [--max-conns N]
 //!           [--max-session-bytes N]
 //! rdx client <addr|socket-path> <workload|file.rdxt> [--accesses N]
 //!            [--elements N] [--period N] [--seed N] [--registers N]
 //!            [--chunk-bytes N] [--aggregate N] [--crosscheck] [--metrics]
-//!            [--decode-buffer N]
 //! rdx sim [--seed N] [--schedules N] [--faults LIST]
 //! rdx static <kernel> [--accesses N] [--elements N] [--seed N]
 //!            [--exact] [--mrc] [--csv] [--metrics]
@@ -27,8 +24,8 @@
 //! serialized RDXT trace; `suite` profiles the whole registry, or — when
 //! leading file arguments are given — each trace file in parallel. File
 //! inputs stream through the same decode-and-profile loop as a server
-//! session, read in fixed 64 KiB blocks, so no command holds a whole
-//! trace file; `--decode-buffer` sizes the decode batch.
+//! session, read in fixed 64 KiB blocks and decoded in fixed batches,
+//! so no command holds a whole trace file.
 //!
 //! Profiles are a merge monoid: `profile --save` writes a profile in
 //! the versioned RDXP wire format, `merge` folds RDXP files from disk
@@ -100,18 +97,16 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  rdx list\n  rdx profile <workload|file.rdxt> [--accesses N] \
          [--elements N] [--period N]\n              [--seed N] [--registers N] [--jobs N] \
-         [--exact] [--mrc] [--csv] [--metrics]\n              [--save file.rdxp] \
-         [--decode-buffer N]\n  \
+         [--exact] [--mrc] [--csv] [--metrics]\n              [--save file.rdxp]\n  \
          rdx suite [file.rdxt ...] [--accesses N] \
          [--elements N] [--period N] [--seed N]\n            [--jobs N] [--csv] [--metrics] \
-         [--merge] [--out file.rdxp]\n            \
-         [--decode-buffer N]\n  \
+         [--merge] [--out file.rdxp]\n  \
          rdx merge <file.rdxp ...> [--out file.rdxp] [--csv] [--mrc]\n  \
-         rdx trace <file> [--decode-buffer N] [--metrics]\n  \
+         rdx trace <file> [--metrics]\n  \
          rdx serve --listen <addr|socket-path> [--max-conns N] [--max-session-bytes N]\n  \
          rdx client <addr|socket-path> <workload|file.rdxt> [--accesses N] [--elements N]\n             \
          [--period N] [--seed N] [--registers N] [--chunk-bytes N]\n             \
-         [--aggregate N] [--crosscheck] [--metrics] [--decode-buffer N]\n  \
+         [--aggregate N] [--crosscheck] [--metrics]\n  \
          rdx sim [--seed N] [--schedules N] [--faults LIST]\n  \
          rdx static <kernel> [--accesses N] [--elements N] [--seed N]\n             \
          [--exact] [--mrc] [--csv] [--metrics]"
@@ -150,7 +145,6 @@ struct Opts {
     period: Option<u64>,
     registers: Option<u64>,
     jobs: Option<u64>,
-    decode_buffer: Option<u64>,
     chunk_bytes: Option<u64>,
     aggregate: Option<u64>,
     save: Option<String>,
@@ -210,7 +204,6 @@ impl Opts {
                         "--period" => &mut opts.period,
                         "--registers" => &mut opts.registers,
                         "--jobs" => &mut opts.jobs,
-                        "--decode-buffer" => &mut opts.decode_buffer,
                         "--chunk-bytes" => &mut opts.chunk_bytes,
                         "--aggregate" => &mut opts.aggregate,
                         _ => unreachable!("allowed flags are handled above"),
@@ -237,8 +230,7 @@ impl Opts {
     /// server applies the same checks to options arriving over the wire.
     fn validate(&self) -> Result<(), String> {
         use rdx_core::limits::{
-            check_accesses, check_decode_buffer, check_elements, check_jobs, check_period,
-            check_registers,
+            check_accesses, check_elements, check_jobs, check_period, check_registers,
         };
         let err = |e: rdx_core::LimitError| format!("--{e}");
         if let Some(v) = self.accesses {
@@ -255,9 +247,6 @@ impl Opts {
         }
         if let Some(v) = self.jobs {
             check_jobs(usize::try_from(v).unwrap_or(usize::MAX)).map_err(err)?;
-        }
-        if let Some(v) = self.decode_buffer {
-            check_decode_buffer(usize::try_from(v).unwrap_or(usize::MAX)).map_err(err)?;
         }
         if self.chunk_bytes == Some(0) {
             return Err("--chunk-bytes must be at least 1 (got 0)".to_string());
@@ -301,16 +290,6 @@ impl Opts {
             None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         }
     }
-
-    /// How file inputs should be decoded (`--decode-buffer` sizes the
-    /// decode batch).
-    fn ingest(&self) -> IngestOptions {
-        let mut o = IngestOptions::default();
-        if let Some(v) = self.decode_buffer {
-            o = o.with_chunk_capacity(usize::try_from(v).unwrap_or(usize::MAX).max(1));
-        }
-        o
-    }
 }
 
 const PROFILE_FLAGS: &[&str] = &[
@@ -320,7 +299,6 @@ const PROFILE_FLAGS: &[&str] = &[
     "--period",
     "--registers",
     "--jobs",
-    "--decode-buffer",
     "--exact",
     "--mrc",
     "--csv",
@@ -334,7 +312,6 @@ const SUITE_FLAGS: &[&str] = &[
     "--seed",
     "--period",
     "--jobs",
-    "--decode-buffer",
     "--csv",
     "--metrics",
     "--merge",
@@ -343,7 +320,7 @@ const SUITE_FLAGS: &[&str] = &[
 
 const MERGE_FLAGS: &[&str] = &["--out", "--csv", "--mrc"];
 
-const TRACE_FLAGS: &[&str] = &["--decode-buffer", "--metrics"];
+const TRACE_FLAGS: &[&str] = &["--metrics"];
 
 const STATIC_FLAGS: &[&str] = &[
     "--accesses",
@@ -363,7 +340,6 @@ const CLIENT_FLAGS: &[&str] = &[
     "--registers",
     "--chunk-bytes",
     "--aggregate",
-    "--decode-buffer",
     "--crosscheck",
     "--metrics",
 ];
@@ -393,13 +369,6 @@ fn profile(args: &[String]) -> ExitCode {
 }
 
 fn profile_workload(workload: &WorkloadSpec, opts: &Opts) -> ExitCode {
-    if opts.decode_buffer.is_some() {
-        eprintln!(
-            "error: --decode-buffer applies to trace-file inputs; '{}' is a generated workload",
-            workload.name
-        );
-        return ExitCode::FAILURE;
-    }
     let params = opts.params();
     let config = opts.config();
     let csv = opts.csv;
@@ -489,9 +458,8 @@ fn profile_file(path: &str, opts: &Opts) -> ExitCode {
     };
     let label = input.label.clone();
     let declared = input.declared;
-    let ingest = opts.ingest();
     let csv = opts.csv;
-    let (profile, verdict) = RdxRunner::new(opts.config()).profile_rdxt(input, &ingest);
+    let (profile, verdict) = RdxRunner::new(opts.config()).profile_rdxt(input, &IngestOptions);
     if !csv {
         println!("trace           : {label}");
         println!("source          : {path} ({declared} declared accesses)");
@@ -500,9 +468,8 @@ fn profile_file(path: &str, opts: &Opts) -> ExitCode {
         println!("est. blocks     : {:.0}", est_blocks(profile.m_estimate));
         println!("time overhead   : {:.2}%", profile.time_overhead * 100.0);
         println!(
-            "ingestion       : {} KiB blocks (decode batch {})",
-            BLOCK_LEN >> 10,
-            ingest.chunk_capacity
+            "ingestion       : {} KiB blocks (decode batch {DEFAULT_CHUNK_CAPACITY})",
+            BLOCK_LEN >> 10
         );
         println!("\nreuse-distance histogram (weights normalized):");
     }
@@ -563,12 +530,6 @@ fn suite_cmd(args: &[String]) -> ExitCode {
     }
     if !files.is_empty() {
         return suite_files(files, &opts);
-    }
-    if opts.decode_buffer.is_some() {
-        eprintln!(
-            "error: --decode-buffer applies to trace-file inputs; pass RDXT files to `rdx suite`"
-        );
-        return ExitCode::FAILURE;
     }
     let params = opts.params();
     let config = opts.config();
@@ -677,8 +638,7 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
     }
     let config = opts.config();
     let jobs = opts.jobs();
-    let ingest = opts.ingest();
-    let reports = profile_rdxt_batch(config, inputs, &ingest, jobs);
+    let reports = profile_rdxt_batch(config, inputs, jobs);
 
     if opts.csv {
         println!("trace,declared,accesses,samples,traps,est_blocks,time_overhead,mean_rd,clean");
@@ -978,15 +938,8 @@ fn trace_cmd(args: &[String]) -> ExitCode {
     };
     let (name, declared) = (input.label.clone(), input.declared);
     let mut decoder = RdxtDecoder::new();
-    let capacity = opts
-        .decode_buffer
-        .map_or(DEFAULT_CHUNK_CAPACITY, |v| {
-            usize::try_from(v).unwrap_or(usize::MAX)
-        })
-        .max(1);
     let mut batch = AccessBuf::new();
     let (mut total_bytes, mut stores, mut chunks, mut accesses) = (0u64, 0u64, 0u64, 0u64);
-    let (mut min_fill, mut max_fill) = (usize::MAX, 0usize);
     // Observational readout only: the elapsed time prints as a decode
     // rate and never feeds back into any measurement.
     // rdx-lint-allow: wall-clock — reports decode throughput to the user; not on a measurement path
@@ -995,12 +948,10 @@ fn trace_cmd(args: &[String]) -> ExitCode {
         total_bytes += block.len() as u64;
         let mut rest = block;
         while !rest.is_empty() {
-            let used = decoder.decode(rest, &mut batch, capacity);
+            let used = decoder.decode(rest, &mut batch, DEFAULT_CHUNK_CAPACITY);
             if !batch.is_empty() {
                 chunks += 1;
                 accesses += batch.len() as u64;
-                min_fill = min_fill.min(batch.len());
-                max_fill = max_fill.max(batch.len());
                 stores += batch.as_slice().stores_in(..);
             }
             rest = &rest[used?..];
@@ -1020,7 +971,7 @@ fn trace_cmd(args: &[String]) -> ExitCode {
     println!("file size       : {total_bytes} B");
     println!("accesses        : {accesses} ({loads} loads, {stores} stores)");
     if chunks > 0 {
-        println!("chunks          : {chunks} (capacity {capacity}, fill {min_fill}..={max_fill})");
+        println!("chunks          : {chunks}");
     }
     let secs = elapsed.as_secs_f64();
     if secs > 0.0 && accesses > 0 {
@@ -1221,9 +1172,6 @@ fn client_cmd(args: &[String]) -> ExitCode {
     if let Some(v) = opts.registers {
         sopts.registers = u32::try_from(v).unwrap_or(u32::MAX);
     }
-    if let Some(v) = opts.decode_buffer {
-        sopts.chunk_capacity = v;
-    }
     let chunk_bytes = usize::try_from(opts.chunk_bytes.unwrap_or(64 << 10)).unwrap_or(usize::MAX);
 
     let listen = rdx_server::Listen::parse(addr);
@@ -1317,7 +1265,7 @@ fn client_cmd(args: &[String]) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let (local, _verdict) = RdxRunner::new(sopts.config()).profile_rdxt(input, &sopts.ingest());
+        let (local, _verdict) = RdxRunner::new(sopts.config()).profile_rdxt(input, &IngestOptions);
         let mut local_digest = rdx_server::Fnv64::new();
         rdx_server::ProfileSnapshot::from_profile(&local).fold_into(&mut local_digest);
         if local_digest.value() == digest.value() {
@@ -1710,14 +1658,16 @@ mod tests {
     fn rejects_unknown_flag() {
         let err = Opts::parse(&to_args(&["--bogus", "3"]), PROFILE_FLAGS).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
-        // The decode-ahead reader and the kernel selector are gone:
-        // every command that took them now rejects them.
+        // The decode-ahead reader, the kernel selector and the
+        // decode-batch size are gone: every command that took them now
+        // rejects them.
         for flags in [PROFILE_FLAGS, SUITE_FLAGS, CLIENT_FLAGS, TRACE_FLAGS] {
             for args in [
                 &["--pipelined"][..],
                 &["--no-pipelined"][..],
                 &["--decode-ahead", "2"][..],
                 &["--kernel", "scalar"][..],
+                &["--decode-buffer", "8"][..],
             ] {
                 let err = Opts::parse(&to_args(args), flags).unwrap_err();
                 assert!(
@@ -1775,30 +1725,10 @@ mod tests {
     }
 
     #[test]
-    fn decode_flags_parse_and_conflict() {
-        for flags in [PROFILE_FLAGS, SUITE_FLAGS, CLIENT_FLAGS] {
-            let opts = Opts::parse(&to_args(&["--decode-buffer", "4096"]), flags).unwrap();
-            assert_eq!(opts.decode_buffer, Some(4096));
-            assert_eq!(opts.ingest().chunk_capacity, 4096);
-        }
-        let err = Opts::parse(
-            &to_args(&["--decode-buffer", "1", "--decode-buffer", "2"]),
-            PROFILE_FLAGS,
-        )
-        .unwrap_err();
-        assert!(err.contains("duplicate flag '--decode-buffer'"), "{err}");
-    }
-
-    #[test]
     fn trace_flags_reject_profile_flags() {
         let err = Opts::parse(&to_args(&["--period", "512"]), TRACE_FLAGS).unwrap_err();
         assert!(err.contains("unknown flag"), "{err}");
-        let opts = Opts::parse(
-            &to_args(&["--decode-buffer", "128", "--metrics"]),
-            TRACE_FLAGS,
-        )
-        .unwrap();
-        assert_eq!(opts.decode_buffer, Some(128));
+        let opts = Opts::parse(&to_args(&["--metrics"]), TRACE_FLAGS).unwrap();
         assert!(opts.metrics);
     }
 
@@ -1837,15 +1767,10 @@ mod tests {
     #[test]
     fn trace_cmd_metrics_crosscheck_passes() {
         let _guard = metrics_guard();
-        let (path, _) = write_sample_trace("trace-metrics", 20_000);
-        // A small decode buffer forces many chunks; the counter
-        // crosscheck must still match the validator's own count.
-        let code = trace_cmd(&to_args(&[
-            &path.display().to_string(),
-            "--decode-buffer",
-            "1000",
-            "--metrics",
-        ]));
+        // Several 64 KiB read blocks, so several decode batches; the
+        // counter crosscheck must still match the validator's own count.
+        let (path, _) = write_sample_trace("trace-metrics", 100_000);
+        let code = trace_cmd(&to_args(&[&path.display().to_string(), "--metrics"]));
         assert_eq!(code, ExitCode::SUCCESS);
         let _ = std::fs::remove_file(path);
     }
@@ -1855,14 +1780,10 @@ mod tests {
         let _guard = metrics_guard();
         let (path, bytes) = write_sample_trace("profile-file", 30_000);
         let arg = path.display().to_string();
-        for extra in [
-            &["--period", "512", "--csv"][..],
-            &["--decode-buffer", "777", "--csv"][..],
-        ] {
-            let mut args = vec![arg.clone()];
-            args.extend(extra.iter().map(|s| (*s).to_string()));
-            assert_eq!(profile(&args), ExitCode::SUCCESS, "{extra:?}");
-        }
+        assert_eq!(
+            profile(&to_args(&[&arg, "--period", "512", "--csv"])),
+            ExitCode::SUCCESS
+        );
         // Workload-only flags are rejected for file inputs.
         assert_eq!(profile(&to_args(&[&arg, "--exact"])), ExitCode::FAILURE);
         // A truncated file profiles its prefix but exits FAILURE.
@@ -1878,14 +1799,13 @@ mod tests {
 
     #[test]
     fn profile_rejects_decode_flags_for_workloads() {
-        let code = profile(&to_args(&[
-            "zipf",
-            "--decode-buffer",
-            "64",
-            "--accesses",
-            "1000",
-        ]));
-        assert_eq!(code, ExitCode::FAILURE);
+        // `--decode-buffer` is gone for workloads and trace files alike.
+        let (path, _) = write_sample_trace("profile-decode-flag", 1_000);
+        for target in ["zipf".to_string(), path.display().to_string()] {
+            let code = profile(&to_args(&[&target, "--decode-buffer", "8"]));
+            assert_eq!(code, ExitCode::FAILURE, "{target}");
+        }
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]
@@ -1935,10 +1855,6 @@ mod tests {
                 "--registers must be between 1 and 4 (got 7)",
             ),
             (&["--jobs", "0"][..], "--jobs must be at least 1 (got 0)"),
-            (
-                &["--decode-buffer", "0"][..],
-                "--decode-buffer must be at least 1 (got 0)",
-            ),
         ] {
             let err = Opts::parse(&to_args(args), PROFILE_FLAGS).unwrap_err();
             assert_eq!(err, needle);
@@ -1947,7 +1863,7 @@ mod tests {
         assert_eq!(err, "--chunk-bytes must be at least 1 (got 0)");
         // In-range values still parse.
         let opts = Opts::parse(
-            &to_args(&["--period", "1", "--registers", "4", "--decode-buffer", "1"]),
+            &to_args(&["--period", "1", "--registers", "4"]),
             PROFILE_FLAGS,
         )
         .unwrap();

@@ -1,9 +1,10 @@
 //! RDXT ingestion: trace bytes into the profiling engine.
 //!
 //! There is one ingestion loop, [`RdxtIngest`]. It owns an incremental
-//! [`RdxtDecoder`], a [`LiveProfile`] and one bounded decode batch;
-//! every [`push`](RdxtIngest::push) decodes the next piece of the byte
-//! stream into the batch and feeds it to the live profile. A file
+//! [`RdxtDecoder`], a [`LiveProfile`] and one decode batch of at most
+//! [`DEFAULT_CHUNK_CAPACITY`] accesses; every
+//! [`push`](RdxtIngest::push) decodes the next piece of the byte stream
+//! into the batch and feeds it to the live profile. A file
 //! reaches the loop in fixed [`BLOCK_LEN`] blocks
 //! ([`RdxRunner::profile_rdxt`]), a server session as its chunks
 //! arrive, so neither path holds the trace: memory is the profiler
@@ -30,40 +31,18 @@ pub const BLOCK_LEN: usize = 64 << 10;
 // The first block must hold any valid header.
 const _: () = assert!(BLOCK_LEN >= MAX_HEADER_LEN);
 
-/// Largest decode batch in accesses (1 Mi of them, 8.125 MiB of
-/// columns), whatever `chunk_capacity` asks for: one 16 MiB server
-/// frame of 1-byte records must not allocate a 130 MiB batch.
-const MAX_BATCH: usize = 1 << 20;
-
-/// How RDXT input is decoded.
-#[derive(Debug, Clone, Copy)]
-pub struct IngestOptions {
-    /// Accesses per decode batch (default [`DEFAULT_CHUNK_CAPACITY`],
-    /// capped at 2^20).
-    pub chunk_capacity: usize,
-}
-
-impl Default for IngestOptions {
-    fn default() -> Self {
-        IngestOptions {
-            chunk_capacity: DEFAULT_CHUNK_CAPACITY,
-        }
-    }
-}
+/// Nothing to set: RDXT input has one ingestion path and a fixed
+/// decode batch. Kept only because the benchmark (`perfbench/src/`
+/// `ledger.rs`, `gate.rs`, `run.rs`) still names it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IngestOptions;
 
 impl IngestOptions {
-    /// Does nothing: there is one ingestion path. Kept only because
-    /// the benchmark's ledger (`perfbench/src/ledger.rs`) still calls it.
+    /// Does nothing: there is one ingestion path.
     #[doc(hidden)]
     #[must_use]
     pub fn with_pipelined(self, _pipelined: bool) -> Self {
-        self
-    }
-
-    /// Sets the accesses decoded per batch.
-    #[must_use]
-    pub fn with_chunk_capacity(mut self, capacity: usize) -> Self {
-        self.chunk_capacity = capacity;
         self
     }
 }
@@ -77,25 +56,24 @@ impl IngestOptions {
 pub struct RdxtIngest {
     decoder: RdxtDecoder,
     live: LiveProfile,
-    /// Reused decode batch (at most `capacity` accesses).
+    /// Reused decode batch (at most [`DEFAULT_CHUNK_CAPACITY`]
+    /// accesses).
     batch: AccessBuf,
-    capacity: usize,
 }
 
 impl RdxtIngest {
     /// An empty loop profiling under `runner`'s configuration.
     #[must_use]
-    pub fn new(runner: &RdxRunner, opts: &IngestOptions) -> RdxtIngest {
+    pub fn new(runner: &RdxRunner) -> RdxtIngest {
         RdxtIngest {
             decoder: RdxtDecoder::new(),
             live: runner.start(),
             batch: AccessBuf::new(),
-            capacity: opts.chunk_capacity.clamp(1, MAX_BATCH),
         }
     }
 
     /// Decodes the next piece of the stream into the live profile, one
-    /// bounded batch at a time.
+    /// batch of at most [`DEFAULT_CHUNK_CAPACITY`] accesses at a time.
     ///
     /// # Errors
     ///
@@ -104,7 +82,9 @@ impl RdxtIngest {
     pub fn push(&mut self, bytes: &[u8]) -> Result<(), TraceError> {
         let mut rest = bytes;
         while !rest.is_empty() {
-            let used = self.decoder.decode(rest, &mut self.batch, self.capacity);
+            let used = self
+                .decoder
+                .decode(rest, &mut self.batch, DEFAULT_CHUNK_CAPACITY);
             self.live.feed(self.batch.as_slice());
             rest = &rest[used?..];
         }
@@ -308,13 +288,13 @@ impl RdxRunner {
     /// Profiles one RDXT input end to end, block by block through
     /// [`RdxtIngest`], and reports both the profile (of the decodable
     /// prefix) and the decode verdict (clean / truncated / malformed /
-    /// trailing data / read error).
+    /// trailing data / read error). `IngestOptions` carries nothing.
     pub fn profile_rdxt(
         &self,
         input: RdxtInput,
-        opts: &IngestOptions,
+        _opts: &IngestOptions,
     ) -> (RdxProfile, Result<(), TraceError>) {
-        let mut ingest = RdxtIngest::new(self, opts);
+        let mut ingest = RdxtIngest::new(self);
         let read = input.read_blocks(|block| ingest.push(block));
         let (profile, verdict) = ingest.finish();
         (profile, read.and(verdict))
@@ -332,7 +312,6 @@ impl RdxRunner {
 pub fn profile_rdxt_batch(
     config: RdxConfig,
     inputs: Vec<RdxtInput>,
-    opts: &IngestOptions,
     jobs: usize,
 ) -> Vec<RdxtReport> {
     let runner = RdxRunner::new(config);
@@ -342,7 +321,7 @@ pub fn profile_rdxt_batch(
         .map(|input| {
             move || {
                 let (label, declared) = (input.label.clone(), input.declared);
-                let (profile, _verdict) = runner.profile_rdxt(input, opts);
+                let (profile, _verdict) = runner.profile_rdxt(input, &IngestOptions);
                 RdxtReport {
                     label,
                     declared,
@@ -392,9 +371,8 @@ mod tests {
         let runner = RdxRunner::new(RdxConfig::default().with_period(512).with_seed(3));
         let want = runner.profile(t.stream());
         let dir = temp_dir("both");
-        let opts = IngestOptions::default().with_chunk_capacity(1024);
         for (k, input) in both_inputs("m", &raw, &dir).into_iter().enumerate() {
-            let (profile, verdict) = runner.profile_rdxt(input, &opts);
+            let (profile, verdict) = runner.profile_rdxt(input, &IngestOptions);
             assert!(verdict.is_ok(), "input {k}");
             assert_eq!(profile.rd, want.rd, "input {k}");
             assert_eq!(profile.rt, want.rt);
@@ -413,7 +391,7 @@ mod tests {
         for input in both_inputs("cut", &raw, &dir) {
             let declared = input.declared;
             let runner = RdxRunner::new(RdxConfig::default().with_period(256));
-            let (profile, verdict) = runner.profile_rdxt(input, &IngestOptions::default());
+            let (profile, verdict) = runner.profile_rdxt(input, &IngestOptions);
             assert!(profile.accesses < declared);
             assert!(matches!(verdict, Err(TraceError::Truncated)), "{verdict:?}");
         }
@@ -424,7 +402,7 @@ mod tests {
     fn push_in_any_pieces_snapshots_the_prefix() {
         let raw = sample_bytes("live", 5_000);
         let runner = RdxRunner::new(RdxConfig::default().with_period(64));
-        let mut ingest = RdxtIngest::new(&runner, &IngestOptions::default().with_chunk_capacity(7));
+        let mut ingest = RdxtIngest::new(&runner);
         assert!(ingest.snapshot().is_none(), "no header yet");
         for piece in raw.chunks(333) {
             ingest.push(piece).expect("clean bytes");
@@ -452,14 +430,14 @@ mod tests {
             .iter()
             .map(|(label, raw)| {
                 let input = RdxtInput::from_bytes(label.clone(), raw.clone()).expect("valid");
-                runner.profile_rdxt(input, &IngestOptions::default()).0
+                runner.profile_rdxt(input, &IngestOptions).0
             })
             .collect();
         let inputs: Vec<RdxtInput> = raws
             .iter()
             .map(|(label, raw)| RdxtInput::from_bytes(label.clone(), raw.clone()).expect("valid"))
             .collect();
-        let reports = profile_rdxt_batch(config, inputs, &IngestOptions::default(), 4);
+        let reports = profile_rdxt_batch(config, inputs, 4);
         assert_eq!(reports.len(), 4);
         for (report, want) in reports.iter().zip(&sequential) {
             assert!(!report.truncated());
@@ -477,12 +455,7 @@ mod tests {
             RdxtInput::from_bytes("good", good).expect("valid"),
             RdxtInput::from_bytes("bad", bad).expect("header intact"),
         ];
-        let reports = profile_rdxt_batch(
-            RdxConfig::default().with_period(128),
-            inputs,
-            &IngestOptions::default(),
-            2,
-        );
+        let reports = profile_rdxt_batch(RdxConfig::default().with_period(128), inputs, 2);
         assert!(!reports[0].truncated());
         assert!(reports[1].truncated());
     }

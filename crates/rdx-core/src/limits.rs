@@ -2,10 +2,10 @@
 //!
 //! The CLI flags and the server's `OpenSession` options feed the same
 //! machinery, so they share one set of bounds checks. Historically these
-//! values were "fixed" silently downstream (`--decode-buffer 0` clamped
-//! by a `.max(1)`, `--registers 7` quietly truncated to the 4-watchpoint
-//! machine); validating at the trust boundary turns each misuse into a
-//! clear per-parameter error instead of a silently different experiment.
+//! values were "fixed" silently downstream (`--registers 7` quietly
+//! truncated to the 4-watchpoint machine); validating at the trust
+//! boundary turns each misuse into a clear per-parameter error instead
+//! of a silently different experiment.
 
 use std::fmt;
 
@@ -15,7 +15,7 @@ pub const MAX_REGISTERS: usize = 4;
 /// A parameter outside its valid range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LimitError {
-    /// Parameter name in flag spelling (`period`, `decode-buffer`, ...).
+    /// Parameter name in flag spelling (`period`, `registers`, ...).
     pub param: &'static str,
     /// The requirement, as prose (`at least 1`, `between 1 and 4`).
     pub requirement: &'static str,
@@ -83,22 +83,6 @@ pub fn check_jobs(jobs: usize) -> Result<usize, LimitError> {
     Ok(jobs)
 }
 
-/// Validates a decode chunk capacity (accesses per chunk).
-///
-/// # Errors
-///
-/// [`LimitError`] if `capacity` is 0.
-pub fn check_decode_buffer(capacity: usize) -> Result<usize, LimitError> {
-    if capacity == 0 {
-        return Err(LimitError {
-            param: "decode-buffer",
-            requirement: "at least 1",
-            got: 0,
-        });
-    }
-    Ok(capacity)
-}
-
 /// Validates an access-count parameter (`Params::with_accesses` panics
 /// on 0, so the boundary must reject it first).
 ///
@@ -151,9 +135,6 @@ mod tests {
         assert!(check_jobs(0).is_err());
         assert_eq!(check_jobs(8), Ok(8));
 
-        assert!(check_decode_buffer(0).is_err());
-        assert_eq!(check_decode_buffer(1), Ok(1));
-
         assert!(check_accesses(0).is_err());
         assert_eq!(check_accesses(1), Ok(1));
         assert!(check_elements(0).is_err());
@@ -167,8 +148,8 @@ mod tests {
         let e = check_period(0).unwrap_err();
         assert!(e.to_string().contains("period"));
         assert!(e.to_string().contains("at least 1"));
-        let e = check_decode_buffer(0).unwrap_err();
-        assert_eq!(e.param, "decode-buffer");
+        let e = check_jobs(0).unwrap_err();
+        assert_eq!(e.param, "jobs");
         assert_eq!(e.got, 0);
         let e = check_accesses(0).unwrap_err();
         assert_eq!(e.to_string(), "accesses must be at least 1 (got 0)");

@@ -9,7 +9,7 @@
 //! The counters live in one process-global registry, so this binary
 //! holds a single test.
 
-use rdx_core::{IngestOptions, RdxConfig, RdxRunner, RdxtIngest, BLOCK_LEN};
+use rdx_core::{RdxConfig, RdxRunner, RdxtIngest, BLOCK_LEN};
 use rdx_trace::{io, Trace};
 use rdx_workloads::{suite, Params};
 
@@ -20,7 +20,7 @@ fn block_path_decodes_almost_every_record() {
     rdx_metrics::reset();
     for w in suite() {
         let raw = io::to_bytes(&Trace::from_stream(w.name, w.stream(&params)));
-        let mut ingest = RdxtIngest::new(&runner, &IngestOptions::default());
+        let mut ingest = RdxtIngest::new(&runner);
         for block in raw.chunks(BLOCK_LEN) {
             ingest.push(block).expect("valid records");
         }

@@ -7,7 +7,9 @@
 use rdx_core::{
     load_rdxt, IngestError, IngestOptions, RdxConfig, RdxProfile, RdxRunner, RdxtInput, BLOCK_LEN,
 };
-use rdx_trace::{io, AccessStream, Trace, TraceError, TraceReader, MAX_HEADER_LEN, MAX_NAME_LEN};
+use rdx_trace::{
+    io, Chunk, Trace, TraceError, TraceReader, DEFAULT_CHUNK_CAPACITY, MAX_HEADER_LEN, MAX_NAME_LEN,
+};
 use std::path::{Path, PathBuf};
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -46,8 +48,13 @@ fn assert_same(got: &RdxProfile, want: &RdxProfile, what: &str) {
 fn prefix_profile(bytes: &[u8]) -> RdxProfile {
     let mut reader = TraceReader::new(bytes.to_vec()).expect("header intact");
     let mut prefix = Trace::new("prefix");
-    while let Some(a) = reader.next_access() {
-        prefix.push(a);
+    let mut chunk = Chunk::default();
+    loop {
+        let r = reader.decode_chunk(&mut chunk, DEFAULT_CHUNK_CAPACITY);
+        prefix.extend(chunk.accesses.iter());
+        if !matches!(r, Ok(n) if n > 0) {
+            break;
+        }
     }
     runner().profile(prefix.stream())
 }
@@ -89,7 +96,7 @@ fn cuts_inside_the_records_profile_the_decoded_prefix() {
         let path = write(&dir, "cut.rdxt", &raw[..cut]);
         let input = load_rdxt(&path).expect("the header survives the cut");
         assert_eq!(input.declared, 150_000);
-        let (profile, verdict) = runner().profile_rdxt(input, &IngestOptions::default());
+        let (profile, verdict) = runner().profile_rdxt(input, &IngestOptions);
         assert!(
             matches!(verdict, Err(TraceError::Truncated)),
             "cut at {cut}: {verdict:?}"
@@ -104,7 +111,7 @@ fn cuts_inside_the_records_profile_the_decoded_prefix() {
     // The whole file is clean and equals the in-memory profile.
     let path = write(&dir, "whole.rdxt", &raw);
     let (profile, verdict) =
-        runner().profile_rdxt(load_rdxt(&path).expect("valid"), &IngestOptions::default());
+        runner().profile_rdxt(load_rdxt(&path).expect("valid"), &IngestOptions);
     assert!(verdict.is_ok());
     assert_same(&profile, &runner().profile(t.stream()), "whole file");
     let _ = std::fs::remove_dir_all(&dir);
@@ -117,10 +124,8 @@ fn trailing_bytes_after_the_records_are_reported() {
     raw.extend_from_slice(&[0x55; BLOCK_LEN + 9]);
     let dir = temp_dir("tail");
     let path = write(&dir, "tail.rdxt", &raw);
-    let (profile, verdict) = runner().profile_rdxt(
-        load_rdxt(&path).expect("valid header"),
-        &IngestOptions::default(),
-    );
+    let (profile, verdict) =
+        runner().profile_rdxt(load_rdxt(&path).expect("valid header"), &IngestOptions);
     assert_eq!(profile.accesses, 5_000);
     assert!(
         matches!(verdict, Err(TraceError::TrailingData(n)) if n == BLOCK_LEN + 9),
@@ -146,10 +151,8 @@ fn an_overlong_record_profiles_the_records_before_it() {
     raw.extend_from_slice(&[0x02; 10_000]);
     let dir = temp_dir("bad");
     let path = write(&dir, "bad.rdxt", &raw);
-    let (profile, verdict) = runner().profile_rdxt(
-        load_rdxt(&path).expect("valid header"),
-        &IngestOptions::default(),
-    );
+    let (profile, verdict) =
+        runner().profile_rdxt(load_rdxt(&path).expect("valid header"), &IngestOptions);
     assert!(matches!(verdict, Err(TraceError::Malformed)), "{verdict:?}");
     assert_eq!(profile.accesses, 20_000);
     assert_same(
@@ -170,10 +173,10 @@ fn the_largest_header_loads_from_the_first_block() {
     let path = write(&dir, "long-name.rdxt", &raw);
     let input = load_rdxt(&path).expect("the largest header fits the first block");
     assert_eq!(input.label, name);
-    let (from_file, verdict) = runner().profile_rdxt(input, &IngestOptions::default());
+    let (from_file, verdict) = runner().profile_rdxt(input, &IngestOptions);
     assert!(verdict.is_ok());
     let input = RdxtInput::from_bytes("bytes", raw.clone()).expect("valid");
-    let (from_bytes, verdict) = runner().profile_rdxt(input, &IngestOptions::default());
+    let (from_bytes, verdict) = runner().profile_rdxt(input, &IngestOptions);
     assert!(verdict.is_ok());
     assert_same(&from_file, &from_bytes, "file vs bytes");
     // One byte short of the largest header is still an incomplete one.

@@ -1,6 +1,7 @@
 //! RDXT ingestion must be invisible in the output: profiling an
 //! RDXT-serialized workload through `profile_rdxt` — from an in-memory
-//! buffer or a file read block by block, at any batch size — reproduces
+//! buffer or a file read block by block — or through `RdxtIngest` fed
+//! odd-sized pieces, so decode batches end anywhere, reproduces
 //! the exact registry golden digest that `fastpath_equivalence.rs`
 //! pins for in-memory traces and generator streams through the chunk
 //! fast path. Same constant, another execution shape. Decoding the same bytes with
@@ -8,7 +9,8 @@
 //! the scalar oracle — and profiling in memory lands on it too.
 
 use rdx_core::{
-    load_rdxt, profile_rdxt_batch, IngestOptions, RdxConfig, RdxProfile, RdxRunner, RdxtInput,
+    load_rdxt, profile_rdxt_batch, IngestOptions, RdxConfig, RdxProfile, RdxRunner, RdxtIngest,
+    RdxtInput,
 };
 use rdx_histogram::Histogram;
 use rdx_trace::kernels::{BlockDecode, ScalarDecode};
@@ -75,23 +77,19 @@ fn digest_profiles<'a>(profiles: impl IntoIterator<Item = &'a RdxProfile>) -> u6
     digest.0
 }
 
-fn registry_digest_through_bytes(opts: &IngestOptions) -> u64 {
+#[test]
+fn bulk_ingestion_reproduces_registry_golden_digest() {
     let runner = RdxRunner::new(config());
     let profiles: Vec<RdxProfile> = registry_bytes()
         .into_iter()
         .map(|(name, raw)| {
             let input = RdxtInput::from_bytes(name, raw).expect("valid RDXT bytes");
-            let (p, verdict) = runner.profile_rdxt(input, opts);
+            let (p, verdict) = runner.profile_rdxt(input, &IngestOptions);
             assert!(verdict.is_ok(), "{name}: clean decode expected");
             p
         })
         .collect();
-    digest_profiles(&profiles)
-}
-
-#[test]
-fn bulk_ingestion_reproduces_registry_golden_digest() {
-    let got = registry_digest_through_bytes(&IngestOptions::default());
+    let got = digest_profiles(&profiles);
     assert_eq!(
         got, GOLDEN,
         "file-backed registry digest {got:#018x} deviates from the \
@@ -101,14 +99,25 @@ fn bulk_ingestion_reproduces_registry_golden_digest() {
 
 #[test]
 fn odd_chunk_capacities_reproduce_the_digest() {
-    // Batch borders must never matter: a tiny odd capacity forces PMU
-    // overflow gaps and armed-watchpoint lifetimes to straddle batches,
-    // and a huge one is capped.
-    for capacity in [777, usize::MAX] {
-        let got =
-            registry_digest_through_bytes(&IngestOptions::default().with_chunk_capacity(capacity));
-        assert_eq!(got, GOLDEN, "capacity {capacity}");
-    }
+    // Batch borders must never matter: each push decodes its piece in
+    // a batch of its own, so 777-byte pieces end batches inside loop
+    // iterations and make PMU overflow gaps and armed-watchpoint
+    // lifetimes straddle them.
+    let runner = RdxRunner::new(config());
+    let profiles: Vec<RdxProfile> = registry_bytes()
+        .into_iter()
+        .map(|(name, raw)| {
+            let mut ingest = RdxtIngest::new(&runner);
+            for piece in raw.chunks(777) {
+                ingest.push(piece).expect("valid RDXT bytes");
+            }
+            let (p, verdict) = ingest.finish();
+            assert!(verdict.is_ok(), "{name}: clean decode expected");
+            p
+        })
+        .collect();
+    let got = digest_profiles(&profiles);
+    assert_eq!(got, GOLDEN, "777-byte pieces: digest {got:#018x}");
 }
 
 #[test]
@@ -168,7 +177,7 @@ fn file_batch_reproduces_registry_golden_digest() {
             load_rdxt(&path).expect("valid trace file")
         })
         .collect();
-    let reports = profile_rdxt_batch(config(), inputs, &IngestOptions::default(), 3);
+    let reports = profile_rdxt_batch(config(), inputs, 3);
     let _ = std::fs::remove_dir_all(&dir);
     assert!(reports.iter().all(|r| !r.truncated()));
     let got = digest_profiles(reports.iter().map(|r| &r.profile));

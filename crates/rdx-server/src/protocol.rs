@@ -8,15 +8,15 @@
 //! first bad message instead of desynchronizing the stream.
 
 use bytes::Bytes;
-use rdx_core::limits::{check_decode_buffer, check_period, check_registers, LimitError};
-use rdx_core::{IngestOptions, RdxConfig, RdxProfile};
+use rdx_core::limits::{check_period, check_registers, LimitError};
+use rdx_core::{RdxConfig, RdxProfile};
 use rdx_trace::{FrameError, PayloadReader, PayloadWriter};
 
 /// Protocol revision; bumped on any grammar change. [`Hello`] carries
 /// it and the server refuses mismatches, so stale clients fail fast.
 ///
 /// [`Hello`]: ClientMessage::Hello
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Default sampling period for sessions that don't specify one,
 /// matching the CLI's default operating point.
@@ -54,10 +54,6 @@ pub struct SessionOptions {
     pub registers: u32,
     /// Machine RNG seed.
     pub seed: u64,
-    /// Accesses per decode batch (≥ 1): the server decodes a chunk
-    /// into the live profile at most this many accesses (and at most
-    /// 2^20) at a time.
-    pub chunk_capacity: u64,
 }
 
 impl Default for SessionOptions {
@@ -67,7 +63,6 @@ impl Default for SessionOptions {
             period: DEFAULT_PERIOD,
             registers: 4,
             seed: config.machine.seed,
-            chunk_capacity: IngestOptions::default().chunk_capacity as u64,
         }
     }
 }
@@ -82,7 +77,6 @@ impl SessionOptions {
     pub fn validate(&self) -> Result<(), LimitError> {
         check_period(self.period)?;
         check_registers(usize::try_from(self.registers).unwrap_or(usize::MAX))?;
-        check_decode_buffer(usize::try_from(self.chunk_capacity).unwrap_or(usize::MAX))?;
         Ok(())
     }
 
@@ -93,13 +87,6 @@ impl SessionOptions {
             .with_period(self.period)
             .with_seed(self.seed)
             .with_registers(usize::try_from(self.registers).unwrap_or(4))
-    }
-
-    /// The ingestion (decode) options these options describe.
-    #[must_use]
-    pub fn ingest(&self) -> IngestOptions {
-        IngestOptions::default()
-            .with_chunk_capacity(usize::try_from(self.chunk_capacity).unwrap_or(usize::MAX))
     }
 }
 
@@ -445,7 +432,6 @@ impl ClientMessage {
                 w.put_u64(opts.period);
                 w.put_u32(opts.registers);
                 w.put_u64(opts.seed);
-                w.put_u64(opts.chunk_capacity);
                 w.finish()
             }
             ClientMessage::TraceChunk { session, bytes } => {
@@ -490,7 +476,6 @@ impl ClientMessage {
                     period: r.take_u64()?,
                     registers: r.take_u32()?,
                     seed: r.take_u64()?,
-                    chunk_capacity: r.take_u64()?,
                 };
                 ClientMessage::OpenSession { name, opts }
             }
@@ -795,7 +780,6 @@ mod tests {
                 period: 512,
                 registers: 2,
                 seed: 7,
-                chunk_capacity: 777,
             },
         });
         roundtrip_client(ClientMessage::TraceChunk {
@@ -865,20 +849,34 @@ mod tests {
     #[test]
     fn version_1_open_session_layout_is_malformed() {
         // Protocol 1 carried a pipelined flag (u8) and a decode-ahead
-        // depth (u64) around the chunk capacity; its payload decodes to a typed error
+        // depth (u64) around a decode-batch capacity (u64); protocol 2
+        // kept only the capacity. Both payloads decode to a typed error
         // under this grammar, never a panic or a misread option.
-        let mut w = PayloadWriter::new(T_OPEN);
-        w.put_str("zipf").expect("short name");
-        w.put_u64(512); // period
-        w.put_u32(4); // registers
-        w.put_u64(7); // seed
-        w.put_u8(1); // pipelined
-        w.put_u64(1 << 16); // chunk_capacity
-        w.put_u64(2); // decode-ahead depth
-        assert!(matches!(
-            ClientMessage::decode(w.finish()),
-            Err(FrameError::Malformed)
-        ));
+        let old_layout = |v1: bool| {
+            let mut w = PayloadWriter::new(T_OPEN);
+            w.put_str("zipf").expect("short name");
+            w.put_u64(512); // period
+            w.put_u32(4); // registers
+            w.put_u64(7); // seed
+            if v1 {
+                w.put_u8(1); // pipelined
+            }
+            w.put_u64(1 << 16); // decode-batch capacity
+            if v1 {
+                w.put_u64(2); // decode-ahead depth
+            }
+            w.finish()
+        };
+        for v1 in [true, false] {
+            assert!(
+                matches!(
+                    ClientMessage::decode(old_layout(v1)),
+                    Err(FrameError::Malformed)
+                ),
+                "protocol {}",
+                if v1 { 1 } else { 2 }
+            );
+        }
     }
 
     #[test]
@@ -992,10 +990,6 @@ mod tests {
                 registers: 5,
                 ..SessionOptions::default()
             },
-            SessionOptions {
-                chunk_capacity: 0,
-                ..SessionOptions::default()
-            },
         ];
         for opts in bad {
             assert!(opts.validate().is_err(), "{opts:?}");
@@ -1003,26 +997,20 @@ mod tests {
     }
 
     #[test]
-    fn session_options_map_to_config_and_ingest() {
+    fn session_options_map_to_config() {
         let opts = SessionOptions {
             period: 512,
             registers: 3,
             seed: 7,
-            chunk_capacity: 1234,
         };
         let config = opts.config();
         assert_eq!(config.machine.sampling.period, 512);
         assert_eq!(config.machine.registers, 3);
         assert_eq!(config.machine.seed, 7);
-        assert_eq!(opts.ingest().chunk_capacity, 1234);
         // Defaults mirror the local profiling defaults exactly — the
         // precondition for bit-identical server-side profiles.
         let d = SessionOptions::default();
         assert_eq!(d.config().machine.seed, RdxConfig::default().machine.seed);
-        assert_eq!(
-            d.ingest().chunk_capacity,
-            IngestOptions::default().chunk_capacity
-        );
     }
 
     #[test]

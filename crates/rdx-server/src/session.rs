@@ -5,8 +5,8 @@
 //! same ingestion loop `profile_rdxt` runs over a file's read blocks:
 //! an incremental decoder that carries only a record split by a chunk
 //! boundary, and a live profiler fed batches of at most
-//! `chunk_capacity` accesses. So the session never holds the trace. A
-//! malformed stream is reported at the chunk that contains the
+//! `DEFAULT_CHUNK_CAPACITY` accesses. So the session never holds the
+//! trace. A malformed stream is reported at the chunk that contains the
 //! corruption, not at close. Session memory is the profiler state
 //! (armed registers plus the pairs collected so far) and one decode
 //! batch, whatever the stream's length.
@@ -79,10 +79,7 @@ struct SessionState {
 impl SessionState {
     fn new(opts: &SessionOptions) -> Self {
         SessionState {
-            ingest: Some(RdxtIngest::new(
-                &RdxRunner::new(opts.config()),
-                &opts.ingest(),
-            )),
+            ingest: Some(RdxtIngest::new(&RdxRunner::new(opts.config()))),
             received: 0,
             failure: None,
         }

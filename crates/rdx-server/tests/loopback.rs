@@ -407,9 +407,10 @@ fn version_mismatch_is_refused_with_a_typed_error() {
 
     let handle = start_server(ServerOptions::default());
     let addr = handle.listen().to_string();
-    // A protocol-1 client (whose `OpenSession` carried decode-ahead
-    // fields) and a client from the future are both refused.
-    for version in [1, 999] {
+    // Protocol-1 and protocol-2 clients (whose `OpenSession` carried
+    // decode-ahead fields and a decode-batch capacity) and a client
+    // from the future are all refused.
+    for version in [1, 2, 999] {
         let mut stream = TcpStream::connect(&addr).expect("connect");
         let hello = ClientMessage::Hello { version }.encode().expect("encode");
         write_frame(&mut stream, &hello).expect("write");

@@ -7,10 +7,11 @@
 //! any byte prefix must equal `profile_rdxt` of that same prefix bit
 //! for bit, and the close answer must equal the whole stream's profile
 //! — whatever the chunking: 1-byte chunks, cuts inside the header,
-//! cuts inside a varint record, and decode batches of any size.
+//! cuts inside a varint record, and one chunk that spans several
+//! decode batches.
 
 use proptest::prelude::*;
-use rdx_core::{RdxRunner, RdxtInput};
+use rdx_core::{IngestOptions, RdxRunner, RdxtIngest, RdxtInput};
 use rdx_server::protocol::ServerMessage;
 use rdx_server::SessionStepper;
 use rdx_server::{ErrorCode, Fnv64, ProfileSnapshot, SessionCmd, SessionEvent, SessionOptions};
@@ -27,7 +28,7 @@ fn digest(s: &ProfileSnapshot) -> u64 {
 /// `profile_rdxt` of a byte prefix; `None` while the header is short.
 fn oracle(opts: &SessionOptions, prefix: &[u8]) -> Option<(ProfileSnapshot, bool)> {
     let input = RdxtInput::from_bytes("oracle", prefix.to_vec()).ok()?;
-    let (profile, verdict) = RdxRunner::new(opts.config()).profile_rdxt(input, &opts.ingest());
+    let (profile, verdict) = RdxRunner::new(opts.config()).profile_rdxt(input, &IngestOptions);
     Some((ProfileSnapshot::from_profile(&profile), verdict.is_ok()))
 }
 
@@ -116,12 +117,11 @@ proptest! {
         cuts in prop::collection::vec(0usize..9000, 0..12),
         snap_after in prop::collection::vec(any::<bool>(), 0..13),
         period in 4u64..120,
-        chunk_capacity in 1u64..80,
     ) {
         let bytes = rdxt(&addrs, name_len);
         let mut cuts = cuts;
         cuts.sort_unstable();
-        let opts = SessionOptions { period, chunk_capacity, ..SessionOptions::default() };
+        let opts = SessionOptions { period, ..SessionOptions::default() };
         let result = stream(opts, &bytes, &cuts, &snap_after);
         prop_assert!(result.is_ok(), "{:?}", result);
         let (clean, profile) = result.expect("checked above");
@@ -143,12 +143,58 @@ fn one_byte_chunks_with_a_snapshot_after_each() {
     let snap_after = vec![true; bytes.len()];
     let opts = SessionOptions {
         period: 16,
-        chunk_capacity: 3,
         ..SessionOptions::default()
     };
     let (clean, profile) = stream(opts, &bytes, &cuts, &snap_after).expect("oracle holds");
     assert!(clean);
     assert_eq!(profile.accesses, 300);
+}
+
+#[test]
+fn one_push_of_several_decode_batches_profiles_like_memory() {
+    // 160 000 records in a single push or chunk decode as three batches
+    // (`DEFAULT_CHUNK_CAPACITY` = 65 536); at period 64, PMU overflow
+    // gaps and armed watchpoints straddle both batch borders.
+    let trace = Trace::from_addresses(
+        "batches",
+        (0..160_000u64).map(|i| (i * 2_654_435_761) % 12_289 * 64),
+    );
+    let bytes = io::to_bytes(&trace);
+    let opts = SessionOptions {
+        period: 64,
+        ..SessionOptions::default()
+    };
+    let runner = RdxRunner::new(opts.config());
+    let want = digest(&ProfileSnapshot::from_profile(
+        &runner.profile(trace.stream()),
+    ));
+    let check = |what: &str, got: &ProfileSnapshot| {
+        assert_eq!(got.accesses, 160_000, "{what}");
+        assert_eq!(digest(got), want, "{what}");
+    };
+
+    let mut ingest = RdxtIngest::new(&runner);
+    ingest.push(&bytes).expect("valid RDXT bytes");
+    let snapshot = ingest.snapshot().expect("header arrived");
+    check("ingest snapshot", &ProfileSnapshot::from_profile(&snapshot));
+    let (profile, verdict) = ingest.finish();
+    assert!(verdict.is_ok());
+    check("ingest finish", &ProfileSnapshot::from_profile(&profile));
+
+    let mut stepper = SessionStepper::new(1, opts, MAX_BYTES);
+    assert!(stepper.step(SessionCmd::Chunk(bytes)).is_empty());
+    match reply(stepper.step(SessionCmd::SnapshotHistogram)) {
+        ServerMessage::Histogram { profile, .. } => check("session snapshot", &profile),
+        other => panic!("snapshot answered {other:?}"),
+    }
+    match reply(stepper.step(SessionCmd::Close)) {
+        ServerMessage::SessionClosed {
+            clean: true,
+            profile,
+            ..
+        } => check("session close", &profile),
+        other => panic!("close answered {other:?}"),
+    }
 }
 
 #[test]

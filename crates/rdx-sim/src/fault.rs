@@ -95,10 +95,25 @@ pub fn apply(fault: InputFault, bytes: &[u8], cut: usize) -> Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdx_trace::{io, AccessStream, Trace, TraceError, TraceReader};
+    use rdx_trace::{io, Chunk, Trace, TraceError, TraceReader};
 
     fn sample() -> Bytes {
         io::to_bytes(&Trace::from_addresses("fault", (0..100u64).map(|i| i * 64)))
+    }
+
+    /// Decodes `bytes` to the first error in batches of 16: the
+    /// records delivered and the reader's verdict.
+    fn decode(bytes: Bytes) -> (u64, Result<(), TraceError>) {
+        let mut r = TraceReader::new(bytes).expect("header intact");
+        let mut chunk = Chunk::default();
+        let mut delivered = 0u64;
+        loop {
+            let step = r.decode_chunk(&mut chunk, 16);
+            delivered += chunk.len() as u64;
+            if !matches!(step, Ok(n) if n > 0) {
+                return (delivered, r.finish());
+            }
+        }
     }
 
     #[test]
@@ -107,9 +122,9 @@ mod tests {
         for cut in [1, 5, 17] {
             let hurt = truncate_tail(&raw, cut);
             assert_eq!(hurt.len(), raw.len() - cut);
-            let mut r = TraceReader::new(hurt).expect("header intact");
-            while r.next_access().is_some() {}
-            assert!(matches!(r.finish(), Err(TraceError::Truncated)));
+            let (delivered, verdict) = decode(hurt);
+            assert!(delivered < 100);
+            assert!(matches!(verdict, Err(TraceError::Truncated)));
         }
     }
 
@@ -124,12 +139,8 @@ mod tests {
     fn overlong_yields_malformed_error() {
         let raw = sample();
         let hurt = overlong_varint(&raw);
-        let mut r = TraceReader::new(hurt).expect("header intact");
-        let mut prefix = 0u64;
-        while r.next_access().is_some() {
-            prefix += 1;
-        }
+        let (prefix, verdict) = decode(hurt);
         assert_eq!(prefix, 100, "valid records still decode");
-        assert!(matches!(r.finish(), Err(TraceError::Malformed)));
+        assert!(matches!(verdict, Err(TraceError::Malformed)));
     }
 }

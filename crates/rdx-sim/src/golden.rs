@@ -8,8 +8,10 @@
 //! production session state machine ([`SessionStepper`]) in
 //! seed-chosen chunks, digesting the profile each `Close` returns.
 //! Chunk boundaries land anywhere — inside the header, inside a varint
-//! — so `rdx sim` proves end to end that how a stream is cut never
-//! leaks into results.
+//! — and each chunk decodes in batches of its own, so decode-batch
+//! borders straddle PMU overflow gaps and armed-watchpoint lifetimes:
+//! `rdx sim` proves end to end that how a stream is cut never leaks
+//! into results.
 
 use crate::{SplitMix64, Violation};
 use rdx_server::protocol::ServerMessage;
@@ -17,10 +19,6 @@ use rdx_server::{Fnv64, SessionCmd, SessionEvent, SessionOptions, SessionStepper
 use rdx_trace::{io, Trace};
 use rdx_workloads::{suite, Params};
 
-/// Decode batch for the golden sessions: odd and small, so batch
-/// borders straddle PMU overflow gaps and armed-watchpoint lifetimes
-/// (matching the adversarial capacity the golden ingest test uses).
-const CAPACITY: u64 = 777;
 /// Largest seeded chunk in bytes.
 const MAX_CHUNK: usize = 8192;
 
@@ -37,7 +35,6 @@ pub fn registry_digest_chunked(seed: u64) -> Result<u64, Violation> {
     let opts = SessionOptions {
         period: 512,
         seed: 7,
-        chunk_capacity: CAPACITY,
         ..SessionOptions::default()
     };
     let mut digest = Fnv64::new();

@@ -31,12 +31,12 @@ use crate::fault::{self, InputFault};
 use crate::sched::{pick_shared, SharedPicker};
 use crate::{shared, SeededPicker, SplitMix64, Violation};
 use bytes::Bytes;
-use rdx_core::{RdxRunner, RdxtInput};
+use rdx_core::{IngestOptions, RdxRunner, RdxtInput};
 use rdx_server::protocol::ServerMessage;
 use rdx_server::{
     ErrorCode, Fnv64, ProfileSnapshot, SessionCmd, SessionEvent, SessionOptions, SessionStepper,
 };
-use rdx_trace::{io, AccessStream, Trace, TraceReader};
+use rdx_trace::{io, Chunk, Trace, TraceReader, DEFAULT_CHUNK_CAPACITY};
 
 /// Per-session byte budget for sim sessions — far above any scenario's
 /// trace size, so `Overflow` never muddies the invariant under test.
@@ -92,7 +92,7 @@ fn check_snapshot(
 ) -> Result<(), String> {
     let want = RdxtInput::from_bytes("prefix", prefix).ok().map(|input| {
         let runner = RdxRunner::new(opts.config());
-        ProfileSnapshot::from_profile(&runner.profile_rdxt(input, &opts.ingest()).0)
+        ProfileSnapshot::from_profile(&runner.profile_rdxt(input, &IngestOptions).0)
     });
     match (events.first(), want) {
         (Some(SessionEvent::Reply(ServerMessage::Histogram { profile, .. })), Some(want))
@@ -222,8 +222,13 @@ pub fn run_faulted_seeded(seed: u64, input_fault: InputFault) -> Result<(), Viol
 fn prefix_oracle(bytes: &Bytes, opts: &SessionOptions) -> Option<ProfileSnapshot> {
     let mut reader = TraceReader::new(bytes.clone()).ok()?;
     let mut prefix = Trace::new("prefix");
-    while let Some(a) = reader.next_access() {
-        prefix.push(a);
+    let mut chunk = Chunk::default();
+    loop {
+        let r = reader.decode_chunk(&mut chunk, DEFAULT_CHUNK_CAPACITY);
+        prefix.extend(chunk.accesses.iter());
+        if !matches!(r, Ok(n) if n > 0) {
+            break;
+        }
     }
     let profile = RdxRunner::new(opts.config()).profile(prefix.stream());
     Some(ProfileSnapshot::from_profile(&profile))

@@ -15,7 +15,9 @@ use crate::stream::AccessStream;
 /// Default accesses per chunk. 64Ki accesses = 520 KiB of columns
 /// (512 KiB of addresses, 8 KiB of store bitmap): large enough to
 /// amortize hand-off, small enough that a handful of in-flight chunks
-/// stay within a few percent of a trace's footprint.
+/// stay within a few percent of a trace's footprint. It is also the
+/// fixed RDXT decode batch: a 64 KiB read block, at one byte or more
+/// per record, never fills more than one.
 pub const DEFAULT_CHUNK_CAPACITY: usize = 1 << 16;
 
 /// A contiguous run of accesses starting at `base_index` in the stream.

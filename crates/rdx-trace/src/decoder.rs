@@ -9,7 +9,7 @@
 //! partial record — plus the delta-chain address to the next chunk.
 //!
 //! A [`TraceReader`](crate::TraceReader) is this decoder fed its whole
-//! buffer, so the file path and the streaming path share one record
+//! buffer, so the in-memory path and the streaming path share one record
 //! loop and one verdict: [`finish`](RdxtDecoder::finish) reports every
 //! declared record and nothing after them, or `Truncated`,
 //! `TrailingData` or `Malformed`. Bytes past the declared record count
@@ -119,11 +119,6 @@ impl RdxtDecoder {
     #[must_use]
     pub fn decoded(&self) -> u64 {
         self.decoded
-    }
-
-    /// The error the decoder is fused on, if any.
-    pub(crate) fn error(&self) -> Option<&TraceError> {
-        self.error.as_ref()
     }
 
     /// Decodes the next piece of the stream into `out` (cleared first),
@@ -318,7 +313,7 @@ mod tests {
     use crate::event::{Access, AccessKind, Address};
     use crate::io::to_bytes;
     use crate::kernels::ScalarDecode;
-    use crate::{Trace, TraceReader};
+    use crate::{Chunk, Trace, TraceReader};
     use bytes::{Buf, Bytes};
     use proptest::prelude::*;
 
@@ -349,16 +344,22 @@ mod tests {
         (got, None)
     }
 
-    /// What a `TraceReader` over the whole buffer yields: the decoded
-    /// accesses and its verdict (header error, or `finish`).
+    /// What a `TraceReader` over the whole buffer yields: the accesses
+    /// `decode_chunk` delivers and its verdict (header error, or
+    /// `finish`).
     fn oracle(bytes: &[u8]) -> (Vec<Access>, Result<(), TraceError>) {
         let mut reader = match TraceReader::new(bytes.to_vec()) {
             Ok(r) => r,
             Err(e) => return (Vec::new(), Err(e)),
         };
         let mut got = Vec::new();
-        while let Ok(Some(a)) = reader.try_next() {
-            got.push(a);
+        let mut chunk = Chunk::default();
+        loop {
+            let r = reader.decode_chunk(&mut chunk, 7);
+            got.extend(chunk.accesses.iter());
+            if !matches!(r, Ok(n) if n > 0) {
+                break;
+            }
         }
         (got, reader.finish())
     }

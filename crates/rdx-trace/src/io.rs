@@ -17,20 +17,17 @@
 //! multi-hundred-million access traces.
 //!
 //! Malformed input is **never** a panic: every decode path — the one-shot
-//! [`from_bytes`] / [`read_trace`] as well as the streaming
-//! [`TraceReader`] — reports a typed [`TraceError`] and leaves the
-//! process in control of recovery. Proptests below drive arbitrary
-//! garbage through both layers to keep that guarantee honest.
+//! [`from_bytes`] as well as the batch-wise [`TraceReader`] and the
+//! incremental [`RdxtDecoder`] — reports a typed [`TraceError`] and
+//! leaves the process in control of recovery. Proptests below drive
+//! arbitrary garbage through every layer to keep that guarantee honest.
 
 use crate::chunk::{Chunk, DEFAULT_CHUNK_CAPACITY};
-use crate::columns::{AccessBuf, AccessSlice};
+use crate::columns::AccessBuf;
 use crate::decoder::RdxtDecoder;
-use crate::event::Access;
-use crate::stream::AccessStream;
 use crate::trace::Trace;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
-use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"RDXT";
 const VERSION: u32 = 1;
@@ -374,32 +371,25 @@ pub fn parse_header(bytes: &[u8]) -> Result<Header, TraceError> {
     })
 }
 
-/// Incremental decoder of the `RDXT` format that yields accesses as an
-/// [`AccessStream`], so a trace file can feed the profiler without ever
-/// being materialized as a [`Trace`].
+/// Whole-buffer decoder of the `RDXT` format: one [`RdxtDecoder`] fed
+/// the entire buffer, decoded in caller-sized batches through
+/// [`decode_chunk`](TraceReader::decode_chunk).
 ///
 /// Construction ([`TraceReader::new`]) validates the header eagerly.
-/// Records decode lazily through one [`RdxtDecoder`] fed the whole
-/// buffer, the same record loop a streaming session runs:
-/// [`try_next`](TraceReader::try_next) surfaces malformed input as a
-/// typed [`TraceError`], and the infallible [`AccessStream`] view ends
-/// the stream on error while parking the error in
-/// [`error`](TraceReader::error) for the caller to inspect afterwards —
-/// corrupt input is a recoverable condition, not a panic.
+/// Records decode through the same record loop a streaming session
+/// runs, so malformed input is a typed [`TraceError`] — a recoverable
+/// condition, not a panic — and [`finish`](TraceReader::finish) gives
+/// the same verdict [`RdxtDecoder::finish`] gives for the same bytes.
 #[derive(Debug)]
 pub struct TraceReader {
     /// Record bytes the decoder has not consumed yet.
     buf: Bytes,
     name: String,
     decoder: RdxtDecoder,
-    /// Bulk-decoded accesses not yet handed out through the chunk API.
-    pending: Chunk,
-    pos: usize,
-    chunk_capacity: usize,
 }
 
 impl TraceReader {
-    /// Parses the header and prepares to stream the records.
+    /// Parses the header and prepares to decode the records.
     ///
     /// # Errors
     ///
@@ -413,31 +403,7 @@ impl TraceReader {
             buf,
             decoder: RdxtDecoder::after_header(&header),
             name: header.name,
-            pending: Chunk::default(),
-            pos: 0,
-            chunk_capacity: DEFAULT_CHUNK_CAPACITY,
         })
-    }
-
-    /// Sets the number of accesses the reader bulk-decodes per refill of
-    /// its internal chunk buffer (≥ 1; default
-    /// [`DEFAULT_CHUNK_CAPACITY`]). Only affects the chunk API, not
-    /// [`try_next`](TraceReader::try_next).
-    #[must_use]
-    pub fn with_chunk_capacity(mut self, capacity: usize) -> Self {
-        self.chunk_capacity = capacity.max(1);
-        self
-    }
-
-    /// Reads all of `reader` and parses the header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors and header format errors.
-    pub fn from_reader<R: Read>(mut reader: R) -> Result<TraceReader, TraceError> {
-        let mut data = Vec::new();
-        reader.read_to_end(&mut data)?;
-        TraceReader::new(data)
     }
 
     /// The trace's embedded name.
@@ -452,51 +418,10 @@ impl TraceReader {
         self.decoder.declared()
     }
 
-    /// Records decoded from the wire so far. When the chunk API is in
-    /// use this can run ahead of what the consumer has pulled by up to
-    /// one internal chunk buffer.
+    /// Records decoded so far.
     #[must_use]
     pub fn decoded(&self) -> u64 {
         self.decoder.decoded()
-    }
-
-    /// The decode error the [`AccessStream`] view ran into, if any.
-    ///
-    /// Drivers that consume the reader as an infallible stream must
-    /// check this once the stream ends to distinguish a clean EOF from
-    /// corrupt input.
-    #[must_use]
-    pub fn error(&self) -> Option<&TraceError> {
-        self.decoder.error()
-    }
-
-    /// Decodes the next access, `Ok(None)` at a clean end of trace.
-    ///
-    /// The reader is fused: after an error or the final record it keeps
-    /// returning the error / `Ok(None)` respectively.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Truncated`] when the input ends before the declared
-    /// record count is reached, [`TraceError::Malformed`] at an overlong
-    /// record.
-    pub fn try_next(&mut self) -> Result<Option<Access>, TraceError> {
-        // Serve accesses already bulk-decoded into the chunk buffer
-        // first (mixed chunk/scalar consumption must preserve order);
-        // after an error the buffer holds the decoded prefix, which is
-        // still delivered before the parked error surfaces. Refills
-        // decode one record, so `decoded` never runs ahead here.
-        if self.buffered() == 0 {
-            self.refill(1);
-        }
-        if self.buffered() > 0 {
-            let a = self.pending.accesses.get(self.pos);
-            self.pos += 1;
-            return Ok(Some(a));
-        }
-        self.decoder
-            .error()
-            .map_or(Ok(None), |e| Err(dup_decode_error(e)))
     }
 
     /// Bulk-decodes up to `max` (≥ 1) accesses into `out` in one tight
@@ -506,8 +431,8 @@ impl TraceReader {
     /// stream index of the first decoded access.
     ///
     /// Returns the number of accesses decoded; `Ok(0)` means a clean
-    /// end of trace. The reader stays fused exactly like `try_next`:
-    /// after an error every further call fails.
+    /// end of trace. The reader is fused: after an error every further
+    /// call fails with the same kind.
     ///
     /// # Errors
     ///
@@ -529,22 +454,6 @@ impl TraceReader {
         Ok(n)
     }
 
-    /// Refills the internal chunk buffer with up to `max` accesses via
-    /// [`decode_chunk`](TraceReader::decode_chunk). A failed bulk decode
-    /// stays parked in the decoder; the successfully decoded prefix is
-    /// still served.
-    fn refill(&mut self, max: usize) {
-        let mut pending = std::mem::take(&mut self.pending);
-        let _ = self.decode_chunk(&mut pending, max);
-        self.pending = pending;
-        self.pos = 0;
-    }
-
-    /// Accesses bulk-decoded but not yet handed out.
-    fn buffered(&self) -> usize {
-        self.pending.len() - self.pos
-    }
-
     /// Verifies the reader consumed the input exactly: all declared
     /// records decoded and no bytes left over.
     ///
@@ -559,41 +468,6 @@ impl TraceReader {
             let _ = self.decoder.decode(&self.buf, &mut AccessBuf::new(), 1);
         }
         self.decoder.finish()
-    }
-}
-
-impl AccessStream for TraceReader {
-    fn next_access(&mut self) -> Option<Access> {
-        // Decode errors end the stream; the error is parked in the
-        // decoder for the caller to inspect afterwards.
-        self.try_next().unwrap_or_default()
-    }
-
-    fn remaining_hint(&self) -> Option<u64> {
-        let buffered = self.buffered() as u64;
-        if self.error().is_some() {
-            return Some(buffered);
-        }
-        Some(buffered + (self.declared_len() - self.decoded()))
-    }
-
-    fn chunk_capable(&self) -> bool {
-        true
-    }
-
-    fn next_chunk(&mut self) -> Option<AccessSlice<'_>> {
-        if self.buffered() == 0 {
-            self.refill(self.chunk_capacity);
-            if self.buffered() == 0 {
-                return None;
-            }
-        }
-        Some(self.pending.accesses.as_slice().slice(self.pos..))
-    }
-
-    fn consume_chunk(&mut self, n: usize) {
-        debug_assert!(n <= self.buffered());
-        self.pos += n.min(self.buffered());
     }
 }
 
@@ -616,30 +490,28 @@ pub fn from_bytes(bytes: impl Into<Bytes>) -> Result<Trace, TraceError> {
     Ok(Trace::from_buf(name, accesses))
 }
 
-/// Writes a trace to any [`Write`] sink (a `&mut W` also works).
-///
-/// # Errors
-///
-/// Propagates I/O errors from the sink.
-pub fn write_trace<W: Write>(mut writer: W, trace: &Trace) -> Result<(), TraceError> {
-    writer.write_all(&to_bytes(trace))?;
-    Ok(())
-}
-
-/// Reads a trace from any [`Read`] source (a `&mut R` also works).
-///
-/// # Errors
-///
-/// Propagates I/O errors and format errors.
-pub fn read_trace<R: Read>(mut reader: R) -> Result<Trace, TraceError> {
-    let mut data = Vec::new();
-    reader.read_to_end(&mut data)?;
-    from_bytes(data)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Access;
+
+    /// Decodes `reader` to its end in batches of at most `max`: the
+    /// accesses delivered (the prefix before an error included) and
+    /// the first error.
+    pub(super) fn drain(reader: &mut TraceReader, max: usize) -> (AccessBuf, Option<TraceError>) {
+        let mut got = AccessBuf::new();
+        let mut chunk = Chunk::default();
+        loop {
+            let r = reader.decode_chunk(&mut chunk, max);
+            assert_eq!(chunk.base_index, got.len() as u64);
+            got.extend_from_slice(chunk.accesses.as_slice());
+            match r {
+                Ok(0) => return (got, None),
+                Ok(_) => {}
+                Err(e) => return (got, Some(e)),
+            }
+        }
+    }
 
     fn sample_trace() -> Trace {
         let mut t: Trace = [
@@ -673,12 +545,19 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_via_io() {
-        let t = Trace::from_addresses("io", (0..1000u64).map(|i| i * 64));
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &t).unwrap();
-        let t2 = read_trace(&buf[..]).unwrap();
-        assert_eq!(t.accesses(), t2.accesses());
+    fn bytes_from_a_vec_keeps_its_buffer() {
+        // Converting a `Vec` into `Bytes` (and freezing a `BytesMut`)
+        // moves the buffer: `to_bytes` and every frame reader hand
+        // their output on without a second whole-buffer copy.
+        let v = vec![7u8; 4096];
+        let at = v.as_ptr();
+        let b = Bytes::from(v);
+        assert_eq!(b.as_ptr(), at);
+        assert_eq!(b.slice(16..).as_ptr(), at.wrapping_add(16));
+        let mut m = BytesMut::with_capacity(64);
+        m.put_slice(&[1, 2, 3]);
+        let at = m.as_ptr();
+        assert_eq!(m.freeze().as_ptr(), at);
     }
 
     #[test]
@@ -794,13 +673,7 @@ mod tests {
             from_bytes(raw.clone()),
             Err(TraceError::Malformed)
         ));
-        // scalar streaming: parked error keeps the Malformed kind
-        let mut reader = TraceReader::new(raw.clone()).unwrap();
-        assert!(matches!(reader.try_next(), Err(TraceError::Malformed)));
-        assert!(matches!(reader.try_next(), Err(TraceError::Malformed)));
-        assert!(matches!(reader.error(), Some(TraceError::Malformed)));
-        assert!(matches!(reader.finish(), Err(TraceError::Malformed)));
-        // bulk
+        // bulk: the error is parked and keeps the Malformed kind
         let mut reader = TraceReader::new(raw).unwrap();
         let mut chunk = Chunk::default();
         assert!(matches!(
@@ -811,6 +684,7 @@ mod tests {
             reader.decode_chunk(&mut chunk, 16),
             Err(TraceError::Malformed)
         ));
+        assert!(matches!(reader.finish(), Err(TraceError::Malformed)));
         // short input still reports Truncated, not Malformed
         let cut = trace_with_raw_record(&[0x81], 1);
         assert!(matches!(from_bytes(cut), Err(TraceError::Truncated)));
@@ -868,14 +742,11 @@ mod tests {
         let mut reader = TraceReader::new(raw).unwrap();
         assert_eq!(reader.name(), "r");
         assert_eq!(reader.declared_len(), t.len() as u64);
-        assert_eq!(reader.remaining_hint(), Some(t.len() as u64));
-        let mut got = Vec::new();
-        while let Some(a) = reader.next_access() {
-            got.push(a);
-        }
-        assert_eq!(got, t.iter().collect::<Vec<_>>());
+        assert_eq!(reader.decoded(), 0);
+        let (got, err) = drain(&mut reader, DEFAULT_CHUNK_CAPACITY);
+        assert!(err.is_none());
+        assert_eq!(got.as_slice(), t.accesses());
         assert_eq!(reader.decoded(), t.len() as u64);
-        assert!(reader.error().is_none());
         assert!(reader.finish().is_ok());
     }
 
@@ -885,21 +756,24 @@ mod tests {
         let raw = to_bytes(&t);
         let cut = raw.slice(..raw.len() - 7);
         let mut reader = TraceReader::new(cut).unwrap();
-        let streamed = reader.count_remaining();
-        assert!(streamed < 100, "stream must end early, got {streamed}");
-        assert!(matches!(reader.error(), Some(TraceError::Truncated)));
-        // fused: further pulls keep failing without panicking
-        assert!(reader.next_access().is_none());
-        assert!(reader.try_next().is_err());
-        assert_eq!(reader.remaining_hint(), Some(0));
-        assert!(reader.finish().is_err());
+        let (got, err) = drain(&mut reader, 1);
+        assert!(got.len() < 100, "decode must end early, got {}", got.len());
+        assert!(matches!(err, Some(TraceError::Truncated)));
+        // fused: further calls keep failing without panicking, and the
+        // verdict keeps the kind
+        let mut chunk = Chunk::default();
+        assert!(matches!(
+            reader.decode_chunk(&mut chunk, 8),
+            Err(TraceError::Truncated)
+        ));
+        assert!(matches!(reader.finish(), Err(TraceError::Truncated)));
     }
 
     #[test]
     fn reader_finish_detects_unconsumed_records() {
         let t = Trace::from_addresses("partial", [1u64, 2, 3]);
         let mut reader = TraceReader::new(to_bytes(&t)).unwrap();
-        assert!(reader.next_access().is_some());
+        assert_eq!(reader.decode_chunk(&mut Chunk::default(), 1).unwrap(), 1);
         assert!(matches!(reader.finish(), Err(TraceError::Truncated)));
     }
 
@@ -938,68 +812,33 @@ mod tests {
         // fused: the next bulk call fails with a cleared chunk
         assert!(reader.decode_chunk(&mut chunk, 16).is_err());
         assert!(chunk.is_empty());
-        assert!(matches!(reader.error(), Some(TraceError::Truncated)));
-    }
-
-    #[test]
-    fn reader_is_chunk_capable_and_serves_slices() {
-        let t = Trace::from_addresses("slices", (0..300u64).map(|i| i * 8));
-        let raw = to_bytes(&t);
-        let mut reader = TraceReader::new(raw).unwrap().with_chunk_capacity(128);
-        assert!(reader.chunk_capable());
-        assert_eq!(reader.remaining_hint(), Some(300));
-        let mut got = Vec::new();
-        let mut lens = Vec::new();
-        while let Some(run) = reader.next_chunk() {
-            lens.push(run.len());
-            got.extend(run.iter());
-            let n = run.len();
-            reader.consume_chunk(n);
-        }
-        assert_eq!(lens, vec![128, 128, 44]);
-        assert_eq!(got, t.iter().collect::<Vec<_>>());
-        assert!(reader.finish().is_ok());
-    }
-
-    #[test]
-    fn reader_mixed_scalar_and_chunk_reads_preserve_order() {
-        let t = Trace::from_addresses("mix", (0..20u64).map(|i| i * 8));
-        let mut reader = TraceReader::new(to_bytes(&t))
-            .unwrap()
-            .with_chunk_capacity(8);
-        // chunk, partial consume, scalar reads from the same buffer,
-        // then chunks again — the global order must be unbroken.
-        let first = reader.next_chunk().expect("first chunk");
-        assert_eq!(first.len(), 8);
-        reader.consume_chunk(3);
-        assert_eq!(reader.next_access().unwrap().addr.raw(), 3 * 8);
-        assert_eq!(reader.next_chunk().expect("rest").len(), 4);
-        reader.consume_chunk(4);
-        let mut rest = Vec::new();
-        while let Some(a) = reader.next_access() {
-            rest.push(a.addr.raw());
-        }
-        assert_eq!(rest, (8..20u64).map(|i| i * 8).collect::<Vec<_>>());
-        assert!(reader.finish().is_ok());
+        assert!(matches!(reader.finish(), Err(TraceError::Truncated)));
     }
 
     #[test]
     fn chunk_api_serves_decoded_prefix_before_parked_error() {
+        // Small batches: whole batches of the prefix come out before
+        // the call that reaches the cut fails.
         let t = Trace::from_addresses("cutc", (0..50u64).map(|i| i * 64));
         let raw = to_bytes(&t);
         let cut = raw.slice(..raw.len() - 5);
         let mut reader = TraceReader::new(cut).unwrap();
-        let mut streamed = 0u64;
-        while let Some(run) = reader.next_chunk() {
-            streamed += run.len() as u64;
-            let n = run.len();
-            reader.consume_chunk(n);
-        }
-        assert!(streamed < 50, "stream must end early, got {streamed}");
-        assert_eq!(streamed, reader.decoded());
-        assert!(matches!(reader.error(), Some(TraceError::Truncated)));
-        assert!(reader.next_chunk().is_none());
-        assert_eq!(reader.remaining_hint(), Some(0));
+        let mut chunk = Chunk::default();
+        let mut delivered = 0u64;
+        let err = loop {
+            match reader.decode_chunk(&mut chunk, 8) {
+                Ok(n) => {
+                    assert_eq!(n, 8, "a full batch before the cut");
+                    delivered += 8;
+                }
+                Err(e) => break e,
+            }
+        };
+        assert!(matches!(err, TraceError::Truncated));
+        assert!(delivered >= 40, "the prefix batches came first");
+        delivered += chunk.len() as u64;
+        assert!(delivered < 50, "decode must end early, got {delivered}");
+        assert_eq!(delivered, reader.decoded());
         assert!(reader.finish().is_err());
     }
 
@@ -1023,18 +862,13 @@ mod tests {
         let mut chunk = Chunk::default();
         assert!(reader.decode_chunk(&mut chunk, usize::MAX).is_err());
         assert_eq!(chunk.len(), 3, "valid prefix records still decode");
-        // streaming decode through Trace::from_stream (remaining_hint is
-        // absurd; the materializer must clamp its reservation)
-        let mut reader = TraceReader::new(raw).unwrap();
-        let streamed = Trace::from_stream("clamped", &mut reader);
-        assert_eq!(streamed.len(), 3);
-        assert!(reader.error().is_some());
     }
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::event::Access;
     use proptest::prelude::*;
 
     /// Runs the scalar oracle and every block instance this host can
@@ -1118,21 +952,6 @@ mod proptests {
             prop_assert_eq!(a, b);
         }
 
-        /// The streaming reader agrees byte-for-byte with the one-shot
-        /// decoder when driven purely through the `AccessStream` trait.
-        #[test]
-        fn reader_stream_matches_from_bytes(
-            records in prop::collection::vec((any::<u64>(), any::<bool>()), 0..64)
-        ) {
-            let t: Trace = records.iter().copied().collect();
-            let raw = to_bytes(&t);
-            let mut reader = TraceReader::new(raw).unwrap();
-            let streamed = Trace::from_stream("s", &mut reader);
-            prop_assert!(reader.error().is_none());
-            prop_assert_eq!(streamed.accesses(), t.accesses());
-            prop_assert!(reader.finish().is_ok());
-        }
-
         /// Deltas near the zigzag extremes (|delta| ≥ 2^62, where the
         /// kind bit overflows the u64 varint into u128) round-trip.
         #[test]
@@ -1206,12 +1025,13 @@ mod proptests {
             }
         }
 
-        /// Cut files through the *stream* layer: the reader either fails
-        /// at the header or ends the stream early with a parked error —
-        /// never a panic, never a silently complete stream.
+        /// Cut files through the batch-wise reader: it either fails at
+        /// the header or ends early with a typed error — never a panic,
+        /// never a silently complete decode.
         #[test]
         fn truncated_trace_stream_always_errors(
-            records in prop::collection::vec((any::<u64>(), any::<bool>()), 1..16)
+            records in prop::collection::vec((any::<u64>(), any::<bool>()), 1..16),
+            max in 1usize..8,
         ) {
             let t: Trace = records.iter().copied().collect();
             let full = to_bytes(&t);
@@ -1219,10 +1039,9 @@ mod proptests {
                 match TraceReader::new(full.slice(..cut)) {
                     Err(_) => {} // header already invalid
                     Ok(mut reader) => {
-                        let n = reader.count_remaining();
-                        prop_assert!(
-                            n < records.len() as u64 || reader.error().is_some()
-                        );
+                        let (got, err) = super::tests::drain(&mut reader, max);
+                        prop_assert!(got.len() < records.len());
+                        prop_assert!(matches!(err, Some(TraceError::Truncated)));
                         prop_assert!(reader.finish().is_err());
                     }
                 }
@@ -1241,85 +1060,6 @@ mod proptests {
             let mut framed = to_bytes(&Trace::new("fuzz")).to_vec();
             framed.extend_from_slice(&data);
             let _ = from_bytes(framed);
-        }
-
-        /// `decode_chunk` yields the byte-for-byte same access sequence
-        /// — and on corrupt input the same first error at the same
-        /// decoded offset — as the per-access `try_next` loop, for any
-        /// chunk capacity and any truncation point.
-        #[test]
-        fn decode_chunk_matches_try_next(
-            records in prop::collection::vec((any::<u64>(), any::<bool>()), 0..64),
-            capacity in 1usize..40,
-            cut_back in 0usize..24,
-        ) {
-            let t: Trace = records.iter().copied().collect();
-            let full = to_bytes(&t);
-            let cut = full.len().saturating_sub(cut_back).max(20);
-            for raw in [full.clone(), full.slice(..cut.min(full.len()))] {
-                let Ok(mut scalar) = TraceReader::new(raw.clone()) else { continue };
-                let mut want = Vec::new();
-                let scalar_err = loop {
-                    match scalar.try_next() {
-                        Ok(Some(a)) => want.push(a),
-                        Ok(None) => break false,
-                        Err(_) => break true,
-                    }
-                };
-                let Ok(mut bulk) = TraceReader::new(raw) else { continue };
-                let mut got = Vec::new();
-                let mut chunk = Chunk::default();
-                let bulk_err = loop {
-                    match bulk.decode_chunk(&mut chunk, capacity) {
-                        Ok(0) => break false,
-                        Ok(_) => {
-                            prop_assert_eq!(chunk.base_index, got.len() as u64);
-                            got.extend(chunk.accesses.iter());
-                        }
-                        Err(e) => {
-                            prop_assert!(matches!(e, TraceError::Truncated));
-                            got.extend(chunk.accesses.iter());
-                            break true;
-                        }
-                    }
-                };
-                prop_assert_eq!(&got, &want);
-                prop_assert_eq!(bulk_err, scalar_err);
-                prop_assert_eq!(bulk.decoded(), scalar.decoded());
-            }
-        }
-
-        /// The chunk-API view of the reader (what `Machine::run`'s fast
-        /// path consumes) agrees with pure scalar consumption on valid
-        /// and truncated inputs alike.
-        #[test]
-        fn reader_chunk_api_matches_scalar(
-            records in prop::collection::vec((any::<u64>(), any::<bool>()), 0..64),
-            capacity in 1usize..40,
-            cut_back in 0usize..24,
-        ) {
-            let t: Trace = records.iter().copied().collect();
-            let full = to_bytes(&t);
-            let cut = full.len().saturating_sub(cut_back).max(20);
-            for raw in [full.clone(), full.slice(..cut.min(full.len()))] {
-                let Ok(mut scalar) = TraceReader::new(raw.clone()) else { continue };
-                let mut want = Vec::new();
-                while let Some(a) = scalar.next_access() {
-                    want.push(a);
-                }
-                let Ok(reader) = TraceReader::new(raw) else { continue };
-                let mut chunked = reader.with_chunk_capacity(capacity);
-                let mut got = Vec::new();
-                while let Some(run) = chunked.next_chunk() {
-                    prop_assert!(!run.is_empty());
-                    got.extend(run.iter());
-                    let n = run.len();
-                    chunked.consume_chunk(n);
-                }
-                prop_assert_eq!(&got, &want);
-                prop_assert_eq!(chunked.error().is_some(), scalar.error().is_some());
-                prop_assert_eq!(chunked.decoded(), scalar.decoded());
-            }
         }
 
         /// Every overlong encoding — one whose continuation bytes carry
@@ -1451,25 +1191,48 @@ mod proptests {
             }
         }
 
-        /// Arbitrary garbage through the *stream* layer: header parsing
-        /// and record streaming never panic, and a stream that ends
-        /// before its declared count always parks an error.
+        /// Arbitrary garbage through both incremental layers — the
+        /// batch-wise reader and the piece-fed decoder — never panics:
+        /// a decode that ends before its declared count always fails,
+        /// and both layers decode the same accesses to the same verdict.
         #[test]
         fn corrupt_input_never_panics_streaming(
-            data in prop::collection::vec(any::<u8>(), 0..256)
+            data in prop::collection::vec(any::<u8>(), 0..256),
+            max in 1usize..40,
+            piece in 1usize..64,
         ) {
             for bytes in [data.clone(), {
                 let mut framed = to_bytes(&Trace::new("fuzz")).to_vec();
                 framed.extend_from_slice(&data);
                 framed
             }] {
-                if let Ok(mut reader) = TraceReader::new(bytes) {
-                    let streamed = reader.count_remaining();
-                    prop_assert_eq!(reader.decoded(), streamed);
-                    if streamed < reader.declared_len() {
-                        prop_assert!(reader.error().is_some());
+                let mut decoder = RdxtDecoder::new();
+                let mut fed = AccessBuf::new();
+                let mut out = AccessBuf::new();
+                'feed: for mut rest in bytes.chunks(piece) {
+                    while !rest.is_empty() {
+                        let r = decoder.decode(rest, &mut out, max);
+                        prop_assert!(out.len() <= max);
+                        fed.extend_from_slice(out.as_slice());
+                        match r {
+                            Ok(used) => rest = &rest[used..],
+                            Err(_) => break 'feed,
+                        }
                     }
                 }
+                let verdict = decoder.finish();
+                let Ok(mut reader) = TraceReader::new(bytes) else {
+                    prop_assert!(verdict.is_err());
+                    continue;
+                };
+                let (got, err) = super::tests::drain(&mut reader, max);
+                prop_assert_eq!(reader.decoded(), got.len() as u64);
+                if reader.decoded() < reader.declared_len() {
+                    prop_assert!(err.is_some());
+                }
+                prop_assert_eq!(&got, &fed);
+                let finish = reader.finish();
+                prop_assert_eq!(finish.is_ok(), verdict.is_ok());
             }
         }
     }

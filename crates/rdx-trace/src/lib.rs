@@ -28,14 +28,13 @@
 //!   fast path ([`Opaque`] hides the capability when the per-access slow
 //!   path must be forced).
 //! * [`io`] — a compact binary trace format (magic + version header,
-//!   delta-encoded addresses) for persisting traces, with a streaming
-//!   [`TraceReader`] and typed [`TraceError`]s: malformed input is a
-//!   recoverable error everywhere, never a panic. [`RdxtDecoder`]
-//!   decodes the format from byte blocks as they arrive (a file read
-//!   block by block, a server session's chunks), carrying only a split
-//!   record between blocks, and writes straight into an `AccessBuf`; a
-//!   chunk-capable [`TraceReader`] is that decoder fed one whole
-//!   in-memory buffer.
+//!   delta-encoded addresses) for persisting traces, with typed
+//!   [`TraceError`]s: malformed input is a recoverable error
+//!   everywhere, never a panic. [`RdxtDecoder`] decodes the format from
+//!   byte blocks as they arrive (a file read block by block, a server
+//!   session's chunks), carrying only a split record between blocks,
+//!   and writes straight into an `AccessBuf`; a [`TraceReader`] is that
+//!   decoder fed one whole in-memory buffer, decoded in batches.
 //! * [`frame`] — a length-prefixed frame codec with typed
 //!   [`FrameError`]s and [`PayloadWriter`] / [`PayloadReader`] field
 //!   encoding, the wire layer of the `rdx serve` protocol.

@@ -7,12 +7,12 @@
 //! *under*-reports silently breaks `Vec::with_capacity`-style
 //! consumers and ETA math. So the invariant at every consumption point
 //! is `hint ≥ accesses actually still deliverable`, checked here for
-//! the scalar `TraceReader`, the `Chunked` buffering adapter (in both
+//! a trace's own stream, the `Chunked` buffering adapter (in both
 //! pass-through and buffering modes via `Opaque`) and the `Take` cap —
 //! over arbitrary record sequences and chunk capacities.
 
 use proptest::prelude::*;
-use rdx_trace::{io, AccessStream, Chunked, Opaque, Trace, TraceReader};
+use rdx_trace::{AccessStream, Chunked, Opaque, Trace};
 
 /// Drains `stream`, asserting at every step that the hint is at least
 /// the number of accesses actually still deliverable, and returns the
@@ -40,7 +40,7 @@ fn drain_checking_hint(mut stream: impl AccessStream, total: u64, label: &str) -
 }
 
 proptest! {
-    /// The scalar reader and every adapter stack above it keep the
+    /// A trace's stream and every adapter stack above it keep the
     /// invariant for arbitrary traces and chunk geometries.
     #[test]
     fn hint_never_under_reports(
@@ -49,31 +49,26 @@ proptest! {
         cap in 0u64..256,
     ) {
         let t: Trace = records.iter().copied().collect();
-        let raw = io::to_bytes(&t);
         let total = t.len() as u64;
 
-        let reader = TraceReader::new(raw.clone()).unwrap();
-        drain_checking_hint(reader, total, "TraceReader");
+        drain_checking_hint(t.stream(), total, "TraceStream");
 
         // Chunked over a chunk-capable inner: pass-through mode.
-        let reader = TraceReader::new(raw.clone()).unwrap();
         drain_checking_hint(
-            Chunked::with_capacity(reader, capacity),
+            Chunked::with_capacity(t.stream(), capacity),
             total,
             "Chunked/passthrough",
         );
 
         // Chunked over an Opaque inner: buffering mode, where the
         // adapter's own buffer must be folded into the hint.
-        let reader = TraceReader::new(raw.clone()).unwrap();
         drain_checking_hint(
-            Chunked::with_capacity(Opaque::new(reader), capacity),
+            Chunked::with_capacity(Opaque::new(t.stream()), capacity),
             total,
             "Chunked/buffering",
         );
 
         // Take caps both the stream and the hint.
-        let reader = TraceReader::new(raw).unwrap();
-        drain_checking_hint(reader.take(cap), total.min(cap), "Take");
+        drain_checking_hint(t.stream().take(cap), total.min(cap), "Take");
     }
 }
