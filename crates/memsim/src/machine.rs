@@ -5,7 +5,7 @@ use crate::debug::{ArmError, ArmInfo, DebugRegisterFile, Slot, Watchpoint};
 use crate::kernels;
 use crate::pmu::{CounterSnapshot, Pmu, PmuEvent, PmuOutcome, SamplingConfig};
 use crate::scan::NeedleSet;
-use rdx_trace::{Access, AccessBuf, AccessSlice, AccessStream};
+use rdx_trace::{Access, AccessSlice, AccessStream};
 
 /// Machine configuration: register count, sampling mode, cost model, seed.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -241,6 +241,18 @@ impl Machine {
         MachineRun::new(&self.config, fast_path_eligible(&self.config))
     }
 
+    /// Starts a run that steps every access through the PMU and
+    /// debug-register state machines, whatever the sampling config.
+    ///
+    /// This per-access loop is the reference the fast path is checked
+    /// against: for a config [`start`](Machine::start) scans, a stepped
+    /// run fed the same accesses must report and deliver exactly the
+    /// same events.
+    #[must_use]
+    pub fn start_stepped(&self) -> MachineRun {
+        MachineRun::new(&self.config, false)
+    }
+
     /// Runs the stream to completion, delivering events to `profiler`.
     ///
     /// Event order on each access: counters advance first; then an armed
@@ -250,53 +262,30 @@ impl Machine {
     /// a handler is first eligible to fire on the *next* access — hardware
     /// cannot retroactively trap the access that is already retiring.
     ///
-    /// The run is a loop of [`MachineRun::feed`] calls plus one
-    /// [`MachineRun::finish`]: chunk-capable streams feed their chunks
-    /// as they come, other streams [`fill`](AccessStream::fill) one
-    /// reused columnar buffer a batch at a time.
+    /// The run is [`start`](Machine::start), one [`MachineRun::feed`]
+    /// per chunk the stream lends, and [`MachineRun::finish`].
     ///
     /// # Fast path
     ///
-    /// When the stream exposes contiguous chunks
-    /// ([`AccessStream::next_chunk`]) and the sampling mode is the precise
-    /// all-accesses default (`event == Accesses`, `max_skid == 0`), the
-    /// machine skips the per-access state machines for the quiet gaps
-    /// between overflows: the PMU countdown bounds how many accesses can
-    /// pass without an event, a [`NeedleSet`] scan locates the first
-    /// watchpoint hit inside that gap, and counters/ledger advance in
-    /// bulk. Only accesses that deliver an event (and the overflow access
-    /// itself) take the ordinary step, so samples, traps, evictions, RNG
-    /// consumption and cost accounting are bit-identical to the slow
-    /// loop. Everything else — non-chunked streams, skidding or
-    /// event-filtered sampling — steps per access.
+    /// When the sampling mode is the precise all-accesses default
+    /// (`event == Accesses`, `max_skid == 0`), the machine skips the
+    /// per-access state machines for the quiet gaps between overflows:
+    /// the PMU countdown bounds how many accesses can pass without an
+    /// event, a [`NeedleSet`] scan locates the first watchpoint hit
+    /// inside that gap, and counters/ledger advance in bulk. Only
+    /// accesses that deliver an event (and the overflow access itself)
+    /// take the ordinary step, so samples, traps, evictions, RNG
+    /// consumption and cost accounting are bit-identical to the stepped
+    /// loop ([`start_stepped`](Machine::start_stepped)). Skidding or
+    /// event-filtered sampling always steps per access.
     pub fn run(&self, mut stream: impl AccessStream, profiler: &mut impl Profiler) -> RunReport {
-        let fast = fast_path_eligible(&self.config) && stream.chunk_capable();
-        let mut run = MachineRun::new(&self.config, fast);
-        if fast {
-            while let Some(chunk) = stream.next_chunk() {
-                let n = chunk.len();
-                run.feed(chunk, profiler);
-                stream.consume_chunk(n);
-            }
-        }
-        // Non-chunked streams (and whatever a chunk-capable stream
-        // still yields once its chunks run out).
-        let mut batch = AccessBuf::with_capacity(SLOW_BATCH);
-        loop {
-            batch.clear();
-            let n = stream.fill(&mut batch, SLOW_BATCH);
-            run.feed(batch.as_slice(), profiler);
-            if n < SLOW_BATCH {
-                break;
-            }
+        let mut run = self.start();
+        while let Some(chunk) = stream.next_chunk(usize::MAX) {
+            run.feed(chunk, profiler);
         }
         run.finish(profiler)
     }
 }
-
-/// Accesses [`Machine::run`] fills from a non-chunked stream per
-/// [`MachineRun::feed`] call.
-const SLOW_BATCH: usize = 512;
 
 /// True when the sampling mode admits the chunk fast path: precise
 /// (skid-free) sampling over all accesses.
@@ -406,7 +395,7 @@ impl MachineRun {
 }
 
 /// One access through the full PMU + debug-register state machines: the
-/// single stepping implementation both the slow loop and the fast path's
+/// single stepping implementation both the stepped loop and the fast path's
 /// event deliveries go through.
 fn step_access(
     access: Access,

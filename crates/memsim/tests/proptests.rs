@@ -5,7 +5,7 @@ use memsim::{
     Hardware, Machine, MachineConfig, Profiler, Sample, SamplingConfig, Trap, Watchpoint,
 };
 use proptest::prelude::*;
-use rdx_trace::{Chunked, Opaque, Trace};
+use rdx_trace::Trace;
 
 #[derive(Default)]
 struct Recorder {
@@ -136,19 +136,23 @@ proptest! {
         };
         let machine = Machine::new(config);
 
-        // Slow loop: capability hidden, every access single-steps.
+        // Slow loop: every access single-steps.
         let mut slow = EventLog::default();
-        let slow_report = machine.run(Opaque::new(trace.stream()), &mut slow);
+        let mut stepped = machine.start_stepped();
+        stepped.feed(trace.accesses(), &mut slow);
+        let slow_report = stepped.finish(&mut slow);
         // Fast path over the whole trace as one zero-copy chunk.
         let mut fast = EventLog::default();
         let fast_report = machine.run(trace.stream(), &mut fast);
-        // Fast path over small buffered chunks: overflow gaps and armed
+        // Fast path over small chunks: overflow gaps and armed
         // watchpoint lifetimes straddle chunk boundaries.
         let mut chunked = EventLog::default();
-        let chunked_report = machine.run(
-            Chunked::with_capacity(Opaque::new(trace.stream()), chunk_capacity),
-            &mut chunked,
-        );
+        let mut run = machine.start();
+        let all = trace.accesses();
+        for start in (0..all.len()).step_by(chunk_capacity) {
+            run.feed(all.slice(start..all.len().min(start + chunk_capacity)), &mut chunked);
+        }
+        let chunked_report = run.finish(&mut chunked);
 
         prop_assert_eq!(&slow.samples, &fast.samples);
         prop_assert_eq!(&slow.traps, &fast.traps);

@@ -48,17 +48,19 @@ impl CounterOnly {
         let mut accesses = 0u64;
         let mut samples = 0u64;
         let mut pairs = 0u64;
-        while let Some(a) = stream.next_access() {
-            accesses += 1;
-            if !accesses.is_multiple_of(self.period) {
-                continue;
-            }
-            samples += 1;
-            let block = a.addr.block(self.granularity);
-            if let Some(prev) = last_sample.insert(block, accesses) {
-                // gap between the two samples, minus the endpoints
-                rd.record(ReuseDistance::finite(accesses - prev - 1), 1.0);
-                pairs += 1;
+        while let Some(chunk) = stream.next_chunk(usize::MAX) {
+            for a in chunk {
+                accesses += 1;
+                if !accesses.is_multiple_of(self.period) {
+                    continue;
+                }
+                samples += 1;
+                let block = a.addr.block(self.granularity);
+                if let Some(prev) = last_sample.insert(block, accesses) {
+                    // gap between the two samples, minus the endpoints
+                    rd.record(ReuseDistance::finite(accesses - prev - 1), 1.0);
+                    pairs += 1;
+                }
             }
         }
         // Scale to the full run: blocks sampled once are cold *candidates*.

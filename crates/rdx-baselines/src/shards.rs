@@ -58,17 +58,19 @@ impl Shards {
         let mut rd = RdHistogram::new(self.binning);
         let inv = 1.0 / self.rate;
         let mut accesses = 0u64;
-        while let Some(a) = stream.next_access() {
-            accesses += 1;
-            let block = a.addr.block(self.granularity);
-            if !self.monitored(block) {
-                continue;
-            }
-            match olken.access(block).value() {
-                None => rd.record(ReuseDistance::INFINITE, inv),
-                Some(d_sub) => {
-                    let d = (d_sub as f64 * inv).round() as u64;
-                    rd.record(ReuseDistance::finite(d), inv);
+        while let Some(chunk) = stream.next_chunk(usize::MAX) {
+            for a in chunk {
+                accesses += 1;
+                let block = a.addr.block(self.granularity);
+                if !self.monitored(block) {
+                    continue;
+                }
+                match olken.access(block).value() {
+                    None => rd.record(ReuseDistance::INFINITE, inv),
+                    Some(d_sub) => {
+                        let d = (d_sub as f64 * inv).round() as u64;
+                        rd.record(ReuseDistance::finite(d), inv);
+                    }
                 }
             }
         }

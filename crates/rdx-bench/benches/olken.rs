@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rdx_groundtruth::{FenwickStructure, OlkenTracker, SplayStructure, TreapStructure};
-use rdx_trace::AccessStream;
+use rdx_trace::Trace;
 use rdx_workloads::{by_name, Params};
 use std::hint::black_box;
 
@@ -12,8 +12,8 @@ const N: u64 = 100_000;
 fn blocks() -> Vec<u64> {
     let w = by_name("zipf").expect("zipf in suite");
     let params = Params::default().with_accesses(N).with_elements(10_000);
-    let mut s = w.stream(&params);
-    s.iter().map(|a| a.addr.raw() >> 3).collect()
+    let t = Trace::from_stream("zipf", w.stream(&params));
+    t.iter().map(|a| a.addr.raw() >> 3).collect()
 }
 
 fn bench(c: &mut Criterion) {

@@ -16,7 +16,11 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("generate", name), &w, |b, w| {
             b.iter(|| {
                 let mut s = w.stream(&params);
-                black_box(s.count_remaining())
+                let mut n = 0;
+                while let Some(chunk) = s.next_chunk(usize::MAX) {
+                    n += chunk.len();
+                }
+                black_box(n)
             });
         });
     }

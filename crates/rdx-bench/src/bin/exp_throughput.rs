@@ -2,11 +2,11 @@
 //!
 //! For every registry workload at the paper's 64 Ki operating point, the
 //! trace is materialized once and profiled twice — through the zero-copy
-//! chunk fast path (`trace.stream()`) and through the same stream with
-//! its chunk capability hidden (`Opaque`), which forces the machine to
-//! single-step every access. Both runs produce bit-identical profiles
-//! (asserted here; the binary fails loudly on divergence), so the only
-//! difference is accesses per second.
+//! chunk fast path (`RdxRunner::profile` of `trace.stream()`) and through
+//! a live profile whose machine single-steps every access
+//! (`RdxRunner::start_stepped`, fed the whole trace). Both runs produce
+//! bit-identical profiles (asserted here; the binary fails loudly on
+//! divergence), so the only difference is accesses per second.
 //!
 //! A second contrast isolates the needle scanner itself: the same quiet
 //! run is swept by the production scan ([`memsim::kernels::scan`], AVX2
@@ -43,7 +43,7 @@ use rdx_bench::{
     update_bench_json_at, update_bench_json_keeping,
 };
 use rdx_core::{RdxProfile, RdxRunner};
-use rdx_trace::{Access, AccessBuf, AccessSlice, Opaque, Trace};
+use rdx_trace::{Access, AccessBuf, AccessSlice, Trace};
 use rdx_workloads::suite;
 use std::fmt::Write as _;
 
@@ -318,7 +318,11 @@ fn main() {
         let n = trace.len() as f64;
         let runner = RdxRunner::new(config);
         let (fast_s, fast) = time_min(reps, || runner.profile(trace.stream()));
-        let (slow_s, slow) = time_min(reps, || runner.profile(Opaque::new(trace.stream())));
+        let (slow_s, slow) = time_min(reps, || {
+            let mut stepped = runner.start_stepped();
+            stepped.feed(trace.accesses());
+            stepped.finish()
+        });
         assert_identical(w.name, &fast, &slow);
         rows.push(Row {
             name: w.name,

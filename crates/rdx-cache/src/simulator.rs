@@ -79,10 +79,12 @@ impl SetAssociativeCache {
             accesses: 0,
             misses: 0,
         };
-        while let Some(a) = stream.next_access() {
-            result.accesses += 1;
-            if !self.access(a.addr.raw()) {
-                result.misses += 1;
+        while let Some(chunk) = stream.next_chunk(usize::MAX) {
+            for a in chunk {
+                result.accesses += 1;
+                if !self.access(a.addr.raw()) {
+                    result.misses += 1;
+                }
             }
         }
         result

@@ -91,6 +91,7 @@ use rdx_histogram::accuracy::histogram_intersection;
 use rdx_histogram::{Binning, Histogram};
 use rdx_trace::{AccessBuf, Granularity, RdxtDecoder, DEFAULT_CHUNK_CAPACITY};
 use rdx_workloads::{by_name, suite, Params, WorkloadSpec};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -114,25 +115,40 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Runs the command with every report written to one locked stdout.
+/// A reader that closes the pipe early (`rdx … | head`) ends the
+/// command quietly with success; any other write error fails it.
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = io::stdout().lock();
+    match run(&args, &mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: writing the report: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run(args: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     match args.first().map(String::as_str) {
         Some("list") => {
-            println!("{:16} {:32} description", "name", "spec analog");
+            writeln!(out, "{:16} {:32} description", "name", "spec analog")?;
             for w in suite() {
-                println!("{:16} {:32} {}", w.name, w.spec_analog, w.description);
+                writeln!(out, "{:16} {:32} {}", w.name, w.spec_analog, w.description)?;
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some("profile") => profile(&args[1..]),
-        Some("suite") => suite_cmd(&args[1..]),
-        Some("merge") => merge_cmd(&args[1..]),
-        Some("trace") => trace_cmd(&args[1..]),
-        Some("serve") => serve_cmd(&args[1..]),
-        Some("client") => client_cmd(&args[1..]),
-        Some("sim") => sim_cmd(&args[1..]),
-        Some("static") => static_cmd(&args[1..]),
-        _ => usage(),
+        Some("profile") => profile(&args[1..], out),
+        Some("suite") => suite_cmd(&args[1..], out),
+        Some("merge") => merge_cmd(&args[1..], out),
+        Some("trace") => trace_cmd(&args[1..], out),
+        Some("serve") => serve_cmd(&args[1..], out),
+        Some("client") => client_cmd(&args[1..], out),
+        Some("sim") => sim_cmd(&args[1..], out),
+        Some("static") => static_cmd(&args[1..], out),
+        _ => Ok(usage()),
     }
 }
 
@@ -344,31 +360,35 @@ const CLIENT_FLAGS: &[&str] = &[
     "--metrics",
 ];
 
-fn profile(args: &[String]) -> ExitCode {
+fn profile(args: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let Some(name) = args.first() else {
-        return usage();
+        return Ok(usage());
     };
     if name.starts_with("--") {
-        return usage();
+        return Ok(usage());
     }
     let opts = match Opts::parse(&args[1..], PROFILE_FLAGS) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if let Some(workload) = by_name(name) {
-        return profile_workload(workload, &opts);
+        return profile_workload(workload, &opts, out);
     }
     if std::path::Path::new(name).exists() {
-        return profile_file(name, &opts);
+        return profile_file(name, &opts, out);
     }
     eprintln!("unknown workload '{name}' and no such trace file; try `rdx list`");
-    ExitCode::FAILURE
+    Ok(ExitCode::FAILURE)
 }
 
-fn profile_workload(workload: &WorkloadSpec, opts: &Opts) -> ExitCode {
+fn profile_workload(
+    workload: &WorkloadSpec,
+    opts: &Opts,
+    out: &mut dyn Write,
+) -> io::Result<ExitCode> {
     let params = opts.params();
     let config = opts.config();
     let csv = opts.csv;
@@ -378,29 +398,44 @@ fn profile_workload(workload: &WorkloadSpec, opts: &Opts) -> ExitCode {
     }
     let profile = RdxRunner::new(config).profile(workload.stream(&params));
     if !csv {
-        println!(
+        writeln!(
+            out,
             "workload        : {} ({})",
             workload.name, workload.spec_analog
-        );
-        println!("accesses        : {}", profile.accesses);
-        println!("samples/traps   : {} / {}", profile.samples, profile.traps);
-        println!("est. blocks     : {:.0}", est_blocks(profile.m_estimate));
-        println!("time overhead   : {:.2}%", profile.time_overhead * 100.0);
-        println!(
+        )?;
+        writeln!(out, "accesses        : {}", profile.accesses)?;
+        writeln!(
+            out,
+            "samples/traps   : {} / {}",
+            profile.samples, profile.traps
+        )?;
+        writeln!(
+            out,
+            "est. blocks     : {:.0}",
+            est_blocks(profile.m_estimate)
+        )?;
+        writeln!(
+            out,
+            "time overhead   : {:.2}%",
+            profile.time_overhead * 100.0
+        )?;
+        writeln!(
+            out,
             "memory overhead : {:.2}% (of {} B footprint)",
             profile.memory_overhead(params.footprint_bytes()) * 100.0,
             params.footprint_bytes()
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "instrumentation : {:.0}x slowdown (for contrast)",
             profile.instrumentation_slowdown()
-        );
-        println!("\nreuse-distance histogram (weights normalized):");
+        )?;
+        writeln!(out, "\nreuse-distance histogram (weights normalized):")?;
     }
-    print_histogram(profile.rd.as_histogram(), csv);
+    print_histogram(profile.rd.as_histogram(), csv, out)?;
 
     if opts.mrc {
-        print_mrc(&profile);
+        print_mrc(&profile, out)?;
     }
 
     if opts.exact {
@@ -416,26 +451,26 @@ fn profile_workload(workload: &WorkloadSpec, opts: &Opts) -> ExitCode {
         };
         let acc = histogram_intersection(profile.rd.as_histogram(), exact.rd.as_histogram())
             .expect("same binning");
-        println!("\nexact (ground-truth) histogram:");
-        print_histogram(exact.rd.as_histogram(), csv);
-        println!("\naccuracy vs ground truth: {:.1}%", acc * 100.0);
+        writeln!(out, "\nexact (ground-truth) histogram:")?;
+        print_histogram(exact.rd.as_histogram(), csv, out)?;
+        writeln!(out, "\naccuracy vs ground truth: {:.1}%", acc * 100.0)?;
     }
     if let Some(path) = &opts.save {
-        let code = save_profile(path, &profile);
+        let code = save_profile(path, &profile, out)?;
         if code != ExitCode::SUCCESS {
-            return code;
+            return Ok(code);
         }
     }
     if opts.metrics {
-        return emit_metrics_report(&[(workload.name.to_string(), profile)]);
+        return emit_metrics_report(&[(workload.name.to_string(), profile)], out);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Profiles one serialized RDXT trace file, streamed block by block;
 /// the profile covers the decodable prefix, and a short or
 /// trailing-data decode is a failure after reporting.
-fn profile_file(path: &str, opts: &Opts) -> ExitCode {
+fn profile_file(path: &str, opts: &Opts, out: &mut dyn Write) -> io::Result<ExitCode> {
     for (flag, given) in [
         ("--accesses", opts.accesses.is_some()),
         ("--elements", opts.elements.is_some()),
@@ -443,7 +478,7 @@ fn profile_file(path: &str, opts: &Opts) -> ExitCode {
     ] {
         if given {
             eprintln!("error: {flag} applies to generated workloads; '{path}' is a trace file");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
     if opts.metrics {
@@ -453,7 +488,7 @@ fn profile_file(path: &str, opts: &Opts) -> ExitCode {
         Ok(i) => i,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let label = input.label.clone();
@@ -461,21 +496,37 @@ fn profile_file(path: &str, opts: &Opts) -> ExitCode {
     let csv = opts.csv;
     let (profile, verdict) = RdxRunner::new(opts.config()).profile_rdxt(input, &IngestOptions);
     if !csv {
-        println!("trace           : {label}");
-        println!("source          : {path} ({declared} declared accesses)");
-        println!("accesses        : {}", profile.accesses);
-        println!("samples/traps   : {} / {}", profile.samples, profile.traps);
-        println!("est. blocks     : {:.0}", est_blocks(profile.m_estimate));
-        println!("time overhead   : {:.2}%", profile.time_overhead * 100.0);
-        println!(
+        writeln!(out, "trace           : {label}")?;
+        writeln!(
+            out,
+            "source          : {path} ({declared} declared accesses)"
+        )?;
+        writeln!(out, "accesses        : {}", profile.accesses)?;
+        writeln!(
+            out,
+            "samples/traps   : {} / {}",
+            profile.samples, profile.traps
+        )?;
+        writeln!(
+            out,
+            "est. blocks     : {:.0}",
+            est_blocks(profile.m_estimate)
+        )?;
+        writeln!(
+            out,
+            "time overhead   : {:.2}%",
+            profile.time_overhead * 100.0
+        )?;
+        writeln!(
+            out,
             "ingestion       : {} KiB blocks (decode batch {DEFAULT_CHUNK_CAPACITY})",
             BLOCK_LEN >> 10
-        );
-        println!("\nreuse-distance histogram (weights normalized):");
+        )?;
+        writeln!(out, "\nreuse-distance histogram (weights normalized):")?;
     }
-    print_histogram(profile.rd.as_histogram(), csv);
+    print_histogram(profile.rd.as_histogram(), csv, out)?;
     if opts.mrc {
-        print_mrc(&profile);
+        print_mrc(&profile, out)?;
     }
     let mut code = ExitCode::SUCCESS;
     if let Err(e) = verdict {
@@ -486,32 +537,33 @@ fn profile_file(path: &str, opts: &Opts) -> ExitCode {
         code = ExitCode::FAILURE;
     }
     if let Some(save) = &opts.save {
-        let save_code = save_profile(save, &profile);
+        let save_code = save_profile(save, &profile, out)?;
         if code == ExitCode::SUCCESS {
             code = save_code;
         }
     }
     if opts.metrics {
-        let metrics_code = emit_metrics_report(&[(label, profile)]);
+        let metrics_code = emit_metrics_report(&[(label, profile)], out)?;
         if code == ExitCode::SUCCESS {
             code = metrics_code;
         }
     }
-    code
+    Ok(code)
 }
 
-fn print_mrc(profile: &RdxProfile) {
+fn print_mrc(profile: &RdxProfile, out: &mut dyn Write) -> io::Result<()> {
     let mrc = profile.miss_ratio_curve();
-    println!("\nmiss-ratio curve (capacity in blocks):");
+    writeln!(out, "\nmiss-ratio curve (capacity in blocks):")?;
     for cap in [1u64 << 6, 1 << 9, 1 << 12, 1 << 15, 1 << 18, 1 << 21] {
-        println!("  {:>10} {:.4}", cap, mrc.miss_ratio(cap));
+        writeln!(out, "  {:>10} {:.4}", cap, mrc.miss_ratio(cap))?;
     }
+    Ok(())
 }
 
 /// Profiles every registry workload in parallel and prints one summary
 /// row per workload (identical output for any `--jobs` value). Leading
 /// non-flag arguments are RDXT trace files to profile instead.
-fn suite_cmd(args: &[String]) -> ExitCode {
+fn suite_cmd(args: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let split = args
         .iter()
         .position(|a| a.starts_with("--"))
@@ -521,15 +573,15 @@ fn suite_cmd(args: &[String]) -> ExitCode {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if opts.out.is_some() && !opts.merge {
         eprintln!("error: --out requires --merge (it writes the merged fleet profile)");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     if !files.is_empty() {
-        return suite_files(files, &opts);
+        return suite_files(files, &opts, out);
     }
     let params = opts.params();
     let config = opts.config();
@@ -548,24 +600,30 @@ fn suite_cmd(args: &[String]) -> ExitCode {
     let profiles = profile_batch(tasks, jobs);
 
     if opts.csv {
-        println!("workload,accesses,samples,traps,est_blocks,time_overhead,mean_rd");
+        writeln!(
+            out,
+            "workload,accesses,samples,traps,est_blocks,time_overhead,mean_rd"
+        )?;
     } else {
-        println!(
+        writeln!(
+            out,
             "suite: {} workloads, {} accesses each, period {}, {} jobs\n",
             suite().len(),
             params.accesses,
             config.machine.sampling.period,
             jobs
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "{:16} {:>10} {:>8} {:>8} {:>11} {:>9} {:>10}",
             "workload", "accesses", "samples", "traps", "est. blocks", "overhead", "mean rd"
-        );
+        )?;
     }
     for (w, p) in suite().iter().zip(&profiles) {
         let mean_rd = p.rd.as_histogram().finite_mean().unwrap_or(f64::NAN);
         if opts.csv {
-            println!(
+            writeln!(
+                out,
                 "{},{},{},{},{:.0},{:.6},{:.1}",
                 w.name,
                 p.accesses,
@@ -574,9 +632,10 @@ fn suite_cmd(args: &[String]) -> ExitCode {
                 est_blocks(p.m_estimate),
                 p.time_overhead,
                 mean_rd
-            );
+            )?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "{:16} {:>10} {:>8} {:>8} {:>11.0} {:>8.2}% {:>10.1}",
                 w.name,
                 p.accesses,
@@ -585,16 +644,16 @@ fn suite_cmd(args: &[String]) -> ExitCode {
                 est_blocks(p.m_estimate),
                 p.time_overhead * 100.0,
                 mean_rd
-            );
+            )?;
         }
     }
     if !opts.csv {
         let total: u64 = profiles.iter().map(|p: &RdxProfile| p.accesses).sum();
-        println!("\ntotal accesses profiled: {total}");
+        writeln!(out, "\ntotal accesses profiled: {total}")?;
     }
     let mut code = ExitCode::SUCCESS;
     if opts.merge {
-        code = emit_fleet(profiles.clone(), profiles.len(), &opts);
+        code = emit_fleet(profiles.clone(), profiles.len(), &opts, out)?;
     }
     if opts.metrics {
         let rows: Vec<(String, RdxProfile)> = suite()
@@ -602,25 +661,25 @@ fn suite_cmd(args: &[String]) -> ExitCode {
             .map(|w| w.name.to_string())
             .zip(profiles)
             .collect();
-        let metrics_code = emit_metrics_report(&rows);
+        let metrics_code = emit_metrics_report(&rows, out)?;
         if code == ExitCode::SUCCESS {
             code = metrics_code;
         }
     }
-    code
+    Ok(code)
 }
 
 /// Profiles a set of RDXT trace files in parallel, one summary row per
 /// file. A file that decodes short of its declared record count is
 /// reported (its profile covers the decodable prefix) and fails the run.
-fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
+fn suite_files(files: &[String], opts: &Opts, out: &mut dyn Write) -> io::Result<ExitCode> {
     for (flag, given) in [
         ("--accesses", opts.accesses.is_some()),
         ("--elements", opts.elements.is_some()),
     ] {
         if given {
             eprintln!("error: {flag} applies to generated workloads, not trace files");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
     if opts.metrics {
@@ -632,7 +691,7 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
             Ok(input) => inputs.push(input),
             Err(e) => {
                 eprintln!("error: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
@@ -641,15 +700,20 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
     let reports = profile_rdxt_batch(config, inputs, jobs);
 
     if opts.csv {
-        println!("trace,declared,accesses,samples,traps,est_blocks,time_overhead,mean_rd,clean");
+        writeln!(
+            out,
+            "trace,declared,accesses,samples,traps,est_blocks,time_overhead,mean_rd,clean"
+        )?;
     } else {
-        println!(
+        writeln!(
+            out,
             "suite: {} trace files, period {}, {} jobs\n",
             reports.len(),
             config.machine.sampling.period,
             jobs
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "{:16} {:>10} {:>10} {:>8} {:>8} {:>11} {:>9} {:>10}",
             "trace",
             "declared",
@@ -659,13 +723,14 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
             "est. blocks",
             "overhead",
             "mean rd"
-        );
+        )?;
     }
     for r in &reports {
         let p = &r.profile;
         let mean_rd = p.rd.as_histogram().finite_mean().unwrap_or(f64::NAN);
         if opts.csv {
-            println!(
+            writeln!(
+                out,
                 "{},{},{},{},{},{:.0},{:.6},{:.1},{}",
                 r.label,
                 r.declared,
@@ -676,9 +741,10 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
                 p.time_overhead,
                 mean_rd,
                 !r.truncated()
-            );
+            )?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "{:16} {:>10} {:>10} {:>8} {:>8} {:>11.0} {:>8.2}% {:>10.1}{}",
                 r.label,
                 r.declared,
@@ -689,7 +755,7 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
                 p.time_overhead * 100.0,
                 mean_rd,
                 if r.truncated() { "  [truncated]" } else { "" }
-            );
+            )?;
         }
     }
     let truncated = reports.iter().filter(|r| r.truncated()).count();
@@ -710,7 +776,7 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
     if opts.merge {
         let fleet: Vec<RdxProfile> = reports.iter().map(|r| r.profile.clone()).collect();
         let n = fleet.len();
-        let merge_code = emit_fleet(fleet, n, opts);
+        let merge_code = emit_fleet(fleet, n, opts, out)?;
         if code == ExitCode::SUCCESS {
             code = merge_code;
         }
@@ -718,29 +784,30 @@ fn suite_files(files: &[String], opts: &Opts) -> ExitCode {
     if opts.metrics {
         let rows: Vec<(String, RdxProfile)> =
             reports.into_iter().map(|r| (r.label, r.profile)).collect();
-        let metrics_code = emit_metrics_report(&rows);
+        let metrics_code = emit_metrics_report(&rows, out)?;
         if code == ExitCode::SUCCESS {
             code = metrics_code;
         }
     }
-    code
+    Ok(code)
 }
 
 /// Writes a profile to `path` in the versioned RDXP wire format.
-fn save_profile(path: &str, profile: &RdxProfile) -> ExitCode {
+fn save_profile(path: &str, profile: &RdxProfile, out: &mut dyn Write) -> io::Result<ExitCode> {
     let bytes = rdx_core::encode_profile(profile);
     match std::fs::write(path, &bytes) {
         Ok(()) => {
-            println!(
+            writeln!(
+                out,
                 "saved profile   : {path} ({} B, RDXP v{})",
                 bytes.len(),
                 rdx_core::RDXP_VERSION
-            );
-            ExitCode::SUCCESS
+            )?;
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
             eprintln!("error: cannot write '{path}': {e}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -748,33 +815,53 @@ fn save_profile(path: &str, profile: &RdxProfile) -> ExitCode {
 /// Merges a batch of profiles into one fleet profile and prints it
 /// (used by both `rdx merge` and `rdx suite --merge`). The profiles are
 /// folded in order, so the output depends only on the inputs.
-fn emit_fleet(profiles: Vec<RdxProfile>, sources: usize, opts: &Opts) -> ExitCode {
+fn emit_fleet(
+    profiles: Vec<RdxProfile>,
+    sources: usize,
+    opts: &Opts,
+    out: &mut dyn Write,
+) -> io::Result<ExitCode> {
     let merged = match rdx_core::merge_batch(profiles, 1) {
         Ok(Some(p)) => p,
         Ok(None) => {
             eprintln!("error: nothing to merge");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         Err(e) => {
             eprintln!("error: profiles are not mergeable: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if !opts.csv {
-        println!("\nfleet profile   : {sources} profiles merged");
-        println!("accesses        : {}", merged.accesses);
-        println!("samples/traps   : {} / {}", merged.samples, merged.traps);
-        println!("est. blocks     : {:.0}", est_blocks(merged.m_estimate));
-        println!("time overhead   : {:.2}%", merged.time_overhead * 100.0);
-        println!("\nmerged reuse-distance histogram (weights normalized):");
+        writeln!(out, "\nfleet profile   : {sources} profiles merged")?;
+        writeln!(out, "accesses        : {}", merged.accesses)?;
+        writeln!(
+            out,
+            "samples/traps   : {} / {}",
+            merged.samples, merged.traps
+        )?;
+        writeln!(
+            out,
+            "est. blocks     : {:.0}",
+            est_blocks(merged.m_estimate)
+        )?;
+        writeln!(
+            out,
+            "time overhead   : {:.2}%",
+            merged.time_overhead * 100.0
+        )?;
+        writeln!(
+            out,
+            "\nmerged reuse-distance histogram (weights normalized):"
+        )?;
     }
-    print_histogram(merged.rd.as_histogram(), opts.csv);
+    print_histogram(merged.rd.as_histogram(), opts.csv, out)?;
     if opts.mrc {
-        print_mrc(&merged);
+        print_mrc(&merged, out)?;
     }
     match &opts.out {
-        Some(path) => save_profile(path, &merged),
-        None => ExitCode::SUCCESS,
+        Some(path) => save_profile(path, &merged, out),
+        None => Ok(ExitCode::SUCCESS),
     }
 }
 
@@ -782,7 +869,7 @@ fn emit_fleet(profiles: Vec<RdxProfile>, sources: usize, opts: &Opts) -> ExitCod
 /// Decode failures (bad magic, version mismatch, truncation) and merge
 /// incompatibilities (binning, granularity, cost model) are typed,
 /// per-file errors — never panics.
-fn merge_cmd(args: &[String]) -> ExitCode {
+fn merge_cmd(args: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let split = args
         .iter()
         .position(|a| a.starts_with("--"))
@@ -790,13 +877,13 @@ fn merge_cmd(args: &[String]) -> ExitCode {
     let (files, flag_args) = args.split_at(split);
     if files.is_empty() {
         eprintln!("error: merge needs at least one RDXP profile file");
-        return usage();
+        return Ok(usage());
     }
     let opts = match Opts::parse(flag_args, MERGE_FLAGS) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let mut profiles = Vec::with_capacity(files.len());
@@ -805,27 +892,28 @@ fn merge_cmd(args: &[String]) -> ExitCode {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("error: cannot read '{path}': {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         match rdx_core::decode_profile(&bytes) {
             Ok(p) => profiles.push(p),
             Err(e) => {
                 eprintln!("error: '{path}' is not a loadable RDXP profile: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     }
     if !opts.csv {
-        println!("merging {} profile(s):", files.len());
+        writeln!(out, "merging {} profile(s):", files.len())?;
         for (path, p) in files.iter().zip(&profiles) {
-            println!(
+            writeln!(
+                out,
                 "  {path}: {} accesses, {} samples, {} traps",
                 p.accesses, p.samples, p.traps
-            );
+            )?;
         }
     }
-    emit_fleet(profiles, files.len(), &opts)
+    emit_fleet(profiles, files.len(), &opts, out)
 }
 
 /// Counter names whose registry totals must equal the summed profile
@@ -850,7 +938,7 @@ fn crosscheck_rows(rows: &[(String, RdxProfile)]) -> [(&'static str, u64); 6] {
 /// the counter crosscheck, and the full registry snapshot. Returns
 /// FAILURE when a crosscheck row disagrees (collection bug), SUCCESS
 /// otherwise.
-fn emit_metrics_report(rows: &[(String, RdxProfile)]) -> ExitCode {
+fn emit_metrics_report(rows: &[(String, RdxProfile)], out: &mut dyn Write) -> io::Result<ExitCode> {
     use std::fmt::Write as _;
     let snap = rdx_metrics::snapshot();
     let checks = crosscheck_rows(rows);
@@ -858,14 +946,14 @@ fn emit_metrics_report(rows: &[(String, RdxProfile)]) -> ExitCode {
         .iter()
         .all(|&(name, want)| snap.counter(name).unwrap_or(0) == want);
 
-    let mut out = String::new();
-    out.push_str("{\"workloads\":[");
+    let mut json = String::new();
+    json.push_str("{\"workloads\":[");
     for (i, (name, p)) in rows.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            json.push(',');
         }
         let _ = write!(
-            out,
+            json,
             "{{\"name\":\"{name}\",\"accesses\":{},\"samples\":{},\"traps\":{},\
              \"evictions\":{},\"end_censored\":{},\"dropped_samples\":{},\
              \"duplicate_samples\":{}}}",
@@ -878,33 +966,33 @@ fn emit_metrics_report(rows: &[(String, RdxProfile)]) -> ExitCode {
             p.duplicate_samples
         );
     }
-    out.push_str("],\"crosscheck\":[");
+    json.push_str("],\"crosscheck\":[");
     for (i, &(name, want)) in checks.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            json.push(',');
         }
         let got = snap.counter(name).unwrap_or(0);
         let _ = write!(
-            out,
+            json,
             "{{\"counter\":\"{name}\",\"expected\":{want},\"observed\":{got},\
              \"matched\":{}}}",
             got == want
         );
     }
     let _ = write!(
-        out,
+        json,
         "],\"matched\":{matched},\"registry\":{}",
         snap.to_json()
     );
-    out.push('}');
+    json.push('}');
 
-    println!("\nmetrics report:");
-    println!("{out}");
+    writeln!(out, "\nmetrics report:")?;
+    writeln!(out, "{json}")?;
     if matched {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("error: metrics counters disagree with profile fields (see crosscheck)");
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -912,18 +1000,18 @@ fn emit_metrics_report(rows: &[(String, RdxProfile)]) -> ExitCode {
 /// through the incremental decoder, reporting decode throughput and
 /// batch statistics. Corrupt or truncated input is reported as a
 /// decode error with the position reached — never a panic.
-fn trace_cmd(args: &[String]) -> ExitCode {
+fn trace_cmd(args: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let Some(path) = args.first() else {
-        return usage();
+        return Ok(usage());
     };
     if path.starts_with("--") {
-        return usage();
+        return Ok(usage());
     }
     let opts = match Opts::parse(&args[1..], TRACE_FLAGS) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if opts.metrics {
@@ -933,7 +1021,7 @@ fn trace_cmd(args: &[String]) -> ExitCode {
         Ok(i) => i,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let (name, declared) = (input.label.clone(), input.declared);
@@ -964,27 +1052,31 @@ fn trace_cmd(args: &[String]) -> ExitCode {
             "error: '{path}' is corrupt after {} of {declared} declared accesses: {e}",
             decoder.decoded(),
         );
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
     let loads = accesses - stores;
-    println!("trace           : {name}");
-    println!("file size       : {total_bytes} B");
-    println!("accesses        : {accesses} ({loads} loads, {stores} stores)");
+    writeln!(out, "trace           : {name}")?;
+    writeln!(out, "file size       : {total_bytes} B")?;
+    writeln!(
+        out,
+        "accesses        : {accesses} ({loads} loads, {stores} stores)"
+    )?;
     if chunks > 0 {
-        println!("chunks          : {chunks}");
+        writeln!(out, "chunks          : {chunks}")?;
     }
     let secs = elapsed.as_secs_f64();
     if secs > 0.0 && accesses > 0 {
-        println!(
+        writeln!(
+            out,
             "decode rate     : {:.0} M acc/s ({:.0} MB/s)",
             accesses as f64 / secs / 1e6,
             total_bytes as f64 / secs / 1e6
-        );
+        )?;
     }
     if opts.metrics {
-        return emit_trace_metrics(decoder.decoded());
+        return emit_trace_metrics(decoder.decoded(), out);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Counters the `rdx trace --metrics` report prints, in output order.
@@ -997,37 +1089,37 @@ const DECODE_COUNTERS: &[&str] = &[
 /// Prints the `rdx trace --metrics` JSON report: the decode counters
 /// and a crosscheck of `rdx.trace.decode.accesses` against the record
 /// count the validator itself decoded. FAILURE when they disagree.
-fn emit_trace_metrics(decoded: u64) -> ExitCode {
+fn emit_trace_metrics(decoded: u64, out: &mut dyn Write) -> io::Result<ExitCode> {
     use std::fmt::Write as _;
     let snap = rdx_metrics::snapshot();
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let observed = counter("rdx.trace.decode.accesses");
     let matched = observed == decoded;
 
-    let mut out = String::new();
-    out.push_str("{\"decode\":{");
+    let mut json = String::new();
+    json.push_str("{\"decode\":{");
     for (i, name) in DECODE_COUNTERS.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            json.push(',');
         }
-        let _ = write!(out, "\"{name}\":{}", counter(name));
+        let _ = write!(json, "\"{name}\":{}", counter(name));
     }
     let _ = write!(
-        out,
+        json,
         "}},\"crosscheck\":[{{\"counter\":\"rdx.trace.decode.accesses\",\
          \"expected\":{decoded},\"observed\":{observed},\"matched\":{matched}}}],\
          \"matched\":{matched},\"registry\":{}",
         snap.to_json()
     );
-    out.push('}');
+    json.push('}');
 
-    println!("\nmetrics report:");
-    println!("{out}");
+    writeln!(out, "\nmetrics report:")?;
+    writeln!(out, "{json}")?;
     if matched {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!("error: rdx.trace.decode.accesses disagrees with the validator's own count");
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -1036,7 +1128,7 @@ fn emit_trace_metrics(decoded: u64) -> ExitCode {
 /// the resolved address is printed (and flushed) before serving so
 /// scripts can capture it. With `--max-conns N` the server exits
 /// cleanly after serving N connections.
-fn serve_cmd(args: &[String]) -> ExitCode {
+fn serve_cmd(args: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let mut listen: Option<String> = None;
     let mut max_conns: Option<u64> = None;
     let mut max_session_bytes: Option<u64> = None;
@@ -1047,11 +1139,11 @@ fn serve_cmd(args: &[String]) -> ExitCode {
             "--listen" => {
                 if listen.is_some() {
                     eprintln!("error: duplicate flag '--listen'");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 }
                 let Some(value) = it.next() else {
                     eprintln!("error: --listen needs a value");
-                    return ExitCode::FAILURE;
+                    return Ok(ExitCode::FAILURE);
                 };
                 listen = Some(value.clone());
                 continue;
@@ -1060,33 +1152,33 @@ fn serve_cmd(args: &[String]) -> ExitCode {
             "--max-session-bytes" => &mut max_session_bytes,
             _ => {
                 eprintln!("error: unknown flag '{flag}'");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         if slot.is_some() {
             eprintln!("error: duplicate flag '{flag}'");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         let value = match it.next().map(|v| v.parse::<u64>()) {
             Some(Ok(v)) if v > 0 => v,
             Some(Ok(v)) => {
                 eprintln!("error: {flag} must be at least 1 (got {v})");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             Some(Err(e)) => {
                 eprintln!("error: {flag}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
             None => {
                 eprintln!("error: {flag} needs a value");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         *slot = Some(value);
     }
     let Some(spec) = listen else {
         eprintln!("error: serve requires --listen <addr|socket-path>");
-        return usage();
+        return Ok(usage());
     };
     let mut server_opts = rdx_server::ServerOptions::default();
     if let Some(n) = max_conns {
@@ -1100,35 +1192,34 @@ fn serve_cmd(args: &[String]) -> ExitCode {
         Ok(h) => h,
         Err(e) => {
             eprintln!("error: cannot listen on '{spec}': {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     // Flushed immediately: scripts (and CI) parse the resolved address
     // from this line while the server keeps running.
-    println!("rdx-server listening on {}", handle.listen());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
+    writeln!(out, "rdx-server listening on {}", handle.listen())?;
+    out.flush()?;
     handle.wait();
-    println!("rdx-server exiting (connection budget served)");
-    ExitCode::SUCCESS
+    writeln!(out, "rdx-server exiting (connection budget served)")?;
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Streams a workload or RDXT trace file to a running server and prints
 /// the profile the server measured, plus its registry-golden digest.
 /// With `--crosscheck` the same bytes are also profiled locally and the
 /// two profiles must be bit-identical.
-fn client_cmd(args: &[String]) -> ExitCode {
+fn client_cmd(args: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let (Some(addr), Some(target)) = (args.first(), args.get(1)) else {
-        return usage();
+        return Ok(usage());
     };
     if addr.starts_with("--") || target.starts_with("--") {
-        return usage();
+        return Ok(usage());
     }
     let opts = match Opts::parse(&args[2..], CLIENT_FLAGS) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
@@ -1147,19 +1238,19 @@ fn client_cmd(args: &[String]) -> ExitCode {
                 eprintln!(
                     "error: {flag} applies to generated workloads; '{target}' is a trace file"
                 );
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
         match std::fs::read(target) {
             Ok(b) => (target.clone(), b),
             Err(e) => {
                 eprintln!("error: cannot read '{target}': {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
     } else {
         eprintln!("unknown workload '{target}' and no such trace file; try `rdx list`");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     };
 
     let mut sopts = rdx_server::SessionOptions::default();
@@ -1185,17 +1276,37 @@ fn client_cmd(args: &[String]) -> ExitCode {
                     "error: {flag} does not apply to --aggregate mode \
                      (it always crosschecks the server fold bit for bit)"
                 );
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         }
-        return match client_aggregate(&listen, &label, &bytes, sopts, chunk_bytes, n) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
+        let (reply, expected) =
+            match client_aggregate(&listen, &label, &bytes, sopts, chunk_bytes, n) {
+                Ok(r) => r,
+                Err(e) => {
+                    eprintln!("error: {e}");
+                    return Ok(ExitCode::FAILURE);
+                }
+            };
+        let mut digest = rdx_server::Fnv64::new();
+        reply.profile.fold_into(&mut digest);
+        writeln!(out, "sessions        : {} x {label}", reply.sessions)?;
+        writeln!(out, "accesses        : {}", reply.profile.accesses)?;
+        writeln!(
+            out,
+            "samples/traps   : {} / {}",
+            reply.profile.samples, reply.profile.traps
+        )?;
+        writeln!(out, "aggregate digest: {:#018x}", digest.value())?;
+        let sessions = u32::try_from(n).unwrap_or(u32::MAX);
+        if reply.sessions == sessions && reply.profile == expected {
+            writeln!(
+                out,
+                "crosscheck      : PASS (server fold matches client-side fold)"
+            )?;
+            return Ok(ExitCode::SUCCESS);
+        }
+        eprintln!("error: aggregate crosscheck FAILED — server fold differs from client-side fold");
+        return Ok(ExitCode::FAILURE);
     }
     let served = (|| -> Result<_, rdx_server::ClientError> {
         let mut client = rdx_server::Client::connect(&listen)?;
@@ -1216,37 +1327,41 @@ fn client_cmd(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
     let mut digest = rdx_server::Fnv64::new();
     close.profile.fold_into(&mut digest);
-    println!("session         : {label}");
-    println!("server          : {listen}");
-    println!(
+    writeln!(out, "session         : {label}")?;
+    writeln!(out, "server          : {listen}")?;
+    writeln!(
+        out,
         "sent            : {} B in {} chunk(s) of ≤{chunk_bytes} B",
         bytes.len(),
         bytes.len().div_ceil(chunk_bytes.max(1))
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "ingested        : {} B, {} records",
         flush.received_bytes, flush.records
-    );
-    println!("accesses        : {}", close.profile.accesses);
-    println!(
+    )?;
+    writeln!(out, "accesses        : {}", close.profile.accesses)?;
+    writeln!(
+        out,
         "samples/traps   : {} / {}",
         close.profile.samples, close.profile.traps
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "est. blocks     : {:.0}",
         est_blocks(close.profile.m_estimate)
-    );
-    println!("clean decode    : {}", close.clean);
-    println!("profile digest  : {:#018x}", digest.value());
+    )?;
+    writeln!(out, "clean decode    : {}", close.clean)?;
+    writeln!(out, "profile digest  : {:#018x}", digest.value())?;
     if let Some(m) = &metrics {
-        println!("\nserver metrics registry:");
-        println!("{}", m.registry_json);
+        writeln!(out, "\nserver metrics registry:")?;
+        writeln!(out, "{}", m.registry_json)?;
     }
     let mut code = if close.clean {
         ExitCode::SUCCESS
@@ -1262,14 +1377,14 @@ fn client_cmd(args: &[String]) -> ExitCode {
             Ok(i) => i,
             Err(e) => {
                 eprintln!("error: crosscheck cannot decode local bytes: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         let (local, _verdict) = RdxRunner::new(sopts.config()).profile_rdxt(input, &IngestOptions);
         let mut local_digest = rdx_server::Fnv64::new();
         rdx_server::ProfileSnapshot::from_profile(&local).fold_into(&mut local_digest);
         if local_digest.value() == digest.value() {
-            println!("crosscheck      : PASS (local digest matches)");
+            writeln!(out, "crosscheck      : PASS (local digest matches)")?;
         } else {
             eprintln!(
                 "error: crosscheck FAILED — local digest {:#018x} != server digest {:#018x}",
@@ -1279,15 +1394,14 @@ fn client_cmd(args: &[String]) -> ExitCode {
             code = ExitCode::FAILURE;
         }
     }
-    code
+    Ok(code)
 }
 
 /// `rdx client … --aggregate N`: stream the same bytes into `n`
-/// sessions, ask the server to fold them with one `SnapshotAggregate`
-/// request, and crosscheck the reply bit for bit against a client-side
-/// fold of the per-session snapshots in the same session order — the
-/// reply contract says the two must be identical. Returns whether the
-/// crosscheck passed.
+/// sessions and ask the server to fold them with one
+/// `SnapshotAggregate` request. Returns the reply and a client-side
+/// fold of the per-session snapshots in the same session order, which
+/// the reply contract says must equal it bit for bit.
 fn client_aggregate(
     listen: &rdx_server::Listen,
     label: &str,
@@ -1295,7 +1409,7 @@ fn client_aggregate(
     sopts: rdx_server::SessionOptions,
     chunk_bytes: usize,
     n: u64,
-) -> Result<bool, rdx_server::ClientError> {
+) -> Result<(rdx_server::AggregateReply, rdx_server::ProfileSnapshot), rdx_server::ClientError> {
     let mut client = rdx_server::Client::connect(listen)?;
     let mut sessions = Vec::new();
     for i in 0..n {
@@ -1314,22 +1428,7 @@ fn client_aggregate(
     for &s in &sessions {
         client.close_session(s)?;
     }
-    let mut digest = rdx_server::Fnv64::new();
-    reply.profile.fold_into(&mut digest);
-    println!("sessions        : {} x {label}", reply.sessions);
-    println!("accesses        : {}", reply.profile.accesses);
-    println!(
-        "samples/traps   : {} / {}",
-        reply.profile.samples, reply.profile.traps
-    );
-    println!("aggregate digest: {:#018x}", digest.value());
-    let ok = reply.sessions == u32::try_from(n).unwrap_or(u32::MAX) && reply.profile == expected;
-    if ok {
-        println!("crosscheck      : PASS (server fold matches client-side fold)");
-    } else {
-        eprintln!("error: aggregate crosscheck FAILED — server fold differs from client-side fold");
-    }
-    Ok(ok)
+    Ok((reply, expected))
 }
 
 /// Parsed `rdx sim` options (its flags don't overlap the profiling
@@ -1392,12 +1491,12 @@ impl SimArgs {
 /// Runs the deterministic simulation suite: seeded schedules and fault
 /// injection over batch dispatch and server sessions, plus the
 /// golden-digest reproduction through seeded session chunkings. A violation prints its replay seed and exits FAILURE.
-fn sim_cmd(args: &[String]) -> ExitCode {
+fn sim_cmd(args: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let parsed = match SimArgs::parse(args) {
         Ok(p) => p,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let cfg = rdx_sim::SimConfig {
@@ -1405,22 +1504,24 @@ fn sim_cmd(args: &[String]) -> ExitCode {
         schedules: parsed.schedules,
         faults: parsed.faults,
     };
-    println!(
+    writeln!(
+        out,
         "sim: base seed {}, {} schedules per scenario",
         cfg.seed, cfg.schedules
-    );
+    )?;
     match rdx_sim::run_suite(&cfg) {
         Ok(report) => {
-            print!("{report}");
-            println!(
+            write!(out, "{report}")?;
+            writeln!(
+                out,
                 "sim: {} schedules passed, no invariant violations",
                 report.total_schedules()
-            );
-            ExitCode::SUCCESS
+            )?;
+            Ok(ExitCode::SUCCESS)
         }
         Err(v) => {
             eprintln!("error: {v}");
-            ExitCode::FAILURE
+            Ok(ExitCode::FAILURE)
         }
     }
 }
@@ -1446,18 +1547,18 @@ const STATIC_ZERO_COUNTERS: &[&str] = &[
 /// truth; `--metrics` proves the zero-access claim by crosschecking
 /// that every dynamic-path counter stayed zero. Non-affine workloads
 /// exit FAILURE with a typed explanation, never a wrong profile.
-fn static_cmd(args: &[String]) -> ExitCode {
+fn static_cmd(args: &[String], out: &mut dyn Write) -> io::Result<ExitCode> {
     let Some(name) = args.first() else {
-        return usage();
+        return Ok(usage());
     };
     if name.starts_with("--") {
-        return usage();
+        return Ok(usage());
     }
     let opts = match Opts::parse(&args[1..], STATIC_FLAGS) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if opts.metrics {
@@ -1474,7 +1575,7 @@ fn static_cmd(args: &[String]) -> ExitCode {
                     rdx_static::affine_kernels().join(", ")
                 );
             }
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     // Snapshot now, not at exit: the zero-access proof covers the
@@ -1482,26 +1583,33 @@ fn static_cmd(args: &[String]) -> ExitCode {
     let snap = opts.metrics.then(rdx_metrics::snapshot);
     let csv = opts.csv;
     if !csv {
-        println!("kernel          : {} (static estimate)", stat.kernel);
-        println!("modeled accesses: {}", stat.accesses);
-        println!("period          : {} accesses", stat.period);
-        println!("footprint       : {} blocks", stat.footprint);
-        println!("stores          : {}", stat.stores);
-        println!("reuse classes   : {}", stat.classes);
-        println!("\nstatic reuse-distance histogram (weights normalized):");
+        writeln!(out, "kernel          : {} (static estimate)", stat.kernel)?;
+        writeln!(out, "modeled accesses: {}", stat.accesses)?;
+        writeln!(out, "period          : {} accesses", stat.period)?;
+        writeln!(out, "footprint       : {} blocks", stat.footprint)?;
+        writeln!(out, "stores          : {}", stat.stores)?;
+        writeln!(out, "reuse classes   : {}", stat.classes)?;
+        writeln!(
+            out,
+            "\nstatic reuse-distance histogram (weights normalized):"
+        )?;
     }
-    print_histogram(stat.rd.as_histogram(), csv);
+    print_histogram(stat.rd.as_histogram(), csv, out)?;
 
     if opts.mrc {
         let levels = rdx_cache::hierarchy();
         // Word-granular estimate: 8-byte blocks, like Granularity::WORD.
         let preds = rdx_cache::predict::miss_ratios(&stat.rd, &levels, 8);
-        println!("\npredicted miss ratios (rdx-cache hierarchy, full associativity):");
+        writeln!(
+            out,
+            "\npredicted miss ratios (rdx-cache hierarchy, full associativity):"
+        )?;
         for lvl in &preds {
-            println!(
+            writeln!(
+                out,
                 "  {:4} {:>10} blocks  {:.4}",
                 lvl.name, lvl.capacity_blocks, lvl.miss_ratio
-            );
+            )?;
         }
     }
 
@@ -1511,9 +1619,13 @@ fn static_cmd(args: &[String]) -> ExitCode {
         let exact = ExactProfile::measure(spec.stream(&params), Granularity::WORD, Binning::log2());
         let acc = histogram_intersection(stat.rd.as_histogram(), exact.rd.as_histogram())
             .expect("same binning");
-        println!("\nexact (ground-truth) histogram:");
-        print_histogram(exact.rd.as_histogram(), csv);
-        println!("\nstatic accuracy vs ground truth: {:.1}%", acc * 100.0);
+        writeln!(out, "\nexact (ground-truth) histogram:")?;
+        print_histogram(exact.rd.as_histogram(), csv, out)?;
+        writeln!(
+            out,
+            "\nstatic accuracy vs ground truth: {:.1}%",
+            acc * 100.0
+        )?;
         if stat.footprint != exact.distinct_blocks {
             eprintln!(
                 "error: static footprint {} != exact distinct blocks {}",
@@ -1523,59 +1635,59 @@ fn static_cmd(args: &[String]) -> ExitCode {
         }
     }
     if let Some(snap) = snap {
-        let metrics_code = emit_static_metrics(&snap);
+        let metrics_code = emit_static_metrics(&snap, out)?;
         if code == ExitCode::SUCCESS {
             code = metrics_code;
         }
     }
-    code
+    Ok(code)
 }
 
 /// Prints the `rdx static --metrics` JSON report: the static counters
 /// plus the zero-access crosscheck — every dynamic-path counter in
 /// [`STATIC_ZERO_COUNTERS`] must read zero, or the trace-free claim is
 /// false and the command FAILs.
-fn emit_static_metrics(snap: &rdx_metrics::Snapshot) -> ExitCode {
+fn emit_static_metrics(snap: &rdx_metrics::Snapshot, out: &mut dyn Write) -> io::Result<ExitCode> {
     use std::fmt::Write as _;
     let counter = |name: &str| snap.counter(name).unwrap_or(0);
     let matched = counter("rdx.static.estimates") == 1
         && STATIC_ZERO_COUNTERS.iter().all(|n| counter(n) == 0);
 
-    let mut out = String::new();
+    let mut json = String::new();
     let _ = write!(
-        out,
+        json,
         "{{\"static\":{{\"estimates\":{},\"rejected\":{}}},",
         counter("rdx.static.estimates"),
         counter("rdx.static.rejected")
     );
-    out.push_str("\"zero_access_crosscheck\":[");
+    json.push_str("\"zero_access_crosscheck\":[");
     for (i, name) in STATIC_ZERO_COUNTERS.iter().enumerate() {
         if i > 0 {
-            out.push(',');
+            json.push(',');
         }
         let got = counter(name);
         let _ = write!(
-            out,
+            json,
             "{{\"counter\":\"{name}\",\"expected\":0,\"observed\":{got},\"matched\":{}}}",
             got == 0
         );
     }
     let _ = write!(
-        out,
+        json,
         "],\"matched\":{matched},\"registry\":{}",
         snap.to_json()
     );
-    out.push('}');
+    json.push('}');
 
-    println!("\nmetrics report:");
-    println!("{out}");
+    writeln!(out, "\nmetrics report:")?;
+    writeln!(out, "{json}")?;
     if matched {
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!(
             "error: a dynamic-path counter is nonzero; the static estimate is not trace-free"
         );
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -1590,36 +1702,39 @@ fn est_blocks(m_estimate: f64) -> f64 {
     }
 }
 
-fn print_histogram(h: &Histogram, csv: bool) {
+fn print_histogram(h: &Histogram, csv: bool, out: &mut dyn Write) -> io::Result<()> {
     let n = h.normalized();
     let sep = if csv { "," } else { "  " };
     for b in n.buckets() {
         let bar_len = (b.weight * 50.0).round() as usize;
         if csv {
-            println!("{}{sep}{}{sep}{:.6}", b.range.lo, b.range.hi, b.weight);
+            writeln!(out, "{}{sep}{}{sep}{:.6}", b.range.lo, b.range.hi, b.weight)?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "  [{:>10}, {:>10})  {:>7.3}%  {}",
                 b.range.lo,
                 b.range.hi,
                 b.weight * 100.0,
                 "#".repeat(bar_len)
-            );
+            )?;
         }
     }
     if n.infinite_weight() > 0.0 {
         if csv {
-            println!("inf{sep}inf{sep}{:.6}", n.infinite_weight());
+            writeln!(out, "inf{sep}inf{sep}{:.6}", n.infinite_weight())?;
         } else {
-            println!(
+            writeln!(
+                out,
                 "  [{:>10}, {:>10})  {:>7.3}%  {}",
                 "cold",
                 "",
                 n.infinite_weight() * 100.0,
                 "#".repeat((n.infinite_weight() * 50.0).round() as usize)
-            );
+            )?;
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1635,6 +1750,14 @@ mod tests {
         METRICS_LOCK
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Runs a command with its report discarded.
+    fn quiet(
+        cmd: fn(&[String], &mut dyn Write) -> io::Result<ExitCode>,
+        args: &[String],
+    ) -> ExitCode {
+        cmd(args, &mut io::sink()).expect("writing to a sink never fails")
     }
 
     fn to_args(s: &[&str]) -> Vec<String> {
@@ -1752,13 +1875,19 @@ mod tests {
         let bytes = rdx_trace::io::to_bytes(&trace);
         let good = temp_path("good.rdxt");
         std::fs::write(&good, &bytes).unwrap();
-        assert_eq!(trace_cmd(&[good.display().to_string()]), ExitCode::SUCCESS);
+        assert_eq!(
+            quiet(trace_cmd, &[good.display().to_string()]),
+            ExitCode::SUCCESS
+        );
 
         // Truncating the record stream must yield a decode error, not a
         // panic — the CLI recovers and reports the position reached.
         let cut = temp_path("cut.rdxt");
         std::fs::write(&cut, &bytes[..bytes.len() - 3]).unwrap();
-        assert_eq!(trace_cmd(&[cut.display().to_string()]), ExitCode::FAILURE);
+        assert_eq!(
+            quiet(trace_cmd, &[cut.display().to_string()]),
+            ExitCode::FAILURE
+        );
 
         let _ = std::fs::remove_file(good);
         let _ = std::fs::remove_file(cut);
@@ -1770,7 +1899,10 @@ mod tests {
         // Several 64 KiB read blocks, so several decode batches; the
         // counter crosscheck must still match the validator's own count.
         let (path, _) = write_sample_trace("trace-metrics", 100_000);
-        let code = trace_cmd(&to_args(&[&path.display().to_string(), "--metrics"]));
+        let code = quiet(
+            trace_cmd,
+            &to_args(&[&path.display().to_string(), "--metrics"]),
+        );
         assert_eq!(code, ExitCode::SUCCESS);
         let _ = std::fs::remove_file(path);
     }
@@ -1781,16 +1913,19 @@ mod tests {
         let (path, bytes) = write_sample_trace("profile-file", 30_000);
         let arg = path.display().to_string();
         assert_eq!(
-            profile(&to_args(&[&arg, "--period", "512", "--csv"])),
+            quiet(profile, &to_args(&[&arg, "--period", "512", "--csv"])),
             ExitCode::SUCCESS
         );
         // Workload-only flags are rejected for file inputs.
-        assert_eq!(profile(&to_args(&[&arg, "--exact"])), ExitCode::FAILURE);
+        assert_eq!(
+            quiet(profile, &to_args(&[&arg, "--exact"])),
+            ExitCode::FAILURE
+        );
         // A truncated file profiles its prefix but exits FAILURE.
         let cut = temp_path("profile-cut.rdxt");
         std::fs::write(&cut, &bytes[..bytes.len() - 7]).unwrap();
         assert_eq!(
-            profile(&to_args(&[&cut.display().to_string(), "--csv"])),
+            quiet(profile, &to_args(&[&cut.display().to_string(), "--csv"])),
             ExitCode::FAILURE
         );
         let _ = std::fs::remove_file(path);
@@ -1802,7 +1937,7 @@ mod tests {
         // `--decode-buffer` is gone for workloads and trace files alike.
         let (path, _) = write_sample_trace("profile-decode-flag", 1_000);
         for target in ["zipf".to_string(), path.display().to_string()] {
-            let code = profile(&to_args(&[&target, "--decode-buffer", "8"]));
+            let code = quiet(profile, &to_args(&[&target, "--decode-buffer", "8"]));
             assert_eq!(code, ExitCode::FAILURE, "{target}");
         }
         let _ = std::fs::remove_file(path);
@@ -1822,7 +1957,7 @@ mod tests {
             "--jobs",
             "2",
         ]);
-        assert_eq!(suite_cmd(&args), ExitCode::SUCCESS);
+        assert_eq!(quiet(suite_cmd, &args), ExitCode::SUCCESS);
 
         // One corrupt member fails the whole run.
         let cut = temp_path("suite-cut.rdxt");
@@ -1832,7 +1967,7 @@ mod tests {
             &cut.display().to_string(),
             "--csv",
         ]);
-        assert_eq!(suite_cmd(&args), ExitCode::FAILURE);
+        assert_eq!(quiet(suite_cmd, &args), ExitCode::FAILURE);
 
         let _ = std::fs::remove_file(a);
         let _ = std::fs::remove_file(b);
@@ -1882,30 +2017,32 @@ mod tests {
         let addr = handle.listen().to_string();
         // Generated workload, odd chunk size, crosscheck against the
         // local profiling path: the digests must agree bit for bit.
-        let code = client_cmd(&to_args(&[
-            &addr,
-            "zipf",
-            "--accesses",
-            "20000",
-            "--elements",
-            "400",
-            "--period",
-            "512",
-            "--seed",
-            "7",
-            "--chunk-bytes",
-            "9973",
-            "--crosscheck",
-        ]));
+        let code = quiet(
+            client_cmd,
+            &to_args(&[
+                &addr,
+                "zipf",
+                "--accesses",
+                "20000",
+                "--elements",
+                "400",
+                "--period",
+                "512",
+                "--seed",
+                "7",
+                "--chunk-bytes",
+                "9973",
+                "--crosscheck",
+            ]),
+        );
         assert_eq!(code, ExitCode::SUCCESS);
 
         // A trace file streams and crosschecks too.
         let (path, _) = write_sample_trace("client-file", 10_000);
-        let code = client_cmd(&to_args(&[
-            &addr,
-            &path.display().to_string(),
-            "--crosscheck",
-        ]));
+        let code = quiet(
+            client_cmd,
+            &to_args(&[&addr, &path.display().to_string(), "--crosscheck"]),
+        );
         assert_eq!(code, ExitCode::SUCCESS);
         let _ = std::fs::remove_file(path);
     }
@@ -1913,10 +2050,13 @@ mod tests {
     #[test]
     fn client_rejects_bad_targets_and_dead_servers() {
         // Unknown workload/file never even connects.
-        let code = client_cmd(&to_args(&["127.0.0.1:1", "no-such-workload"]));
+        let code = quiet(client_cmd, &to_args(&["127.0.0.1:1", "no-such-workload"]));
         assert_eq!(code, ExitCode::FAILURE);
         // A server that isn't there is an error, not a hang or panic.
-        let code = client_cmd(&to_args(&["127.0.0.1:9", "zipf", "--accesses", "100"]));
+        let code = quiet(
+            client_cmd,
+            &to_args(&["127.0.0.1:9", "zipf", "--accesses", "100"]),
+        );
         assert_eq!(code, ExitCode::FAILURE);
     }
 
@@ -1953,9 +2093,9 @@ mod tests {
         let _guard = metrics_guard();
         // A tiny schedule count keeps this fast; the full sweep runs in
         // rdx-sim's own tests and the CI sim leg.
-        let code = sim_cmd(&to_args(&["--seed", "1", "--schedules", "2"]));
+        let code = quiet(sim_cmd, &to_args(&["--seed", "1", "--schedules", "2"]));
         assert_eq!(code, ExitCode::SUCCESS);
-        let code = sim_cmd(&to_args(&["--bogus"]));
+        let code = quiet(sim_cmd, &to_args(&["--bogus"]));
         assert_eq!(code, ExitCode::FAILURE);
     }
 
@@ -1995,22 +2135,28 @@ mod tests {
     #[test]
     fn static_cmd_estimates_affine_and_rejects_non_affine() {
         let _guard = metrics_guard();
-        let code = static_cmd(&to_args(&[
-            "stream_triad",
-            "--accesses",
-            "60000",
-            "--elements",
-            "3000",
-            "--exact",
-            "--mrc",
-            "--csv",
-        ]));
+        let code = quiet(
+            static_cmd,
+            &to_args(&[
+                "stream_triad",
+                "--accesses",
+                "60000",
+                "--elements",
+                "3000",
+                "--exact",
+                "--mrc",
+                "--csv",
+            ]),
+        );
         assert_eq!(code, ExitCode::SUCCESS);
 
         // Non-affine workloads are a typed refusal, not a wrong answer.
-        let code = static_cmd(&to_args(&["pointer_chase", "--accesses", "1000"]));
+        let code = quiet(
+            static_cmd,
+            &to_args(&["pointer_chase", "--accesses", "1000"]),
+        );
         assert_eq!(code, ExitCode::FAILURE);
-        let code = static_cmd(&to_args(&["no-such-kernel"]));
+        let code = quiet(static_cmd, &to_args(&["no-such-kernel"]));
         assert_eq!(code, ExitCode::FAILURE);
     }
 
@@ -2019,14 +2165,17 @@ mod tests {
         let _guard = metrics_guard();
         // The crosscheck fails the command if any trace/profiler/runner
         // counter moved — the trace-free claim, enforced.
-        let code = static_cmd(&to_args(&[
-            "matmul_naive",
-            "--accesses",
-            "50000",
-            "--elements",
-            "768",
-            "--metrics",
-        ]));
+        let code = quiet(
+            static_cmd,
+            &to_args(&[
+                "matmul_naive",
+                "--accesses",
+                "50000",
+                "--elements",
+                "768",
+                "--metrics",
+            ]),
+        );
         assert_eq!(code, ExitCode::SUCCESS);
         let snap = rdx_metrics::snapshot();
         assert_eq!(snap.counter("rdx.static.estimates"), Some(1));
@@ -2079,23 +2228,29 @@ mod tests {
         let shard_b = temp_path("shard-b.rdxp").display().to_string();
         let fleet = temp_path("fleet.rdxp").display().to_string();
         for (path, seed) in [(&shard_a, "3"), (&shard_b, "4")] {
-            let code = profile(&to_args(&[
-                "zipf",
-                "--accesses",
-                "20000",
-                "--elements",
-                "400",
-                "--period",
-                "512",
-                "--seed",
-                seed,
-                "--csv",
-                "--save",
-                path,
-            ]));
+            let code = quiet(
+                profile,
+                &to_args(&[
+                    "zipf",
+                    "--accesses",
+                    "20000",
+                    "--elements",
+                    "400",
+                    "--period",
+                    "512",
+                    "--seed",
+                    seed,
+                    "--csv",
+                    "--save",
+                    path,
+                ]),
+            );
             assert_eq!(code, ExitCode::SUCCESS);
         }
-        let code = merge_cmd(&to_args(&[&shard_a, &shard_b, "--csv", "--out", &fleet]));
+        let code = quiet(
+            merge_cmd,
+            &to_args(&[&shard_a, &shard_b, "--csv", "--out", &fleet]),
+        );
         assert_eq!(code, ExitCode::SUCCESS);
 
         // The written fleet profile is exactly merge_batch of the parts.
@@ -2117,16 +2272,19 @@ mod tests {
     fn merge_cmd_reports_typed_errors() {
         let _guard = metrics_guard();
         // No inputs at all.
-        assert_eq!(merge_cmd(&to_args(&["--csv"])), ExitCode::FAILURE);
+        assert_eq!(quiet(merge_cmd, &to_args(&["--csv"])), ExitCode::FAILURE);
         // Missing file.
         assert_eq!(
-            merge_cmd(&to_args(&["/no/such/profile.rdxp"])),
+            quiet(merge_cmd, &to_args(&["/no/such/profile.rdxp"])),
             ExitCode::FAILURE
         );
         // Not an RDXP payload: recoverable decode error, not a panic.
         let junk = temp_path("junk.rdxp");
         std::fs::write(&junk, b"definitely not a profile").unwrap();
-        assert_eq!(merge_cmd(&[junk.display().to_string()]), ExitCode::FAILURE);
+        assert_eq!(
+            quiet(merge_cmd, &[junk.display().to_string()]),
+            ExitCode::FAILURE
+        );
 
         // Two structurally valid profiles with different binnings: the
         // merge itself fails with a typed incompatibility.
@@ -2142,11 +2300,14 @@ mod tests {
         q.rd = rdx_histogram::RdHistogram::new(Binning::linear(64));
         std::fs::write(&odd, rdx_core::encode_profile(&q)).unwrap();
         assert_eq!(
-            merge_cmd(&to_args(&[
-                &good.display().to_string(),
-                &odd.display().to_string(),
-                "--csv",
-            ])),
+            quiet(
+                merge_cmd,
+                &to_args(&[
+                    &good.display().to_string(),
+                    &odd.display().to_string(),
+                    "--csv",
+                ])
+            ),
             ExitCode::FAILURE
         );
         for p in [junk, good, odd] {
@@ -2158,18 +2319,21 @@ mod tests {
     fn suite_merge_emits_one_fleet_profile() {
         let _guard = metrics_guard();
         let fleet = temp_path("suite-fleet.rdxp").display().to_string();
-        let code = suite_cmd(&to_args(&[
-            "--accesses",
-            "4000",
-            "--elements",
-            "200",
-            "--period",
-            "512",
-            "--csv",
-            "--merge",
-            "--out",
-            &fleet,
-        ]));
+        let code = quiet(
+            suite_cmd,
+            &to_args(&[
+                "--accesses",
+                "4000",
+                "--elements",
+                "200",
+                "--period",
+                "512",
+                "--csv",
+                "--merge",
+                "--out",
+                &fleet,
+            ]),
+        );
         assert_eq!(code, ExitCode::SUCCESS);
         let merged = rdx_core::decode_profile(&std::fs::read(&fleet).unwrap()).unwrap();
         // One fleet profile covering every registry workload's accesses.
@@ -2177,7 +2341,10 @@ mod tests {
         let _ = std::fs::remove_file(fleet);
 
         // --out without --merge is a flag error.
-        assert_eq!(suite_cmd(&to_args(&["--out", "x.rdxp"])), ExitCode::FAILURE);
+        assert_eq!(
+            quiet(suite_cmd, &to_args(&["--out", "x.rdxp"])),
+            ExitCode::FAILURE
+        );
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::config::RdxConfig;
 use crate::report::RdxProfile;
 use crate::runner::RdxRunner;
 use dispatch::TaskPanic;
-use rdx_trace::{AccessStream, Chunked};
+use rdx_trace::AccessStream;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// The steppable core of the batch dispatch loop: claim task indices
@@ -118,13 +118,7 @@ pub fn default_jobs() -> usize {
 }
 
 fn run_task<S: AccessStream, F: FnOnce() -> S>(config: RdxConfig, make_stream: F) -> RdxProfile {
-    // Batch throughput is the point of this module, so hand the machine
-    // chunks: per-access streams get buffered into bounded slices for
-    // the bulk-scan fast path, while materialized traces and registry
-    // generators pass through with their own chunks.
-    // Chunking never changes the access sequence, so profiles stay
-    // bit-identical to an unwrapped run (asserted by the tests below).
-    RdxRunner::new(config).profile(Chunked::new(make_stream()))
+    RdxRunner::new(config).profile(make_stream())
 }
 
 /// Profiles every task on a pool of at most `jobs` threads, returning

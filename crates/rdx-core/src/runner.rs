@@ -58,6 +58,20 @@ impl RdxRunner {
         }
     }
 
+    /// Starts a live profile whose machine steps every access (see
+    /// [`Machine::start_stepped`]): the per-access reference that
+    /// equivalence tests and the throughput contrast hold the scanning
+    /// [`start`](RdxRunner::start) to. Its profiles equal `start`'s,
+    /// bit for bit.
+    #[must_use]
+    pub fn start_stepped(&self) -> LiveProfile {
+        LiveProfile {
+            runner: self.clone(),
+            run: Machine::new(self.config.machine).start_stepped(),
+            profiler: RdxProfiler::new(&self.config),
+        }
+    }
+
     /// The post-pass every profile ends in, over a finished machine run:
     /// Kaplan–Meier censoring correction, scaling to the run, footprint
     /// conversion and the histogram build.

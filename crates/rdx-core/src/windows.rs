@@ -13,7 +13,7 @@ use crate::report::RdxProfile;
 use crate::runner::RdxRunner;
 use rdx_histogram::accuracy::total_variation;
 use rdx_histogram::RdHistogram;
-use rdx_trace::{AccessStream, Take};
+use rdx_trace::AccessStream;
 
 /// A sequence of per-window profiles plus merged totals.
 #[derive(Debug, Clone)]
@@ -80,19 +80,26 @@ impl RdxRunner {
         assert!(window_accesses > 0, "window length must be non-zero");
         let mut windows = Vec::new();
         let mut merged_rd = RdHistogram::new(self.config().binning);
+        let window = usize::try_from(window_accesses).unwrap_or(usize::MAX);
         loop {
-            let segment: Take<&mut dyn AccessStream> =
-                (&mut stream as &mut dyn AccessStream).take(window_accesses);
-            let profile = self.profile(segment);
-            if profile.accesses == 0 {
+            let mut live = self.start();
+            let mut left = window;
+            while left > 0 {
+                let Some(chunk) = stream.next_chunk(left) else {
+                    break;
+                };
+                left -= chunk.len();
+                live.feed(chunk);
+            }
+            if left == window {
                 break;
             }
-            let full = profile.accesses == window_accesses;
+            let profile = live.finish();
             merged_rd
                 .merge(&profile.rd)
                 .expect("windows share the configured binning");
             windows.push(profile);
-            if !full {
+            if left > 0 {
                 break;
             }
         }
@@ -182,6 +189,52 @@ mod tests {
             large > 0.3 * fin,
             "large-distance phase visible: {large} of {fin}"
         );
+    }
+
+    /// A window may end inside a generator's 64 Ki buffer: each
+    /// window's profile still equals `profile` of exactly that window's
+    /// accesses, bit for bit. 1 000-access windows end mid-buffer
+    /// throughout; 70 000-access windows cross the buffer edges at
+    /// 65 536 and 131 072.
+    #[test]
+    fn windows_cut_through_generator_chunks() {
+        use rdx_workloads::{by_name, Params};
+        let params = Params::default()
+            .with_accesses(150_000)
+            .with_elements(5000)
+            .with_seed(3);
+        let r = runner();
+        for name in ["zipf", "spmv"] {
+            let w = by_name(name).expect("registry kernel");
+            let whole = Trace::from_stream(name, w.stream(&params));
+            for window in [1_000usize, 70_000] {
+                let wp = r.profile_windows(w.stream(&params), window as u64);
+                assert_eq!(wp.windows.len(), 150_000usize.div_ceil(window));
+                for (i, got) in wp.windows.iter().enumerate() {
+                    let start = i * window;
+                    let end = whole.len().min(start + window);
+                    let sub: Trace = whole
+                        .accesses()
+                        .slice(start..end)
+                        .iter()
+                        .map(|a| (a.addr.raw(), a.kind.is_store()))
+                        .collect();
+                    let want = r.profile(sub.stream());
+                    let label = format!("{name} window {i} of {window}");
+                    assert_eq!(got, &want, "{label}");
+                    assert_eq!(
+                        got.m_estimate.to_bits(),
+                        want.m_estimate.to_bits(),
+                        "{label}"
+                    );
+                    assert_eq!(
+                        got.time_overhead.to_bits(),
+                        want.time_overhead.to_bits(),
+                        "{label}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,13 +1,15 @@
 //! The chunk-scanning fast path must be invisible in the output: a
-//! profile computed from a chunk-capable stream (bulk scans between PMU
-//! overflows) is bit-identical to one computed by single-stepping every
-//! access — histograms, event counts, and every floating-point estimate.
+//! profile computed by bulk scans between PMU overflows is bit-identical
+//! to one computed by single-stepping every access
+//! (`RdxRunner::start_stepped`) — histograms, event counts, and every
+//! floating-point estimate.
 //!
 //! Two layers of evidence:
 //!
 //! * a property test over random traces, periods, jitter, register
-//!   counts, and deliberately tiny chunk capacities (so overflow gaps
-//!   and armed-watchpoint lifetimes straddle chunk borders), and
+//!   counts, and deliberately tiny chunks (so overflow gaps and
+//!   armed-watchpoint lifetimes straddle chunk borders), checked against
+//!   `RdxRunner::start_stepped`, and
 //! * the registry golden digest, recorded from the slow loop, which the
 //!   fast path must reproduce both from every workload's materialized
 //!   trace and from its generator stream profiled as it comes (the
@@ -17,7 +19,7 @@
 use proptest::prelude::*;
 use rdx_core::{RdxConfig, RdxProfile, RdxRunner};
 use rdx_histogram::Histogram;
-use rdx_trace::{AccessStream, Chunked, Opaque, Trace};
+use rdx_trace::{AccessStream, Trace};
 use rdx_workloads::{suite, Params};
 
 /// Field-by-field bit equality of two profiles (floats by bit pattern:
@@ -58,12 +60,21 @@ fn assert_profiles_identical(label: &str, a: &RdxProfile, b: &RdxProfile) {
     );
 }
 
+/// The profile of `stream` with every access single-stepped.
+fn profile_stepped(runner: &RdxRunner, mut stream: impl AccessStream) -> RdxProfile {
+    let mut live = runner.start_stepped();
+    while let Some(chunk) = stream.next_chunk(usize::MAX) {
+        live.feed(chunk);
+    }
+    live.finish()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// End-to-end profile equality: slow loop vs zero-copy fast path vs
-    /// buffered small chunks, over arbitrary load/store traces and
-    /// machine configurations.
+    /// small chunks, over arbitrary load/store traces and machine
+    /// configurations.
     #[test]
     fn profiles_identical_across_execution_paths(
         accesses in prop::collection::vec((0u64..512, any::<bool>()), 300..3000),
@@ -81,16 +92,17 @@ proptest! {
         config.machine.sampling.jitter = if jittered { period / 8 } else { 0 };
         let runner = RdxRunner::new(config);
 
-        // Slow loop: chunk capability hidden behind Opaque.
-        let slow = runner.profile(Opaque::new(trace.stream()));
+        // Slow loop: every access single-steps.
+        let slow = profile_stepped(&runner, trace.stream());
         // Fast path: the materialized trace is one zero-copy chunk.
         let fast = runner.profile(trace.stream());
-        // Fast path over tiny buffered chunks: every overflow gap spans
-        // several refills.
-        let chunked = runner.profile(Chunked::with_capacity(
-            Opaque::new(trace.stream()),
-            chunk_capacity,
-        ));
+        // Fast path over tiny chunks: every overflow gap spans several.
+        let mut live = runner.start();
+        let mut stream = trace.stream();
+        while let Some(chunk) = stream.next_chunk(chunk_capacity) {
+            live.feed(chunk);
+        }
+        let chunked = live.finish();
 
         assert_profiles_identical("fast vs slow", &fast, &slow);
         assert_profiles_identical("chunked vs slow", &chunked, &slow);
@@ -176,11 +188,10 @@ fn generator_streams_profile_like_their_traces() {
         .with_seed(3);
     let runner = RdxRunner::new(RdxConfig::default().with_period(512).with_seed(11));
     for w in suite() {
-        assert!(w.stream(&params).chunk_capable(), "{}", w.name);
         let streamed = runner.profile(w.stream(&params));
         let trace = Trace::from_stream(w.name, w.stream(&params));
         let materialized = runner.profile(trace.stream());
-        let stepped = runner.profile(Opaque::new(w.stream(&params)));
+        let stepped = profile_stepped(&runner, w.stream(&params));
         assert_profiles_identical(w.name, &streamed, &materialized);
         assert_profiles_identical(w.name, &streamed, &stepped);
     }

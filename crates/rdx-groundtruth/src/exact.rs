@@ -53,15 +53,17 @@ impl ExactProfile {
         let mut rd = RdHistogram::new(binning);
         let mut rt = RtHistogram::new(binning);
         let mut time = 0u64;
-        while let Some(a) = stream.next_access() {
-            let block = a.addr.block(granularity);
-            rd.record(olken.access(block), 1.0);
-            let t = match last_time.insert(block, time) {
-                None => ReuseTime::INFINITE,
-                Some(prev) => ReuseTime::finite(time - prev - 1),
-            };
-            rt.record(t, 1.0);
-            time += 1;
+        while let Some(chunk) = stream.next_chunk(usize::MAX) {
+            for a in chunk {
+                let block = a.addr.block(granularity);
+                rd.record(olken.access(block), 1.0);
+                let t = match last_time.insert(block, time) {
+                    None => ReuseTime::INFINITE,
+                    Some(prev) => ReuseTime::finite(time - prev - 1),
+                };
+                rt.record(t, 1.0);
+                time += 1;
+            }
         }
         ExactProfile {
             rd,

@@ -44,15 +44,17 @@ impl FootprintCurve {
         let mut first: FxHashMap<u64, u64> = FxHashMap::default();
         let mut lengths: Vec<u64> = Vec::new();
         let mut time: u64 = 0; // 0-based access index
-        while let Some(a) = stream.next_access() {
-            let block = a.addr.block(granularity);
-            match last.insert(block, time) {
-                None => {
-                    first.insert(block, time + 1); // 1-based first index
+        while let Some(chunk) = stream.next_chunk(usize::MAX) {
+            for a in chunk {
+                let block = a.addr.block(granularity);
+                match last.insert(block, time) {
+                    None => {
+                        first.insert(block, time + 1); // 1-based first index
+                    }
+                    Some(prev) => lengths.push(time - prev),
                 }
-                Some(prev) => lengths.push(time - prev),
+                time += 1;
             }
-            time += 1;
         }
         let n = time;
         for (&block, &f) in &first {

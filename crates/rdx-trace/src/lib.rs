@@ -5,8 +5,9 @@
 //! [`Access`]es. This crate defines:
 //!
 //! * [`Address`] / [`AccessKind`] / [`Access`] — the event vocabulary.
-//!   An [`Access`] is one event (a sample, a trap, one `next_access`);
-//!   nothing stores accesses in bulk as `Access` values.
+//!   An [`Access`] is one event (a sample, a trap, one access of a
+//!   chunk's iteration); nothing stores accesses in bulk as `Access`
+//!   values.
 //! * [`AccessBuf`] / [`AccessSlice`] — the bulk layout: a column of `u64`
 //!   addresses plus a store bitmap, ~8.125 bytes per access. `AccessBuf`
 //!   owns the columns (written through an [`AccessAppender`], which
@@ -14,19 +15,21 @@
 //!   borrowed view that can start at any access and offers `get(i)`,
 //!   iteration by value, sub-slicing and `stores_in(range)` by popcount.
 //! * [`AccessStream`] — a pull-based stream of accesses, so that
-//!   billion-access workloads never need to be materialized; [`Trace`] is the
-//!   materialized form (an `AccessBuf` plus a name) used by tests,
-//!   experiments and the benchmark.
+//!   billion-access workloads never need to be materialized. Its one
+//!   required method, [`next_chunk(max)`](AccessStream::next_chunk),
+//!   lends the next 1..=`max` accesses as an [`AccessSlice`] and
+//!   advances past them; [`fill`](AccessStream::fill) copies into a
+//!   caller's columns. [`Trace`] is the materialized form (an
+//!   `AccessBuf` plus a name) used by tests, experiments and the
+//!   benchmark; its [`TraceStream`] lends the whole unread remainder in
+//!   one view, which is what keeps the machine's in-memory path
+//!   zero-copy.
 //! * [`Granularity`] — byte ↔ cache-line ↔ word address mapping. Reuse
 //!   distance is measured at a chosen granularity (the paper uses cache
 //!   lines, a.k.a. data blocks of 64 bytes).
 //! * [`Chunker`] / [`Chunk`] — bounded-size, globally-indexed chunking of
 //!   a stream into `AccessBuf`s, the transport unit of the parallel
 //!   measurement paths.
-//! * [`AccessStream::next_chunk`] / [`Chunked`] — [`AccessSlice`] views of
-//!   contiguous runs of a stream, the transport of the machine's bulk-scan
-//!   fast path ([`Opaque`] hides the capability when the per-access slow
-//!   path must be forced).
 //! * [`io`] — a compact binary trace format (magic + version header,
 //!   delta-encoded addresses) for persisting traces, with typed
 //!   [`TraceError`]s: malformed input is a recoverable error
@@ -49,7 +52,8 @@
 //!     .into_iter()
 //!     .collect();
 //! let mut stream = trace.stream();
-//! assert_eq!(stream.next_access().unwrap().addr, Address::new(0x1000));
+//! let first = stream.next_chunk(1).unwrap();
+//! assert_eq!(first.get(0).addr, Address::new(0x1000));
 //! assert_eq!(trace.len(), 3);
 //! // The columnar view: one popcount counts the stores in a range.
 //! let view = trace.accesses();
@@ -77,12 +81,12 @@ mod stream;
 mod trace;
 
 pub use bytes::Bytes;
-pub use chunk::{Chunk, Chunked, Chunker, DEFAULT_CHUNK_CAPACITY};
+pub use chunk::{Chunk, Chunker, DEFAULT_CHUNK_CAPACITY};
 pub use columns::{AccessAppender, AccessBuf, AccessSlice, Iter as AccessIter};
 pub use decoder::RdxtDecoder;
 pub use event::{Access, AccessKind, Address, Granularity};
 pub use frame::{FrameError, PayloadReader, PayloadWriter, MAX_FRAME_LEN};
 pub use io::{TraceError, TraceReader, MAX_HEADER_LEN, MAX_NAME_LEN};
 pub use stats::TraceStats;
-pub use stream::{AccessStream, Opaque, Take};
+pub use stream::AccessStream;
 pub use trace::{Trace, TraceStream};

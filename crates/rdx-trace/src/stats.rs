@@ -38,15 +38,15 @@ impl TraceStats {
         // Ordered set: bounded by the footprint like a hash set, but
         // deterministic (rdx-trace is a hot crate — no SipHash).
         let mut blocks: BTreeSet<u64> = BTreeSet::new();
-        while let Some(a) = stream.next_access() {
-            stats.accesses += 1;
-            if a.kind.is_store() {
-                stats.stores += 1;
+        while let Some(chunk) = stream.next_chunk(usize::MAX) {
+            stats.accesses += chunk.len() as u64;
+            stats.stores += chunk.stores_in(..);
+            for a in chunk {
+                let raw = a.addr.raw();
+                stats.min_addr = stats.min_addr.min(raw);
+                stats.max_addr = stats.max_addr.max(raw);
+                blocks.insert(a.addr.block(granularity));
             }
-            let raw = a.addr.raw();
-            stats.min_addr = stats.min_addr.min(raw);
-            stats.max_addr = stats.max_addr.max(raw);
-            blocks.insert(a.addr.block(granularity));
         }
         stats.distinct_blocks = blocks.len() as u64;
         stats

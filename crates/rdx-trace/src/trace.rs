@@ -170,44 +170,20 @@ pub struct TraceStream<'a> {
 }
 
 impl AccessStream for TraceStream<'_> {
-    fn next_access(&mut self) -> Option<Access> {
-        if self.pos == self.trace.len() {
+    /// Zero-copy: up to `max` of the trace's unread accesses as one view.
+    fn next_chunk(&mut self, max: usize) -> Option<AccessSlice<'_>> {
+        debug_assert!(max > 0, "next_chunk needs max >= 1");
+        let start = self.pos;
+        let n = (self.trace.len() - start).min(max);
+        if n == 0 {
             return None;
         }
-        let a = self.trace.accesses.get(self.pos);
-        self.pos += 1;
-        Some(a)
+        self.pos += n;
+        Some(self.trace.accesses().slice(start..start + n))
     }
 
     fn remaining_hint(&self) -> Option<u64> {
         Some((self.trace.accesses.len() - self.pos) as u64)
-    }
-
-    fn chunk_capable(&self) -> bool {
-        true
-    }
-
-    /// Zero-copy: the entire unread remainder of the trace as one view.
-    fn next_chunk(&mut self) -> Option<AccessSlice<'_>> {
-        let rest = self.trace.accesses().slice(self.pos..);
-        if rest.is_empty() {
-            None
-        } else {
-            Some(rest)
-        }
-    }
-
-    fn consume_chunk(&mut self, n: usize) {
-        debug_assert!(n <= self.trace.accesses.len() - self.pos);
-        self.pos += n;
-    }
-
-    fn fill(&mut self, out: &mut AccessBuf, max: usize) -> usize {
-        let rest = self.trace.accesses().slice(self.pos..);
-        let n = rest.len().min(max);
-        out.extend_from_slice(rest.slice(..n));
-        self.pos += n;
-        n
     }
 }
 
@@ -237,10 +213,10 @@ mod tests {
         assert!(!t.is_empty());
         let mut s = t.stream();
         assert_eq!(s.remaining_hint(), Some(3));
-        assert_eq!(s.next_access().unwrap().addr.raw(), 1);
+        assert_eq!(s.next_chunk(1).unwrap().get(0).addr.raw(), 1);
         assert_eq!(s.remaining_hint(), Some(2));
-        let rest: Vec<u64> = s.iter().map(|a| a.addr.raw()).collect();
-        assert_eq!(rest, vec![2, 1]);
+        let rest = s.next_chunk(usize::MAX).unwrap();
+        assert_eq!(rest.addrs(), &[2, 1]);
     }
 
     #[test]
@@ -281,7 +257,7 @@ mod tests {
     fn empty_trace() {
         let t = Trace::new("e");
         assert!(t.is_empty());
-        assert_eq!(t.stream().count_remaining(), 0);
+        assert!(t.stream().next_chunk(usize::MAX).is_none());
         assert_eq!(t.distinct_blocks(0), 0);
     }
 

@@ -2,14 +2,11 @@
 //!
 //! Every path that builds or re-cuts columnar accesses — the `Trace`
 //! constructors, `Chunker` at capacities on both sides of a bitmap
-//! word, `Take` at any budget, and `Chunked` buffering a stream that
-//! cannot expose chunks — must yield exactly the `(address, is_store)`
-//! sequence it was given.
+//! word, and chunk pulls of any size taking any prefix — must yield
+//! exactly the `(address, is_store)` sequence it was given.
 
 use proptest::prelude::*;
-use rdx_trace::{
-    Access, AccessBuf, AccessKind, AccessStream, Chunk, Chunked, Chunker, Opaque, Trace,
-};
+use rdx_trace::{Access, AccessBuf, AccessKind, AccessStream, Chunk, Chunker, Trace};
 
 fn access(&(addr, is_store): &(u64, bool)) -> Access {
     if is_store {
@@ -26,17 +23,24 @@ fn pairs_of(accesses: impl IntoIterator<Item = Access>) -> Vec<(u64, bool)> {
         .collect()
 }
 
-/// Drains a stream through its chunk views, consuming `step` accesses
-/// (at least one) of each view.
-fn drain_chunks(mut s: impl AccessStream, step: usize) -> Vec<(u64, bool)> {
-    let mut got = Vec::new();
-    while let Some(view) = s.next_chunk() {
-        let n = view.len().min(step.max(1));
-        got.extend(pairs_of(view.slice(..n)));
-        s.consume_chunk(n);
-    }
-    got.extend(pairs_of(s.iter()));
-    got
+/// Takes the first `n` accesses of `s` by pulls of at most `step`
+/// (the way a window budget is read), then drains the rest by pulls of
+/// the same size; every view must respect its `max`.
+fn take_then_drain(mut s: impl AccessStream, n: usize, step: usize) -> (AccessBuf, AccessBuf) {
+    let mut pull = |out: &mut AccessBuf, mut left: usize| {
+        while left > 0 {
+            let Some(view) = s.next_chunk(left.min(step)) else {
+                break;
+            };
+            assert!(!view.is_empty() && view.len() <= left.min(step));
+            left -= view.len();
+            out.extend_from_slice(view);
+        }
+    };
+    let (mut head, mut tail) = (AccessBuf::new(), AccessBuf::new());
+    pull(&mut head, n);
+    pull(&mut tail, usize::MAX);
+    (head, tail)
 }
 
 fn pair_strategy() -> impl Strategy<Value = Vec<(u64, bool)>> {
@@ -47,8 +51,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// `FromIterator<(u64, bool)>`, `push`, `extend`, `from_stream`
-    /// (over a per-access stream) and `from_addresses` all store the
-    /// same columns.
+    /// and `from_addresses` all store the same columns.
     #[test]
     fn trace_constructors_agree(pairs in pair_strategy()) {
         let collected: Trace = pairs.iter().copied().collect();
@@ -62,9 +65,8 @@ proptest! {
         pushed.extend(pairs[half..].iter().map(access));
         prop_assert_eq!(&pushed, &collected);
 
-        let streamed = Trace::from_stream("", Opaque::new(collected.stream()));
-        prop_assert_eq!(&streamed, &collected);
-        prop_assert_eq!(Trace::from_stream("", collected.stream()).accesses(), collected.accesses());
+        let streamed = Trace::from_stream("", collected.stream());
+        prop_assert_eq!(streamed.accesses(), collected.accesses());
 
         let loads = Trace::from_addresses("", pairs.iter().map(|p| p.0));
         let want: Vec<(u64, bool)> = pairs.iter().map(|p| (p.0, false)).collect();
@@ -72,51 +74,30 @@ proptest! {
     }
 
     /// `Chunker` cuts at capacities around a bitmap word (1, 63, 64,
-    /// 65, 777), over both a chunk-capable and a per-access stream,
-    /// and the chunks concatenate back to the trace.
+    /// 65, 777), and the chunks concatenate back to the trace.
     #[test]
     fn chunker_round_trips(pairs in pair_strategy()) {
         let trace: Trace = pairs.iter().copied().collect();
         for capacity in [1usize, 63, 64, 65, 777] {
-            for bulk in [true, false] {
-                let chunks: Vec<Chunk> = if bulk {
-                    Chunker::with_capacity(trace.stream(), capacity).collect()
-                } else {
-                    Chunker::with_capacity(Opaque::new(trace.stream()), capacity).collect()
-                };
-                let mut joined = AccessBuf::new();
-                for (k, c) in chunks.iter().enumerate() {
-                    prop_assert_eq!(c.base_index, joined.len() as u64);
-                    prop_assert!(c.len() == capacity || k + 1 == chunks.len());
-                    joined.extend_from_slice(c.accesses.as_slice());
-                }
-                prop_assert_eq!(joined.as_slice(), trace.accesses());
+            let chunks: Vec<Chunk> = Chunker::with_capacity(trace.stream(), capacity).collect();
+            let mut joined = AccessBuf::new();
+            for (k, c) in chunks.iter().enumerate() {
+                prop_assert_eq!(c.base_index, joined.len() as u64);
+                prop_assert!(c.len() == capacity || k + 1 == chunks.len());
+                joined.extend_from_slice(c.accesses.as_slice());
             }
+            prop_assert_eq!(joined.as_slice(), trace.accesses());
         }
     }
 
-    /// `Take` at any budget, read through chunk views consumed in steps
-    /// of any size, yields exactly the budget's prefix.
+    /// Taking a prefix of any length by chunk pulls of any size yields
+    /// exactly that prefix, and the stream resumes right after it.
     #[test]
-    fn take_yields_the_prefix(pairs in pair_strategy(), n in 0u64..900, step in 1usize..130) {
+    fn take_yields_the_prefix(pairs in pair_strategy(), n in 0usize..900, step in 1usize..130) {
         let trace: Trace = pairs.iter().copied().collect();
-        let want = pairs[..pairs.len().min(n as usize)].to_vec();
-        prop_assert_eq!(drain_chunks(trace.stream().take(n), step), want);
-    }
-
-    /// `Chunked` over a stream that cannot expose chunks buffers it
-    /// into views of at most its capacity, which replay the stream.
-    #[test]
-    fn chunked_buffers_per_access_streams(
-        pairs in pair_strategy(),
-        capacity in 1usize..200,
-        step in 1usize..130,
-    ) {
-        let trace: Trace = pairs.iter().copied().collect();
-        let mut s = Chunked::with_capacity(Opaque::new(trace.stream()), capacity);
-        if let Some(view) = s.next_chunk() {
-            prop_assert!(view.len() <= capacity);
-        }
-        prop_assert_eq!(drain_chunks(s, step), pairs);
+        let cut = pairs.len().min(n);
+        let (head, tail) = take_then_drain(trace.stream(), n, step);
+        prop_assert_eq!(pairs_of(head.iter()), pairs[..cut].to_vec());
+        prop_assert_eq!(pairs_of(tail.iter()), pairs[cut..].to_vec());
     }
 }

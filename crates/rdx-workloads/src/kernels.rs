@@ -405,10 +405,14 @@ pub(crate) fn lru_adversary(p: &Params) -> DynStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdx_trace::{AccessStream, Granularity, TraceStats};
+    use rdx_trace::{Granularity, Trace, TraceStats};
 
     fn stats(f: fn(&Params) -> DynStream, p: &Params) -> TraceStats {
         TraceStats::measure(f(p), Granularity::WORD)
+    }
+
+    fn materialize(f: fn(&Params) -> DynStream, p: &Params) -> Trace {
+        Trace::from_stream("", f(p))
     }
 
     fn small() -> Params {
@@ -477,15 +481,7 @@ mod tests {
     fn deterministic_given_seed() {
         let p = small();
         for f in [random_uniform, zipf, hash_probe, pointer_chase, phased] {
-            let a: Vec<_> = {
-                let mut s = f(&p);
-                s.iter().collect()
-            };
-            let b: Vec<_> = {
-                let mut s = f(&p);
-                s.iter().collect()
-            };
-            assert_eq!(a, b);
+            assert_eq!(materialize(f, &p), materialize(f, &p));
         }
     }
 
@@ -493,11 +489,9 @@ mod tests {
     fn seed_changes_random_kernels() {
         let p = small();
         let q = small().with_seed(8);
-        let mut a = random_uniform(&p);
-        let mut b = random_uniform(&q);
-        let va: Vec<_> = a.iter().take(100).collect();
-        let vb: Vec<_> = b.iter().take(100).collect();
-        assert_ne!(va, vb);
+        let a = materialize(random_uniform, &p);
+        let b = materialize(random_uniform, &q);
+        assert_ne!(a.accesses().slice(..100), b.accesses().slice(..100));
     }
 
     #[test]
@@ -533,15 +527,12 @@ mod tests {
     #[test]
     fn zipf_concentrates_accesses() {
         let p = small();
-        let mut s = zipf(&p);
-        let mut hot = 0u64;
-        let mut total = 0u64;
-        while let Some(a) = s.next_access() {
-            total += 1;
-            if a.addr.raw() < region(0) + 64 * 8 {
-                hot += 1;
-            }
-        }
+        let t = materialize(zipf, &p);
+        let total = t.len();
+        let hot = t
+            .iter()
+            .filter(|a| a.addr.raw() < region(0) + 64 * 8)
+            .count();
         // the top 64 of 1024 elements should absorb well over half
         assert!(hot * 2 > total, "{hot}/{total}");
     }
@@ -549,11 +540,10 @@ mod tests {
     #[test]
     fn stencil_touches_two_regions() {
         let p = small();
-        let mut s = stencil2d(&p);
-        let mut regions = std::collections::HashSet::new();
-        while let Some(a) = s.next_access() {
-            regions.insert(a.addr.raw() >> 32);
-        }
+        let regions: std::collections::HashSet<u64> = materialize(stencil2d, &p)
+            .iter()
+            .map(|a| a.addr.raw() >> 32)
+            .collect();
         assert_eq!(regions.len(), 2, "in + out grids");
     }
 
@@ -565,14 +555,14 @@ mod tests {
             .with_accesses(40_000)
             .with_elements(3 * 64 * 64)
             .with_seed(1);
-        let naive: Vec<u64> = {
-            let mut s = matmul_naive(&p);
-            s.iter().map(|a| a.addr.raw() >> 3).collect()
+        let words = |f| -> Vec<u64> {
+            materialize(f, &p)
+                .iter()
+                .map(|a| a.addr.raw() >> 3)
+                .collect()
         };
-        let blocked: Vec<u64> = {
-            let mut s = matmul_blocked(&p);
-            s.iter().map(|a| a.addr.raw() >> 3).collect()
-        };
+        let naive = words(matmul_naive);
+        let blocked = words(matmul_blocked);
         let window_distinct = |v: &[u64]| {
             v.chunks(4096)
                 .map(|c| {

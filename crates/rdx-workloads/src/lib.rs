@@ -26,7 +26,11 @@
 //! let params = Params::default().with_accesses(10_000);
 //! for spec in suite() {
 //!     let mut stream = spec.stream(&params);
-//!     assert_eq!(stream.count_remaining(), 10_000, "{}", spec.name);
+//!     let mut n = 0;
+//!     while let Some(chunk) = stream.next_chunk(usize::MAX) {
+//!         n += chunk.len();
+//!     }
+//!     assert_eq!(n, 10_000, "{}", spec.name);
 //! }
 //! ```
 //!

@@ -6,7 +6,7 @@ use rdx_trace::AccessStream;
 use std::fmt;
 
 /// A boxed, sendable access stream — what every kernel produces. Kernel
-/// streams are chunk-capable and override [`AccessStream::fill`].
+/// streams override [`AccessStream::fill`].
 pub type DynStream = Box<dyn AccessStream + Send>;
 
 /// A workload in the suite: identity, provenance, and a stream factory.
@@ -27,11 +27,10 @@ impl WorkloadSpec {
     /// Instantiates the workload's access stream for the given parameters.
     ///
     /// The stream yields exactly `params.accesses` accesses and is a
-    /// deterministic function of `params`. It serves
-    /// [`next_chunk`](AccessStream::next_chunk) from one reused buffer,
-    /// so the machine's scan fast path takes it as it is, and its
-    /// [`fill`](AccessStream::fill) generates straight into the
-    /// caller's columns.
+    /// deterministic function of `params`. It lends
+    /// [`next_chunk`](AccessStream::next_chunk) views of one reused
+    /// buffer, and its [`fill`](AccessStream::fill) generates straight
+    /// into the caller's columns.
     #[must_use]
     pub fn stream(&self, params: &Params) -> DynStream {
         (self.build)(params)
@@ -172,6 +171,7 @@ pub fn by_name(name: &str) -> Option<&'static WorkloadSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdx_trace::Trace;
 
     #[test]
     fn suite_has_eighteen_unique_names() {
@@ -195,8 +195,12 @@ mod tests {
     fn every_workload_streams_exact_count() {
         let p = Params::default().with_accesses(5000).with_elements(512);
         for w in suite() {
-            let mut s = w.stream(&p);
-            assert_eq!(s.count_remaining(), 5000, "{}", w.name);
+            assert_eq!(
+                Trace::from_stream("", w.stream(&p)).len(),
+                5000,
+                "{}",
+                w.name
+            );
         }
     }
 

@@ -1,7 +1,7 @@
 //! The stream every registry kernel is served through.
 
 use rdx_trace::DEFAULT_CHUNK_CAPACITY;
-use rdx_trace::{Access, AccessAppender, AccessBuf, AccessSlice, AccessStream};
+use rdx_trace::{AccessAppender, AccessBuf, AccessSlice, AccessStream};
 
 /// A kernel capped at a fixed number of accesses, behind the whole
 /// [`AccessStream`] contract.
@@ -13,10 +13,10 @@ use rdx_trace::{Access, AccessAppender, AccessBuf, AccessSlice, AccessStream};
 ///
 /// [`fill`](AccessStream::fill) runs whole steps straight into the
 /// caller's columns; only a step that would cross the requested count
-/// goes through the stream's own buffer. `next_chunk` and `next_access`
-/// serve that buffer, refilled [`DEFAULT_CHUNK_CAPACITY`] accesses at a
-/// time (the allocation is reused, and never made for a stream that is
-/// only filled). Every way of pulling yields the same sequence.
+/// goes through the stream's own buffer. `next_chunk` lends that
+/// buffer, refilled [`DEFAULT_CHUNK_CAPACITY`] accesses at a time (the
+/// allocation is reused, and never made for a stream that is only
+/// filled). Every way of pulling yields the same sequence.
 pub(crate) struct KernelStream<F, const STEP: usize> {
     step: F,
     /// Accesses still to deliver, those in `buf` included.
@@ -70,36 +70,20 @@ impl<F: FnMut(&mut AccessAppender<'_>), const STEP: usize> KernelStream<F, STEP>
 }
 
 impl<F: FnMut(&mut AccessAppender<'_>), const STEP: usize> AccessStream for KernelStream<F, STEP> {
-    fn next_access(&mut self) -> Option<Access> {
+    fn next_chunk(&mut self, max: usize) -> Option<AccessSlice<'_>> {
+        debug_assert!(max > 0, "next_chunk needs max >= 1");
         if !self.ensure_chunk() {
             return None;
         }
-        let a = self.buf.get(self.pos);
-        self.pos += 1;
-        self.left -= 1;
-        Some(a)
+        let start = self.pos;
+        let n = self.buffered().min(max);
+        self.pos += n;
+        self.left -= n as u64;
+        Some(self.buf.as_slice().slice(start..start + n))
     }
 
     fn remaining_hint(&self) -> Option<u64> {
         Some(self.left)
-    }
-
-    fn chunk_capable(&self) -> bool {
-        true
-    }
-
-    fn next_chunk(&mut self) -> Option<AccessSlice<'_>> {
-        if !self.ensure_chunk() {
-            return None;
-        }
-        let end = self.pos + self.buffered();
-        Some(self.buf.as_slice().slice(self.pos..end))
-    }
-
-    fn consume_chunk(&mut self, n: usize) {
-        debug_assert!(n <= self.buffered());
-        self.pos += n;
-        self.left -= n as u64;
     }
 
     fn fill(&mut self, out: &mut AccessBuf, max: usize) -> usize {
@@ -155,6 +139,6 @@ mod tests {
         assert_eq!(s.fill(&mut out, 100), 7);
         assert_eq!(out.addrs(), &[0, 1, 1, 2, 2, 2, 3]);
         assert_eq!(s.fill(&mut out, 100), 0);
-        assert!(s.next_chunk().is_none());
+        assert!(s.next_chunk(usize::MAX).is_none());
     }
 }

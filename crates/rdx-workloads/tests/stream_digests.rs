@@ -7,7 +7,7 @@
 //! pulling it.
 
 use proptest::prelude::*;
-use rdx_trace::{AccessBuf, AccessStream, Chunked, Chunker, Opaque, Trace};
+use rdx_trace::{AccessBuf, AccessStream, Chunker, Trace};
 use rdx_workloads::{suite, Params};
 
 /// The four parameter sets, in `DIGESTS` column order.
@@ -58,12 +58,15 @@ impl Digest {
     }
 }
 
-fn digest_of(mut stream: impl AccessStream) -> u64 {
+/// The digest of a stream read by `next_chunk(max)` pulls.
+fn digest_of(mut stream: impl AccessStream, max: usize) -> u64 {
     let mut d = Digest::new();
     let mut n = 0;
-    while let Some(a) = stream.next_access() {
-        d.push(a.addr.raw(), a.kind.is_store());
-        n += 1;
+    while let Some(chunk) = stream.next_chunk(max) {
+        for a in chunk {
+            d.push(a.addr.raw(), a.kind.is_store());
+        }
+        n += chunk.len() as u64;
     }
     d.finish(n)
 }
@@ -74,14 +77,6 @@ fn digest_of_buf(b: &AccessBuf) -> u64 {
         d.push(a.addr.raw(), a.kind.is_store());
     }
     d.finish(b.len() as u64)
-}
-
-fn digest_of_trace(t: &Trace) -> u64 {
-    let mut d = Digest::new();
-    for a in t {
-        d.push(a.addr.raw(), a.kind.is_store());
-    }
-    d.finish(t.len() as u64)
 }
 
 /// Piece sizes the split tests cut each stream into: smaller than,
@@ -274,12 +269,14 @@ fn every_kernel_has_a_pinned_digest() {
     }
 }
 
+/// One `next_chunk(usize::MAX)` pull at a time: the way the machine
+/// reads a stream.
 #[test]
-fn per_access_streams_match_pinned_digests() {
+fn chunk_pulled_streams_match_pinned_digests() {
     for w in suite() {
         for (k, p) in params().iter().enumerate() {
             assert_eq!(
-                digest_of(w.stream(p)),
+                digest_of(w.stream(p), usize::MAX),
                 pinned(w.name)[k],
                 "{} at params #{k}",
                 w.name
@@ -288,21 +285,24 @@ fn per_access_streams_match_pinned_digests() {
     }
 }
 
+/// A kernel's materialized trace, whole and re-read in chunks of any
+/// size through its own stream.
 #[test]
 fn materialized_and_rechunked_streams_match_pinned_digests() {
     for w in suite() {
         for (k, p) in params().iter().enumerate() {
             let want = pinned(w.name)[k];
             let t = Trace::from_stream(w.name, w.stream(p));
-            assert_eq!(digest_of_trace(&t), want, "{} from_stream #{k}", w.name);
-            for cap in [1, 7, 64, 1000] {
-                let s = Chunked::with_capacity(Opaque::new(w.stream(p)), cap);
-                assert_eq!(digest_of(s), want, "{} chunked({cap}) #{k}", w.name);
+            for cap in [1, 7, 64, 1000, usize::MAX] {
+                let got = digest_of(t.stream(), cap);
+                assert_eq!(got, want, "{} trace chunks({cap}) #{k}", w.name);
             }
         }
     }
 }
 
+/// Every kernel read by `fill(cap)`, by `next_chunk(cap)` views and
+/// by a `Chunker` of capacity `cap` reproduces its pinned digest.
 #[test]
 fn filled_and_peeked_streams_match_pinned_digests_at_every_split() {
     for w in suite() {
@@ -313,19 +313,12 @@ fn filled_and_peeked_streams_match_pinned_digests_at_every_split() {
                 .filter(|&c| p.accesses / c as u64 <= MAX_PIECES)
             {
                 let mut s = w.stream(p);
-                assert!(s.chunk_capable(), "{}", w.name);
                 let mut filled = AccessBuf::new();
                 while s.fill(&mut filled, cap) == cap {}
                 assert_eq!(digest_of_buf(&filled), want, "{} fill({cap}) #{k}", w.name);
 
-                let mut s = w.stream(p);
-                let mut peeked = AccessBuf::new();
-                while let Some(c) = s.next_chunk() {
-                    let n = c.len().min(cap);
-                    peeked.extend_from_slice(c.slice(..n));
-                    s.consume_chunk(n);
-                }
-                assert_eq!(digest_of_buf(&peeked), want, "{} chunk({cap}) #{k}", w.name);
+                let got = digest_of(w.stream(p), cap);
+                assert_eq!(got, want, "{} chunk({cap}) #{k}", w.name);
 
                 let mut chunks = AccessBuf::new();
                 for c in Chunker::with_capacity(w.stream(p), cap) {
@@ -342,79 +335,65 @@ fn filled_and_peeked_streams_match_pinned_digests_at_every_split() {
     }
 }
 
-/// How one pull of an interleaving reads a stream.
+/// How one pull of an interleaving reads a stream: `next_chunk(k)` or
+/// `fill(k)`.
 #[derive(Debug, Clone)]
 enum Pull {
-    Access,
     Chunk(usize),
     Fill(usize),
 }
 
 fn pull() -> impl Strategy<Value = Pull> {
     prop_oneof![
-        Just(Pull::Access),
-        (0usize..200).prop_map(Pull::Chunk),
-        (0usize..200).prop_map(Pull::Fill),
+        (1usize..200).prop_map(Pull::Chunk),
+        (1usize..200).prop_map(Pull::Fill),
     ]
 }
 
-/// Drains `s` by `pulls` (cycled 40 times), then by one `fill`,
-/// checking the exact hint and the `fill` count on the way.
-fn drain(mut s: impl AccessStream, pulls: &[Pull], total: u64) -> AccessBuf {
+/// Drains `s` by `pulls`, cycled until the stream ends, and returns the
+/// digest of what it delivered. Before every pull the hint must equal
+/// the accesses still to come (so it never under-reports); a chunk is
+/// 1..=`k` long and a fill is short only at the end.
+fn drain(mut s: impl AccessStream, pulls: &[Pull], total: u64) -> u64 {
     let mut got = AccessBuf::new();
-    for p in pulls.iter().cycle().take(40 * pulls.len()) {
-        let left = s
-            .remaining_hint()
-            .expect("kernel streams know their length");
-        assert_eq!(left, total - got.len() as u64, "the hint is exact");
+    for p in pulls.iter().cycle() {
+        let left = total - got.len() as u64;
+        assert_eq!(s.remaining_hint(), Some(left), "the hint is exact");
+        if left == 0 {
+            break;
+        }
         match *p {
-            Pull::Access => {
-                if let Some(a) = s.next_access() {
-                    got.push(a);
-                }
+            Pull::Chunk(k) => {
+                let c = s.next_chunk(k).expect("accesses are left");
+                assert!(!c.is_empty() && c.len() <= k, "a chunk of 1..=max");
+                got.extend_from_slice(c);
             }
-            Pull::Chunk(n) => {
-                if let Some(c) = s.next_chunk() {
-                    let k = n.min(c.len());
-                    got.extend_from_slice(c.slice(..k));
-                    s.consume_chunk(k);
-                }
-            }
-            Pull::Fill(n) => {
-                let k = s.fill(&mut got, n);
-                assert_eq!(k as u64, left.min(n as u64), "fill short of `max`");
+            Pull::Fill(k) => {
+                let n = s.fill(&mut got, k);
+                assert_eq!(n as u64, left.min(k as u64), "fill short of `max`");
             }
         }
     }
-    s.fill(&mut got, usize::MAX);
-    assert_eq!(s.remaining_hint(), Some(0));
-    assert!(s.next_access().is_none() && s.next_chunk().is_none());
-    got
+    assert!(s.next_chunk(1).is_none() && s.fill(&mut got, 1) == 0);
+    digest_of_buf(&got)
 }
 
 proptest! {
-    /// Any interleaving of `next_access`, `next_chunk` consumed to any
-    /// length and `fill` of any size concatenates to the same stream as
-    /// one `fill` of the whole and as the per-access stream, for every
-    /// kernel at arbitrary `Params`.
+    /// Any interleaving of `next_chunk(k)` and `fill(k)` reproduces the
+    /// pinned digest, for every kernel at every pinned `Params`, both
+    /// from the generator stream and from its materialized trace's
+    /// stream.
     #[test]
     fn interleaved_pulls_concatenate_to_one_stream(
         kernel in 0usize..18,
-        accesses in 1u64..3000,
-        elements in 1u64..5000,
-        seed in any::<u64>(),
+        k in 0usize..4,
         pulls in prop::collection::vec(pull(), 1..8),
     ) {
         let w = &suite()[kernel];
-        let p = Params::default()
-            .with_accesses(accesses)
-            .with_elements(elements)
-            .with_seed(seed);
-        let mut whole = AccessBuf::new();
-        prop_assert_eq!(w.stream(&p).fill(&mut whole, usize::MAX) as u64, accesses);
-        let mut stepped = w.stream(&p);
-        let per_access: AccessBuf = stepped.iter().collect();
-        prop_assert_eq!(&per_access, &whole);
-        prop_assert_eq!(drain(w.stream(&p), &pulls, accesses), whole);
+        let p = &params()[k];
+        let want = pinned(w.name)[k];
+        prop_assert_eq!(drain(w.stream(p), &pulls, p.accesses), want);
+        let t = Trace::from_stream(w.name, w.stream(p));
+        prop_assert_eq!(drain(t.stream(), &pulls, p.accesses), want);
     }
 }

@@ -158,7 +158,7 @@ fn streams_replay_identically_across_granularities() {
     let mut a = w.stream(&params);
     let mut b = w.stream(&params);
     loop {
-        match (a.next_access(), b.next_access()) {
+        match (a.next_chunk(usize::MAX), b.next_chunk(usize::MAX)) {
             (None, None) => break,
             (x, y) => assert_eq!(x, y),
         }
