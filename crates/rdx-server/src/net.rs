@@ -1,5 +1,13 @@
 //! Transport abstraction: one server/client codebase over TCP sockets
 //! and (on Unix) filesystem domain sockets.
+//!
+//! Every TCP stream this module creates, connected or accepted, has
+//! `TCP_NODELAY` set through one helper, `nodelay`. The protocol is
+//! request/reply with small request frames: with Nagle's algorithm on,
+//! a `Flush` or snapshot request written after a 64 KiB `TraceChunk`
+//! waits for the peer's delayed ACK, about 40 ms on Linux, before it
+//! leaves the host. Unix sockets have no Nagle and are left as they
+//! are.
 
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -75,11 +83,19 @@ impl AnyListener {
 
     pub(crate) fn accept(&self) -> io::Result<AnyStream> {
         match self {
-            AnyListener::Tcp(l) => l.accept().map(|(s, _)| AnyStream::Tcp(s)),
+            AnyListener::Tcp(l) => l.accept().and_then(|(s, _)| nodelay(s)),
             #[cfg(unix)]
             AnyListener::Unix(l) => l.accept().map(|(s, _)| AnyStream::Unix(s)),
         }
     }
+}
+
+/// Wraps a new TCP stream with `TCP_NODELAY` set (see the module docs).
+/// Both ends set it: the client's requests are the frames Nagle holds,
+/// and the server cannot set it on a third-party client's socket.
+fn nodelay(s: TcpStream) -> io::Result<AnyStream> {
+    s.set_nodelay(true)?;
+    Ok(AnyStream::Tcp(s))
 }
 
 /// A connected stream over either transport.
@@ -93,7 +109,7 @@ pub(crate) enum AnyStream {
 impl AnyStream {
     pub(crate) fn connect(listen: &Listen) -> io::Result<AnyStream> {
         match listen {
-            Listen::Tcp(addr) => TcpStream::connect(addr.as_str()).map(AnyStream::Tcp),
+            Listen::Tcp(addr) => TcpStream::connect(addr.as_str()).and_then(nodelay),
             #[cfg(unix)]
             Listen::Unix(path) => UnixStream::connect(path).map(AnyStream::Unix),
         }
@@ -164,5 +180,25 @@ mod tests {
             Listen::Unix(PathBuf::from("/tmp/rdx.sock"))
         );
         assert_eq!(Listen::parse("127.0.0.1:0").to_string(), "127.0.0.1:0");
+    }
+
+    fn nodelay_of(s: &AnyStream) -> bool {
+        match s {
+            AnyStream::Tcp(s) => s.nodelay().expect("read TCP_NODELAY"),
+            #[cfg(unix)]
+            AnyStream::Unix(_) => panic!("expected a TCP stream"),
+        }
+    }
+
+    #[test]
+    fn tcp_streams_are_nodelay_on_both_ends() {
+        let (listener, resolved) = AnyListener::bind(&Listen::parse("127.0.0.1:0")).unwrap();
+        let connected = AnyStream::connect(&resolved).unwrap();
+        let accepted = listener.accept().unwrap();
+        for (end, s) in [("connected", &connected), ("accepted", &accepted)] {
+            assert!(nodelay_of(s), "{end} stream lacks TCP_NODELAY");
+            let half = s.try_clone().unwrap();
+            assert!(nodelay_of(&half), "{end} stream's clone lacks TCP_NODELAY");
+        }
     }
 }

@@ -21,6 +21,12 @@
 //! after it drains. A writer whose socket died keeps *draining* its
 //! queue (discarding payloads) so workers never block against a dead
 //! connection.
+//!
+//! Accepted TCP streams have `TCP_NODELAY` set (`net.rs`). Nagle's
+//! algorithm held a client's small requests behind unacknowledged chunk
+//! bytes until the server's delayed ACK (~40 ms on Linux); the client
+//! sets the option on its own socket, and the daemon sets it on every
+//! accepted one because it cannot set it on a third-party client's.
 
 use crate::net::{AnyListener, AnyStream, Listen};
 use crate::protocol::{

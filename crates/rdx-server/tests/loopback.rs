@@ -13,6 +13,7 @@ use rdx_server::{
 };
 use rdx_trace::{io, Trace};
 use rdx_workloads::{suite, Params};
+use std::time::{Duration, Instant};
 
 /// Must match `GOLDEN` in the three local-path golden tests.
 const GOLDEN: u64 = 0x17ea_4869_2cad_4966;
@@ -127,6 +128,52 @@ fn concurrent_connections_each_reproduce_golden_digest() {
     for w in workers {
         assert_eq!(w.join().expect("worker"), GOLDEN);
     }
+}
+
+/// A small request written behind a burst of 64 KiB chunks must not
+/// wait for the server's delayed ACK (~40 ms on Linux) under Nagle's
+/// algorithm. The timed `Flush` names a second, idle session, so it
+/// carries the transport alone and not the burst's ingest, which costs
+/// several ms per chunk in an unoptimized build; the burst's own
+/// session is flushed untimed before the next burst.
+///
+/// Without `TCP_NODELAY` only about half the round trips wait (~41 ms
+/// each; whether one does depends on how the server's reads of the
+/// burst race its delayed-ACK timer), so the median can land on either
+/// side. The upper quartile reads ~42 ms in every such run, and under
+/// 1 ms with `TCP_NODELAY`; holding it under 20 ms also holds the
+/// median there.
+#[test]
+fn flush_round_trips_do_not_wait_on_delayed_acks() {
+    const BURST: usize = 4 << 16;
+    let handle = start_server(ServerOptions::default());
+    let mut client = Client::connect(handle.listen()).expect("connect");
+    let idle = client.open_session("idle", golden_options()).expect("open");
+    let mut round_trips = Vec::new();
+    for (name, bytes) in suite_rdxt() {
+        let session = client.open_session(name, golden_options()).expect("open");
+        for burst in bytes.chunks(BURST) {
+            for chunk in burst.chunks(64 << 10) {
+                client.send_chunk(session, chunk).expect("chunk");
+            }
+            let start = Instant::now();
+            client.flush(idle).expect("flush idle session");
+            round_trips.push(start.elapsed());
+            client.flush(session).expect("flush");
+        }
+        assert!(client.close_session(session).expect("close").clean);
+    }
+    assert!(round_trips.len() >= 8, "{} flushes", round_trips.len());
+    round_trips.sort_unstable();
+    let upper_quartile = round_trips[round_trips.len() * 3 / 4];
+    assert!(
+        upper_quartile < Duration::from_millis(20),
+        "upper-quartile flush round trip {upper_quartile:?} over {} bursts \
+         (median {:?}): small frames are waiting behind unacknowledged \
+         chunk bytes",
+        round_trips.len(),
+        round_trips[round_trips.len() / 2]
+    );
 }
 
 #[test]

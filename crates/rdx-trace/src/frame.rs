@@ -103,6 +103,9 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), FrameError
 /// [`FrameError::TruncatedFrame`] if the stream ends inside a frame,
 /// [`FrameError::Oversized`] if the declared length exceeds
 /// [`MAX_FRAME_LEN`] (checked before allocating), or [`FrameError::Io`].
+/// The payload buffer grows as bytes arrive, so a peer that declares a
+/// large frame and sends less cannot make the reader fill that much
+/// memory.
 pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Bytes>, FrameError> {
     let mut len_buf = [0u8; 4];
     let mut filled = 0;
@@ -119,10 +122,18 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Bytes>, FrameError> {
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversized(len));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(FIRST_RESERVE));
+    r.by_ref().take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(FrameError::TruncatedFrame);
+    }
     Ok(Some(Bytes::from(payload)))
 }
+
+/// The most [`read_frame`] reserves before any payload byte arrives
+/// (128 KiB). It holds a 64 KiB `TraceChunk` frame with its message
+/// header, the `rdx client` default, in one allocation.
+const FIRST_RESERVE: usize = 128 << 10;
 
 /// Builds one frame payload field by field.
 #[derive(Debug, Default)]
@@ -335,6 +346,13 @@ mod tests {
         write_frame(&mut wire, b"hello").unwrap();
         wire.truncate(wire.len() - 2);
         let mut r = Cursor::new(wire);
+        assert!(matches!(
+            read_frame(&mut r),
+            Err(FrameError::TruncatedFrame)
+        ));
+        // A header declaring the largest legal frame, then EOF.
+        let max = u32::try_from(MAX_FRAME_LEN).unwrap();
+        let mut r = Cursor::new(max.to_le_bytes().to_vec());
         assert!(matches!(
             read_frame(&mut r),
             Err(FrameError::TruncatedFrame)
