@@ -16,41 +16,35 @@
 //!   guarded by the feature check; the only other `unsafe` module is
 //!   the decode kernels' (`rdx_trace::kernels`).
 //! * **scalar** — [`NeedleSet::scan`], the unrolled per-access loop,
-//!   everywhere else. It is also the oracle: [`scan`] must produce the
-//!   identical [`ScanOutcome`] on every input, which the equivalence
+//!   everywhere else. It is also the oracle: [`scan`] must return the
+//!   identical first-match offset on every input, which the equivalence
 //!   proptests in `tests/scan_kernels.rs` enforce by calling both.
 //!
 //! Runs are columnar ([`AccessSlice`]): the scan streams 8 bytes of
-//! address per access, and neither loop counts stores per access. The
-//! store prefix of an outcome is one popcount over the run's store
-//! bitmap ([`AccessSlice::stores_in`]) up to the first match.
+//! address per access, and reads the store bitmap only for write-only
+//! needles.
 //!
 //! There is no SWAR scan: a blockwise one measured 0.7× scalar
 //! (EXPERIMENTS.md P3).
 
 #![allow(unsafe_code)]
 
-use crate::scan::{NeedleSet, ScanOutcome};
+use crate::scan::NeedleSet;
 use rdx_trace::AccessSlice;
 
 /// Accesses tested per block in the AVX2 kernel: two 4-lane compares.
 #[cfg(target_arch = "x86_64")]
 const LANES: usize = 8;
 
-/// Finds the first access in `run` hitting any needle of `set`,
-/// counting the stores that precede it: the AVX2 loop where this host
-/// has AVX2, else the oracle [`NeedleSet::scan`]. Both give the same
-/// outcome.
+/// Offset of the first access in `run` hitting any needle of `set`:
+/// the AVX2 loop where this host has AVX2, else the oracle
+/// [`NeedleSet::scan`]. Both give the same offset.
 #[inline]
-pub fn scan(set: &NeedleSet, run: AccessSlice<'_>) -> ScanOutcome {
+pub fn scan(set: &NeedleSet, run: AccessSlice<'_>) -> Option<usize> {
     #[cfg(target_arch = "x86_64")]
     if avx2_detected() {
         // SAFETY: AVX2 support was just verified on this CPU.
-        let first_match = unsafe { avx2::first_match(set, run) };
-        return ScanOutcome {
-            first_match,
-            stores_before: run.stores_in(..first_match.unwrap_or(run.len())),
-        };
+        return unsafe { avx2::first_match(set, run) };
     }
     set.scan(run)
 }
@@ -220,7 +214,7 @@ mod tests {
     fn kernels_agree_on_block_straddling_hits() {
         let set = NeedleSet::from_ranges(&[(0x100, 8, false), (0x200, 8, true)]);
         // 19 accesses: the hit sits at offset 10 — inside the second
-        // 8-access block — with 3 stores in the quiet prefix.
+        // 8-access block — with stores in the quiet prefix.
         let mut accesses = vec![(0u64, false); 19];
         accesses[2] = (8, true);
         accesses[5] = (16, true);
@@ -228,8 +222,7 @@ mod tests {
         accesses[10] = (0x204, true); // store-only needle, store access
         let run = run_of(&accesses);
         let want = set.scan(run.as_slice());
-        assert_eq!(want.first_match, Some(10));
-        assert_eq!(want.stores_before, 3);
+        assert_eq!(want, Some(10));
         assert_eq!(scan(&set, run.as_slice()), want);
     }
 
@@ -238,7 +231,7 @@ mod tests {
         let set = NeedleSet::from_ranges(&[(0x40, 8, true)]);
         let run = run_of(&[(0x40, false), (0x44, false), (0x40, true)]);
         let want = set.scan(run.as_slice());
-        assert_eq!(want.first_match, Some(2));
+        assert_eq!(want, Some(2));
         assert_eq!(scan(&set, run.as_slice()), want);
     }
 
@@ -248,9 +241,8 @@ mod tests {
         for len in 0..21u64 {
             let accesses: Vec<(u64, bool)> = (0..len).map(|i| (i * 8, i % 3 == 0)).collect();
             let run = run_of(&accesses);
-            let want = set.scan(run.as_slice());
-            assert_eq!(want.first_match, None);
-            assert_eq!(scan(&set, run.as_slice()), want, "len={len}");
+            assert_eq!(set.scan(run.as_slice()), None);
+            assert_eq!(scan(&set, run.as_slice()), None, "len={len}");
         }
     }
 }

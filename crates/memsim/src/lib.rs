@@ -13,9 +13,9 @@
 //! it exhibits the same statistical behaviour as one written against
 //! `perf_event_open` + `ptrace`/`perf` breakpoints:
 //!
-//! * [`Pmu`] — event counters and a sampling engine with **period
-//!   randomization** (to break lock-step with loops) and an optional **skid**
-//!   model (non-PEBS sampling delivers a nearby, later access).
+//! * [`Pmu`] — the all-accesses counter and a precise (PEBS-like)
+//!   sampling engine with **period randomization** (to break lock-step
+//!   with loops).
 //! * [`DebugRegisterFile`] — a small, fixed set of watchpoints with x86
 //!   width/alignment rules (1/2/4/8 bytes, naturally aligned).
 //! * [`Machine`] — the event loop: drives an access stream through the PMU
@@ -75,5 +75,5 @@ pub use debug::{ArmError, ArmInfo, DebugRegisterFile, Slot, WatchKind, Watchpoin
 pub use machine::{
     Hardware, Machine, MachineConfig, MachineRun, Profiler, RunReport, Sample, Trap,
 };
-pub use pmu::{CounterSnapshot, Pmu, PmuEvent, SamplingConfig};
-pub use scan::{NeedleSet, ScanOutcome};
+pub use pmu::{Pmu, SamplingConfig, MAX_PERIOD};
+pub use scan::NeedleSet;

@@ -3,7 +3,7 @@
 use crate::cost::{CostLedger, CostModel};
 use crate::debug::{ArmError, ArmInfo, DebugRegisterFile, Slot, Watchpoint};
 use crate::kernels;
-use crate::pmu::{CounterSnapshot, Pmu, PmuEvent, PmuOutcome, SamplingConfig};
+use crate::pmu::{Pmu, PmuOutcome, SamplingConfig};
 use crate::scan::NeedleSet;
 use rdx_trace::{Access, AccessSlice, AccessStream};
 
@@ -35,11 +35,7 @@ impl MachineConfig {
     /// Sets the mean sampling period, keeping 10 % jitter.
     #[must_use]
     pub fn with_sampling_period(mut self, period: u64) -> Self {
-        self.sampling = SamplingConfig {
-            period,
-            jitter: period / 10,
-            ..self.sampling
-        };
+        self.sampling = SamplingConfig::precise(period);
         self
     }
 
@@ -56,13 +52,6 @@ impl MachineConfig {
         self.seed = seed;
         self
     }
-
-    /// Replaces the full sampling configuration.
-    #[must_use]
-    pub fn with_sampling(mut self, sampling: SamplingConfig) -> Self {
-        self.sampling = sampling;
-        self
-    }
 }
 
 /// A delivered PMU sample: the profiler's overflow handler input.
@@ -72,8 +61,8 @@ pub struct Sample {
     pub access: Access,
     /// Zero-based index of the access in the run.
     pub index: u64,
-    /// Counter values *after* this access retired.
-    pub counters: CounterSnapshot,
+    /// Accesses counted *after* this access retired.
+    pub accesses: u64,
 }
 
 /// A delivered debug trap: the profiler's watchpoint handler input.
@@ -89,15 +78,15 @@ pub struct Trap {
     pub slot: Slot,
     /// Arm metadata recorded when the watchpoint was set.
     pub info: ArmInfo,
-    /// Counter values *after* the trapping access retired.
-    pub counters: CounterSnapshot,
+    /// Accesses counted *after* the trapping access retired.
+    pub accesses: u64,
 }
 
 /// A client of the simulated machine — the profiler under test.
 ///
 /// Handlers receive a [`Hardware`] view giving controlled access to the
-/// debug registers and counters, mirroring what a perf/signal handler can do
-/// on a real kernel.
+/// debug registers and the access counter, mirroring what a perf/signal
+/// handler can do on a real kernel.
 pub trait Profiler {
     /// Called when the sampling counter overflows on an access.
     fn on_sample(&mut self, sample: &Sample, hw: &mut Hardware);
@@ -119,7 +108,7 @@ pub trait Profiler {
 pub struct Hardware<'a> {
     drf: &'a mut DebugRegisterFile,
     ledger: &'a mut CostLedger,
-    counters: CounterSnapshot,
+    accesses: u64,
     index: u64,
 }
 
@@ -137,7 +126,7 @@ impl Hardware<'_> {
         let info = ArmInfo {
             watchpoint,
             armed_at: self.index,
-            accesses_at_arm: self.counters.loads + self.counters.stores,
+            accesses_at_arm: self.accesses,
             tag,
         };
         let slot = self.drf.arm(info)?;
@@ -167,16 +156,10 @@ impl Hardware<'_> {
         self.drf.len()
     }
 
-    /// Current PMU counter values.
-    #[must_use]
-    pub fn counters(&self) -> CounterSnapshot {
-        self.counters
-    }
-
-    /// Total counted accesses (loads + stores) so far.
+    /// Accesses counted so far (the PMU's access counter).
     #[must_use]
     pub fn access_count(&self) -> u64 {
-        self.counters.loads + self.counters.stores
+        self.accesses
     }
 
     /// Zero-based index of the current access (or of the last access, in
@@ -190,10 +173,8 @@ impl Hardware<'_> {
 /// Summary of one machine run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunReport {
-    /// Number of accesses executed.
+    /// Number of accesses executed (the final access counter).
     pub accesses: u64,
-    /// Final counter values.
-    pub counters: CounterSnapshot,
     /// Event counts for overhead accounting.
     pub ledger: CostLedger,
     /// The cost model the machine was configured with.
@@ -233,21 +214,20 @@ impl Machine {
 
     /// Starts a push-style run: the returned [`MachineRun`] holds the
     /// PMU, debug registers, ledger and access index, and the caller
-    /// feeds it slices of accesses as they arrive. Sampling configs
-    /// eligible for the fast path (see [`run`](Machine::run)) replay
-    /// every slice through it; the rest step per access.
+    /// feeds it slices of accesses as they arrive. Every slice goes
+    /// through the scan fast path (see [`run`](Machine::run)).
     #[must_use]
     pub fn start(&self) -> MachineRun {
-        MachineRun::new(&self.config, fast_path_eligible(&self.config))
+        MachineRun::new(&self.config, true)
     }
 
     /// Starts a run that steps every access through the PMU and
-    /// debug-register state machines, whatever the sampling config.
+    /// debug-register state machines.
     ///
     /// This per-access loop is the reference the fast path is checked
-    /// against: for a config [`start`](Machine::start) scans, a stepped
-    /// run fed the same accesses must report and deliver exactly the
-    /// same events.
+    /// against: a stepped run fed the same accesses as a
+    /// [`start`](Machine::start) run must report and deliver exactly
+    /// the same events.
     #[must_use]
     pub fn start_stepped(&self) -> MachineRun {
         MachineRun::new(&self.config, false)
@@ -255,29 +235,28 @@ impl Machine {
 
     /// Runs the stream to completion, delivering events to `profiler`.
     ///
-    /// Event order on each access: counters advance first; then an armed
-    /// watchpoint covering the access fires a [`Trap`] (the register is
-    /// disarmed before delivery); then, if the sampling counter overflowed
-    /// on this access, a [`Sample`] is delivered. A watchpoint armed inside
-    /// a handler is first eligible to fire on the *next* access — hardware
-    /// cannot retroactively trap the access that is already retiring.
+    /// Event order on each access: the counter advances first; then an
+    /// armed watchpoint covering the access fires a [`Trap`] (the register
+    /// is disarmed before delivery); then, if the sampling counter
+    /// overflowed on this access, a [`Sample`] is delivered. A watchpoint
+    /// armed inside a handler is first eligible to fire on the *next*
+    /// access — hardware cannot retroactively trap the access that is
+    /// already retiring.
     ///
     /// The run is [`start`](Machine::start), one [`MachineRun::feed`]
     /// per chunk the stream lends, and [`MachineRun::finish`].
     ///
     /// # Fast path
     ///
-    /// When the sampling mode is the precise all-accesses default
-    /// (`event == Accesses`, `max_skid == 0`), the machine skips the
-    /// per-access state machines for the quiet gaps between overflows:
-    /// the PMU countdown bounds how many accesses can pass without an
-    /// event, a [`NeedleSet`] scan locates the first watchpoint hit
-    /// inside that gap, and counters/ledger advance in bulk. Only
+    /// The machine skips the per-access state machines for the quiet
+    /// gaps between overflows: the PMU countdown bounds how many accesses
+    /// can pass without an event, a [`NeedleSet`] scan locates the first
+    /// watchpoint hit inside that gap, and counter and ledger advance in
+    /// bulk. Only
     /// accesses that deliver an event (and the overflow access itself)
     /// take the ordinary step, so samples, traps, evictions, RNG
     /// consumption and cost accounting are bit-identical to the stepped
-    /// loop ([`start_stepped`](Machine::start_stepped)). Skidding or
-    /// event-filtered sampling always steps per access.
+    /// loop ([`start_stepped`](Machine::start_stepped)).
     pub fn run(&self, mut stream: impl AccessStream, profiler: &mut impl Profiler) -> RunReport {
         let mut run = self.start();
         while let Some(chunk) = stream.next_chunk(usize::MAX) {
@@ -285,12 +264,6 @@ impl Machine {
         }
         run.finish(profiler)
     }
-}
-
-/// True when the sampling mode admits the chunk fast path: precise
-/// (skid-free) sampling over all accesses.
-fn fast_path_eligible(config: &MachineConfig) -> bool {
-    config.sampling.max_skid == 0 && config.sampling.event == PmuEvent::Accesses
 }
 
 /// A machine run in progress: the PMU, the debug-register file, the
@@ -308,7 +281,8 @@ pub struct MachineRun {
     ledger: CostLedger,
     index: u64,
     cost: CostModel,
-    /// Replay slices through the chunk fast path (else step per access).
+    /// Replay slices through the chunk fast path; false only for the
+    /// per-access reference, [`Machine::start_stepped`].
     fast: bool,
 }
 
@@ -377,17 +351,15 @@ impl MachineRun {
     /// Ends the run: delivers [`Profiler::on_finish`] with the
     /// watchpoints still armed and reports the totals.
     pub fn finish(mut self, profiler: &mut impl Profiler) -> RunReport {
-        let counters = self.pmu.counters();
         let mut hw = Hardware {
             drf: &mut self.drf,
             ledger: &mut self.ledger,
-            counters,
+            accesses: self.pmu.accesses(),
             index: self.index.saturating_sub(1),
         };
         profiler.on_finish(&mut hw);
         RunReport {
             accesses: self.index,
-            counters,
             ledger: self.ledger,
             cost: self.cost,
         }
@@ -405,9 +377,9 @@ fn step_access(
     profiler: &mut impl Profiler,
     index: u64,
 ) {
-    let outcome = pmu.on_event(access.kind.is_store());
+    let outcome = pmu.on_event();
     ledger.accesses += 1;
-    let counters = pmu.counters();
+    let accesses = pmu.accesses();
 
     if let Some(slot) = drf.matching(&access) {
         // Disarm before delivery, like a real handler clearing DR7;
@@ -419,12 +391,12 @@ fn step_access(
                 index,
                 slot,
                 info,
-                counters,
+                accesses,
             };
             let mut hw = Hardware {
                 drf,
                 ledger,
-                counters,
+                accesses,
                 index,
             };
             profiler.on_trap(&trap, &mut hw);
@@ -436,12 +408,12 @@ fn step_access(
         let sample = Sample {
             access,
             index,
-            counters,
+            accesses,
         };
         let mut hw = Hardware {
             drf,
             ledger,
-            counters,
+            accesses,
             index,
         };
         profiler.on_sample(&sample, &mut hw);
@@ -451,9 +423,9 @@ fn step_access(
 /// Replays one contiguous chunk through the event-driven fast path and
 /// returns the number of segments it scanned.
 ///
-/// Invariant on entry and exit: `pmu.countdown() ≥ 1`, no skid pending,
-/// and the needle set is refreshed in place after every delivered event
-/// (the only points where a handler can rearrange the registers). Each
+/// Invariant on entry and exit: `pmu.countdown() ≥ 1`, and the needle
+/// set is refreshed in place after every delivered event (the only
+/// points where a handler can rearrange the registers). Each
 /// iteration handles one *segment*: the quiet prefix bounded by the
 /// next overflow (`countdown − 1` accesses) and the chunk end, scanned
 /// in bulk, then at most one single-stepped event access.
@@ -476,13 +448,12 @@ fn run_chunk(
         // most countdown − 1 accesses long.
         let gap = pmu.countdown() - 1;
         let quiet = remaining.min(usize::try_from(gap).unwrap_or(usize::MAX));
-        let scan = kernels::scan(&needles, chunk.slice(pos..pos + quiet));
-        match scan.first_match {
+        match kernels::scan(&needles, chunk.slice(pos..pos + quiet)) {
             Some(off) => {
                 // Trap inside the quiet run: bulk-advance the prefix,
                 // then step the trapping access for real.
                 let prefix = off as u64;
-                pmu.advance_quiet(prefix - scan.stores_before, scan.stores_before);
+                pmu.advance_quiet(prefix);
                 ledger.accesses += prefix;
                 *index += prefix;
                 step_access(chunk.get(pos + off), pmu, drf, ledger, profiler, *index);
@@ -493,7 +464,7 @@ fn run_chunk(
             None => {
                 // Whole quiet run passes without an event.
                 let run = quiet as u64;
-                pmu.advance_quiet(run - scan.stores_before, scan.stores_before);
+                pmu.advance_quiet(run);
                 ledger.accesses += run;
                 *index += run;
                 pos += quiet;
@@ -572,10 +543,8 @@ mod tests {
         assert_eq!(rec.traps.len(), 1);
         assert_eq!(rec.traps[0].index, 4);
         assert_eq!(rec.traps[0].info.armed_at, 3);
-        // reuse time from counter snapshots: accesses strictly between = 0
-        let rt = rec.traps[0].counters.value(crate::PmuEvent::Accesses)
-            - rec.traps[0].info.accesses_at_arm
-            - 1;
+        // reuse time from the access counter: accesses strictly between = 0
+        let rt = rec.traps[0].accesses - rec.traps[0].info.accesses_at_arm - 1;
         assert_eq!(rt, 0);
     }
 

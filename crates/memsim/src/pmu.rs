@@ -1,89 +1,43 @@
-//! The performance-monitoring-unit model: counters and sampling.
+//! The performance-monitoring-unit model: the access counter and sampling.
 
 use rand::rngs::SmallRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
-/// Countable PMU events.
+/// Largest sampling period the PMU accepts: 2^63.
 ///
-/// Real hardware exposes these as `MEM_UOPS_RETIRED.ALL_LOADS`,
-/// `MEM_UOPS_RETIRED.ALL_STORES` and their sum; RDX programs one counter in
-/// sampling mode and reads the aggregate counters from its handlers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PmuEvent {
-    /// Retired memory loads.
-    Loads,
-    /// Retired memory stores.
-    Stores,
-    /// All retired memory accesses (loads + stores).
-    Accesses,
-}
-
-/// A snapshot of all PMU counters at one instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct CounterSnapshot {
-    /// Retired loads so far.
-    pub loads: u64,
-    /// Retired stores so far.
-    pub stores: u64,
-}
-
-impl CounterSnapshot {
-    /// Value of the given event in this snapshot.
-    #[must_use]
-    pub fn value(&self, event: PmuEvent) -> u64 {
-        match event {
-            PmuEvent::Loads => self.loads,
-            PmuEvent::Stores => self.stores,
-            PmuEvent::Accesses => self.loads + self.stores,
-        }
-    }
-}
+/// An inter-sample gap is drawn from `[period − jitter, period + jitter]`
+/// with `jitter < period`, so at most this period `period + jitter`
+/// still fits a `u64`.
+pub const MAX_PERIOD: u64 = 1 << 63;
 
 /// Configuration of the sampling engine.
+///
+/// The PMU models the one event RDX samples,
+/// `MEM_UOPS_RETIRED.ALL_LOADS_STORES`, with precise (PEBS-like)
+/// delivery: every retired access counts, and a sample reports the
+/// exact effective address of the access that overflowed the counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SamplingConfig {
-    /// Event driving the sampling counter.
-    pub event: PmuEvent,
-    /// Mean sampling period (events between samples). Must be non-zero.
+    /// Mean sampling period (accesses between samples), in
+    /// `1..=`[`MAX_PERIOD`].
     pub period: u64,
     /// If non-zero, each inter-sample gap is drawn uniformly from
     /// `[period − jitter, period + jitter]`. Randomization breaks lock-step
     /// resonance between the sampling period and loop trip counts — the
     /// standard technique RDX inherits from PMU-profiling practice.
     pub jitter: u64,
-    /// Maximum sampling skid in events. 0 models PEBS-precise sampling
-    /// (the sampled address is exact); `k > 0` delivers the address of an
-    /// access up to `k` events *after* the counter overflow, drawn
-    /// uniformly — the behaviour of non-precise interrupts.
-    pub max_skid: u64,
 }
 
 impl SamplingConfig {
-    /// Precise (PEBS-like) sampling of all memory accesses with 10 %
-    /// period randomization, the profiler's default mode.
+    /// Precise sampling of all memory accesses with 10 % period
+    /// randomization, the profiler's default mode.
     #[must_use]
     pub fn precise(period: u64) -> Self {
         SamplingConfig {
-            event: PmuEvent::Accesses,
             period,
             jitter: period / 10,
-            max_skid: 0,
         }
-    }
-
-    /// Disables jitter (fixed period). Used by the randomization ablation.
-    #[must_use]
-    pub fn without_jitter(mut self) -> Self {
-        self.jitter = 0;
-        self
-    }
-
-    /// Sets the maximum skid. Used by the skid ablation.
-    #[must_use]
-    pub fn with_skid(mut self, max_skid: u64) -> Self {
-        self.max_skid = max_skid;
-        self
     }
 }
 
@@ -93,16 +47,14 @@ impl Default for SamplingConfig {
     }
 }
 
-/// The PMU: free-running counters plus a sampling countdown.
+/// The PMU: a free-running access counter plus a sampling countdown.
 #[derive(Debug, Clone)]
 pub struct Pmu {
-    counters: CounterSnapshot,
+    /// Retired accesses so far.
+    accesses: u64,
     config: SamplingConfig,
     /// Events until the next counter overflow.
     countdown: u64,
-    /// Pending skid: number of further events to let pass before the
-    /// overflowed sample is materialized. `None` when no overflow pending.
-    pending_skid: Option<u64>,
     rng: SmallRng,
 }
 
@@ -120,10 +72,16 @@ impl Pmu {
     ///
     /// # Panics
     ///
-    /// Panics if `config.period` is zero or `config.jitter >= config.period`.
+    /// Panics if `config.period` is zero or above [`MAX_PERIOD`], or if
+    /// `config.jitter >= config.period`.
     #[must_use]
     pub fn new(config: SamplingConfig, seed: u64) -> Self {
         assert!(config.period > 0, "sampling period must be non-zero");
+        assert!(
+            config.period <= MAX_PERIOD,
+            "sampling period {} exceeds MAX_PERIOD (2^63)",
+            config.period
+        );
         assert!(
             config.jitter < config.period,
             "jitter must be smaller than the period"
@@ -131,10 +89,9 @@ impl Pmu {
         let mut rng = SmallRng::seed_from_u64(seed);
         let countdown = Self::draw_gap(&config, &mut rng);
         Pmu {
-            counters: CounterSnapshot::default(),
+            accesses: 0,
             config,
             countdown,
-            pending_skid: None,
             rng,
         }
     }
@@ -147,16 +104,10 @@ impl Pmu {
         }
     }
 
-    /// Current counter values.
+    /// Retired accesses counted so far.
     #[must_use]
-    pub fn counters(&self) -> CounterSnapshot {
-        self.counters
-    }
-
-    /// The sampling configuration.
-    #[must_use]
-    pub fn config(&self) -> SamplingConfig {
-        self.config
+    pub fn accesses(&self) -> u64 {
+        self.accesses
     }
 
     /// Counted events until the next overflow fires (always ≥ 1: the
@@ -166,95 +117,27 @@ impl Pmu {
         self.countdown
     }
 
-    /// True while an overflowed (skidding) sample has yet to materialize.
+    /// Bulk-advances the PMU over `n` accesses known to be quiet.
     ///
-    /// The bulk fast path must not engage while this is set: the skid
-    /// pipeline advances per counted event.
-    #[must_use]
-    pub fn skid_pending(&self) -> bool {
-        self.pending_skid.is_some()
-    }
-
-    /// Bulk-advances the PMU over a run of events known to be quiet.
-    ///
-    /// Equivalent to `loads + stores` calls to [`Pmu::on_event`] that all
-    /// return [`PmuOutcome::Quiet`] — same counter values, same countdown,
-    /// and (crucially) no RNG consumption, so a subsequent single-stepped
+    /// Equivalent to `n` calls to [`Pmu::on_event`] that all return
+    /// [`PmuOutcome::Quiet`] — same counter value, same countdown, and
+    /// (crucially) no RNG consumption, so a subsequent single-stepped
     /// overflow draws the identical next gap. The caller must guarantee
-    /// quietness: the run must be shorter than the countdown when the
-    /// sampled event is `Accesses`, and no skid may be in flight.
-    ///
-    /// Event-kind filtering (`Loads`/`Stores` sampling) would make "events
-    /// until overflow" depend on the mix, so bulk advance is restricted to
-    /// the `Accesses` event RDX actually samples; debug builds assert all
-    /// of this.
-    pub fn advance_quiet(&mut self, loads: u64, stores: u64) {
-        debug_assert_eq!(
-            self.config.event,
-            PmuEvent::Accesses,
-            "bulk advance only models the all-accesses sampling event"
-        );
-        debug_assert!(self.pending_skid.is_none(), "skid in flight");
-        let counted = loads + stores;
-        debug_assert!(counted < self.countdown, "bulk run covers an overflow");
-        self.counters.loads += loads;
-        self.counters.stores += stores;
-        self.countdown -= counted;
+    /// quietness: `n` must be shorter than the countdown, which debug
+    /// builds assert.
+    pub fn advance_quiet(&mut self, n: u64) {
+        debug_assert!(n < self.countdown, "bulk run covers an overflow");
+        self.accesses += n;
+        self.countdown -= n;
     }
 
-    /// Advances the PMU by one memory access event.
-    ///
-    /// `is_store` selects which counter increments. Returns whether the
-    /// profiler's sample handler should run *on this event*.
-    pub fn on_event(&mut self, is_store: bool) -> PmuOutcome {
-        if is_store {
-            self.counters.stores += 1;
-        } else {
-            self.counters.loads += 1;
-        }
-        let counted = match self.config.event {
-            PmuEvent::Loads => !is_store,
-            PmuEvent::Stores => is_store,
-            PmuEvent::Accesses => true,
-        };
-
-        if !counted {
-            return PmuOutcome::Quiet;
-        }
-
-        // A skidding sample in flight materializes on a later counted event.
-        // The hardware counter keeps counting meanwhile, so the countdown to
-        // the next overflow advances independently of the skid pipeline.
-        let mut fire = false;
-        if let Some(left) = self.pending_skid {
-            if left == 0 {
-                self.pending_skid = None;
-                fire = true;
-            } else {
-                self.pending_skid = Some(left - 1);
-            }
-        }
-
+    /// Advances the PMU by one retired access. Returns whether the
+    /// profiler's sample handler should run *on this access*.
+    pub fn on_event(&mut self) -> PmuOutcome {
+        self.accesses += 1;
         self.countdown -= 1;
         if self.countdown == 0 {
-            // Overflow. Rearm, then either sample right here (precise) or
-            // start the skid countdown.
             self.countdown = Self::draw_gap(&self.config, &mut self.rng);
-            if self.config.max_skid == 0 {
-                fire = true;
-            } else {
-                let skid = self.rng.random_range(0..=self.config.max_skid);
-                if skid == 0 {
-                    fire = true;
-                } else {
-                    // An unmaterialized older skid is overwritten: the
-                    // sample is lost, as on real hardware when interrupts
-                    // pile up faster than they are serviced.
-                    self.pending_skid = Some(skid - 1);
-                }
-            }
-        }
-        if fire {
             PmuOutcome::SampleHere
         } else {
             PmuOutcome::Quiet
@@ -267,33 +150,17 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_track_kinds() {
-        let mut pmu = Pmu::new(SamplingConfig::precise(1000).without_jitter(), 1);
-        for i in 0..10 {
-            pmu.on_event(i % 3 == 0);
-        }
-        let c = pmu.counters();
-        assert_eq!(c.stores, 4);
-        assert_eq!(c.loads, 6);
-        assert_eq!(c.value(PmuEvent::Accesses), 10);
-        assert_eq!(c.value(PmuEvent::Loads), 6);
-        assert_eq!(c.value(PmuEvent::Stores), 4);
-    }
-
-    #[test]
     fn fixed_period_samples_exactly() {
         let mut pmu = Pmu::new(
             SamplingConfig {
-                event: PmuEvent::Accesses,
                 period: 100,
                 jitter: 0,
-                max_skid: 0,
             },
             7,
         );
         let mut sample_indices = Vec::new();
         for i in 1..=1000u64 {
-            if pmu.on_event(false) == PmuOutcome::SampleHere {
+            if pmu.on_event() == PmuOutcome::SampleHere {
                 sample_indices.push(i);
             }
         }
@@ -301,23 +168,22 @@ mod tests {
             sample_indices,
             (1..=10).map(|k| k * 100).collect::<Vec<_>>()
         );
+        assert_eq!(pmu.accesses(), 1000);
     }
 
     #[test]
     fn jittered_period_mean_close() {
         let mut pmu = Pmu::new(
             SamplingConfig {
-                event: PmuEvent::Accesses,
                 period: 100,
                 jitter: 30,
-                max_skid: 0,
             },
             42,
         );
         let mut samples = 0u64;
         let n = 1_000_000u64;
         for _ in 0..n {
-            if pmu.on_event(false) == PmuOutcome::SampleHere {
+            if pmu.on_event() == PmuOutcome::SampleHere {
                 samples += 1;
             }
         }
@@ -329,79 +195,23 @@ mod tests {
     }
 
     #[test]
-    fn load_only_event_ignores_stores() {
-        let mut pmu = Pmu::new(
-            SamplingConfig {
-                event: PmuEvent::Loads,
-                period: 10,
-                jitter: 0,
-                max_skid: 0,
-            },
-            1,
-        );
-        let mut samples = 0;
-        // alternate: 20 loads interleaved with 20 stores
-        for i in 0..40 {
-            if pmu.on_event(i % 2 == 0) == PmuOutcome::SampleHere {
-                samples += 1;
-            }
-        }
-        assert_eq!(samples, 2, "20 loads at period 10 → 2 samples");
-    }
-
-    #[test]
-    fn skid_delays_but_preserves_rate() {
-        let mut pmu = Pmu::new(
-            SamplingConfig {
-                event: PmuEvent::Accesses,
-                period: 100,
-                jitter: 0,
-                max_skid: 5,
-            },
-            3,
-        );
-        let mut indices = Vec::new();
-        for i in 1..=10_000u64 {
-            if pmu.on_event(false) == PmuOutcome::SampleHere {
-                indices.push(i);
-            }
-        }
-        assert!(!indices.is_empty());
-        for (k, &i) in indices.iter().enumerate() {
-            let overflow_at = (k as u64 + 1) * 100;
-            assert!(
-                i >= overflow_at && i <= overflow_at + 5,
-                "sample {k} at {i}, overflow at {overflow_at}"
-            );
-        }
-    }
-
-    #[test]
     fn bulk_advance_matches_stepped_quiet_run() {
         let cfg = SamplingConfig::precise(500);
         let mut stepped = Pmu::new(cfg, 9);
         let mut bulk = Pmu::new(cfg, 9);
         assert!(stepped.countdown() > 100);
-        let (mut loads, mut stores) = (0u64, 0u64);
-        for i in 0..100u64 {
-            let is_store = i % 3 == 0;
-            assert_eq!(stepped.on_event(is_store), PmuOutcome::Quiet);
-            if is_store {
-                stores += 1;
-            } else {
-                loads += 1;
-            }
+        for _ in 0..100u64 {
+            assert_eq!(stepped.on_event(), PmuOutcome::Quiet);
         }
-        bulk.advance_quiet(loads, stores);
-        assert_eq!(bulk.counters(), stepped.counters());
+        bulk.advance_quiet(100);
+        assert_eq!(bulk.accesses(), stepped.accesses());
         assert_eq!(bulk.countdown(), stepped.countdown());
-        assert!(!bulk.skid_pending());
         // Walk both to the overflow: they fire on the same event and
         // re-arm with the same (RNG-drawn) next gap.
         let left = bulk.countdown();
         for k in 1..=left {
-            let a = stepped.on_event(false);
-            let b = bulk.on_event(false);
+            let a = stepped.on_event();
+            let b = bulk.on_event();
             assert_eq!(a, b);
             if k == left {
                 assert_eq!(a, PmuOutcome::SampleHere);
@@ -415,7 +225,7 @@ mod tests {
         let run = |seed| {
             let mut pmu = Pmu::new(SamplingConfig::precise(50), seed);
             (0..5000)
-                .filter(|_| pmu.on_event(false) == PmuOutcome::SampleHere)
+                .filter(|_| pmu.on_event() == PmuOutcome::SampleHere)
                 .count()
         };
         assert_eq!(run(9), run(9));
@@ -426,10 +236,8 @@ mod tests {
     fn zero_period_rejected() {
         let _ = Pmu::new(
             SamplingConfig {
-                event: PmuEvent::Accesses,
                 period: 0,
                 jitter: 0,
-                max_skid: 0,
             },
             0,
         );
@@ -440,20 +248,41 @@ mod tests {
     fn oversized_jitter_rejected() {
         let _ = Pmu::new(
             SamplingConfig {
-                event: PmuEvent::Accesses,
                 period: 10,
                 jitter: 10,
-                max_skid: 0,
             },
             0,
         );
     }
 
     #[test]
+    #[should_panic(expected = "exceeds MAX_PERIOD")]
+    fn period_above_max_rejected() {
+        let _ = Pmu::new(SamplingConfig::precise(MAX_PERIOD + 1), 0);
+    }
+
+    #[test]
+    fn max_period_and_widest_jitter_draw_without_overflow() {
+        // The widest gap range the assertions admit ends at u64::MAX.
+        for seed in 0..64 {
+            let pmu = Pmu::new(
+                SamplingConfig {
+                    period: MAX_PERIOD,
+                    jitter: MAX_PERIOD - 1,
+                },
+                seed,
+            );
+            assert!(pmu.countdown() >= 1);
+        }
+        let mut pmu = Pmu::new(SamplingConfig::precise(MAX_PERIOD), 3);
+        pmu.advance_quiet(pmu.countdown() - 1);
+        assert_eq!(pmu.on_event(), PmuOutcome::SampleHere);
+    }
+
+    #[test]
     fn default_is_precise_64k() {
         let c = SamplingConfig::default();
         assert_eq!(c.period, 64 * 1024);
-        assert_eq!(c.max_skid, 0);
         assert!(c.jitter > 0);
     }
 }

@@ -46,17 +46,6 @@ pub struct NeedleSet {
     pub(crate) store_only: [bool; MAX_NEEDLES],
 }
 
-/// Result of scanning one run of accesses, from [`NeedleSet::scan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScanOutcome {
-    /// Offset of the first access matching any needle, if one matched.
-    pub first_match: Option<usize>,
-    /// Stores among the accesses *before* that offset (or in the whole
-    /// run when nothing matched) — what the PMU store counter must
-    /// bulk-advance by for the quiet prefix.
-    pub stores_before: u64,
-}
-
 impl NeedleSet {
     /// Builds a needle set from raw `(base, span, store_only)` ranges —
     /// the constructor benches and kernel equivalence tests use to make
@@ -112,27 +101,23 @@ impl NeedleSet {
         }
     }
 
-    /// Finds the first access in `run` hitting any needle, counting the
-    /// stores that precede it.
+    /// Offset of the first access in `run` hitting any needle, if one
+    /// does.
     ///
     /// This is the scalar reference scanner — the oracle every kernel
     /// in [`crate::kernels`] must agree with on all inputs.
     #[must_use]
-    pub fn scan(&self, run: AccessSlice<'_>) -> ScanOutcome {
+    pub fn scan(&self, run: AccessSlice<'_>) -> Option<usize> {
         // Dispatch to a monomorphized scanner so the per-access needle
         // loop unrolls completely for the common register counts (x86
         // has 4); larger ablation configurations take the generic loop.
-        let first_match = match self.len {
+        match self.len {
             0 => None,
             1 => self.first_match(run, 1),
             2 => self.first_match(run, 2),
             3 => self.first_match(run, 3),
             4 => self.first_match(run, 4),
             n => self.first_match(run, n),
-        };
-        ScanOutcome {
-            first_match,
-            stores_before: run.stores_in(..first_match.unwrap_or(run.len())),
         }
     }
 
@@ -140,8 +125,9 @@ impl NeedleSet {
     /// needles. Inlined into each caller so a constant `n` unrolls.
     #[inline(always)]
     pub(crate) fn first_match(&self, run: AccessSlice<'_>, n: usize) -> Option<usize> {
-        // One bitmap word per 64 accesses keeps the store test a
-        // branch-free shift in the per-access loop.
+        // One store-bitmap word per 64 accesses (write-only needles
+        // need it) keeps the store test a branch-free shift in the
+        // per-access loop.
         for (w, addrs) in run.addrs().chunks(64).enumerate() {
             let stores = run.store_word(w * 64);
             for (t, &addr) in addrs.iter().enumerate() {
@@ -192,16 +178,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_set_counts_stores_only() {
+    fn empty_set_matches_nothing() {
         let set = NeedleSet::from_registers(&DebugRegisterFile::default());
         let run = run_of(&[(0, false), (8, true), (16, true), (24, false)]);
-        let out = set.scan(run.as_slice());
-        assert_eq!(out.first_match, None);
-        assert_eq!(out.stores_before, 2);
+        assert_eq!(set.scan(run.as_slice()), None);
     }
 
     #[test]
-    fn finds_first_match_and_prefix_stores() {
+    fn finds_first_match() {
         let set = NeedleSet::from_registers(&armed_file(&[0x100, 0x200]));
         let run = run_of(&[
             (0x50, true),
@@ -209,9 +193,7 @@ mod tests {
             (0x204, true), // within [0x200, 0x208)
             (0x100, false),
         ]);
-        let out = set.scan(run.as_slice());
-        assert_eq!(out.first_match, Some(2));
-        assert_eq!(out.stores_before, 1, "only the store before the hit");
+        assert_eq!(set.scan(run.as_slice()), Some(2));
     }
 
     #[test]
@@ -229,7 +211,7 @@ mod tests {
                 let a = Access::load(probe);
                 let expect = wp.iter().any(|w| w.matches(&a));
                 let one: AccessBuf = [a].into_iter().collect();
-                let got = set.scan(one.as_slice()).first_match.is_some();
+                let got = set.scan(one.as_slice()).is_some();
                 assert_eq!(got, expect, "n={n} probe={probe:#x}");
             }
         }
@@ -250,18 +232,14 @@ mod tests {
         .unwrap();
         let set = NeedleSet::from_registers(&drf);
         let run = run_of(&[(0x40, false), (0x40, false), (0x44, true)]);
-        let out = set.scan(run.as_slice());
-        assert_eq!(out.first_match, Some(2));
-        assert_eq!(out.stores_before, 0);
+        assert_eq!(set.scan(run.as_slice()), Some(2));
     }
 
     #[test]
-    fn no_match_reports_all_stores() {
+    fn no_match_is_none() {
         let set = NeedleSet::from_registers(&armed_file(&[0x1000]));
         let run = run_of(&[(0, true), (8, true), (16, false)]);
-        let out = set.scan(run.as_slice());
-        assert_eq!(out.first_match, None);
-        assert_eq!(out.stores_before, 2);
+        assert_eq!(set.scan(run.as_slice()), None);
     }
 
     #[test]
@@ -329,7 +307,7 @@ mod tests {
                     let live = drf
                         .armed_iter()
                         .any(|(_, info)| info.watchpoint.matches(&run.as_slice().get(0)));
-                    assert_eq!(want.first_match.is_some(), live, "base={base:#x}");
+                    assert_eq!(want.is_some(), live, "base={base:#x}");
                     assert_eq!(set.scan(run.as_slice()), want, "base={base:#x}");
                     assert_eq!(
                         crate::kernels::scan(&set, run.as_slice()),
@@ -345,8 +323,6 @@ mod tests {
     #[test]
     fn empty_run_is_quiet() {
         let set = NeedleSet::from_registers(&armed_file(&[0x40]));
-        let out = set.scan(AccessBuf::new().as_slice());
-        assert_eq!(out.first_match, None);
-        assert_eq!(out.stores_before, 0);
+        assert_eq!(set.scan(AccessBuf::new().as_slice()), None);
     }
 }

@@ -1,8 +1,8 @@
-//! B1 — ground-truth measurement throughput: Fenwick vs treap vs splay
-//! order-statistic structures driving Olken's algorithm.
+//! B1 — ground-truth measurement throughput: Olken's algorithm over its
+//! Fenwick order-statistic tree.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rdx_groundtruth::{FenwickStructure, OlkenTracker, SplayStructure, TreapStructure};
+use rdx_groundtruth::OlkenTracker;
 use rdx_trace::Trace;
 use rdx_workloads::{by_name, Params};
 use std::hint::black_box;
@@ -25,31 +25,7 @@ fn bench(c: &mut Criterion) {
         &blocks,
         |b, blocks| {
             b.iter(|| {
-                let mut o = OlkenTracker::<FenwickStructure>::with_structure();
-                for &blk in blocks {
-                    black_box(o.access(blk));
-                }
-            });
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("structure", "treap"),
-        &blocks,
-        |b, blocks| {
-            b.iter(|| {
-                let mut o = OlkenTracker::<TreapStructure>::with_structure();
-                for &blk in blocks {
-                    black_box(o.access(blk));
-                }
-            });
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("structure", "splay"),
-        &blocks,
-        |b, blocks| {
-            b.iter(|| {
-                let mut o = OlkenTracker::<SplayStructure>::with_structure();
+                let mut o = OlkenTracker::new();
                 for &blk in blocks {
                     black_box(o.access(blk));
                 }

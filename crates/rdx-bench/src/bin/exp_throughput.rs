@@ -36,7 +36,7 @@
 //! time the oracle instead — CI sets it to prove the gate fails without
 //! the fast kernel.
 
-use memsim::{kernels, NeedleSet, ScanOutcome};
+use memsim::{kernels, NeedleSet};
 use rdx_bench::{
     bench_args, bench_out_path, check_metric, experiment_params, json_number, kernel_override,
     median, paper_config, print_table, read_bench_baseline, reps, resolve_tolerance, time_min,
@@ -110,7 +110,7 @@ const SHORT_RUN: usize = 64;
 /// Fewest alternating rounds the scan-kernel microbenchmark times.
 const SCAN_MIN_ROUNDS: u32 = 9;
 
-type ScanFn = fn(&NeedleSet, AccessSlice<'_>) -> ScanOutcome;
+type ScanFn = fn(&NeedleSet, AccessSlice<'_>) -> Option<usize>;
 
 /// Times the production scan and the scalar oracle over the hot case —
 /// a quiet run (no needle hits) swept end to end, exactly what the
@@ -192,10 +192,8 @@ fn time_sides(
                 let mut sink = 0u64;
                 for _ in 0..passes {
                     for start in (0..run.len()).step_by(slice) {
-                        let out = scan(needles, run.slice(start..run.len().min(start + slice)));
-                        sink = sink
-                            .wrapping_add(out.stores_before)
-                            .wrapping_add(out.first_match.map_or(0, |i| i as u64));
+                        let hit = scan(needles, run.slice(start..run.len().min(start + slice)));
+                        sink = sink.wrapping_add(hit.map_or(0, |i| i as u64));
                     }
                 }
                 sink

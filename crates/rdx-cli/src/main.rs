@@ -1982,6 +1982,10 @@ mod tests {
                 "--period must be at least 1 (got 0)",
             ),
             (
+                &["--period", "9223372036854775809"][..],
+                "--period must be at most 2^63 (got 9223372036854775809)",
+            ),
+            (
                 &["--registers", "0"][..],
                 "--registers must be between 1 and 4 (got 0)",
             ),

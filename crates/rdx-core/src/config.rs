@@ -54,7 +54,7 @@ pub enum CensoringCorrection {
 /// Full configuration of an RDX profiling run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RdxConfig {
-    /// The simulated machine: sampling period/jitter/skid, debug-register
+    /// The simulated machine: sampling period/jitter, debug-register
     /// count, cost model, seed.
     pub machine: MachineConfig,
     /// Watchpoint width in bytes (1, 2, 4 or 8). The paper uses the maximal

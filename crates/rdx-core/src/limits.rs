@@ -12,6 +12,11 @@ use std::fmt;
 /// The simulated machine models the x86 debug-register file: 4 slots.
 pub const MAX_REGISTERS: usize = 4;
 
+/// Largest accepted sampling period, 2^63: the PMU draws each gap from
+/// `period ± period / 10`, which overflows a `u64` above ≈1.677e19, and
+/// [`memsim::Pmu::new`] asserts this same bound.
+pub use memsim::MAX_PERIOD;
+
 /// A parameter outside its valid range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LimitError {
@@ -35,20 +40,23 @@ impl fmt::Display for LimitError {
 
 impl std::error::Error for LimitError {}
 
-/// Validates a sampling period: the PMU cannot sample every 0 accesses.
+/// Validates a sampling period: the PMU cannot sample every 0
+/// accesses, nor draw a jittered gap above [`MAX_PERIOD`].
 ///
 /// # Errors
 ///
-/// [`LimitError`] if `period` is 0.
+/// [`LimitError`] if `period` is 0 or exceeds [`MAX_PERIOD`].
 pub fn check_period(period: u64) -> Result<u64, LimitError> {
-    if period == 0 {
-        return Err(LimitError {
-            param: "period",
-            requirement: "at least 1",
-            got: 0,
-        });
-    }
-    Ok(period)
+    let requirement = match period {
+        0 => "at least 1",
+        p if p > MAX_PERIOD => "at most 2^63",
+        _ => return Ok(period),
+    };
+    Err(LimitError {
+        param: "period",
+        requirement,
+        got: period,
+    })
 }
 
 /// Validates a debug-register count against the 4-slot machine model.
@@ -146,8 +154,7 @@ mod tests {
         let e = check_registers(7).unwrap_err();
         assert_eq!(e.to_string(), "registers must be between 1 and 4 (got 7)");
         let e = check_period(0).unwrap_err();
-        assert!(e.to_string().contains("period"));
-        assert!(e.to_string().contains("at least 1"));
+        assert_eq!(e.to_string(), "period must be at least 1 (got 0)");
         let e = check_jobs(0).unwrap_err();
         assert_eq!(e.param, "jobs");
         assert_eq!(e.got, 0);
@@ -155,5 +162,24 @@ mod tests {
         assert_eq!(e.to_string(), "accesses must be at least 1 (got 0)");
         let e = check_elements(0).unwrap_err();
         assert_eq!(e.param, "elements");
+    }
+
+    #[test]
+    fn period_bound_is_where_the_jittered_gap_still_fits() {
+        assert_eq!(MAX_PERIOD, 1 << 63);
+        assert_eq!(check_period(MAX_PERIOD), Ok(MAX_PERIOD));
+        assert_eq!(check_period(MAX_PERIOD - 1), Ok(MAX_PERIOD - 1));
+        // The largest accepted period builds a PMU: its widest gap fits.
+        assert!(MAX_PERIOD.checked_add(MAX_PERIOD / 10).is_some());
+        let _ = memsim::Pmu::new(memsim::SamplingConfig::precise(MAX_PERIOD), 1);
+        let above = check_period(MAX_PERIOD + 1).unwrap_err();
+        assert_eq!(above.param, "period");
+        assert_eq!(above.got, MAX_PERIOD + 1);
+        let huge = check_period(17_000_000_000_000_000_000).unwrap_err();
+        assert_eq!(
+            huge.to_string(),
+            "period must be at most 2^63 (got 17000000000000000000)"
+        );
+        assert!(check_period(u64::MAX).is_err());
     }
 }

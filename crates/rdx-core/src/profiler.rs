@@ -155,11 +155,11 @@ impl Profiler for RdxProfiler {
     }
 
     fn on_trap(&mut self, trap: &Trap, _hw: &mut Hardware) {
-        // Counter snapshots are taken after each access retires, so the
+        // The access counter is read after each access retires, so the
         // number of accesses strictly between sample and reuse is the
         // difference minus the trapping access itself.
-        let total_now = trap.counters.loads + trap.counters.stores;
-        let reuse_time = total_now
+        let reuse_time = trap
+            .accesses
             .saturating_sub(trap.info.accesses_at_arm)
             .saturating_sub(1);
         self.completed.push(CompletedPair { reuse_time });

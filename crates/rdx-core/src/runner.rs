@@ -77,7 +77,7 @@ impl RdxRunner {
     /// conversion and the histogram build.
     fn post_pass(&self, profiler: &RdxProfiler, report: &RunReport) -> RdxProfile {
         let cfg = &self.config;
-        let n = report.counters.loads + report.counters.stores;
+        let n = report.accesses;
 
         // --- Censoring correction -------------------------------------
         // Two intertwined processes act on each armed watchpoint:

@@ -8,9 +8,8 @@
 //! capacity, which depends on the push history and is not preserved by
 //! the clone a snapshot finishes.
 
-use memsim::PmuEvent;
 use proptest::prelude::*;
-use rdx_core::{RdxConfig, RdxProfile, RdxRunner, ReplacementPolicy};
+use rdx_core::{LiveProfile, RdxConfig, RdxProfile, RdxRunner, ReplacementPolicy};
 use rdx_trace::{Access, AccessBuf, AccessSlice, Trace};
 
 /// Field-by-field bit equality, `profiler_bytes` aside (see above).
@@ -35,10 +34,15 @@ fn whole(config: RdxConfig, accesses: AccessSlice<'_>) -> RdxProfile {
     RdxRunner::new(config).profile(trace.stream())
 }
 
-/// Feeds `accesses` in slices cut at `cuts`, checking a snapshot after
-/// every slice and the final profile.
-fn check(config: RdxConfig, accesses: AccessSlice<'_>, cuts: &[usize]) -> Result<(), String> {
-    let mut live = RdxRunner::new(config).start();
+/// Feeds `accesses` in slices cut at `cuts` to a live profile from
+/// `start`, checking a snapshot after every slice and the final profile.
+fn check_with(
+    start: fn(&RdxRunner) -> LiveProfile,
+    config: RdxConfig,
+    accesses: AccessSlice<'_>,
+    cuts: &[usize],
+) -> Result<(), String> {
+    let mut live = start(&RdxRunner::new(config));
     let mut at = 0;
     for &cut in cuts.iter().chain([&accesses.len()]) {
         let cut = cut.clamp(at, accesses.len());
@@ -52,6 +56,11 @@ fn check(config: RdxConfig, accesses: AccessSlice<'_>, cuts: &[usize]) -> Result
         return Err("final profile differs".to_string());
     }
     Ok(())
+}
+
+/// [`check_with`] on the scanning [`RdxRunner::start`].
+fn check(config: RdxConfig, accesses: AccessSlice<'_>, cuts: &[usize]) -> Result<(), String> {
+    check_with(RdxRunner::start, config, accesses, cuts)
 }
 
 fn addresses(addrs: &[u64]) -> AccessBuf {
@@ -108,16 +117,21 @@ fn one_access_slices_match() {
 }
 
 #[test]
-fn per_access_sampling_modes_match_too() {
-    // Skid and event-filtered sampling take the per-access step, not
-    // the chunk fast path; snapshots must hold there as well.
+fn stepped_snapshots_match_too() {
+    // The per-access reference steps every access instead of scanning:
+    // cloning and finishing its machine run mid-stream must give the
+    // (scanned) whole-run profile of the prefix as well.
     let addrs: Vec<u64> = (0..4000u64).map(|i| (i * 13) % 389).collect();
-    let mut skid = RdxConfig::default().with_period(50);
-    skid.machine.sampling.max_skid = 3;
-    let mut loads = RdxConfig::default().with_period(40);
-    loads.machine.sampling.event = PmuEvent::Loads;
-    for config in [skid, loads] {
-        check(config, addresses(&addrs).as_slice(), &[1, 999, 1000, 2500])
-            .expect("snapshots match");
+    for (period, registers) in [(50, 4), (40, 1)] {
+        let config = RdxConfig::default()
+            .with_period(period)
+            .with_registers(registers);
+        check_with(
+            RdxRunner::start_stepped,
+            config,
+            addresses(&addrs).as_slice(),
+            &[1, 999, 1000, 2500],
+        )
+        .expect("snapshots match");
     }
 }

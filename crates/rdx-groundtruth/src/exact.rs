@@ -2,8 +2,6 @@
 
 use crate::fxhash::FxHashMap;
 use crate::olken::OlkenTracker;
-use crate::structure::DistanceStructure;
-use crate::structure::FenwickStructure;
 use rdx_histogram::{Binning, RdHistogram, ReuseDistance, ReuseTime, RtHistogram};
 use rdx_trace::{AccessStream, Granularity};
 
@@ -30,25 +28,14 @@ pub struct ExactProfile {
 }
 
 impl ExactProfile {
-    /// Measures a stream exhaustively with the default (Fenwick) structure.
+    /// Measures a stream exhaustively with Olken's algorithm.
     #[must_use]
     pub fn measure(
-        stream: impl AccessStream,
-        granularity: Granularity,
-        binning: Binning,
-    ) -> ExactProfile {
-        Self::measure_with::<FenwickStructure>(stream, granularity, binning)
-    }
-
-    /// Measures a stream exhaustively with a chosen order-statistic
-    /// structure (used by the structure-comparison benchmarks).
-    #[must_use]
-    pub fn measure_with<D: DistanceStructure + Default>(
         mut stream: impl AccessStream,
         granularity: Granularity,
         binning: Binning,
     ) -> ExactProfile {
-        let mut olken = OlkenTracker::<D>::with_structure();
+        let mut olken = OlkenTracker::new();
         let mut last_time: FxHashMap<u64, u64> = FxHashMap::default();
         let mut rd = RdHistogram::new(binning);
         let mut rt = RtHistogram::new(binning);

@@ -6,16 +6,9 @@
 //! order-statistic structure counts how many *distinct* blocks were touched
 //! in between (Olken's algorithm).
 //!
-//! Three interchangeable order-statistic structures are provided, all
-//! implementing [`DistanceStructure`]:
-//!
-//! * [`FenwickStructure`] — a Fenwick (binary indexed) tree over access
-//!   timestamps; the fastest here and the crate default.
-//! * [`TreapStructure`] — a randomized order-statistic treap.
-//! * [`SplayStructure`] — the splay tree used by Olken's original
-//!   formulation and most instrumentation-based tools.
-//!
-//! They are property-tested against each other and against an O(n²)
+//! The order-statistic structure is a [`FenwickStructure`], a Fenwick
+//! (binary indexed) tree over access timestamps. It is property-tested
+//! against a `Vec` oracle, and [`OlkenTracker`] against an O(n²)
 //! brute-force oracle ([`brute_force_rd`]).
 //!
 //! On top of the per-access tracker, [`exact`] offers whole-stream drivers
@@ -50,4 +43,4 @@ pub use footprint::FootprintCurve;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHasher};
 pub use olken::OlkenTracker;
 pub use sharded::ShardedExact;
-pub use structure::{DistanceStructure, FenwickStructure, SplayStructure, TreapStructure};
+pub use structure::FenwickStructure;

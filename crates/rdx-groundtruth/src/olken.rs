@@ -1,52 +1,32 @@
 //! Olken's exact reuse-distance algorithm.
 
 use crate::fxhash::FxHashMap;
-use crate::structure::{DistanceStructure, FenwickStructure};
+use crate::structure::FenwickStructure;
 use rdx_histogram::ReuseDistance;
 
 /// Exact per-access reuse-distance measurement (Olken's algorithm).
 ///
 /// For each access the tracker returns the number of distinct blocks
 /// touched since the previous access to the same block, or
-/// [`ReuseDistance::INFINITE`] for a block seen for the first time.
-///
-/// The tracker is generic over the order-statistic structure; the default
-/// [`FenwickStructure`] is the fastest, while [`TreapStructure`] and
-/// [`SplayStructure`] model the per-block memory behaviour of real
-/// instrumentation tools (see [`DistanceStructure`]).
-///
-/// [`TreapStructure`]: crate::TreapStructure
-/// [`SplayStructure`]: crate::SplayStructure
+/// [`ReuseDistance::INFINITE`] for a block seen for the first time. A
+/// [`FenwickStructure`] over access timestamps counts the distinct
+/// blocks.
 #[derive(Debug, Clone, Default)]
-pub struct OlkenTracker<D = FenwickStructure> {
-    structure: D,
+pub struct OlkenTracker {
+    structure: FenwickStructure,
     // Fx-hashed: one probe per access makes this the tracker's hottest
     // map, and the deterministic hasher keeps runs seed-independent.
     last_access: FxHashMap<u64, u64>,
     time: u64,
 }
 
-impl OlkenTracker<FenwickStructure> {
-    /// Creates a tracker with the default (Fenwick) structure.
+impl OlkenTracker {
+    /// Creates an empty tracker.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl<D: DistanceStructure + Default> OlkenTracker<D> {
-    /// Creates a tracker with a specific order-statistic structure.
-    #[must_use]
-    pub fn with_structure() -> Self {
-        OlkenTracker {
-            structure: D::default(),
-            last_access: FxHashMap::default(),
-            time: 0,
-        }
-    }
-}
-
-impl<D: DistanceStructure> OlkenTracker<D> {
     /// Processes an access to `block`, returning its exact reuse distance.
     pub fn access(&mut self, block: u64) -> ReuseDistance {
         let now = self.time;
@@ -76,8 +56,8 @@ impl<D: DistanceStructure> OlkenTracker<D> {
     }
 
     /// Approximate heap bytes used by the tracker — the "memory bloat" an
-    /// exhaustive tool pays: one hash-map entry plus one tree node per
-    /// distinct block (plus the structure's own bookkeeping).
+    /// exhaustive tool pays: one hash-map entry per distinct block plus
+    /// the Fenwick tree, one counter per access so far.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         // HashMap entry ≈ key + value + bucket control byte, amortized over
@@ -91,7 +71,6 @@ impl<D: DistanceStructure> OlkenTracker<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::structure::{SplayStructure, TreapStructure};
 
     #[test]
     fn textbook_example() {
@@ -141,30 +120,21 @@ mod tests {
     }
 
     #[test]
-    fn all_structures_agree() {
-        let trace: Vec<u64> = (0..500u64).map(|i| (i * i + i / 7) % 37).collect();
-        let mut fen = OlkenTracker::<FenwickStructure>::with_structure();
-        let mut treap = OlkenTracker::<TreapStructure>::with_structure();
-        let mut splay = OlkenTracker::<SplayStructure>::with_structure();
-        for &b in &trace {
-            let d1 = fen.access(b);
-            let d2 = treap.access(b);
-            let d3 = splay.access(b);
-            assert_eq!(d1, d2);
-            assert_eq!(d1, d3);
-        }
-    }
-
-    #[test]
     fn memory_grows_with_footprint_not_length() {
-        let mut small = OlkenTracker::<TreapStructure>::with_structure();
+        // At equal trace length the Fenwick tree is the same size, so
+        // the difference is the hash map: one entry per distinct block.
+        let mut small = OlkenTracker::new();
+        let mut large = OlkenTracker::new();
         for i in 0..100_000u64 {
             small.access(i % 16);
-        }
-        let mut large = OlkenTracker::<TreapStructure>::with_structure();
-        for i in 0..100_000u64 {
             large.access(i % 16_384);
         }
-        assert!(large.memory_bytes() > 10 * small.memory_bytes());
+        assert_eq!(
+            small.structure.memory_bytes(),
+            large.structure.memory_bytes()
+        );
+        let map_bytes = |o: &OlkenTracker| o.memory_bytes() - o.structure.memory_bytes();
+        assert!(map_bytes(&large) > 100 * map_bytes(&small));
+        assert!(large.memory_bytes() > small.memory_bytes());
     }
 }

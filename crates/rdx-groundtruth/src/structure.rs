@@ -1,51 +1,18 @@
-//! Order-statistic structures over access timestamps.
+//! The order-statistic structure over access timestamps.
 //!
 //! Olken's algorithm needs a dynamic set of timestamps supporting three
 //! operations: insert a timestamp larger than all present ones, remove an
 //! arbitrary present timestamp, and count how many present timestamps exceed
-//! a given one. Each structure here trades differently between speed and
-//! memory — the comparison is itself one of the workspace's benchmarks.
-
-/// A dynamic set of `u64` timestamps with order-statistic queries.
-///
-/// Insertions are always of a timestamp strictly greater than every
-/// timestamp ever inserted (logical time only moves forward); this is a
-/// contract, not a checked invariant, and implementations may exploit it.
-pub trait DistanceStructure {
-    /// Inserts a timestamp strictly greater than all previously inserted.
-    fn insert_latest(&mut self, t: u64);
-
-    /// Removes a timestamp. Returns true if it was present.
-    fn remove(&mut self, t: u64) -> bool;
-
-    /// Counts present timestamps strictly greater than `t`.
-    ///
-    /// Takes `&mut self` because self-adjusting implementations (splay)
-    /// restructure on every query.
-    fn count_greater(&mut self, t: u64) -> u64;
-
-    /// Number of timestamps currently present.
-    fn len(&self) -> u64;
-
-    /// Returns true if the structure is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Approximate heap bytes used, for memory-bloat accounting.
-    fn memory_bytes(&self) -> usize;
-}
-
-// ---------------------------------------------------------------------------
-// Fenwick tree
-// ---------------------------------------------------------------------------
+//! a given one. A Fenwick tree does all three in `O(log n)`.
 
 /// A Fenwick (binary indexed) tree over timestamps.
 ///
+/// Insertions are always of a timestamp strictly greater than every
+/// timestamp ever inserted (logical time only moves forward); this is a
+/// contract, not a checked invariant, and the tree exploits it.
+///
 /// Memory grows with the *trace length* rather than the footprint, which is
-/// exactly the memory-bloat pathology of exhaustive measurement; it is
-/// nevertheless the fastest structure here and the default for producing
-/// ground truth.
+/// exactly the memory-bloat pathology of exhaustive measurement.
 #[derive(Debug, Clone, Default)]
 pub struct FenwickStructure {
     /// tree[i] covers a range of timestamp slots; 1-based indexing.
@@ -106,16 +73,16 @@ impl FenwickStructure {
         }
         self.prefix(t) > if t == 0 { 0 } else { self.prefix(t - 1) }
     }
-}
 
-impl DistanceStructure for FenwickStructure {
-    fn insert_latest(&mut self, t: u64) {
+    /// Inserts a timestamp strictly greater than all previously inserted.
+    pub fn insert_latest(&mut self, t: u64) {
         self.grow_for(t);
         self.add(t, 1);
         self.present += 1;
     }
 
-    fn remove(&mut self, t: u64) -> bool {
+    /// Removes a timestamp. Returns true if it was present.
+    pub fn remove(&mut self, t: u64) -> bool {
         if !self.contains(t) {
             return false;
         }
@@ -124,488 +91,28 @@ impl DistanceStructure for FenwickStructure {
         true
     }
 
-    fn count_greater(&mut self, t: u64) -> u64 {
+    /// Counts present timestamps strictly greater than `t`.
+    #[must_use]
+    pub fn count_greater(&self, t: u64) -> u64 {
         self.present - self.prefix(t)
     }
 
-    fn len(&self) -> u64 {
+    /// Number of timestamps currently present.
+    #[must_use]
+    pub fn len(&self) -> u64 {
         self.present
     }
 
-    fn memory_bytes(&self) -> usize {
+    /// Returns true if the structure is empty.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.present == 0
+    }
+
+    /// Approximate heap bytes used, for memory-bloat accounting.
+    #[must_use]
+    pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.tree.capacity() * std::mem::size_of::<i32>()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Treap
-// ---------------------------------------------------------------------------
-
-const NIL: u32 = u32::MAX;
-
-#[derive(Debug, Clone, Copy)]
-struct TreapNode {
-    key: u64,
-    prio: u64,
-    left: u32,
-    right: u32,
-    size: u32,
-}
-
-/// A randomized order-statistic treap.
-///
-/// Memory is proportional to the number of *present* timestamps (one per
-/// tracked block in Olken's algorithm), which models the per-block node
-/// cost of instrumentation-based tools.
-#[derive(Debug, Clone)]
-pub struct TreapStructure {
-    arena: Vec<TreapNode>,
-    free: Vec<u32>,
-    root: u32,
-    rng_state: u64,
-}
-
-impl TreapStructure {
-    /// Creates an empty treap (fixed internal seed; the structure is a
-    /// deterministic function of the operation sequence).
-    #[must_use]
-    pub fn new() -> Self {
-        TreapStructure {
-            arena: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
-            rng_state: 0x9E37_79B9_7F4A_7C15,
-        }
-    }
-
-    fn next_prio(&mut self) -> u64 {
-        // splitmix64
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn size(&self, n: u32) -> u32 {
-        if n == NIL {
-            0
-        } else {
-            self.arena[n as usize].size
-        }
-    }
-
-    fn update(&mut self, n: u32) {
-        if n != NIL {
-            let s = 1
-                + self.size(self.arena[n as usize].left)
-                + self.size(self.arena[n as usize].right);
-            self.arena[n as usize].size = s;
-        }
-    }
-
-    fn alloc(&mut self, key: u64) -> u32 {
-        let prio = self.next_prio();
-        let node = TreapNode {
-            key,
-            prio,
-            left: NIL,
-            right: NIL,
-            size: 1,
-        };
-        if let Some(i) = self.free.pop() {
-            self.arena[i as usize] = node;
-            i
-        } else {
-            self.arena.push(node);
-            (self.arena.len() - 1) as u32
-        }
-    }
-
-    /// Merge two treaps where every key in `a` < every key in `b`.
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if self.arena[a as usize].prio >= self.arena[b as usize].prio {
-            let r = self.arena[a as usize].right;
-            let merged = self.merge(r, b);
-            self.arena[a as usize].right = merged;
-            self.update(a);
-            a
-        } else {
-            let l = self.arena[b as usize].left;
-            let merged = self.merge(a, l);
-            self.arena[b as usize].left = merged;
-            self.update(b);
-            b
-        }
-    }
-
-    /// Split into (< key, >= key).
-    fn split(&mut self, n: u32, key: u64) -> (u32, u32) {
-        if n == NIL {
-            return (NIL, NIL);
-        }
-        if self.arena[n as usize].key < key {
-            let r = self.arena[n as usize].right;
-            let (a, b) = self.split(r, key);
-            self.arena[n as usize].right = a;
-            self.update(n);
-            (n, b)
-        } else {
-            let l = self.arena[n as usize].left;
-            let (a, b) = self.split(l, key);
-            self.arena[n as usize].left = b;
-            self.update(n);
-            (a, n)
-        }
-    }
-}
-
-impl Default for TreapStructure {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl DistanceStructure for TreapStructure {
-    fn insert_latest(&mut self, t: u64) {
-        let node = self.alloc(t);
-        // Contract: t exceeds all present keys, so a plain merge suffices.
-        self.root = self.merge(self.root, node);
-    }
-
-    fn remove(&mut self, t: u64) -> bool {
-        let (lt, ge) = self.split(self.root, t);
-        let (eq, gt) = self.split(ge, t + 1);
-        let found = eq != NIL;
-        if found {
-            // eq is a single node (keys are unique)
-            debug_assert_eq!(self.arena[eq as usize].size, 1);
-            self.free.push(eq);
-        }
-        self.root = self.merge(lt, gt);
-        found
-    }
-
-    fn count_greater(&mut self, t: u64) -> u64 {
-        let mut n = self.root;
-        let mut count = 0u64;
-        while n != NIL {
-            let node = self.arena[n as usize];
-            if node.key > t {
-                count += 1 + u64::from(self.size(node.right));
-                n = node.left;
-            } else {
-                n = node.right;
-            }
-        }
-        count
-    }
-
-    fn len(&self) -> u64 {
-        u64::from(self.size(self.root))
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.arena.capacity() * std::mem::size_of::<TreapNode>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Splay tree
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, Copy)]
-struct SplayNode {
-    key: u64,
-    left: u32,
-    right: u32,
-    parent: u32,
-    size: u32,
-}
-
-/// A bottom-up splay tree with subtree sizes — the structure used by
-/// Olken's original algorithm and by Pin-based reuse-distance tools.
-///
-/// Self-adjustment makes repeated queries near recent timestamps cheap,
-/// which matches the temporal locality of real traces.
-#[derive(Debug, Clone)]
-pub struct SplayStructure {
-    arena: Vec<SplayNode>,
-    free: Vec<u32>,
-    root: u32,
-    present: u64,
-}
-
-impl Default for SplayStructure {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl SplayStructure {
-    /// Creates an empty splay tree.
-    #[must_use]
-    pub fn new() -> Self {
-        SplayStructure {
-            arena: Vec::new(),
-            free: Vec::new(),
-            root: NIL,
-            present: 0,
-        }
-    }
-
-    fn size(&self, n: u32) -> u32 {
-        if n == NIL {
-            0
-        } else {
-            self.arena[n as usize].size
-        }
-    }
-
-    fn update(&mut self, n: u32) {
-        if n != NIL {
-            let s = 1
-                + self.size(self.arena[n as usize].left)
-                + self.size(self.arena[n as usize].right);
-            self.arena[n as usize].size = s;
-        }
-    }
-
-    fn alloc(&mut self, key: u64) -> u32 {
-        let node = SplayNode {
-            key,
-            left: NIL,
-            right: NIL,
-            parent: NIL,
-            size: 1,
-        };
-        if let Some(i) = self.free.pop() {
-            self.arena[i as usize] = node;
-            i
-        } else {
-            self.arena.push(node);
-            (self.arena.len() - 1) as u32
-        }
-    }
-
-    fn rotate(&mut self, x: u32) {
-        let p = self.arena[x as usize].parent;
-        debug_assert_ne!(p, NIL);
-        let g = self.arena[p as usize].parent;
-        let x_is_left = self.arena[p as usize].left == x;
-        // move x's inner child to p
-        let inner = if x_is_left {
-            let r = self.arena[x as usize].right;
-            self.arena[p as usize].left = r;
-            r
-        } else {
-            let l = self.arena[x as usize].left;
-            self.arena[p as usize].right = l;
-            l
-        };
-        if inner != NIL {
-            self.arena[inner as usize].parent = p;
-        }
-        // p becomes x's child
-        if x_is_left {
-            self.arena[x as usize].right = p;
-        } else {
-            self.arena[x as usize].left = p;
-        }
-        self.arena[p as usize].parent = x;
-        // reattach to grandparent
-        self.arena[x as usize].parent = g;
-        if g == NIL {
-            self.root = x;
-        } else if self.arena[g as usize].left == p {
-            self.arena[g as usize].left = x;
-        } else {
-            self.arena[g as usize].right = x;
-        }
-        self.update(p);
-        self.update(x);
-    }
-
-    fn splay(&mut self, x: u32) {
-        while self.arena[x as usize].parent != NIL {
-            let p = self.arena[x as usize].parent;
-            let g = self.arena[p as usize].parent;
-            if g == NIL {
-                self.rotate(x); // zig
-            } else {
-                let p_is_left = self.arena[g as usize].left == p;
-                let x_is_left = self.arena[p as usize].left == x;
-                if p_is_left == x_is_left {
-                    self.rotate(p); // zig-zig
-                    self.rotate(x);
-                } else {
-                    self.rotate(x); // zig-zag
-                    self.rotate(x);
-                }
-            }
-        }
-    }
-
-    /// Finds the node with exactly `key`, splaying the last node visited.
-    fn find(&mut self, key: u64) -> Option<u32> {
-        let mut n = self.root;
-        let mut last = NIL;
-        let mut found = None;
-        while n != NIL {
-            last = n;
-            let k = self.arena[n as usize].key;
-            if key == k {
-                found = Some(n);
-                break;
-            }
-            n = if key < k {
-                self.arena[n as usize].left
-            } else {
-                self.arena[n as usize].right
-            };
-        }
-        if let Some(f) = found {
-            self.splay(f);
-        } else if last != NIL {
-            self.splay(last);
-        }
-        found
-    }
-
-    fn max_of(&mut self, mut n: u32) -> u32 {
-        while self.arena[n as usize].right != NIL {
-            n = self.arena[n as usize].right;
-        }
-        n
-    }
-}
-
-impl DistanceStructure for SplayStructure {
-    fn insert_latest(&mut self, t: u64) {
-        let node = self.alloc(t);
-        if self.root == NIL {
-            self.root = node;
-        } else {
-            // Contract: t is the new maximum — attach as rightmost child.
-            let r = self.max_of(self.root);
-            self.arena[r as usize].right = node;
-            self.arena[node as usize].parent = r;
-            // fix sizes along the path handled by splaying the new node
-            self.splay(node);
-        }
-        self.present += 1;
-    }
-
-    fn remove(&mut self, t: u64) -> bool {
-        let Some(n) = self.find(t) else {
-            return false;
-        };
-        // n is now the root
-        let l = self.arena[n as usize].left;
-        let r = self.arena[n as usize].right;
-        if l != NIL {
-            self.arena[l as usize].parent = NIL;
-        }
-        if r != NIL {
-            self.arena[r as usize].parent = NIL;
-        }
-        self.free.push(n);
-        self.present -= 1;
-        self.root = if l == NIL {
-            r
-        } else {
-            let m = self.max_of(l);
-            self.splay_within(m, l);
-            // m is now the root of the left tree and has no right child
-            self.arena[m as usize].right = r;
-            if r != NIL {
-                self.arena[r as usize].parent = m;
-            }
-            self.update(m);
-            m
-        };
-        true
-    }
-
-    fn count_greater(&mut self, t: u64) -> u64 {
-        if self.root == NIL {
-            return 0;
-        }
-        // Splay the queried key (or its neighbour) to the root, then read
-        // off subtree sizes.
-        let found = self.find(t);
-        let root = self.root;
-        let rk = self.arena[root as usize].key;
-        let right_size = u64::from(self.size(self.arena[root as usize].right));
-        match found {
-            Some(_) => right_size,
-            None if rk > t => right_size + 1,
-            None => right_size,
-        }
-    }
-
-    fn len(&self) -> u64 {
-        self.present
-    }
-
-    fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + self.arena.capacity() * std::mem::size_of::<SplayNode>()
-            + self.free.capacity() * std::mem::size_of::<u32>()
-    }
-}
-
-impl SplayStructure {
-    /// Splays `x` to the root of the subtree currently rooted at `sub`
-    /// (whose parent is NIL).
-    fn splay_within(&mut self, x: u32, sub: u32) {
-        let _ = sub; // x's ancestor chain terminates at `sub`, whose parent is NIL
-        while self.arena[x as usize].parent != NIL {
-            let p = self.arena[x as usize].parent;
-            let g = self.arena[p as usize].parent;
-            if g == NIL {
-                self.rotate(x);
-            } else {
-                let p_is_left = self.arena[g as usize].left == p;
-                let x_is_left = self.arena[p as usize].left == x;
-                if p_is_left == x_is_left {
-                    self.rotate(p);
-                    self.rotate(x);
-                } else {
-                    self.rotate(x);
-                    self.rotate(x);
-                }
-            }
-        }
-    }
-}
-
-impl SplayStructure {
-    /// Validates parent pointers, size fields and acyclicity, returning the
-    /// number of reachable nodes. Test/debug helper.
-    #[doc(hidden)]
-    pub fn debug_validate(&self) -> u64 {
-        fn walk(s: &SplayStructure, n: u32, parent: u32, depth: u32) -> u64 {
-            assert!(depth < 10_000, "tree too deep: cycle suspected");
-            if n == NIL {
-                return 0;
-            }
-            let node = &s.arena[n as usize];
-            assert_eq!(node.parent, parent, "parent pointer of key {}", node.key);
-            let l = walk(s, node.left, n, depth + 1);
-            let r = walk(s, node.right, n, depth + 1);
-            assert_eq!(u64::from(node.size), l + r + 1, "size of key {}", node.key);
-            l + r + 1
-        }
-        walk(self, self.root, NIL, 0)
     }
 }
 
@@ -613,75 +120,62 @@ impl SplayStructure {
 mod tests {
     use super::*;
 
-    fn all_structures() -> Vec<(&'static str, Box<dyn DistanceStructure>)> {
-        vec![
-            ("fenwick", Box::new(FenwickStructure::new())),
-            ("treap", Box::new(TreapStructure::new())),
-            ("splay", Box::new(SplayStructure::new())),
-        ]
-    }
-
     #[test]
     fn basic_operations_each_structure() {
-        for (name, mut s) in all_structures() {
-            assert!(s.is_empty(), "{name}");
-            s.insert_latest(10);
-            s.insert_latest(20);
-            s.insert_latest(30);
-            assert_eq!(s.len(), 3, "{name}");
-            assert_eq!(s.count_greater(5), 3, "{name}");
-            assert_eq!(s.count_greater(10), 2, "{name}");
-            assert_eq!(s.count_greater(20), 1, "{name}");
-            assert_eq!(s.count_greater(30), 0, "{name}");
-            assert!(s.remove(20), "{name}");
-            assert!(!s.remove(20), "{name}: double remove");
-            assert_eq!(s.count_greater(10), 1, "{name}");
-            assert_eq!(s.len(), 2, "{name}");
-        }
+        let mut s = FenwickStructure::new();
+        assert!(s.is_empty());
+        s.insert_latest(10);
+        s.insert_latest(20);
+        s.insert_latest(30);
+        assert_eq!(s.len(), 3);
+        assert_eq!(s.count_greater(5), 3);
+        assert_eq!(s.count_greater(10), 2);
+        assert_eq!(s.count_greater(20), 1);
+        assert_eq!(s.count_greater(30), 0);
+        assert!(s.remove(20));
+        assert!(!s.remove(20), "double remove");
+        assert_eq!(s.count_greater(10), 1);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
     fn remove_absent_returns_false() {
-        for (name, mut s) in all_structures() {
-            assert!(!s.remove(42), "{name}");
-            s.insert_latest(1);
-            assert!(!s.remove(0), "{name}");
-            assert!(!s.remove(2), "{name}");
-            assert_eq!(s.len(), 1, "{name}");
-        }
+        let mut s = FenwickStructure::new();
+        assert!(!s.remove(42));
+        s.insert_latest(1);
+        assert!(!s.remove(0));
+        assert!(!s.remove(2));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn count_greater_on_empty() {
-        for (name, mut s) in all_structures() {
-            assert_eq!(s.count_greater(0), 0, "{name}");
-            assert_eq!(s.count_greater(u64::MAX - 1), 0, "{name}");
-        }
+        let s = FenwickStructure::new();
+        assert_eq!(s.count_greater(0), 0);
+        assert_eq!(s.count_greater(u64::MAX - 1), 0);
     }
 
     #[test]
     fn olken_like_sequence() {
         // Simulate the exact op pattern Olken performs.
-        for (name, mut s) in all_structures() {
-            // access a@0 b@1 c@2 a@3: distance of a = count_greater(0) = 2
-            s.insert_latest(0);
-            s.insert_latest(1);
-            s.insert_latest(2);
-            assert_eq!(s.count_greater(0), 2, "{name}");
-            assert!(s.remove(0), "{name}");
-            s.insert_latest(3);
-            // access b@4: count_greater(1) = 2 (timestamps 2 and 3)
-            assert_eq!(s.count_greater(1), 2, "{name}");
-        }
+        let mut s = FenwickStructure::new();
+        // access a@0 b@1 c@2 a@3: distance of a = count_greater(0) = 2
+        s.insert_latest(0);
+        s.insert_latest(1);
+        s.insert_latest(2);
+        assert_eq!(s.count_greater(0), 2);
+        assert!(s.remove(0));
+        s.insert_latest(3);
+        // access b@4: count_greater(1) = 2 (timestamps 2 and 3)
+        assert_eq!(s.count_greater(1), 2);
     }
 
     #[test]
     fn structures_agree_on_random_workload() {
-        // Deterministic pseudo-random op sequence, mirrored into all three
-        // structures plus a naive Vec oracle.
+        // Deterministic pseudo-random op sequence, mirrored into the tree
+        // and a naive Vec oracle. Gaps between inserted timestamps and
+        // enough inserts to grow the tree several times over.
         let mut fen = FenwickStructure::new();
-        let mut treap = TreapStructure::new();
-        let mut splay = SplayStructure::new();
         let mut oracle: Vec<u64> = Vec::new();
         let mut state = 12345u64;
         let mut rand = move || {
@@ -695,20 +189,12 @@ mod tests {
             match rand() % 3 {
                 0 => {
                     fen.insert_latest(next_t);
-                    treap.insert_latest(next_t);
-                    splay.insert_latest(next_t);
                     oracle.push(next_t);
                     next_t += 1 + rand() % 5;
                 }
                 1 if !oracle.is_empty() => {
-                    let victim = oracle[(rand() % oracle.len() as u64) as usize];
-                    let o = oracle.iter().position(|&x| x == victim).map(|i| {
-                        oracle.swap_remove(i);
-                    });
-                    assert!(o.is_some());
+                    let victim = oracle.swap_remove((rand() % oracle.len() as u64) as usize);
                     assert!(fen.remove(victim));
-                    assert!(treap.remove(victim));
-                    assert!(splay.remove(victim));
                 }
                 _ => {
                     let q = if oracle.is_empty() || rand() % 2 == 0 {
@@ -717,12 +203,8 @@ mod tests {
                         oracle[(rand() % oracle.len() as u64) as usize]
                     };
                     let expect = oracle.iter().filter(|&&x| x > q).count() as u64;
-                    assert_eq!(fen.count_greater(q), expect, "fenwick q={q}");
-                    assert_eq!(treap.count_greater(q), expect, "treap q={q}");
-                    assert_eq!(splay.count_greater(q), expect, "splay q={q}");
+                    assert_eq!(fen.count_greater(q), expect, "q={q}");
                     assert_eq!(fen.len(), oracle.len() as u64);
-                    assert_eq!(treap.len(), oracle.len() as u64);
-                    assert_eq!(splay.len(), oracle.len() as u64);
                 }
             }
         }
@@ -730,70 +212,22 @@ mod tests {
 
     #[test]
     fn default_constructed_structures_are_empty_and_usable() {
-        // Regression test: a derived Default once left SplayStructure's root
-        // pointing at arena slot 0, making the first node its own child.
-        let mut fen = FenwickStructure::default();
-        let mut treap = TreapStructure::default();
-        let mut splay = SplayStructure::default();
-        for s in [
-            &mut fen as &mut dyn DistanceStructure,
-            &mut treap,
-            &mut splay,
-        ] {
-            assert!(s.is_empty());
-            s.insert_latest(5);
-            s.insert_latest(9);
-            assert_eq!(s.count_greater(5), 1);
-            assert!(s.remove(5));
-            assert_eq!(s.len(), 1);
-        }
-        splay.debug_validate();
+        let mut s = FenwickStructure::default();
+        assert!(s.is_empty());
+        s.insert_latest(5);
+        s.insert_latest(9);
+        assert_eq!(s.count_greater(5), 1);
+        assert!(s.remove(5));
+        assert_eq!(s.len(), 1);
     }
 
     #[test]
     fn memory_accounting_nonzero_after_inserts() {
-        for (name, mut s) in all_structures() {
-            let before = s.memory_bytes();
-            for t in 0..1000 {
-                s.insert_latest(t);
-            }
-            assert!(s.memory_bytes() > before, "{name}");
-        }
-    }
-
-    #[test]
-    fn treap_reuses_freed_nodes() {
-        let mut t = TreapStructure::new();
-        for i in 0..100 {
-            t.insert_latest(i);
-        }
-        for i in 0..100 {
-            assert!(t.remove(i));
-        }
-        let cap_after_churn = t.memory_bytes();
-        for i in 100..200 {
-            t.insert_latest(i);
-        }
-        assert_eq!(
-            t.memory_bytes(),
-            cap_after_churn,
-            "free list must be reused"
-        );
-    }
-
-    #[test]
-    fn splay_handles_ascending_then_interleaved_removal() {
-        let mut s = SplayStructure::new();
-        for t in 0..500u64 {
+        let mut s = FenwickStructure::new();
+        let before = s.memory_bytes();
+        for t in 0..1000 {
             s.insert_latest(t);
         }
-        // remove evens
-        for t in (0..500u64).step_by(2) {
-            assert!(s.remove(t));
-        }
-        assert_eq!(s.len(), 250);
-        // odds remain: count_greater(249) = number of odds > 249 = 125
-        assert_eq!(s.count_greater(249), 125);
-        assert_eq!(s.count_greater(499), 0);
+        assert!(s.memory_bytes() > before);
     }
 }

@@ -48,7 +48,7 @@ const T_ERROR: u8 = 0xEE;
 /// the same [`rdx_core::limits`] checks the CLI uses at parse time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionOptions {
-    /// Mean PMU sampling period in accesses (≥ 1).
+    /// Mean PMU sampling period in accesses (1..=2^63).
     pub period: u64,
     /// Debug registers to model (1..=4).
     pub registers: u32,
@@ -994,6 +994,38 @@ mod tests {
         for opts in bad {
             assert!(opts.validate().is_err(), "{opts:?}");
         }
+    }
+
+    #[test]
+    fn decoded_open_with_an_overflowing_period_fails_validation() {
+        // A period whose jittered gap would overflow the PMU's draw
+        // decodes fine and is refused by validation, before any session
+        // builds a machine from it.
+        let msg = ClientMessage::OpenSession {
+            name: "zipf".to_string(),
+            opts: SessionOptions {
+                period: 17_000_000_000_000_000_000,
+                ..SessionOptions::default()
+            },
+        };
+        let ClientMessage::OpenSession { opts, .. } =
+            ClientMessage::decode(msg.encode().expect("encodes")).expect("decodes")
+        else {
+            panic!("decoded to another message");
+        };
+        assert_eq!(
+            opts.validate(),
+            Err(LimitError {
+                param: "period",
+                requirement: "at most 2^63",
+                got: 17_000_000_000_000_000_000,
+            })
+        );
+        let at_bound = SessionOptions {
+            period: rdx_core::limits::MAX_PERIOD,
+            ..SessionOptions::default()
+        };
+        assert_eq!(at_bound.validate(), Ok(()));
     }
 
     #[test]
