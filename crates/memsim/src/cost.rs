@@ -58,7 +58,8 @@ impl Default for CostModel {
 /// [`CostModel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct CostLedger {
-    /// Memory accesses executed by the application.
+    /// Memory accesses executed by the application: a machine run's
+    /// PMU count, filled in when the run finishes.
     pub accesses: u64,
     /// PMU samples delivered.
     pub samples: u64,

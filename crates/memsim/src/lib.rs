@@ -75,5 +75,5 @@ pub use debug::{ArmError, ArmInfo, DebugRegisterFile, Slot, WatchKind, Watchpoin
 pub use machine::{
     Hardware, Machine, MachineConfig, MachineRun, Profiler, RunReport, Sample, Trap,
 };
-pub use pmu::{Pmu, SamplingConfig, MAX_PERIOD};
+pub use pmu::{Pmu, PmuOutcome, SamplingConfig, MAX_PERIOD};
 pub use scan::NeedleSet;

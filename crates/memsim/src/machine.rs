@@ -2,7 +2,7 @@
 
 use crate::cost::{CostLedger, CostModel};
 use crate::debug::{ArmError, ArmInfo, DebugRegisterFile, Slot, Watchpoint};
-use crate::kernels;
+use crate::kernels::{self, ScanTally};
 use crate::pmu::{Pmu, PmuOutcome, SamplingConfig};
 use crate::scan::NeedleSet;
 use rdx_trace::{Access, AccessSlice, AccessStream};
@@ -108,8 +108,8 @@ pub trait Profiler {
 pub struct Hardware<'a> {
     drf: &'a mut DebugRegisterFile,
     ledger: &'a mut CostLedger,
+    /// The PMU's access counter: the current access has retired.
     accesses: u64,
-    index: u64,
 }
 
 impl Hardware<'_> {
@@ -125,7 +125,7 @@ impl Hardware<'_> {
     pub fn arm(&mut self, watchpoint: Watchpoint, tag: u64) -> Result<Slot, ArmError> {
         let info = ArmInfo {
             watchpoint,
-            armed_at: self.index,
+            armed_at: self.index(),
             accesses_at_arm: self.accesses,
             tag,
         };
@@ -166,7 +166,7 @@ impl Hardware<'_> {
     /// [`Profiler::on_finish`]).
     #[must_use]
     pub fn index(&self) -> u64 {
-        self.index
+        self.accesses.saturating_sub(1)
     }
 }
 
@@ -266,9 +266,10 @@ impl Machine {
     }
 }
 
-/// A machine run in progress: the PMU, the debug-register file, the
-/// cost ledger and the access index, carried between
-/// [`feed`](MachineRun::feed) calls.
+/// A machine run in progress: the PMU, the debug-register file and the
+/// cost ledger, carried between [`feed`](MachineRun::feed) calls. The
+/// PMU's access counter is the run's one access count: the index of
+/// the next access and the ledger's `accesses` are read from it.
 ///
 /// The state is plain data, so a run can be cloned mid-stream; cloning
 /// it together with the profiler and finishing the clone yields exactly
@@ -279,7 +280,6 @@ pub struct MachineRun {
     pmu: Pmu,
     drf: DebugRegisterFile,
     ledger: CostLedger,
-    index: u64,
     cost: CostModel,
     /// Replay slices through the chunk fast path; false only for the
     /// per-access reference, [`Machine::start_stepped`].
@@ -292,7 +292,6 @@ impl MachineRun {
             pmu: Pmu::new(config.sampling, config.seed),
             drf: DebugRegisterFile::new(config.registers),
             ledger: CostLedger::default(),
-            index: 0,
             cost: config.cost,
             fast,
         }
@@ -309,13 +308,14 @@ impl MachineRun {
         }
         let n = accesses.len() as u64;
         if self.fast {
+            let mut tally = ScanTally::default();
             let segments = run_chunk(
                 accesses,
                 &mut self.pmu,
                 &mut self.drf,
                 &mut self.ledger,
                 profiler,
-                &mut self.index,
+                &mut tally,
             );
             // Engagement counters, flushed once per feed so the
             // metrics registry stays off the hot path and a snapshot's
@@ -325,6 +325,11 @@ impl MachineRun {
             rdx_metrics::counter("rdx.machine.fastpath.chunks").incr();
             rdx_metrics::counter("rdx.machine.fastpath.segments").add(segments);
             rdx_metrics::counter("rdx.machine.fastpath.scanned_accesses").add(n);
+            // What the scans read, against the 8 bytes of address an
+            // access holds, and the candidate blocks that were no hit.
+            rdx_metrics::counter("rdx.machine.scan.bytes").add(tally.bytes());
+            rdx_metrics::counter("rdx.machine.scan.rewalked_accesses").add(tally.high_words);
+            rdx_metrics::counter("rdx.machine.scan.false_candidates").add(tally.false_candidates);
             // Which loop the host scanned with, each name literal so
             // the counter-manifest lint sees it.
             if kernels::avx2_detected() {
@@ -340,9 +345,7 @@ impl MachineRun {
                     &mut self.drf,
                     &mut self.ledger,
                     profiler,
-                    self.index,
                 );
-                self.index += 1;
             }
             rdx_metrics::counter("rdx.machine.fastpath.fallbacks").add(n);
         }
@@ -351,15 +354,16 @@ impl MachineRun {
     /// Ends the run: delivers [`Profiler::on_finish`] with the
     /// watchpoints still armed and reports the totals.
     pub fn finish(mut self, profiler: &mut impl Profiler) -> RunReport {
+        let accesses = self.pmu.accesses();
         let mut hw = Hardware {
             drf: &mut self.drf,
             ledger: &mut self.ledger,
-            accesses: self.pmu.accesses(),
-            index: self.index.saturating_sub(1),
+            accesses,
         };
         profiler.on_finish(&mut hw);
+        self.ledger.accesses = accesses;
         RunReport {
-            accesses: self.index,
+            accesses,
             ledger: self.ledger,
             cost: self.cost,
         }
@@ -375,11 +379,10 @@ fn step_access(
     drf: &mut DebugRegisterFile,
     ledger: &mut CostLedger,
     profiler: &mut impl Profiler,
-    index: u64,
 ) {
     let outcome = pmu.on_event();
-    ledger.accesses += 1;
     let accesses = pmu.accesses();
+    let index = accesses - 1;
 
     if let Some(slot) = drf.matching(&access) {
         // Disarm before delivery, like a real handler clearing DR7;
@@ -397,7 +400,6 @@ fn step_access(
                 drf,
                 ledger,
                 accesses,
-                index,
             };
             profiler.on_trap(&trap, &mut hw);
         }
@@ -414,14 +416,14 @@ fn step_access(
             drf,
             ledger,
             accesses,
-            index,
         };
         profiler.on_sample(&sample, &mut hw);
     }
 }
 
 /// Replays one contiguous chunk through the event-driven fast path and
-/// returns the number of segments it scanned.
+/// returns the number of segments it scanned, adding what the scans
+/// read to `tally`.
 ///
 /// Invariant on entry and exit: `pmu.countdown() ≥ 1`, and the needle
 /// set is refreshed in place after every delivered event (the only
@@ -435,7 +437,7 @@ fn run_chunk(
     drf: &mut DebugRegisterFile,
     ledger: &mut CostLedger,
     profiler: &mut impl Profiler,
-    index: &mut u64,
+    tally: &mut ScanTally,
 ) -> u64 {
     let mut needles = NeedleSet::from_registers(drf);
     let mut segments = 0u64;
@@ -448,30 +450,22 @@ fn run_chunk(
         // most countdown − 1 accesses long.
         let gap = pmu.countdown() - 1;
         let quiet = remaining.min(usize::try_from(gap).unwrap_or(usize::MAX));
-        match kernels::scan(&needles, chunk.slice(pos..pos + quiet)) {
+        match kernels::scan(&needles, chunk.slice(pos..pos + quiet), tally) {
             Some(off) => {
                 // Trap inside the quiet run: bulk-advance the prefix,
                 // then step the trapping access for real.
-                let prefix = off as u64;
-                pmu.advance_quiet(prefix);
-                ledger.accesses += prefix;
-                *index += prefix;
-                step_access(chunk.get(pos + off), pmu, drf, ledger, profiler, *index);
-                *index += 1;
+                pmu.advance_quiet(off as u64);
+                step_access(chunk.get(pos + off), pmu, drf, ledger, profiler);
                 pos += off + 1;
                 needles.refresh(drf);
             }
             None => {
                 // Whole quiet run passes without an event.
-                let run = quiet as u64;
-                pmu.advance_quiet(run);
-                ledger.accesses += run;
-                *index += run;
+                pmu.advance_quiet(quiet as u64);
                 pos += quiet;
                 if quiet < remaining {
                     // Next access overflows the sampling counter.
-                    step_access(chunk.get(pos), pmu, drf, ledger, profiler, *index);
-                    *index += 1;
+                    step_access(chunk.get(pos), pmu, drf, ledger, profiler);
                     pos += 1;
                     needles.refresh(drf);
                 }

@@ -18,12 +18,23 @@
 //! but the predicate below — `addr.wrapping_sub(base) < span` — is
 //! exactly [`Watchpoint::matches`], the top aligned block (whose
 //! `base + len` wraps to zero) included.
+//!
+//! Each needle also carries a filter on the low address column alone
+//! (see [`rdx_trace::split_addr`]): an access whose low 32 bits `x`
+//! have `x & mask != key` cannot hit the needle. For a naturally aligned
+//! power-of-two range of at most 4 GiB, which every armable watchpoint
+//! is, `mask` keeps the bits above the span and `key` is the needle's
+//! own low word under it, so the filter passes exactly the
+//! accesses that hit or that differ from the needle only in the high
+//! word. Any other range gets the empty mask, which passes everything.
+//! The AVX2 kernel scans the filter and re-walks only the blocks it
+//! passes with the exact predicate below.
 
 use crate::debug::DebugRegisterFile;
 #[cfg(test)]
 use crate::debug::Watchpoint;
 use crate::WatchKind;
-use rdx_trace::AccessSlice;
+use rdx_trace::{join_addr, split_addr, AccessSlice};
 
 /// Upper bound on needles: [`DebugRegisterFile`] holds at most 64 slots.
 pub(crate) const MAX_NEEDLES: usize = 64;
@@ -44,6 +55,10 @@ pub struct NeedleSet {
     pub(crate) span: [u64; MAX_NEEDLES],
     /// True when the needle only traps stores (`WatchKind::Write`).
     pub(crate) store_only: [bool; MAX_NEEDLES],
+    /// Low-column filter: a low word `x` can hit the needle only
+    /// if `x & mask == key` (module docs).
+    pub(crate) mask: [u32; MAX_NEEDLES],
+    pub(crate) key: [u32; MAX_NEEDLES],
 }
 
 impl NeedleSet {
@@ -58,14 +73,28 @@ impl NeedleSet {
             base: [0; MAX_NEEDLES],
             span: [0; MAX_NEEDLES],
             store_only: [false; MAX_NEEDLES],
+            mask: [0; MAX_NEEDLES],
+            key: [0; MAX_NEEDLES],
         };
         for &(base, span, store_only) in ranges.iter().take(MAX_NEEDLES) {
-            set.base[set.len] = base;
-            set.span[set.len] = span;
-            set.store_only[set.len] = store_only;
-            set.len += 1;
+            set.put(base, span, store_only);
         }
         set
+    }
+
+    /// Appends one needle.
+    fn put(&mut self, base: u64, span: u64, store_only: bool) {
+        let j = self.len;
+        self.base[j] = base;
+        self.span[j] = span;
+        self.store_only[j] = store_only;
+        // An aligned power-of-two block within one high word is decided
+        // by the high word and the low bits above its span; anything
+        // else passes the filter everywhere.
+        let aligned = span.is_power_of_two() && span <= 1 << 32 && base & (span - 1) == 0;
+        self.mask[j] = if aligned { !((span - 1) as u32) } else { 0 };
+        self.key[j] = split_addr(base).0 & self.mask[j];
+        self.len += 1;
     }
 
     /// Number of needles in the set.
@@ -94,10 +123,11 @@ impl NeedleSet {
         self.len = 0;
         for (_, info) in drf.armed_iter() {
             let wp = info.watchpoint;
-            self.base[self.len] = wp.addr.raw();
-            self.span[self.len] = u64::from(wp.len);
-            self.store_only[self.len] = wp.kind == WatchKind::Write;
-            self.len += 1;
+            self.put(
+                wp.addr.raw(),
+                u64::from(wp.len),
+                wp.kind == WatchKind::Write,
+            );
         }
     }
 
@@ -127,10 +157,12 @@ impl NeedleSet {
     pub(crate) fn first_match(&self, run: AccessSlice<'_>, n: usize) -> Option<usize> {
         // One store-bitmap word per 64 accesses (write-only needles
         // need it) keeps the store test a branch-free shift in the
-        // per-access loop.
-        for (w, addrs) in run.addrs().chunks(64).enumerate() {
+        // per-access loop. Each address is rebuilt from both columns.
+        let columns = run.low_words().chunks(64).zip(run.high_words().chunks(64));
+        for (w, (low, high)) in columns.enumerate() {
             let stores = run.store_word(w * 64);
-            for (t, &addr) in addrs.iter().enumerate() {
+            for (t, (&l, &h)) in low.iter().zip(high).enumerate() {
+                let addr = join_addr(l, h);
                 let is_store = (stores >> t) & 1 == 1;
                 let mut hit = false;
                 for j in 0..n {
@@ -310,7 +342,7 @@ mod tests {
                     assert_eq!(want.is_some(), live, "base={base:#x}");
                     assert_eq!(set.scan(run.as_slice()), want, "base={base:#x}");
                     assert_eq!(
-                        crate::kernels::scan(&set, run.as_slice()),
+                        crate::kernels::scan(&set, run.as_slice(), &mut Default::default()),
                         want,
                         "base={base:#x}"
                     );

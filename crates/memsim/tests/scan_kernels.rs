@@ -10,11 +10,27 @@
 //! that may start at any bit of a store bitmap word, so each offset is
 //! also checked against a walk over the plain `(address, is_store)`
 //! pairs the view was built from.
+//!
+//! The AVX2 scan reads only the low address column (the low 32 bits),
+//! so accesses whose low words collide under different high words are
+//! where it could go wrong; one proptest draws little else.
 
-use memsim::kernels::scan;
+use memsim::kernels::{self, ScanTally};
 use memsim::NeedleSet;
 use proptest::prelude::*;
-use rdx_trace::{Access, AccessBuf};
+use rdx_trace::{Access, AccessBuf, AccessSlice};
+
+/// The production scan, its tally dropped.
+fn scan(set: &NeedleSet, run: AccessSlice<'_>) -> Option<usize> {
+    kernels::scan(set, run, &mut ScanTally::default())
+}
+
+fn run_of(pairs: &[(u64, bool)]) -> AccessBuf {
+    pairs
+        .iter()
+        .map(|&(a, s)| if s { Access::store(a) } else { Access::load(a) })
+        .collect()
+}
 
 fn needle_strategy() -> impl Strategy<Value = (u64, u64, bool)> {
     // Aligned 8-byte spans near the generated address range, plus
@@ -139,10 +155,7 @@ proptest! {
         ),
     ) {
         let pairs = &pool[..offset + len];
-        let buf: AccessBuf = pairs
-            .iter()
-            .map(|&(a, s)| if s { Access::store(a) } else { Access::load(a) })
-            .collect();
+        let buf = run_of(pairs);
         let run = buf.as_slice().slice(offset..);
         let pairs = &pairs[offset..];
         let hits = |&(a, s): &(u64, bool)| {
@@ -156,5 +169,83 @@ proptest! {
         let set = NeedleSet::from_ranges(&needles);
         prop_assert_eq!(set.scan(run), first);
         prop_assert_eq!(scan(&set, run), first);
+    }
+}
+
+/// A naturally aligned 1-, 2-, 4- or 8-byte block, the only ranges the
+/// register file arms, in one of a few high words.
+fn armable_needle(highs: &'static [u64]) -> impl Strategy<Value = (u64, u64, bool)> {
+    ((0..highs.len(), 0u64..64), 0u32..4, any::<bool>()).prop_map(
+        move |((k, slot), width, write_only)| {
+            let hi = highs[k];
+            let span = 1u64 << width;
+            ((hi << 32) | ((slot * 8) & !(span - 1)), span, write_only)
+        },
+    )
+}
+
+/// High words the colliding proptest draws from: neighbouring regions
+/// (array `r` of a registry kernel sits at `r << 32`), far apart ones
+/// and the top of the address space.
+const HIGHS: &[u64] = &[0, 1, 2, 3, 7, 8, 0x1234, 0xffff_fffe, 0xffff_ffff];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Accesses whose low words collide with the needles' under other
+    /// high words: the same element of another region, and the element
+    /// one span past it, whose low word misses the needle's block by
+    /// one. The production scan returns the
+    /// oracle's offset in gated and ungated sets of 1–4, 5 and 64
+    /// needles, and the oracle is the plain walk over the pairs.
+    #[test]
+    fn colliding_low_words_never_fool_the_scan(
+        needles in prop::collection::vec(armable_needle(HIGHS), 64..65),
+        picks in prop::collection::vec(
+            ((0usize..64, 0..HIGHS.len()), (0u64..8, 0u8..3), any::<bool>()),
+            0..200,
+        ),
+    ) {
+        // Each access copies a needle's slot into another high word:
+        // the same element (kind 0), the next block's element (kind 1),
+        // or a hit (kind 2).
+        let pairs: Vec<(u64, bool)> = picks
+            .iter()
+            .map(|&((j, k), (byte, kind), store)| {
+                let hi = HIGHS[k];
+                let (base, span, _) = needles[j];
+                let at = base + byte % span;
+                let addr = match kind {
+                    0 => (hi << 32) | (at & 0xffff_ffff),
+                    1 => (hi << 32) | (at.wrapping_add(span) & 0xffff_ffff),
+                    _ => at,
+                };
+                (addr, store)
+            })
+            .collect();
+        let run = run_of(&pairs);
+        for count in [1usize, 2, 3, 4, 5, 64] {
+            for gated in [false, true] {
+                let ranges: Vec<(u64, u64, bool)> = needles[..count]
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &(base, span, w))| (base, span, gated && (j == 0 || w)))
+                    .collect();
+                let first = pairs.iter().position(|&(a, s)| {
+                    ranges
+                        .iter()
+                        .any(|&(base, span, w)| a.wrapping_sub(base) < span && (s || !w))
+                });
+                let set = NeedleSet::from_ranges(&ranges);
+                prop_assert_eq!(set.scan(run.as_slice()), first);
+                prop_assert_eq!(
+                    scan(&set, run.as_slice()),
+                    first,
+                    "count={} gated={}",
+                    count,
+                    gated
+                );
+            }
+        }
     }
 }

@@ -18,13 +18,19 @@
 //! The same run swept in 64-access slices, one scan call per slice as
 //! at a period-64 sampling rate, gives `short_run_kernel_speedup`: it
 //! charges the kernel's per-call setup, which a whole-run sweep hides.
+//! Both contrasts sweep a cache-resident 64 Ki-access run, at least
+//! 16 Mi accesses per round whatever `RDX_ACCESSES` is, so a round lasts
+//! milliseconds, not one. An out-of-cache row sweeps a 24 Mi-access
+//! run once per round, in 64 Ki-access calls as the machine does
+//! between overflows, so the kernel's rate in cache and out of it can
+//! be set against the end-to-end scan rate; the gate does not read it.
 //!
 //! Besides the table, results land in the `"throughput"` section of
 //! `BENCH_rdx.json` (path override: `RDX_BENCH_OUT`; other sections,
 //! e.g. `exp_decode`'s `"decode"`, are preserved) for CI artifact
-//! upload. `RDX_ACCESSES` scales the run; `RDX_REPS` (default 3)
-//! controls how many timed repetitions the profile minimum is taken
-//! over (at least nine rounds for the scan ratios).
+//! upload. `RDX_ACCESSES` scales the profiled traces; `RDX_REPS`
+//! (default 3) controls how many timed repetitions the profile minimum
+//! is taken over (at least nine rounds for the scan ratios).
 //!
 //! `--check [--tol <0..1>]` switches to regression-check mode: only the
 //! scan-kernel microbenchmark runs, its fresh `kernel_speedup` and
@@ -36,7 +42,8 @@
 //! time the oracle instead — CI sets it to prove the gate fails without
 //! the fast kernel.
 
-use memsim::{kernels, NeedleSet};
+use memsim::kernels::{self, ScanTally};
+use memsim::NeedleSet;
 use rdx_bench::{
     bench_args, bench_out_path, check_metric, experiment_params, json_number, kernel_override,
     median, paper_config, print_table, read_bench_baseline, reps, resolve_tolerance, time_min,
@@ -77,9 +84,13 @@ fn assert_identical(name: &str, fast: &RdxProfile, slow: &RdxProfile) {
 struct ScanBench {
     /// `simd` when the production side scanned with AVX2, else `scalar`.
     kernel: &'static str,
+    /// Accesses each side sweeps per round in the cache-resident
+    /// contrasts.
     accesses: u64,
     whole: Sides,
     short: Sides,
+    /// The out-of-cache sweep; not taken in `--check` mode.
+    out_of_cache: Option<Sides>,
 }
 
 impl ScanBench {
@@ -103,6 +114,14 @@ struct Sides {
 /// Accesses per scan pass: one plausible PMU overflow gap's worth.
 const SCAN_RUN: usize = 1 << 16;
 
+/// Fewest accesses each side sweeps per round of a cache-resident
+/// contrast, so a round is long enough to time whatever the scale.
+const ROUND_MIN_ACCESSES: usize = 1 << 24;
+
+/// Accesses of the out-of-cache row's run: ~200 MB of columns, far
+/// past any last-level cache.
+const OUT_OF_CACHE_RUN: usize = 24 << 20;
+
 /// Accesses per scan call in the short-run contrast: a segment at
 /// period 64, the length a dense-period run hands the kernel.
 const SHORT_RUN: usize = 64;
@@ -110,13 +129,33 @@ const SHORT_RUN: usize = 64;
 /// Fewest alternating rounds the scan-kernel microbenchmark times.
 const SCAN_MIN_ROUNDS: u32 = 9;
 
-type ScanFn = fn(&NeedleSet, AccessSlice<'_>) -> Option<usize>;
+type ScanFn = fn(&NeedleSet, AccessSlice<'_>, &mut ScanTally) -> Option<usize>;
+
+/// The scalar oracle behind the production scan's signature.
+fn oracle(set: &NeedleSet, run: AccessSlice<'_>, _: &mut ScanTally) -> Option<usize> {
+    set.scan(run)
+}
+
+/// A quiet run of `n` accesses in the columnar layout the machine
+/// scans (`AccessBuf`): ascending 8-byte elements, every fifth a store.
+fn quiet_run(n: usize) -> AccessBuf {
+    (0..n as u64)
+        .map(|i| {
+            if i % 5 == 0 {
+                Access::store(i * 8)
+            } else {
+                Access::load(i * 8)
+            }
+        })
+        .collect()
+}
 
 /// Times the production scan and the scalar oracle over the hot case —
 /// a quiet run (no needle hits) swept end to end, exactly what the
 /// machine fast path does between PMU overflows — once in whole-run
-/// calls and once in `SHORT_RUN`-access calls.
-fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
+/// calls and once in `SHORT_RUN`-access calls, and, unless `check`,
+/// over an out-of-cache run.
+fn scan_kernel_bench(total_accesses: u64, reps: u32, check: bool) -> ScanBench {
     // Four read-write 8-byte needles (the paper's DR0–DR3 at maximal
     // width) parked far above the run so no access hits — the machine
     // fast path's hot case between PMU overflows.
@@ -126,34 +165,18 @@ fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
         (0x7fff_2000, 8, false),
         (0x7fff_3000, 8, false),
     ]);
-    // Built in the columnar layout the machine scans (`AccessBuf`).
-    let run: AccessBuf = (0..SCAN_RUN as u64)
-        .map(|i| {
-            if i % 5 == 0 {
-                Access::store(i * 8)
-            } else {
-                Access::load(i * 8)
-            }
-        })
-        .collect();
-    let passes = (total_accesses as usize / SCAN_RUN).max(1);
+    let run = quiet_run(SCAN_RUN);
+    let passes = (total_accesses as usize).max(ROUND_MIN_ACCESSES) / SCAN_RUN;
     let accesses = (SCAN_RUN * passes) as u64;
 
-    let oracle: ScanFn = NeedleSet::scan;
     let forced = kernel_override();
-    let production = if forced { oracle } else { kernels::scan };
-    let time = |slice: usize| {
-        time_sides(
-            [oracle, production],
-            &needles,
-            run.as_slice(),
-            passes,
-            slice,
-            reps,
-        )
+    let sides: [ScanFn; 2] = [oracle, if forced { oracle } else { kernels::scan }];
+    let time = |run: &AccessBuf, passes: usize, slice: usize| {
+        time_sides(sides, &needles, run.as_slice(), passes, slice, reps)
     };
-    let whole = time(SCAN_RUN);
-    let short = time(SHORT_RUN);
+    let whole = time(&run, passes, SCAN_RUN);
+    let short = time(&run, passes, SHORT_RUN);
+    let out_of_cache = (!check).then(|| time(&quiet_run(OUT_OF_CACHE_RUN), 1, SCAN_RUN));
     ScanBench {
         kernel: if !forced && kernels::avx2_detected() {
             "simd"
@@ -163,6 +186,7 @@ fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
         accesses,
         whole,
         short,
+        out_of_cache,
     }
 }
 
@@ -172,10 +196,9 @@ fn scan_kernel_bench(total_accesses: u64, reps: u32) -> ScanBench {
 /// Each round times the oracle and then the production side, back to
 /// back, and the speedup is the median of the rounds' ratios: a host
 /// stall then moves one round's ratio, not the best rep of whichever
-/// side it hit. A round at the CI scale lasts about a millisecond, so
-/// at least `SCAN_MIN_ROUNDS` are taken whatever `reps` asks. Both
-/// sides are called through a fn pointer, so they are timed at the same
-/// boundary.
+/// side it hit. At least `SCAN_MIN_ROUNDS` are taken whatever `reps`
+/// asks. Both sides are called through a fn pointer, so they are timed
+/// at the same boundary.
 fn time_sides(
     sides: [ScanFn; 2],
     needles: &NeedleSet,
@@ -190,13 +213,15 @@ fn time_sides(
         for (scan, secs_out) in sides.into_iter().zip(&mut round) {
             let (secs, sink) = time_min(1, || {
                 let mut sink = 0u64;
+                let mut tally = ScanTally::default();
                 for _ in 0..passes {
                     for start in (0..run.len()).step_by(slice) {
-                        let hit = scan(needles, run.slice(start..run.len().min(start + slice)));
+                        let view = run.slice(start..run.len().min(start + slice));
+                        let hit = scan(needles, view, &mut tally);
                         sink = sink.wrapping_add(hit.map_or(0, |i| i as u64));
                     }
                 }
-                sink
+                sink.wrapping_add(tally.bytes())
             });
             std::hint::black_box(sink);
             *secs_out = secs;
@@ -242,6 +267,13 @@ fn print_scan_bench(bench: &ScanBench) {
         bench.short.scalar_aps,
         bench.short_run_kernel_speedup()
     );
+    if let Some(far) = &bench.out_of_cache {
+        println!(
+            "out of cache ({OUT_OF_CACHE_RUN} accesses once per round, {:.3e} vs {:.3e} acc/s): \
+             {:.2}x",
+            far.auto_aps, far.scalar_aps, far.speedup
+        );
+    }
 }
 
 /// `--check`: rerun only the scan-kernel microbenchmark, gate on the
@@ -269,7 +301,7 @@ fn check_mode(tol_flag: Option<f64>, accesses: u64, reps: u32) -> i32 {
         *value = v;
     }
     let tol = resolve_tolerance(tol_flag, &baseline, "throughput");
-    let bench = scan_kernel_bench(accesses, reps);
+    let bench = scan_kernel_bench(accesses, reps, true);
     print_scan_bench(&bench);
     let fresh = [bench.kernel_speedup(), bench.short_run_kernel_speedup()];
     // Both gates are checked and printed, whichever fails first.
@@ -346,7 +378,7 @@ fn main() {
     let max = rows.iter().map(Row::speedup).fold(0.0f64, f64::max);
     println!("\nmax speedup: {max:.2}x (profiles verified bit-identical)");
 
-    let bench = scan_kernel_bench(params.accesses, reps);
+    let bench = scan_kernel_bench(params.accesses, reps, false);
     print_scan_bench(&bench);
 
     // A hand-tuned check_tolerance in the recorded file survives
@@ -398,11 +430,36 @@ fn render_scan_kernel(bench: &ScanBench, indent: &str) -> String {
             bench.kernel, bench.short.auto_aps
         );
     }
-    let _ = writeln!(
+    let _ = write!(
         s,
         "{indent}  \"short_run_kernel_speedup\": {:.3}",
         bench.short_run_kernel_speedup()
     );
+    if let Some(far) = &bench.out_of_cache {
+        let _ = writeln!(s, ",");
+        let _ = writeln!(
+            s,
+            "{indent}  \"out_of_cache_accesses\": {OUT_OF_CACHE_RUN},"
+        );
+        let _ = writeln!(
+            s,
+            "{indent}  \"out_of_cache_scalar_accesses_per_sec\": {:.1},",
+            far.scalar_aps
+        );
+        if bench.kernel != "scalar" {
+            let _ = writeln!(
+                s,
+                "{indent}  \"out_of_cache_{}_accesses_per_sec\": {:.1},",
+                bench.kernel, far.auto_aps
+            );
+        }
+        let _ = write!(
+            s,
+            "{indent}  \"out_of_cache_kernel_speedup\": {:.3}",
+            far.speedup
+        );
+    }
+    let _ = writeln!(s);
     let _ = write!(s, "{indent}}}");
     s
 }

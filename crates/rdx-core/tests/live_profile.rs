@@ -30,7 +30,7 @@ fn same_profile(a: &RdxProfile, b: &RdxProfile) -> bool {
 }
 
 fn whole(config: RdxConfig, accesses: AccessSlice<'_>) -> RdxProfile {
-    let trace = Trace::from_addresses("prefix", accesses.addrs().iter().copied());
+    let trace = Trace::from_addresses("prefix", accesses.addrs());
     RdxRunner::new(config).profile(trace.stream())
 }
 

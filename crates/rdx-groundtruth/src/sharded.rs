@@ -92,7 +92,7 @@ impl ShardPass {
         let shift = granularity.shift();
         for chunk in rx {
             // Reuse needs only the address column, never the store bits.
-            for (i, &addr) in chunk.accesses.addrs().iter().enumerate() {
+            for (i, addr) in chunk.accesses.addrs().enumerate() {
                 let time = chunk.index_of(i);
                 let block = addr >> shift;
                 if shard_of(block, shards) != shard {

@@ -263,7 +263,7 @@ pub enum SessionEvent {
 /// A session state machine driven one command at a time on the
 /// caller's thread — no worker thread, no connection, no clock.
 ///
-/// This is the exact machine [`SessionWorker::run`] loops on its
+/// This is the exact machine a session's worker loops on in its
 /// dedicated thread; the deterministic simulator uses the stepper to
 /// replay chosen command interleavings (chunk boundaries mid-varint,
 /// snapshots after failure, out-of-order close) and assert on the

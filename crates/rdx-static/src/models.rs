@@ -119,8 +119,8 @@ pub fn sawtooth(p: &Params) -> KernelModel {
     }
 }
 
-/// Triple-loop matmul, `k` innermost: lanes A[i][k], B[k][j],
-/// C[i][j] load, C[i][j] store.
+/// Triple-loop matmul, `k` innermost: lanes `A[i][k]`, `B[k][j]`,
+/// `C[i][j]` load, `C[i][j]` store.
 #[must_use]
 pub fn matmul_naive(p: &Params) -> KernelModel {
     let n = (((p.elements / 3) as f64).sqrt() as u64).max(2);

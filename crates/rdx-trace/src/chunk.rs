@@ -132,10 +132,7 @@ mod tests {
             expected_base += c.len() as u64;
         }
         assert_eq!(expected_base, 1000);
-        let replayed: Vec<u64> = chunks
-            .iter()
-            .flat_map(|c| c.accesses.addrs().iter().copied())
-            .collect();
+        let replayed: Vec<u64> = chunks.iter().flat_map(|c| c.accesses.addrs()).collect();
         assert_eq!(replayed, (0..1000u64).map(|i| i * 8).collect::<Vec<_>>());
     }
 

@@ -1,27 +1,59 @@
-//! Columnar access storage: one `u64` address per access plus a store
-//! bitmap, ~8.125 bytes per access.
+//! Columnar access storage: each address split into two 32-bit words,
+//! plus a store bitmap, ~8.125 bytes per access.
 //!
 //! Everything that holds accesses in bulk — a [`Trace`](crate::Trace),
 //! a [`Chunk`](crate::Chunk), a decode batch, the machine's scan input —
-//! uses this layout. [`AccessBuf`] owns the two columns and
-//! [`AccessSlice`] borrows a contiguous run of them. The scan reads only
-//! the address column (8 bytes per access instead of a 16-byte padded
-//! `Access`), and the count of stores in a run is a popcount over the
-//! bitmap. [`Access`] stays the per-event value: [`AccessSlice::get`]
-//! and the iterators rebuild it on the fly.
+//! uses this layout. [`AccessBuf`] owns the columns and [`AccessSlice`]
+//! borrows a contiguous run of them.
+//!
+//! The address column is byte-sliced in the manner of ByteSlice (Feng et
+//! al., SIGMOD 2015): a *low* column holds the low 32 bits of each
+//! address and a *high* column its top 32 bits ([`split_addr`];
+//! [`join_addr`] inverts it). The machine's needle scan reads only the
+//! low column, 4 bytes per access, and checks the high word only for
+//! the rare block with a candidate. The low word is stored as it is,
+//! with no fold of the high word into it: equal indices of arrays placed
+//! `r << 32` apart share a low word, so each costs the scan a re-walk
+//! of its block. A fold that kept them apart would have to reach the
+//! bits above a needle's span; `lo ^ hi` reaches only the low three,
+//! and the registry's false candidates were about the same with it
+//! (EXPERIMENTS.md P12). The count of stores in a run is a popcount over
+//! the bitmap. [`Access`] stays the per-event value:
+//! [`AccessSlice::get`], [`AccessSlice::addr`] and the iterators rebuild
+//! it on the fly.
 
 use crate::event::{Access, AccessKind, Address};
 use std::fmt;
 use std::ops::{Bound, Range, RangeBounds};
 
-/// Owned columnar accesses: addresses plus a store bitmap.
+/// The two words an address is stored as: its low and high 32 bits.
+#[inline(always)]
+#[must_use]
+pub fn split_addr(addr: u64) -> (u32, u32) {
+    let hi = (addr >> 32) as u32;
+    (addr as u32, hi)
+}
+
+/// The address stored as `low` and `high`: the inverse of
+/// [`split_addr`].
+#[inline(always)]
+#[must_use]
+pub fn join_addr(low: u32, high: u32) -> u64 {
+    (u64::from(high) << 32) | u64::from(low)
+}
+
+/// Owned columnar accesses: the low and high address columns plus a
+/// store bitmap.
 ///
 /// Bit `i % 64` of bitmap word `i / 64` is set when access `i` is a
 /// store. The bitmap always holds exactly `len.div_ceil(64)` words and
 /// every bit past `len` is clear, so equality is plain column equality.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct AccessBuf {
-    addrs: Vec<u64>,
+    /// The low 32 bits of each address.
+    low: Vec<u32>,
+    /// The high 32 bits of each address.
+    high: Vec<u32>,
     stores: Vec<u64>,
 }
 
@@ -36,7 +68,8 @@ impl AccessBuf {
     #[must_use]
     pub fn with_capacity(n: usize) -> AccessBuf {
         AccessBuf {
-            addrs: Vec::with_capacity(n),
+            low: Vec::with_capacity(n),
+            high: Vec::with_capacity(n),
             stores: Vec::with_capacity(n.div_ceil(64)),
         }
     }
@@ -44,32 +77,36 @@ impl AccessBuf {
     /// Number of accesses.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.low.len()
     }
 
     /// True when the buffer holds no accesses.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.low.is_empty()
     }
 
     /// Removes every access, keeping the allocation.
     pub fn clear(&mut self) {
-        self.addrs.clear();
+        self.low.clear();
+        self.high.clear();
         self.stores.clear();
     }
 
     /// Reserves room for `n` more accesses.
     pub fn reserve(&mut self, n: usize) {
-        self.addrs.reserve(n);
+        self.low.reserve(n);
+        self.high.reserve(n);
         let words = (self.len() + n).div_ceil(64);
         self.stores.reserve(words.saturating_sub(self.stores.len()));
     }
 
     /// Appends one access.
     pub fn push(&mut self, access: Access) {
-        let i = self.addrs.len();
-        self.addrs.push(access.addr.raw());
+        let i = self.len();
+        let (low, high) = split_addr(access.addr.raw());
+        self.low.push(low);
+        self.high.push(high);
         if i.is_multiple_of(64) {
             self.stores.push(0);
         }
@@ -78,21 +115,16 @@ impl AccessBuf {
         }
     }
 
-    /// A writer that appends accesses with no per-access bitmap
-    /// read-modify-write: store bits gather in a register word that is
-    /// flushed every 64 accesses and when the writer drops.
+    /// A writer that appends accesses with no per-access column or
+    /// bitmap update: addresses and store bits gather in a 64-access
+    /// block that is flushed into the columns once per 64 accesses and
+    /// when the writer drops.
     pub fn appender(&mut self) -> AccessAppender<'_> {
-        let bit = (self.len() % 64) as u32;
-        // A partial last word moves into the register until the drop.
-        let word = if bit == 0 {
-            0
-        } else {
-            self.stores.pop().unwrap_or(0)
-        };
         AccessAppender {
             buf: self,
-            word,
-            bit,
+            block: [0; 64],
+            word: 0,
+            n: 0,
         }
     }
 
@@ -103,19 +135,31 @@ impl AccessBuf {
         for k in (0..src.len()).step_by(64) {
             self.push_store_bits(len + k, (src.len() - k).min(64), src.store_word(k));
         }
-        self.addrs.extend_from_slice(src.addrs);
+        self.low.extend_from_slice(src.low);
+        self.high.extend_from_slice(src.high);
     }
 
-    /// Appends a run of `n` (1..=64) accesses whose store bits are the
-    /// low `n` bits of `stores` (the rest clear), one bitmap word
-    /// operation for the run, and returns their address slots, zeroed,
-    /// for the caller to fill.
+    /// Appends a run of 1..=64 accesses, their addresses `addrs` and
+    /// their store bits the low `addrs.len()` bits of `stores` (the
+    /// rest clear): one bitmap word operation and one extend of each
+    /// address column for the run.
     #[inline(always)]
-    pub(crate) fn append_run(&mut self, n: usize, stores: u64) -> &mut [u64] {
-        let len = self.len();
-        self.push_store_bits(len, n, stores);
-        self.addrs.resize(len + n, 0);
-        &mut self.addrs[len..]
+    pub(crate) fn append_run(&mut self, addrs: &[u64], stores: u64) {
+        self.push_store_bits(self.len(), addrs.len(), stores);
+        self.low.extend(addrs.iter().map(|&a| split_addr(a).0));
+        self.high.extend(addrs.iter().map(|&a| split_addr(a).1));
+    }
+
+    /// Appends the store bits of a run of `n` (1..=64) accesses, the low
+    /// `n` bits of `stores`, and returns both address columns with room
+    /// reserved for the run's `n` words: the block decoder writes them
+    /// in place ([`split_addr`]) and commits their length.
+    #[inline(always)]
+    pub(crate) fn run_columns(&mut self, n: usize, stores: u64) -> (&mut Vec<u32>, &mut Vec<u32>) {
+        self.push_store_bits(self.len(), n, stores);
+        self.low.reserve(n);
+        self.high.reserve(n);
+        (&mut self.low, &mut self.high)
     }
 
     /// Puts the store bits of `n` (1..=64) accesses, the low `n` bits of
@@ -140,16 +184,26 @@ impl AccessBuf {
     #[must_use]
     pub fn as_slice(&self) -> AccessSlice<'_> {
         AccessSlice {
-            addrs: &self.addrs,
+            low: &self.low,
+            high: &self.high,
             stores: &self.stores,
             offset: 0,
         }
     }
 
-    /// The address column.
+    /// The address of access `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len`.
     #[must_use]
-    pub fn addrs(&self) -> &[u64] {
-        &self.addrs
+    pub fn addr(&self, i: usize) -> u64 {
+        self.as_slice().addr(i)
+    }
+
+    /// Iterates over the addresses.
+    pub fn addrs(&self) -> Addrs<'_> {
+        self.as_slice().addrs()
     }
 
     /// Access `i`.
@@ -193,26 +247,38 @@ impl FromIterator<Access> for AccessBuf {
 
 /// Appends to an [`AccessBuf`]; created by [`AccessBuf::appender`].
 ///
-/// The buffer's last bitmap word lives in the appender while it is
-/// alive and is written back when it drops.
+/// Up to 64 appended accesses live in the appender, their addresses in
+/// a block and their store bits in a register word, and move into the
+/// buffer's columns when the block fills and when the appender drops:
+/// one capacity check per column per 64 accesses.
 #[derive(Debug)]
 pub struct AccessAppender<'a> {
     buf: &'a mut AccessBuf,
+    block: [u64; 64],
     word: u64,
-    bit: u32,
+    n: usize,
 }
 
 impl AccessAppender<'_> {
     /// Appends one access.
     #[inline(always)]
     pub fn push(&mut self, addr: u64, is_store: bool) {
-        self.buf.addrs.push(addr);
-        self.word |= u64::from(is_store) << self.bit;
-        self.bit += 1;
-        if self.bit == 64 {
-            self.buf.stores.push(self.word);
+        let n = self.n % 64;
+        self.block[n] = addr;
+        self.word |= u64::from(is_store) << n;
+        self.n = n + 1;
+        if self.n == 64 {
+            self.flush();
+        }
+    }
+
+    /// Moves the gathered accesses into the buffer's columns.
+    #[inline]
+    fn flush(&mut self) {
+        if self.n > 0 {
+            self.buf.append_run(&self.block[..self.n], self.word);
             self.word = 0;
-            self.bit = 0;
+            self.n = 0;
         }
     }
 
@@ -220,35 +286,34 @@ impl AccessAppender<'_> {
     #[inline]
     #[must_use]
     pub fn len(&self) -> usize {
-        self.buf.addrs.len()
+        self.buf.len() + self.n
     }
 
     /// True when the buffer holds no accesses.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.buf.addrs.is_empty()
+        self.len() == 0
     }
 }
 
 impl Drop for AccessAppender<'_> {
     #[inline]
     fn drop(&mut self) {
-        if self.bit != 0 {
-            self.buf.stores.push(self.word);
-        }
+        self.flush();
     }
 }
 
 /// A borrowed run of columnar accesses: a sub-slice of an
 /// [`AccessBuf`].
 ///
-/// The view holds the address column, the bitmap words that cover it
-/// and a bit offset (below 64) of its first access in the first word,
-/// so it can start at any access. Bits outside the view are never read
-/// as part of it.
+/// The view holds the two address columns, the bitmap words that cover
+/// them and a bit offset (below 64) of its first access in the first
+/// word, so it can start at any access. Bits outside the view are never
+/// read as part of it.
 #[derive(Clone, Copy, Default)]
 pub struct AccessSlice<'a> {
-    addrs: &'a [u64],
+    low: &'a [u32],
+    high: &'a [u32],
     stores: &'a [u64],
     offset: u32,
 }
@@ -257,19 +322,46 @@ impl<'a> AccessSlice<'a> {
     /// Number of accesses.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.addrs.len()
+        self.low.len()
     }
 
     /// True when the view holds no accesses.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.addrs.is_empty()
+        self.low.is_empty()
     }
 
-    /// The address column.
+    /// The low address column: the low 32 bits of each address.
+    #[inline]
     #[must_use]
-    pub fn addrs(&self) -> &'a [u64] {
-        self.addrs
+    pub fn low_words(&self) -> &'a [u32] {
+        self.low
+    }
+
+    /// The high address column: the high 32 bits of each address.
+    #[inline]
+    #[must_use]
+    pub fn high_words(&self) -> &'a [u32] {
+        self.high
+    }
+
+    /// The address of access `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= len`.
+    #[inline]
+    #[must_use]
+    pub fn addr(&self, i: usize) -> u64 {
+        join_addr(self.low[i], self.high[i])
+    }
+
+    /// Iterates over the addresses.
+    #[must_use]
+    pub fn addrs(&self) -> Addrs<'a> {
+        Addrs {
+            words: self.low.iter().zip(self.high),
+        }
     }
 
     /// Whether access `i` is a store.
@@ -299,7 +391,7 @@ impl<'a> AccessSlice<'a> {
             AccessKind::Load
         };
         Access {
-            addr: Address::new(self.addrs[i]),
+            addr: Address::new(self.addr(i)),
             kind,
         }
     }
@@ -323,7 +415,8 @@ impl<'a> AccessSlice<'a> {
         let Range { start, end } = self.resolve(range);
         let b = self.offset as usize + start;
         AccessSlice {
-            addrs: &self.addrs[start..end],
+            low: &self.low[start..end],
+            high: &self.high[start..end],
             stores: &self.stores[b / 64..],
             offset: (b % 64) as u32,
         }
@@ -403,7 +496,8 @@ impl<'a> AccessSlice<'a> {
 
 impl PartialEq for AccessSlice<'_> {
     fn eq(&self, other: &Self) -> bool {
-        self.addrs == other.addrs
+        self.low == other.low
+            && self.high == other.high
             && (0..self.len())
                 .step_by(64)
                 .all(|i| self.store_word(i) == other.store_word(i))
@@ -426,6 +520,28 @@ impl<'a> IntoIterator for AccessSlice<'a> {
         self.iter()
     }
 }
+
+/// Iterator over the addresses of a view, rebuilt from the two
+/// columns; created by [`AccessSlice::addrs`].
+#[derive(Debug, Clone)]
+pub struct Addrs<'a> {
+    words: std::iter::Zip<std::slice::Iter<'a, u32>, std::slice::Iter<'a, u32>>,
+}
+
+impl Iterator for Addrs<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        self.words.next().map(|(&low, &high)| join_addr(low, high))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.words.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Addrs<'_> {}
 
 /// Iterator over the accesses of a view, by value; created by
 /// [`AccessSlice::iter`].
@@ -458,19 +574,39 @@ impl ExactSizeIterator for Iter<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernels::{BlockDecode, ScalarDecode};
     use proptest::prelude::*;
 
+    fn access(&(a, s): &(u64, bool)) -> Access {
+        if s {
+            Access::store(a)
+        } else {
+            Access::load(a)
+        }
+    }
+
     fn buf_of(pairs: &[(u64, bool)]) -> AccessBuf {
-        pairs
-            .iter()
-            .map(|&(a, s)| if s { Access::store(a) } else { Access::load(a) })
-            .collect()
+        pairs.iter().map(access).collect()
     }
 
     fn pairs_of(view: AccessSlice<'_>) -> Vec<(u64, bool)> {
         view.iter()
             .map(|a| (a.addr.raw(), a.kind.is_store()))
             .collect()
+    }
+
+    /// Addresses over many high words: small ones, arbitrary ones, the
+    /// top aligned block of `u64::MAX`, and equal low words under
+    /// different high words (array `r` of a registry kernel sits at
+    /// `r << 32`).
+    fn addr_strategy() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            2 => 0u64..4096,
+            3 => any::<u64>(),
+            1 => (0u64..17).prop_map(|k| u64::MAX - k),
+            3 => (0u64..64, 0u64..16).prop_map(|(r, i)| (r << 32) | (i * 8)),
+            1 => (any::<u32>(), 0u64..16).prop_map(|(r, i)| (u64::from(r) << 32) | (i * 8)),
+        ]
     }
 
     #[test]
@@ -481,11 +617,26 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert_eq!(b.get(0), Access::load(1u64));
         assert_eq!(b.get(1), Access::store(2u64));
-        assert_eq!(b.addrs(), &[1, 2]);
+        assert_eq!(b.addrs().collect::<Vec<_>>(), [1, 2]);
+        assert_eq!(b.addr(1), 2);
         assert_eq!(b.as_slice().stores_in(..), 1);
         b.clear();
         assert!(b.is_empty());
         assert_eq!(b, AccessBuf::new());
+    }
+
+    #[test]
+    fn split_words_are_the_low_and_high_halves() {
+        assert_eq!(split_addr(0x10), (0x10, 0));
+        assert_eq!(split_addr((1 << 32) | 0x10), (0x10, 1));
+        assert_eq!(split_addr(u64::MAX), (u32::MAX, u32::MAX));
+        for a in [0, 1, 0x1_0000_0010, u64::MAX - 7, u64::MAX] {
+            let (low, high) = split_addr(a);
+            assert_eq!(join_addr(low, high), a);
+        }
+        let b = buf_of(&[(0x1_0000_0010, false), (u64::MAX, true)]);
+        assert_eq!(b.as_slice().low_words(), [0x10, u32::MAX]);
+        assert_eq!(b.as_slice().high_words(), [1, u32::MAX]);
     }
 
     #[test]
@@ -521,8 +672,8 @@ mod tests {
             let b = buf_of(&pairs);
             prop_assert_eq!(pairs_of(b.as_slice()), pairs.clone());
             let mut pushed = AccessBuf::new();
-            for &(a, s) in &pairs {
-                pushed.push(if s { Access::store(a) } else { Access::load(a) });
+            for p in &pairs {
+                pushed.push(access(p));
             }
             prop_assert_eq!(&pushed, &b);
             let (lo, hi) = (cut.0.min(cut.1).min(pairs.len()), cut.0.max(cut.1).min(pairs.len()));
@@ -545,6 +696,89 @@ mod tests {
             let mut copy = AccessBuf::new();
             copy.extend_from_slice(view);
             prop_assert_eq!(copy.as_slice(), view);
+        }
+
+        /// Every writer builds the same split columns from the same
+        /// accesses, onto a buffer already holding `held` of them (so
+        /// each starts at any bit of a bitmap word): `push`, the
+        /// appender (in several short-lived writers), the block
+        /// decoder's in-place column writes (`run_columns`) through both
+        /// `BlockDecode` instances and the scalar decoder,
+        /// `extend_from_slice` and
+        /// `FromIterator`. Every `get(i)`, `addr(i)` and the address
+        /// iterator give back the input, and a sub-view at every bit
+        /// offset holds the input's sub-range.
+        #[test]
+        fn every_writer_builds_the_same_columns(
+            pairs in prop::collection::vec((addr_strategy(), any::<bool>()), 0..300),
+            held in 0usize..130,
+            pieces in prop::collection::vec(1usize..80, 1..8),
+        ) {
+            let head: Vec<(u64, bool)> =
+                (0..held as u64).map(|i| (i << 29, i % 3 == 0)).collect();
+            let mut all = head.clone();
+            all.extend_from_slice(&pairs);
+            let want = buf_of(&all);
+            for (i, p) in all.iter().enumerate() {
+                prop_assert_eq!(want.get(i), access(p));
+                prop_assert_eq!(want.addr(i), p.0);
+            }
+            prop_assert_eq!(want.addrs().collect::<Vec<_>>(), all.iter().map(|p| p.0).collect::<Vec<_>>());
+
+            let mut pushed = buf_of(&head);
+            for p in &pairs {
+                pushed.push(access(p));
+            }
+            prop_assert_eq!(&pushed, &want);
+
+            let mut appended = buf_of(&head);
+            let mut rest = &pairs[..];
+            for &k in pieces.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (now, later) = rest.split_at(k.min(rest.len()));
+                let mut out = appended.appender();
+                for &(a, s) in now {
+                    out.push(a, s);
+                }
+                prop_assert_eq!(out.len(), held + pairs.len() - later.len());
+                drop(out);
+                rest = later;
+            }
+            appended.appender().push(0, false);
+            prop_assert_eq!(appended.len(), held + pairs.len() + 1);
+            prop_assert_eq!(appended.as_slice().slice(..all.len()), want.as_slice());
+
+            let mut copied = buf_of(&head);
+            copied.extend_from_slice(buf_of(&pairs).as_slice());
+            prop_assert_eq!(&copied, &want);
+
+            let trace: crate::Trace = all.iter().copied().collect();
+            prop_assert_eq!(trace.accesses(), want.as_slice());
+            // The decoders append the records of `pairs` alone onto the
+            // held accesses.
+            let tail: crate::Trace = pairs.iter().copied().collect();
+            let bytes = crate::io::to_bytes(&tail);
+            let header = crate::io::parse_header(&bytes).expect("a valid header");
+            let records = &bytes[header.len..];
+            let decoders = [Some(BlockDecode::portable()), BlockDecode::bmi2()];
+            for kernel in decoders.into_iter().flatten() {
+                let mut out = buf_of(&head);
+                let run = kernel.decode_records(records, all.len(), &mut 0, &mut out);
+                prop_assert!(run.failure.is_none(), "{}", kernel.name());
+                prop_assert_eq!(&out, &want, "{}", kernel.name());
+            }
+            let mut out = buf_of(&head);
+            ScalarDecode.decode_records(records, all.len(), &mut 0, &mut out);
+            prop_assert_eq!(&out, &want);
+
+            let view = want.as_slice();
+            for start in 0..view.len().min(130) {
+                let sub = view.slice(start..);
+                prop_assert_eq!(pairs_of(sub), all[start..].to_vec());
+                prop_assert_eq!(sub.addrs().len(), all.len() - start);
+            }
         }
     }
 }

@@ -215,10 +215,10 @@ pub fn try_to_bytes(trace: &Trace) -> Result<Bytes, TraceError> {
 pub fn to_bytes(trace: &Trace) -> Bytes {
     let name = clamp_name(trace.name()).as_bytes();
     let accesses = trace.accesses();
-    let addrs = accesses.addrs();
-    // The records' exact size, so the buffer is reserved once.
+    // The records' exact size, so the buffer is reserved once. Each
+    // address is rebuilt from its two words inside the delta chain.
     let deltas = || {
-        addrs.iter().scan(0u64, |prev, &addr| {
+        accesses.addrs().scan(0u64, |prev, addr| {
             let delta = addr.wrapping_sub(*prev) as i64;
             *prev = addr;
             Some(zigzag(delta))

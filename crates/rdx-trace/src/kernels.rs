@@ -27,7 +27,9 @@
 //!   cycles), and a portable instance (multiply-compress for the masks,
 //!   a shift-and-or fold for the payload) everywhere else. This module
 //!   holds the workspace's only `unsafe` outside `memsim`: the one call
-//!   into the BMI2 instance, behind the feature check.
+//!   into the BMI2 instance, behind the feature check, and the length
+//!   commit after a block's records are written straight into the two
+//!   address columns.
 //! * [`ScalarDecode`] — the original per-byte loop, kept verbatim as the
 //!   oracle. Nothing in production calls it: the equivalence proptests
 //!   in `io.rs` and `decoder.rs` and the decode benchmark call it
@@ -36,7 +38,7 @@
 
 #![allow(unsafe_code)]
 
-use crate::columns::{AccessAppender, AccessBuf};
+use crate::columns::{split_addr, AccessAppender, AccessBuf};
 use crate::io::{unzigzag, varint_bits_overflow, TraceError};
 
 /// Outcome of one kernel pass over a record window.
@@ -368,7 +370,8 @@ fn block_loop<E: Extract>(
 }
 
 /// Decodes the complete records of one block, at most `need` of them
-/// and none from the first record longer than 8 bytes on, and returns
+/// and none from the first record longer than 8 bytes on, writing
+/// each address's two words straight into `out`'s columns, and returns
 /// the bytes they span (0 when there are none).
 #[inline(always)]
 fn block_records<E: Extract>(
@@ -410,13 +413,26 @@ fn block_records<E: Extract>(
     let span = 64 - ends.leading_zeros() as usize;
     let starts = ((ends << 1) | 1) & (u64::MAX >> (64 - span));
     let mut start = 0usize;
-    for slot in out.append_run(n, x.compress(low, starts)) {
+    let (low_col, high_col) = out.run_columns(n, x.compress(low, starts));
+    let slots = low_col.spare_capacity_mut()[..n]
+        .iter_mut()
+        .zip(&mut high_col.spare_capacity_mut()[..n]);
+    for (low_slot, high_slot) in slots {
         let end = ends.trailing_zeros() as usize;
         ends &= ends - 1;
         let delta = x.delta(word_at(block, start), end + 1 - start);
         start = end + 1;
         *prev = prev.wrapping_add(unzigzag(delta) as u64);
-        *slot = *prev;
+        let (low_word, high_word) = split_addr(*prev);
+        low_slot.write(low_word);
+        high_slot.write(high_word);
+    }
+    let len = low_col.len() + n;
+    // SAFETY: the loop wrote the `n` words past each column's end, in
+    // the room `run_columns` reserved.
+    unsafe {
+        low_col.set_len(len);
+        high_col.set_len(len);
     }
     span
 }

@@ -8,12 +8,14 @@
 //!   An [`Access`] is one event (a sample, a trap, one access of a
 //!   chunk's iteration); nothing stores accesses in bulk as `Access`
 //!   values.
-//! * [`AccessBuf`] / [`AccessSlice`] — the bulk layout: a column of `u64`
-//!   addresses plus a store bitmap, ~8.125 bytes per access. `AccessBuf`
-//!   owns the columns (written through an [`AccessAppender`], which
-//!   flushes store bits a 64-bit word at a time); `AccessSlice` is a
-//!   borrowed view that can start at any access and offers `get(i)`,
-//!   iteration by value, sub-slicing and `stores_in(range)` by popcount.
+//! * [`AccessBuf`] / [`AccessSlice`] — the bulk layout: each address
+//!   split into a `u32` low column ([`split_addr`]) and a
+//!   `u32` high column, plus a store bitmap, ~8.125 bytes per access.
+//!   `AccessBuf` owns the columns (written through an
+//!   [`AccessAppender`], which flushes 64 accesses at a time);
+//!   `AccessSlice` is a borrowed view that can start at any access and
+//!   offers `get(i)`, `addr(i)`, iteration by value or by address,
+//!   sub-slicing and `stores_in(range)` by popcount.
 //! * [`AccessStream`] — a pull-based stream of accesses, so that
 //!   billion-access workloads never need to be materialized. Its one
 //!   required method, [`next_chunk(max)`](AccessStream::next_chunk),
@@ -82,7 +84,9 @@ mod trace;
 
 pub use bytes::Bytes;
 pub use chunk::{Chunk, Chunker, DEFAULT_CHUNK_CAPACITY};
-pub use columns::{AccessAppender, AccessBuf, AccessSlice, Iter as AccessIter};
+pub use columns::{
+    join_addr, split_addr, AccessAppender, AccessBuf, AccessSlice, Addrs, Iter as AccessIter,
+};
 pub use decoder::RdxtDecoder;
 pub use event::{Access, AccessKind, Address, Granularity};
 pub use frame::{FrameError, PayloadReader, PayloadWriter, MAX_FRAME_LEN};

@@ -126,7 +126,7 @@ mod tests {
         assert_eq!(s.fill(&mut out, 0), 0);
         assert_eq!(s.fill(&mut out, 10), 2, "a short fill means exhausted");
         assert_eq!(s.fill(&mut out, 10), 0);
-        assert_eq!(out.addrs(), &[8, 64, 128, 192, 256, 320]);
+        assert_eq!(out.addrs().collect::<Vec<_>>(), [8, 64, 128, 192, 256, 320]);
         assert!(out.get(0).kind.is_store(), "existing accesses are kept");
 
         // Chunks of three: each pull asks only for what `max` has left.
@@ -137,7 +137,10 @@ mod tests {
         let mut out = AccessBuf::new();
         assert_eq!(s.fill(&mut out, 4), 4);
         assert_eq!(s.fill(&mut out, 5), 5);
-        assert_eq!(out.addrs(), &[64, 128, 192, 256, 320, 384, 448, 512, 576]);
+        assert_eq!(
+            out.addrs().collect::<Vec<_>>(),
+            [64, 128, 192, 256, 320, 384, 448, 512, 576]
+        );
     }
 
     #[test]
@@ -195,6 +198,6 @@ mod tests {
         let mut b: Box<dyn AccessStream> = Box::new(s);
         let mut out = AccessBuf::new();
         assert_eq!(b.fill(&mut out, usize::MAX), 2);
-        assert_eq!(out.addrs(), &[128, 192]);
+        assert_eq!(out.addrs().collect::<Vec<_>>(), [128, 192]);
     }
 }

@@ -6,8 +6,9 @@ use crate::stream::AccessStream;
 
 /// A materialized memory access trace.
 ///
-/// Accesses are stored in columns (an [`AccessBuf`]): one `u64` address
-/// per access plus a store bitmap, ~8.125 bytes per access. Tests,
+/// Accesses are stored in columns (an [`AccessBuf`]): each address as a
+/// low and a high `u32` word plus a store bitmap, ~8.125 bytes per
+/// access. Tests,
 /// experiments and the benchmark use this form, while long-running
 /// workloads stream instead (see [`AccessStream`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,7 +135,7 @@ impl Trace {
     pub fn distinct_blocks(&self, shift: u32) -> u64 {
         // Sort + dedup instead of a hash set: deterministic and free of
         // SipHash's per-process seed (rdx-trace is a hot crate).
-        let mut blocks: Vec<u64> = self.accesses.addrs().iter().map(|a| a >> shift).collect();
+        let mut blocks: Vec<u64> = self.accesses.addrs().map(|a| a >> shift).collect();
         blocks.sort_unstable();
         blocks.dedup();
         blocks.len() as u64
@@ -216,7 +217,7 @@ mod tests {
         assert_eq!(s.next_chunk(1).unwrap().get(0).addr.raw(), 1);
         assert_eq!(s.remaining_hint(), Some(2));
         let rest = s.next_chunk(usize::MAX).unwrap();
-        assert_eq!(rest.addrs(), &[2, 1]);
+        assert_eq!(rest.addrs().collect::<Vec<_>>(), [2, 1]);
     }
 
     #[test]

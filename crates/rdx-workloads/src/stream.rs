@@ -137,7 +137,7 @@ mod tests {
         let mut s = ragged(7);
         let mut out = AccessBuf::new();
         assert_eq!(s.fill(&mut out, 100), 7);
-        assert_eq!(out.addrs(), &[0, 1, 1, 2, 2, 2, 3]);
+        assert_eq!(out.addrs().collect::<Vec<_>>(), [0, 1, 1, 2, 2, 2, 3]);
         assert_eq!(s.fill(&mut out, 100), 0);
         assert!(s.next_chunk(usize::MAX).is_none());
     }
